@@ -87,7 +87,11 @@ class RunConfig:
 
 
 def _round6(value):
-    """Round floats to 6 significant digits, recursively; inf becomes 'inf'."""
+    """Round floats to 6 significant digits, recursively.
+
+    inf becomes 'inf' and NaN becomes None (JSON null), so the output stays
+    valid JSON.
+    """
     if isinstance(value, bool) or not isinstance(value, float):
         if isinstance(value, dict):
             return {k: _round6(v) for k, v in value.items()}
@@ -96,11 +100,13 @@ def _round6(value):
         return value
     if math.isinf(value):
         return "inf"
+    if math.isnan(value):
+        return None
     return float(f"{value:.6g}")
 
 
 def _csv_cell(value) -> str:
-    if value is None:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     if isinstance(value, bool):
         return str(value).lower()
@@ -173,7 +179,8 @@ def _model_options(f):
 
 
 def _make_config(command: str, input_path: str | None, **kw) -> RunConfig:
-    return RunConfig(
+    """The run's configuration; an invalid parameter is a usage error naming its option."""
+    cfg = RunConfig(
         command=command,
         input_path=input_path,
         sigma=kw["sigma"],
@@ -186,6 +193,14 @@ def _make_config(command: str, input_path: str | None, **kw) -> RunConfig:
         family=ModelFamily(kw["family"]),
         output_format=kw["output_format"],
     )
+    try:
+        cfg.engine_config()  # builds and validates ModelParams and EngineConfig
+    except ValueError as exc:
+        # each parameter check's message starts with its field name
+        field = str(exc).split(" ", 1)[0]
+        options = [p for p in click.get_current_context().command.params if p.name == field]
+        raise click.BadParameter(str(exc), param=options[0] if options else None) from None
+    return cfg
 
 
 def _config_payload(cfg: RunConfig) -> dict:
@@ -308,11 +323,17 @@ def run_sweep(
     return {"command": "sweep", "input": cfg.input_path, "cells": rows}
 
 
-def run_fit(cfg: RunConfig, step: float | None, max_iters: int, tol: float, ridge: float) -> dict:
+def run_fit(cfg: RunConfig, step: None, max_iters: int, tol: float, ridge: float) -> dict:
+    """Batch ML fit of the input's games.
+
+    ``step`` must be None: the Newton fit chooses its own steps, and the
+    slot stays only for callers that pass the former step size positionally.
+    """
+    if step is not None:
+        raise TypeError("run_fit takes no step size; pass None")
     dataset = load_matches(cfg.input_path)
-    model = cfg.model_params()
     result = batch_ml_fit(
-        dataset.games, model, step=step, max_iters=max_iters, tol=tol, ridge=ridge
+        dataset.games, cfg.model_params(), max_iters=max_iters, tol=tol, ridge=ridge
     )
     ratings = sorted(result.theta.items(), key=lambda kv: (-kv[1], kv[0]))
     return {
@@ -466,17 +487,17 @@ def cmd_sweep(input_path, eval_window, eta_grid, kappa_grid, modes, jobs, **kw):
 @main.command("fit")
 @click.argument("input_path", type=click.Path())
 @_model_options
-@click.option("--step", type=float, default=None, help="Descent step (default 0.5*sigma'^2/N).")
-@click.option("--max-iters", type=int, default=5000, show_default=True)
+@click.option("--max-iters", type=int, default=5000, show_default=True,
+              help="Most Newton steps to take.")
 @click.option("--tol", type=float, default=1e-6, show_default=True,
               help="Convergence threshold on gradient max-norm, in units of 1/sigma'.")
 @click.option("--ridge", type=float, default=0.0, show_default=True,
               help="Ridge penalty weight (0 disables).")
 @_handle_errors
-def cmd_fit(input_path, step, max_iters, tol, ridge, **kw):
+def cmd_fit(input_path, max_iters, tol, ridge, **kw):
     """Batch maximum-likelihood fit of the ratings on a full game list."""
     cfg = _make_config("fit", input_path, **kw)
-    payload = run_fit(cfg, step, max_iters, tol, ridge)
+    payload = run_fit(cfg, None, max_iters, tol, ridge)
     _emit(payload, payload["ratings"], ["team", "rating"], cfg.output_format)
     if not payload["converged"]:
         click.echo(

@@ -111,7 +111,7 @@ def parse_matches(source: str | TextIO) -> Dataset:
     the same date are accepted; cup replays exist.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline="")
     reader = csv.DictReader(source)
     header = reader.fieldnames or []
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
@@ -147,8 +147,18 @@ def parse_matches(source: str | TextIO) -> Dataset:
 
 
 def load_matches(path: str | Path) -> Dataset:
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        return parse_matches(fh)
+    """Read and parse a UTF-8 football-data CSV file.
+
+    Undecodable bytes are a RowError naming their line, never replaced:
+    replacement would merge distinct team names into one.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise RowError(f"invalid UTF-8 byte {data[exc.start:exc.end]!r}", line) from None
+    return parse_matches(text)
 
 
 def serialize_matches(dataset: Dataset) -> str:

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 LOG10_E = math.log10(math.e)
 
 
@@ -53,12 +55,11 @@ class ModelParams:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.v0 < 0:
-            raise ValueError(f"v0 must be >= 0, got {self.v0}")
+        # every message starts with the field name; the CLI maps it to the option
+        for name in ("kappa", "eta", "v0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite real >= 0, got {value}")
 
     @property
     def sigma_prime(self) -> float:
@@ -200,3 +201,98 @@ def apply_home_advantage(v: float, params: ModelParams) -> float:
 def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
     """Home-advantage shift followed by the configured family's triple."""
     return _FAMILY_FUNCS[params.family](apply_home_advantage(v, params), params)
+
+
+# ---------------------------------------------------------------------------
+# Log-likelihood kernels on game arrays (batch fitting)
+# ---------------------------------------------------------------------------
+#
+# Each kernel takes the shifted differences v and the observed home scores
+# s (1 home win, 0.5 draw, 0 away win) as arrays and returns log P(observed
+# outcome) with its first and second derivatives in v.  Everything is
+# written in t = v / sigma' (10^(v/sigma) = e^t) through e^(-|t|/2) or
+# e^(-|t|), so no term overflows and log-probabilities stay finite where the
+# probabilities themselves would underflow.  An outcome the model cannot
+# produce gets log-probability -inf.
+
+
+def davidson_logp(
+    v: np.ndarray, s: np.ndarray, sigma_prime: float, kappa: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Davidson log P(outcome | v) and its v-derivatives.
+
+    With D = e^(t/2) + e^(-t/2) + kappa, log p is t/2 - log D for a home
+    win, -t/2 - log D for an away win and log kappa - log D for a draw.
+    The slope is (s - f_kappa(v)) / sigma' and the curvature is
+    -(4 + kappa (e^(t/2) + e^(-t/2))) / (4 D^2 sigma'^2), which is never
+    positive: the likelihood is concave in the ratings.
+    """
+    t = v / sigma_prime
+    half = 0.5 * np.abs(t)
+    u = np.exp(-half)
+    ku = kappa * u
+    rest = u * u + ku
+    den = 1.0 + rest  # D * e^(-|t|/2), as in _davidson_core
+    log_kappa = math.log(kappa) if kappa > 0 else -math.inf
+    logp = (s - 0.5) * t - half - np.log1p(rest) + np.where(s == 0.5, log_kappa, 0.0)
+    f_fav = (1.0 + 0.5 * ku) / den  # f_kappa(|v|), as in _f_kappa_core
+    f = np.where(t >= 0, f_fav, 1.0 - f_fav)
+    slope = (s - f) / sigma_prime
+    curvature = -(u * u + 0.25 * ku * (1.0 + u * u)) / (den * sigma_prime) ** 2
+    return logp, slope, curvature
+
+
+def _logistic_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F(x), F(-x)) for the natural-scale logistic F(x) = 1 / (1 + e^-x)."""
+    e = np.exp(-np.abs(x))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    positive = x >= 0
+    return np.where(positive, big, small), np.where(positive, small, big)
+
+
+def threshold_logp(
+    v: np.ndarray, s: np.ndarray, sigma_prime: float, v0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Threshold-model log P(outcome | v) and its v-derivatives.
+
+    With w = v0 / sigma', p_home = F(t - w), p_away = F(-t - w) and
+    p_draw = F(t + w) - F(t - w) = (1 - e^(-2w)) F(t + w) F(w - t).  The
+    product form has no cancellation, so draws far from v = 0 keep their
+    digits.  Each log F term contributes -F(x) F(-x) / sigma'^2 to the
+    curvature.
+    """
+    t = v / sigma_prime
+    w = v0 / sigma_prime
+    lo, hi = t - w, t + w
+    f_lo, fc_lo = _logistic_pair(lo)
+    f_hi, fc_hi = _logistic_pair(hi)
+    home, away = s == 1.0, s == 0.0
+    log_band = math.log(-math.expm1(-2.0 * w)) if w > 0 else -math.inf
+    logp = np.where(
+        home, -np.logaddexp(0.0, -lo),
+        np.where(away, -np.logaddexp(0.0, hi),
+                 log_band - np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo)),
+    )
+    slope = np.where(home, fc_lo, np.where(away, -f_hi, fc_hi - f_lo)) / sigma_prime
+    curvature = -(
+        np.where(away, 0.0, f_lo * fc_lo) + np.where(home, 0.0, f_hi * fc_hi)
+    ) / sigma_prime**2
+    return logp, slope, curvature
+
+
+def outcome_logp(
+    v: np.ndarray, s: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The configured family's kernel at shifted differences v and scores s.
+
+    binary is davidson at kappa = 0, and elo-implicit is davidson at
+    kappa = 2 and half the scale.
+    """
+    sp = params.sigma_prime
+    if params.family is ModelFamily.THRESHOLD:
+        return threshold_logp(v, s, sp, params.v0)
+    if params.family is ModelFamily.BINARY:
+        return davidson_logp(v, s, sp, 0.0)
+    if params.family is ModelFamily.ELO_IMPLICIT:
+        return davidson_logp(v, s, 0.5 * sp, 2.0)
+    return davidson_logp(v, s, sp, params.kappa)

@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from drawelo.cli import main
+from drawelo.cli import _csv_cell, _round6, main
 
 HEADER = "Date,HomeTeam,AwayTeam,FTR"
 
@@ -254,6 +254,11 @@ def test_fit_non_convergence_exits_4(runner, season_file):
     assert "did not converge" in result.stderr
 
 
+def test_fit_has_no_step_option(runner, toy_file):
+    result = runner.invoke(main, ["fit", str(toy_file), "--step", "1"])
+    assert result.exit_code == 2
+
+
 def test_fit_separable_data_is_a_numeric_error(runner, tmp_path):
     path = tmp_path / "sep.csv"
     path.write_text(f"{HEADER}\n01/08/2021,A,B,H\n02/08/2021,A,B,H\n")
@@ -363,3 +368,20 @@ def test_unknown_flag_is_a_usage_error(runner, season_file):
 def test_bad_grid_is_a_usage_error(runner, season_file):
     result = runner.invoke(main, ["sweep", str(season_file), "--kappa-grid", "a,b"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--kappa", "nan"), ("--kappa", "-1"), ("--eta", "inf"), ("--v0", "nan"),
+     ("--check-kappa", "nan"), ("--k-step", "-1")],
+)
+def test_invalid_parameter_is_a_usage_error_naming_the_option(runner, season_file, option, value):
+    result = runner.invoke(main, ["evaluate", str(season_file), option, value])
+    assert result.exit_code == 2
+    assert option in result.stderr
+    assert "rating difference" not in result.stderr
+
+
+def test_nan_is_printed_as_null_or_empty():
+    assert json.dumps(_round6({"x": math.nan, "y": [math.nan, 1.0]})) == '{"x": null, "y": [null, 1.0]}'
+    assert _csv_cell(math.nan) == ""

@@ -9,6 +9,7 @@ from conftest import game
 from drawelo.data import (
     Dataset,
     GameRecord,
+    load_matches,
     odds_to_probs,
     parse_matches,
     scheduling_vector,
@@ -88,6 +89,18 @@ def test_parse_bad_ftr_is_row_error_with_line():
     text = f"{HEADER}\n12/08/2017,A,B,H,,,\n13/08/2017,C,D,X,,,\n"
     with pytest.raises(RowError, match="line 3") as exc_info:
         parse_matches(text)
+    assert exc_info.value.line == 3
+
+
+def test_load_undecodable_byte_is_row_error_with_line(tmp_path):
+    # latin-1 "Cafe" with an acute e: replacing the byte would merge it with
+    # any other team whose name differs only there
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(
+        b"Date,HomeTeam,AwayTeam,FTR\n12/08/2017,Caf\xc3\xa8,B,H\n13/08/2017,Caf\xe9,B,H\n"
+    )
+    with pytest.raises(RowError, match="line 3") as exc_info:
+        load_matches(path)
     assert exc_info.value.line == 3
 
 

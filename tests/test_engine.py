@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import game, random_games
 from drawelo.engine import (
     EngineConfig,
@@ -233,6 +236,16 @@ def test_expected_score_identity_for_classic_elo():
         assert expected == pytest.approx(logistic_cdf(delta, SIGMA), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [{"k_tilde": -0.1}, {"k_tilde": math.nan}, {"check_kappa": -1.0},
+     {"check_kappa": math.nan}, {"check_kappa": math.inf}],
+)
+def test_engine_config_validation(kw):
+    with pytest.raises(ValueError):
+        EngineConfig(**kw)
+
+
 # ---------------------------------------------------------------------------
 # likelihood and gradient
 # ---------------------------------------------------------------------------
@@ -303,6 +316,40 @@ def test_gradient_matches_finite_differences(family, kw):
             assert abs(grad[p] - fd[p]) / scale < 1e-6
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_nll_and_gradient_match_the_scalar_oracle(data):
+    family = data.draw(st.sampled_from(list(ModelFamily)))
+    sigma = data.draw(st.floats(50.0, 2000.0))
+    # the oracle's threshold draw probability F(v + v0) - F(v - v0) loses
+    # digits when both terms are near 1, so v and v0 stay where it is exact
+    # to ~1e-13
+    model = ModelParams(
+        sigma=sigma,
+        kappa=data.draw(st.floats(0.01, 5.0)),
+        eta=data.draw(st.floats(0.0, 0.5)),
+        v0=data.draw(st.floats(0.05, 1.0)) * sigma,
+        family=family,
+    )
+    players = [f"P{i}" for i in range(data.draw(st.integers(2, 6)))]
+    theta = {p: data.draw(st.floats(-1.5, 1.5)) * sigma for p in players}
+    fixture = st.tuples(
+        st.sampled_from(players),
+        st.sampled_from(players),
+        st.sampled_from("HA" if family is ModelFamily.BINARY else "HDA"),
+    ).filter(lambda f: f[0] != f[1])
+    fixtures = data.draw(st.lists(fixture, min_size=1, max_size=30))
+    games = [game(h, a, o, day=i) for i, (h, a, o) in enumerate(fixtures)]
+
+    expected = oracles.nll(theta, games, model)
+    assert abs(nll(theta, games, model) - expected) <= 1e-12 * expected
+    grad = nll_gradient(theta, games, model)
+    expected_grad = oracles.nll_gradient(theta, games, model)
+    scale = max(max(abs(g) for g in expected_grad.values()), 1.0 / model.sigma_prime)
+    for p in players:
+        assert abs(grad[p] - expected_grad[p]) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize(
     "family,kw",
     [(ModelFamily.DAVIDSON, {"kappa": 0.7}),
@@ -366,6 +413,47 @@ def test_batch_fit_separable_data_raises():
     games = [game("A", "B", "H", 0), game("A", "B", "H", 1)]
     with pytest.raises(ConvergenceError, match="won"):
         batch_ml_fit(games, fit_model(family=ModelFamily.BINARY))
+
+
+def test_batch_fit_separable_groups_raise():
+    # A and B each beat C and D, with draws inside each pair: no single
+    # player won every game, but {A, B} won every game against {C, D}
+    games = [game("A", "C", "H", 0), game("A", "D", "H", 1), game("B", "C", "H", 2),
+             game("B", "D", "H", 3), game("A", "B", "D", 4), game("C", "D", "D", 5)]
+    with pytest.raises(ConvergenceError, match="'A', 'B' won.*ridge"):
+        batch_ml_fit(games, fit_model(kappa=0.7))
+
+
+def test_batch_fit_pins_each_unconnected_group_to_zero_sum():
+    # two groups that never meet; expected ratings from the steepest-descent
+    # fit this Newton fit replaced, which kept each group's sum at zero
+    games = [game("A", "B", "H", 0), game("B", "C", "H", 1), game("C", "A", "H", 2),
+             game("A", "C", "H", 3), game("B", "A", "D", 4),
+             game("D", "E", "H", 5), game("E", "D", "D", 6)]
+    result = batch_ml_fit(games, fit_model(kappa=0.7))
+    assert result.converged
+    expected = {"A": 122.3545, "B": 31.464, "C": -153.8186, "D": 195.4394, "E": -195.4394}
+    for player, rating in expected.items():
+        assert result.theta[player] == pytest.approx(rating, abs=1e-3)
+    assert sum(result.theta[p] for p in "ABC") == pytest.approx(0.0, abs=1e-9)
+    assert sum(result.theta[p] for p in "DE") == pytest.approx(0.0, abs=1e-9)
+
+
+def test_batch_fit_ladder_converges_in_few_newton_steps():
+    from drawelo.sim import sample_outcome
+
+    rng = np.random.default_rng(3)
+    model = fit_model(eta=0.3, kappa=0.7)
+    strength = {f"T{i:02d}": (19.5 - i) * 0.02 * SIGMA for i in range(40)}
+    names = list(strength)
+    pairs = [(home, away) for i, home in enumerate(names) for away in names[i + 1:]]
+    games = [game(h, a, sample_outcome(strength[h] - strength[a], model, rng), day=k)
+             for k, (h, a) in enumerate(pairs)]
+    result = batch_ml_fit(games, model)
+    assert result.converged
+    assert result.iterations <= 10
+    fd = finite_diff_gradient(result.theta, games, model)
+    assert max(abs(g) for g in fd.values()) < 1e-6 / model.sigma_prime
 
 
 def test_batch_fit_ridge_rescues_separable_data():

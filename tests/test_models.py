@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,9 +15,11 @@ from drawelo.models import (
     elo_implicit_probs,
     f_kappa,
     logistic_cdf,
+    outcome_logp,
     predict_probs,
     threshold_probs,
 )
+from oracles import dlogp_dv
 
 SIGMA = 600.0
 GRID_V = [i * SIGMA / 10 for i in range(-50, 51)]  # -5 sigma .. 5 sigma
@@ -286,7 +289,9 @@ def test_outcome_probs_prob_of():
 @pytest.mark.parametrize(
     "kw",
     [{"sigma": 0.0}, {"sigma": -5.0}, {"sigma": math.inf},
-     {"kappa": -0.1}, {"eta": -0.2}, {"v0": -1.0}],
+     {"kappa": -0.1}, {"eta": -0.2}, {"v0": -1.0},
+     {"kappa": math.nan}, {"kappa": math.inf}, {"eta": math.nan}, {"eta": math.inf},
+     {"v0": math.nan}, {"v0": math.inf}],
 )
 def test_model_params_validation(kw):
     with pytest.raises(ValueError):
@@ -295,3 +300,27 @@ def test_model_params_validation(kw):
 
 def test_sigma_prime_is_natural_log_scale():
     assert params().sigma_prime == pytest.approx(600 * math.log10(math.e), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "family,kw",
+    [(ModelFamily.DAVIDSON, {"kappa": 0.7}),
+     (ModelFamily.ELO_IMPLICIT, {}),
+     (ModelFamily.BINARY, {}),
+     (ModelFamily.THRESHOLD, {"v0": 150.0})],
+)
+def test_logp_kernel_slope_and_curvature_match_the_scalar_derivative(family, kw):
+    p = params(family=family, **kw)
+    v = np.array(GRID_V[10:-10])  # -4 sigma .. 4 sigma
+    h = 1e-3 * SIGMA
+    for outcome, score in (("H", 1.0), ("D", 0.5), ("A", 0.0)):
+        if family is ModelFamily.BINARY and outcome == "D":
+            continue
+        logp, slope, curvature = outcome_logp(v, np.full(v.shape, score), p)
+        for x, lp, d1, d2 in zip(v, logp, slope, curvature):
+            # eta = 0, so v is also the shifted difference the kernel takes
+            expected = math.log(predict_probs(x, p).prob_of(outcome))
+            assert lp == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert d1 == pytest.approx(dlogp_dv(x, outcome, p), rel=1e-9, abs=1e-15)
+            fd = (dlogp_dv(x + h, outcome, p) - dlogp_dv(x - h, outcome, p)) / (2 * h)
+            assert d2 == pytest.approx(fd, rel=1e-5, abs=1e-12 / SIGMA**2)
