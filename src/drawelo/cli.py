@@ -17,20 +17,28 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import click
 
 from .data import Dataset, load_matches, odds_to_probs, serialize_matches
-from .engine import EngineConfig, UpdateMode, batch_ml_fit, run_season
+from .engine import (
+    EngineConfig,
+    UpdateMode,
+    batch_ml_fit,
+    compile_season,
+    run_online,
+    run_season,
+)
 from .errors import ConvergenceError, RowError, SchemaError, ZeroProbabilityError
 from .evaluation import (
     EvalReport,
+    cell_log_scores,
     empirical_stats,
+    evaluate_cells,
     evaluate_scores,
-    log_score,
     score_games,
+    zero_probability,
 )
 from .models import ModelFamily, ModelParams
 from .sim import SimSpec, generate_season
@@ -221,10 +229,19 @@ def _config_payload(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_dataset(dataset: Dataset, config: EngineConfig, window: str) -> EvalReport:
-    result = run_season(dataset.games, config, players=dataset.team_names)
-    scores = score_games(result.predictions, dataset.games)
-    return evaluate_scores(scores, window=window)
+def _evaluate_cells(
+    dataset: Dataset, configs: list[EngineConfig], window: str
+) -> list[EvalReport | Exception]:
+    """Each configuration's report from one pass over the season, or its cell's error."""
+    games = dataset.games
+    run = run_online(compile_season(games, dataset.team_names), configs)
+    scores = cell_log_scores(run.probs, games)
+    errors = [run.error(c) or zero_probability(scores[c], games) for c in range(len(configs))]
+    try:
+        reports = iter(evaluate_cells(scores[[e is None for e in errors]], window))
+    except ValueError as exc:  # no games to score
+        return [e or exc for e in errors]
+    return [e or next(reports) for e in errors]
 
 
 def _baseline_report(dataset: Dataset, window: tuple[int, int]) -> EvalReport:
@@ -234,10 +251,8 @@ def _baseline_report(dataset: Dataset, window: tuple[int, int]) -> EvalReport:
         raise ValueError(
             f"baseline requested but odds are missing on game(s) {missing}"
         )
-    scores = [
-        log_score(odds_to_probs(*g.odds), g.outcome)
-        for g in dataset.games[start:end]
-    ]
+    games = dataset.games[start:end]
+    scores = score_games([odds_to_probs(*g.odds) for g in games], games)
     return evaluate_scores(scores, window="full")
 
 
@@ -246,12 +261,12 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
     result = run_season(dataset.games, cfg.engine_config(), players=dataset.team_names)
     ratings = sorted(result.state.ratings.items(), key=lambda kv: (-kv[1], kv[0]))
     if trajectory_path:
+        teams = result.trajectory.players  # dataset.team_names, in order
         with open(trajectory_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["game_index", "team", "rating"])
-            for idx, snapshot in enumerate(result.trajectory, start=1):
-                for team in dataset.team_names:
-                    writer.writerow([idx, team, f"{snapshot[team]:.6g}"])
+            for idx, after in enumerate(result.trajectory.running(), start=1):
+                writer.writerows((idx, team, f"{r:.6g}") for team, r in zip(teams, after))
     return {
         "command": "rate",
         "input": cfg.input_path,
@@ -265,7 +280,9 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
 
 def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
     dataset = load_matches(cfg.input_path)
-    report = _evaluate_dataset(dataset, cfg.engine_config(), cfg.eval_window)
+    [report] = _evaluate_cells(dataset, [cfg.engine_config()], cfg.eval_window)
+    if isinstance(report, Exception):
+        raise report
     payload = {
         "command": "evaluate",
         "input": cfg.input_path,
@@ -289,37 +306,37 @@ def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
     return payload
 
 
-def _sweep_cell(cfg: RunConfig, dataset: Dataset, mode: UpdateMode, kappa: float, eta: float) -> dict:
-    row = {
-        "season": cfg.input_path,
-        "mode": mode.value,
-        "kappa": kappa,
-        "eta": eta,
-        "mean_ls": None,
-        "interval_low": None,
-        "interval_high": None,
-        "error": None,
-    }
-    try:
-        config = cfg.engine_config(mode=mode, eta=eta, kappa=kappa, check_kappa=kappa)
-        report = _evaluate_dataset(dataset, config, cfg.eval_window)
-        row.update(
-            mean_ls=report.mean_ls,
-            interval_low=report.interval_low,
-            interval_high=report.interval_high,
-        )
-    except (ZeroProbabilityError, ConvergenceError, ValueError) as exc:
-        row["error"] = str(exc)
-    return row
-
-
 def run_sweep(
     cfg: RunConfig, etas: list[float], kappas: list[float], modes: list[UpdateMode], jobs: int
 ) -> dict:
+    """Evaluate every (mode, kappa, eta) cell in one pass over the season.
+
+    A cell whose parameters are invalid, or whose forecasts give an
+    observed outcome probability 0, gets an ``error`` row.  ``jobs`` is
+    accepted for compatibility and ignored.
+    """
     dataset = load_matches(cfg.input_path)
-    cells = [(mode, kappa, eta) for mode in modes for kappa in kappas for eta in etas]
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        rows = list(pool.map(lambda c: _sweep_cell(cfg, dataset, *c), cells))
+    rows, configs = [], {}
+    for mode in modes:
+        for kappa in kappas:
+            for eta in etas:
+                row = {"season": cfg.input_path, "mode": mode.value, "kappa": kappa,
+                       "eta": eta, "mean_ls": None, "interval_low": None,
+                       "interval_high": None, "error": None}
+                try:
+                    configs[len(rows)] = cfg.engine_config(
+                        mode=mode, eta=eta, kappa=kappa, check_kappa=kappa
+                    )
+                except ValueError as exc:
+                    row["error"] = str(exc)
+                rows.append(row)
+    outcomes = _evaluate_cells(dataset, list(configs.values()), cfg.eval_window)
+    for i, outcome in zip(configs, outcomes):
+        if isinstance(outcome, Exception):
+            rows[i]["error"] = str(outcome)
+        else:
+            rows[i].update(mean_ls=outcome.mean_ls, interval_low=outcome.interval_low,
+                           interval_high=outcome.interval_high)
     return {"command": "sweep", "input": cfg.input_path, "cells": rows}
 
 
@@ -464,7 +481,7 @@ def cmd_evaluate(input_path, eval_window, baseline, **kw):
 @click.option("--modes", default="kappa-elo", show_default=True,
               help="Comma-separated update modes.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Concurrent sweep cells.")
+              help="Accepted and ignored: one pass over the season evaluates every cell.")
 @_handle_errors
 def cmd_sweep(input_path, eval_window, eta_grid, kappa_grid, modes, jobs, **kw):
     """Evaluate a grid of (mode, kappa, eta) cells over one season."""

@@ -10,6 +10,13 @@ The online side covers three modes:
 * ``elo-check``  -- ratings driven by the classic update, predictions made
                     with a separate draw parameter (deliberate mismatch).
 
+The classic update's logistic expected score is f_kappa at kappa = 0, and
+its implicit draw model is davidson at kappa = 2 and half the scale, so
+every mode is one update kappa plus one davidson prediction (kappa, sigma).
+A season is compiled once into index arrays; ``run_online`` then advances
+the ratings of any number of configurations together, one vector step per
+run of games in which no team appears twice.
+
 The batch side minimizes the negative log likelihood of a fixed game list
 by damped Newton steps on game arrays, pinning each connected group's
 rating sum to zero to remove the origin ambiguity.
@@ -17,10 +24,11 @@ rating sum to zero to remove the origin ambiguity.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,8 +39,8 @@ from .models import (
     ModelParams,
     OutcomeProbs,
     apply_home_advantage,
-    f_kappa,
-    logistic_cdf,
+    davidson_table,
+    expected_score,
     outcome_logp,
     predict_probs,
 )
@@ -74,17 +82,66 @@ class EngineConfig:
             raise ValueError(f"check_kappa must be a finite real >= 0, got {self.check_kappa}")
 
 
+class Trajectory(Sequence):
+    """Rating snapshots after each game, rebuilt on demand.
+
+    Only the home side's rating change per game is stored (the away side
+    moves by its negative), so memory grows with the games, not with games
+    times players.  Item i is a dict like a copy of ``RatingState.ratings``
+    taken after game i: the players given up front plus every team seen so
+    far.  Indexing walks the season from the start.
+    """
+
+    def __init__(self, season: CompiledSeason, deltas: np.ndarray, initial_rating: float):
+        self.players = season.players
+        self._season = season
+        self._deltas = deltas
+        self._initial = initial_rating
+
+    def running(self) -> Iterator[list[float]]:
+        """Every player's rating after each game, in ``players`` order.
+
+        The same list is yielded each time, updated in place.
+        """
+        ratings = [self._initial] * len(self.players)
+        season = self._season
+        for h, a, d in zip(season.home.tolist(), season.away.tolist(), self._deltas.tolist()):
+            ratings[h] += d
+            ratings[a] -= d
+            yield ratings
+
+    def __len__(self) -> int:
+        return len(self._deltas)
+
+    def __iter__(self) -> Iterator[dict[str, float]]:
+        for ratings, known in zip(self.running(), self._season.known):
+            yield dict(zip(self.players[:known], ratings))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        g = range(len(self))[i]  # IndexError and negative indices as for a list
+        ratings = next(itertools.islice(self.running(), g, None))
+        return dict(zip(self.players[: self._season.known[g]], ratings))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class SeasonResult:
     """Output of a sequential season run.
 
     ``predictions[i]`` is the forecast made *before* game i was processed;
-    ``trajectory[i]`` is a snapshot of all ratings just after it.
+    ``trajectory[i]`` is a snapshot of the ratings just after it, rebuilt
+    lazily from one rating change per game (see ``Trajectory``).
     """
 
     state: RatingState
     predictions: list[OutcomeProbs]
-    trajectory: list[dict[str, float]]
+    trajectory: Trajectory
 
 
 def score_of(outcome: str, side: str) -> float:
@@ -105,12 +162,13 @@ def rating_difference(
     return ratings.get(home, initial_rating) - ratings.get(away, initial_rating)
 
 
-def _expected_score(v: float, config: EngineConfig) -> float:
-    if config.mode is UpdateMode.KAPPA_ELO:
-        return f_kappa(v, config.model)
-    # classic Elo: plain logistic expected score (the factor 2 of the
-    # implicit draw model's gradient lives inside K)
-    return logistic_cdf(v, config.model.sigma)
+def _update_kappa(config: EngineConfig) -> float:
+    """The update's f_kappa parameter: elo and elo-check use the logistic, f_0."""
+    return config.model.kappa if config.mode is UpdateMode.KAPPA_ELO else 0.0
+
+
+def _finite_difference_error(v: float) -> ValueError:
+    return ValueError(f"rating difference must be finite, got {v}")
 
 
 def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> RatingState:
@@ -125,8 +183,11 @@ def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> Rat
     v = apply_home_advantage(
         ratings[game.home_id] - ratings[game.away_id], config.model
     )
+    if not math.isfinite(v):
+        raise _finite_difference_error(v)
     k = config.k_tilde * config.model.sigma
-    delta = k * (score_of(game.outcome, "home") - _expected_score(v, config))
+    f = expected_score(v, config.model.sigma, _update_kappa(config))
+    delta = float(k * (score_of(game.outcome, "home") - f))
     ratings[game.home_id] += delta
     ratings[game.away_id] -= delta
     state.games_processed += 1
@@ -148,22 +209,132 @@ def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> O
     return predict_probs(v, prediction_model(config))
 
 
+# ---------------------------------------------------------------------------
+# Compiled seasons and the online kernel
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompiledSeason:
+    """A game list as arrays, compiled once for any number of configurations.
+
+    ``players`` is the rating index order: the players given up front, then
+    teams by first appearance (home before away).  ``runs`` holds the first
+    game of each maximal run of consecutive games in which no player
+    appears twice, then the game count.  ``known[i]`` counts the players
+    rated after game i.
+    """
+
+    players: list[str]
+    home: np.ndarray
+    away: np.ndarray
+    score: np.ndarray
+    runs: list[int]
+    known: list[int]
+
+
+def compile_season(
+    games: Sequence[GameRecord], players: Iterable[str] | None = None
+) -> CompiledSeason:
+    """Rating indices, home scores and disjoint runs of a game list."""
+    index: dict[str, int] = {}
+    for player in players or ():
+        index.setdefault(player, len(index))
+    runs: list[int] = []
+    known: list[int] = []
+    in_run: set[int] = set()
+    for i, g in enumerate(games):
+        pair = (index.setdefault(g.home_id, len(index)), index.setdefault(g.away_id, len(index)))
+        if not runs or not in_run.isdisjoint(pair):
+            runs.append(i)
+            in_run = set()
+        in_run.update(pair)
+        known.append(len(index))
+    runs.append(len(games))
+    home, away, score = _compile_games(games, index)
+    return CompiledSeason(list(index), home, away, score, runs, known)
+
+
+@dataclass(frozen=True)
+class OnlineRun:
+    """``run_online`` output for C configurations, G games and T players."""
+
+    diffs: np.ndarray    # (C, G) shifted rating difference before each game
+    deltas: np.ndarray   # (C, G) home rating change; the away side gets its negative
+    probs: np.ndarray    # (C, G, 3) forecast (p_home, p_away, p_draw) before each game
+    ratings: np.ndarray  # (C, T) final ratings
+
+    def error(self, cell: int) -> ValueError | None:
+        """The error a cell's first non-finite rating difference raises, if any."""
+        diffs = self.diffs[cell]
+        bad = np.flatnonzero(~np.isfinite(diffs))
+        return _finite_difference_error(float(diffs[bad[0]])) if bad.size else None
+
+
+def _cell_params(config: EngineConfig) -> tuple[float, ...]:
+    """shift, step, sigma, update kappa, prediction sigma and kappa, initial rating.
+
+    elo predicts with elo-implicit, which is davidson at kappa = 2 and half
+    the scale.
+    """
+    model = config.model
+    if config.mode is UpdateMode.ELO:
+        predict_sigma, predict_kappa = 0.5 * model.sigma, 2.0
+    else:
+        predict_sigma, predict_kappa = model.sigma, prediction_model(config).kappa
+    return (model.eta * model.sigma, config.k_tilde * model.sigma, model.sigma,
+            _update_kappa(config), predict_sigma, predict_kappa, config.initial_rating)
+
+
+def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> OnlineRun:
+    """Every configuration's sequential ratings and forecasts in one pass.
+
+    Ratings are held as a (configs, players) array.  Each run of disjoint
+    games advances in one vector step for every configuration; that is
+    exact, because no game of a run reads a rating another game of the same
+    run writes.  Forecasts depend only on the differences, so they are
+    computed after the pass.  A configuration whose ratings stop being
+    finite is not raised here: ``OnlineRun.error`` reports it.
+    """
+    n_cells, n_games = len(configs), len(season.home)
+    params = np.array([_cell_params(c) for c in configs], dtype=float).reshape(n_cells, 7)
+    shift, step, sigma, kappa, predict_sigma, predict_kappa, initial = params.T[:, :, None]
+    ratings = np.repeat(initial, len(season.players), axis=1)
+    diffs = np.empty((n_cells, n_games))
+    deltas = np.empty((n_cells, n_games))
+    runs = season.runs
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start, end in zip(runs[:-1], runs[1:]):
+            home, away = season.home[start:end], season.away[start:end]
+            v = (ratings[:, home] - ratings[:, away]) + shift
+            delta = step * (season.score[start:end] - expected_score(v, sigma, kappa))
+            ratings[:, home] += delta
+            ratings[:, away] -= delta
+            diffs[:, start:end] = v
+            deltas[:, start:end] = delta
+        probs = davidson_table(diffs, predict_sigma, predict_kappa)
+    return OnlineRun(diffs=diffs, deltas=deltas, probs=probs, ratings=ratings)
+
+
 def run_season(
     games: Sequence[GameRecord],
     config: EngineConfig,
     players: Iterable[str] | None = None,
 ) -> SeasonResult:
     """Process games in order, predicting each one before updating on it."""
-    state = RatingState()
-    for player in players or ():
-        state.ratings.setdefault(player, config.initial_rating)
-    predictions: list[OutcomeProbs] = []
-    trajectory: list[dict[str, float]] = []
-    for game in games:
-        predictions.append(predict(state, game.home_id, game.away_id, config))
-        sg_update(state, game, config)
-        trajectory.append(dict(state.ratings))
-    return SeasonResult(state=state, predictions=predictions, trajectory=trajectory)
+    season = compile_season(games, players)
+    run = run_online(season, [config])
+    error = run.error(0)
+    if error is not None:
+        raise error
+    return SeasonResult(
+        state=RatingState(
+            ratings=dict(zip(season.players, run.ratings[0].tolist())),
+            games_processed=len(games),
+        ),
+        predictions=[OutcomeProbs(*p) for p in run.probs[0].tolist()],
+        trajectory=Trajectory(season, run.deltas[0], config.initial_rating),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +481,9 @@ def batch_ml_fit(
             "fit drawn games with a draw-capable family"
         )
 
-    index: dict[str, int] = {}
-    for g in games:
-        for p in (g.home_id, g.away_id):
-            index.setdefault(p, len(index))
-    players = list(index)
+    season = compile_season(games)
+    players, home, away, score = season.players, season.home, season.away, season.score
     n = len(players)
-    home, away, score = _compile_games(games, index)
 
     # beats[i, j]: i lost to j or drew with j
     beats = np.zeros((n, n), dtype=bool)

@@ -4,6 +4,8 @@ The headline metric is the negative logarithmic score, -ln p(realized
 outcome), averaged over the second half of a season so the warm-up phase of
 the online algorithms is excluded.  Alongside the mean we report the
 minimum-length interval containing at least 95% of the per-game scores.
+Many configurations are scored at once on (cells, games) arrays; the
+single-season functions are one-row cases of the same code.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .data import GameRecord
 from .errors import ZeroProbabilityError
@@ -40,14 +44,49 @@ class EvalReport:
     window: tuple[int, int]  # half-open [start, end) into the scored list
 
 
+# Column of each outcome in a forecast table, the OutcomeProbs field order.
+_OUTCOME_COLUMN = {"H": 0, "A": 1, "D": 2}
+
+
+def _zero_probability_message(outcome: str) -> str:
+    return f"prediction assigns probability 0 to realized outcome {outcome!r}"
+
+
 def log_score(prediction: OutcomeProbs, outcome: str) -> float:
     """-ln of the probability assigned to the realized outcome (lower is better)."""
     p = prediction.prob_of(outcome)
     if p <= 0.0:
-        raise ZeroProbabilityError(
-            f"prediction assigns probability 0 to realized outcome {outcome!r}"
-        )
+        raise ZeroProbabilityError(_zero_probability_message(outcome))
     return -math.log(p)
+
+
+def cell_log_scores(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarray:
+    """(cells, games) log scores of a (cells, games, 3) forecast table.
+
+    Columns are (p_home, p_away, p_draw).  A zero probability scores inf;
+    ``zero_probability`` names the game.
+    """
+    column = np.fromiter(
+        (_OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp, count=len(games)
+    )
+    realized = np.take_along_axis(probs, column[None, :, None], axis=-1)[..., 0]
+    with np.errstate(divide="ignore"):
+        return -np.log(realized)
+
+
+def zero_probability(
+    scores: np.ndarray, games: Sequence[GameRecord]
+) -> ZeroProbabilityError | None:
+    """The error naming the first game a row of log scores gave probability 0."""
+    bad = np.flatnonzero(np.isposinf(scores))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    game = games[i]
+    return ZeroProbabilityError(
+        f"game {i} ({game.home_id} vs {game.away_id}, {game.date}): "
+        f"{_zero_probability_message(game.outcome)}"
+    )
 
 
 def score_games(
@@ -58,15 +97,12 @@ def score_games(
         raise ValueError(
             f"{len(predictions)} predictions for {len(games)} games"
         )
-    scores = []
-    for i, (pred, game) in enumerate(zip(predictions, games)):
-        try:
-            scores.append(log_score(pred, game.outcome))
-        except ZeroProbabilityError as exc:
-            raise ZeroProbabilityError(
-                f"game {i} ({game.home_id} vs {game.away_id}, {game.date}): {exc}"
-            ) from None
-    return scores
+    probs = np.array([(p.p_home, p.p_away, p.p_draw) for p in predictions], dtype=float)
+    scores = cell_log_scores(probs.reshape(1, -1, 3), games)[0]
+    error = zero_probability(scores, games)
+    if error is not None:
+        raise error
+    return scores.tolist()
 
 
 def second_half_window(n_total: int) -> tuple[int, int]:
@@ -83,6 +119,17 @@ def mean_second_half_ls(per_game_ls: Sequence[float]) -> float:
     return sum(window) / len(window)
 
 
+def min_length_intervals(values: np.ndarray, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
+    """``credibility_interval`` of each row of a (rows, n) array, n >= 1."""
+    ordered = np.sort(values, axis=-1)
+    n = ordered.shape[-1]
+    k = math.ceil(level * n)
+    widths = ordered[:, k - 1:] - ordered[:, : n - k + 1]
+    first = np.argmin(widths, axis=-1)  # the first minimum has the smallest lower bound
+    rows = np.arange(len(ordered))
+    return ordered[rows, first], ordered[rows, first + k - 1]
+
+
 def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
     """Minimum-length interval covering at least ``level`` of the values.
 
@@ -90,40 +137,41 @@ def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[
     length are broken toward the smallest lower bound, so the result is
     deterministic.
     """
-    if not values:
+    if len(values) == 0:
         raise ValueError("empty value list")
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must be in (0, 1], got {level}")
-    ordered = sorted(values)
-    n = len(ordered)
-    k = math.ceil(level * n)
-    best = (ordered[0], ordered[k - 1])
-    for i in range(1, n - k + 1):
-        low, high = ordered[i], ordered[i + k - 1]
-        if high - low < best[1] - best[0]:
-            best = (low, high)
-    return best
+    low, high = min_length_intervals(np.asarray(values, dtype=float).reshape(1, -1), level)
+    return float(low[0]), float(high[0])
+
+
+def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
+    if window == "second-half":
+        return second_half_window(n_total)
+    if window == "full":
+        if n_total <= 0:
+            raise ValueError("empty score list")
+        return 0, n_total
+    raise ValueError(f"window must be 'second-half' or 'full', got {window!r}")
+
+
+def evaluate_cells(per_game_ls: np.ndarray, window: str = "second-half") -> list[EvalReport]:
+    """``evaluate_scores`` of each row of a (cells, games) log-score array."""
+    start, end = _window_bounds(per_game_ls.shape[-1], window)
+    scored = per_game_ls[:, start:end]
+    low, high = min_length_intervals(scored)
+    return [
+        EvalReport(mean_ls=m, interval_low=lo, interval_high=hi, per_game_ls=row,
+                   window=(start, end))
+        for m, lo, hi, row in zip(
+            scored.mean(axis=-1).tolist(), low.tolist(), high.tolist(), scored.tolist()
+        )
+    ]
 
 
 def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -> EvalReport:
     """Bundle mean and interval over the chosen window into a report."""
-    if window == "second-half":
-        start, end = second_half_window(len(per_game_ls))
-    elif window == "full":
-        if not per_game_ls:
-            raise ValueError("empty score list")
-        start, end = 0, len(per_game_ls)
-    else:
-        raise ValueError(f"window must be 'second-half' or 'full', got {window!r}")
-    scored = list(per_game_ls[start:end])
-    low, high = credibility_interval(scored)
-    return EvalReport(
-        mean_ls=sum(scored) / len(scored),
-        interval_low=low,
-        interval_high=high,
-        per_game_ls=scored,
-        window=(start, end),
-    )
+    return evaluate_cells(np.asarray(per_game_ls, dtype=float).reshape(1, -1), window)[0]
 
 
 def empirical_stats(games: Sequence[GameRecord]) -> EmpiricalStats:

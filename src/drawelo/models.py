@@ -204,6 +204,36 @@ def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
 
 
 # ---------------------------------------------------------------------------
+# Davidson curves on arrays (online ratings)
+# ---------------------------------------------------------------------------
+#
+# f_kappa and davidson_probs evaluated elementwise, with the same operations
+# in the same order as the scalar formulas above.  v is the shifted rating
+# difference; sigma and kappa broadcast against it, so one call serves a
+# whole grid of configurations.
+
+
+def expected_score(v: np.ndarray, sigma, kappa) -> np.ndarray:
+    """f_kappa(v) over arrays; kappa = 0 gives the logistic cdf at scale sigma."""
+    z = 0.5 * v / sigma
+    u = np.power(10.0, -np.abs(z))
+    fav = (1.0 + 0.5 * kappa * u) / (1.0 + u * u + kappa * u)
+    return np.where(z >= 0, fav, 1.0 - fav)
+
+
+def davidson_table(v: np.ndarray, sigma, kappa) -> np.ndarray:
+    """davidson_probs(v) over arrays, as a trailing axis (p_home, p_away, p_draw)."""
+    z = 0.5 * v / sigma
+    u = np.power(10.0, -np.abs(z))
+    den = 1.0 + u * u + kappa * u
+    fav, unfav = 1.0 / den, (u * u) / den
+    home = z >= 0
+    return np.stack(
+        [np.where(home, fav, unfav), np.where(home, unfav, fav), (kappa * u) / den], axis=-1
+    )
+
+
+# ---------------------------------------------------------------------------
 # Log-likelihood kernels on game arrays (batch fitting)
 # ---------------------------------------------------------------------------
 #

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset, GameRecord
 from .models import ModelParams, predict_probs
@@ -94,6 +93,25 @@ def generate_season(spec: SimSpec) -> Dataset:
     return Dataset(games=games, team_index={name: i for i, name in enumerate(names)})
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    end = np.r_[first[1:], x.size]  # one past each group of ties
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((first + end + 1) / 2.0, end - first)
+    return ranks
+
+
+def _spearman(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman rank correlation: the Pearson correlation of average-tie ranks."""
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    return float(np.clip(ra @ rb / math.sqrt((ra @ ra) * (rb @ rb)), -1.0, 1.0))
+
+
 def recovery_metrics(
     theta_true: Mapping[str, float] | Sequence[float],
     theta_est: Mapping[str, float] | Sequence[float],
@@ -123,7 +141,7 @@ def recovery_metrics(
     if np.ptp(true_vec) == 0.0 or np.ptp(est_vec) == 0.0:
         rank_corr = math.nan  # ranks of a constant vector are undefined
     else:
-        rank_corr = float(stats.spearmanr(true_vec, est_vec).statistic)
+        rank_corr = _spearman(true_vec, est_vec)
     centered = (est_vec - est_vec.mean()) - (true_vec - true_vec.mean())
     return {
         "rank_correlation": rank_corr,

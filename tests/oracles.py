@@ -6,7 +6,9 @@ formulas) and shares no code with the implementations it verifies.
 """
 
 import math
+from dataclasses import replace
 
+from drawelo.engine import UpdateMode
 from drawelo.errors import ZeroProbabilityError
 from drawelo.models import (
     ModelFamily,
@@ -91,3 +93,72 @@ def brute_min_interval(values, level=0.95):
     for c in candidates:  # first hit has the smallest lower bound
         if c[0] == length:
             return (c[1], c[2])
+
+
+# ---------------------------------------------------------------------------
+# Online ratings: the per-game scalar loop the compiled kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def _expected_score(v, config):
+    if config.mode is UpdateMode.KAPPA_ELO:
+        return f_kappa(v, config.model)
+    # classic Elo: plain logistic expected score (the factor 2 of the
+    # implicit draw model's gradient lives inside K)
+    return logistic_cdf(v, config.model.sigma)
+
+
+def _prediction_model(config):
+    if config.mode is UpdateMode.KAPPA_ELO:
+        return replace(config.model, family=ModelFamily.DAVIDSON)
+    if config.mode is UpdateMode.ELO:
+        return replace(config.model, family=ModelFamily.ELO_IMPLICIT)
+    return replace(config.model, family=ModelFamily.DAVIDSON, kappa=config.check_kappa)
+
+
+def run_season(games, config, players=None):
+    """(final ratings, predictions, per-game snapshots), one game at a time."""
+    ratings = {}
+    for player in players or ():
+        ratings.setdefault(player, config.initial_rating)
+    predictions, trajectory = [], []
+    k = config.k_tilde * config.model.sigma
+    for game in games:
+        for player in (game.home_id, game.away_id):
+            ratings.setdefault(player, config.initial_rating)
+        v = ratings[game.home_id] - ratings[game.away_id]
+        predictions.append(predict_probs(v, _prediction_model(config)))
+        s = {"H": 1.0, "D": 0.5, "A": 0.0}[game.outcome]
+        delta = k * (s - _expected_score(apply_home_advantage(v, config.model), config))
+        ratings[game.home_id] += delta
+        ratings[game.away_id] -= delta
+        trajectory.append(dict(ratings))
+    return ratings, predictions, trajectory
+
+
+def log_scores(predictions, games):
+    """-ln p(realized outcome) per game; None when some game got probability 0."""
+    probs = [pred.prob_of(game.outcome) for pred, game in zip(predictions, games)]
+    if any(p <= 0.0 for p in probs):
+        return None
+    return [-math.log(p) for p in probs]
+
+
+def second_half(values):
+    """The last ceil(n/2) values."""
+    return values[len(values) // 2:]
+
+
+def near_min_intervals(values, rtol, level=0.95):
+    """Every window of ceil(level*n) order statistics within rtol of the shortest.
+
+    Scores computed another way may reorder windows whose lengths differ only
+    by rounding, so a computed interval is checked against all of these.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    k = math.ceil(level * n)
+    windows = [(ordered[i], ordered[i + k - 1]) for i in range(n - k + 1)]
+    shortest = min(high - low for low, high in windows)
+    slack = rtol * max(1.0, max(abs(v) for v in ordered))
+    return [(low, high) for low, high in windows if high - low <= shortest + slack]

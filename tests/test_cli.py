@@ -2,11 +2,19 @@ import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drawelo.cli import _csv_cell, _round6, main
+import oracles
+from conftest import KAPPAS, check_report, online_cases
+from drawelo.cli import RunConfig, _csv_cell, _round6, main, run_rate, run_sweep
+from drawelo.data import Dataset, load_matches, serialize_matches
+from drawelo.engine import UpdateMode, run_season
 
 HEADER = "Date,HomeTeam,AwayTeam,FTR"
 
@@ -76,6 +84,20 @@ def test_rate_emits_a_full_table_and_trajectory(runner, season_file, tmp_path):
     assert len(traj_rows) == 380 * 20
     assert traj_rows[0]["game_index"] == "1"
     assert traj_rows[-1]["game_index"] == "380"
+
+
+def test_rate_trajectory_file_matches_the_snapshots(season_file, tmp_path):
+    traj = tmp_path / "trajectory.csv"
+    cfg = RunConfig(command="rate", input_path=str(season_file))
+    run_rate(cfg, str(traj))
+    dataset = load_matches(season_file)
+    result = run_season(dataset.games, cfg.engine_config(), players=dataset.team_names)
+    expected = ["game_index,team,rating"] + [
+        f"{idx},{team},{snapshot[team]:.6g}"
+        for idx, snapshot in enumerate(result.trajectory, start=1)
+        for team in dataset.team_names
+    ]
+    assert traj.read_text().splitlines() == expected
 
 
 def test_rate_empty_input_warns_and_succeeds(runner, tmp_path):
@@ -181,6 +203,55 @@ def test_sweep_single_cell_matches_evaluate(runner, season_file):
     assert cell["error"] is None
 
 
+def test_sweep_cells_match_evaluate(runner, season_file):
+    # one pass over the grid gives each cell exactly what evaluate prints for it
+    swept = json.loads(runner.invoke(
+        main,
+        ["sweep", str(season_file), "--eta-grid", "0,0.3", "--kappa-grid", "0.4,1",
+         "--modes", "kappa-elo,elo,elo-check"],
+    ).stdout)["cells"]
+    assert len(swept) == 12
+    for cell in swept:
+        kappa_option = "--check-kappa" if cell["mode"] == "elo-check" else "--kappa"
+        evaluated = json.loads(runner.invoke(
+            main,
+            ["evaluate", str(season_file), "--mode", cell["mode"], "--eta", str(cell["eta"]),
+             kappa_option, str(cell["kappa"])],
+        ).stdout)
+        for key in ("mean_ls", "interval_low", "interval_high"):
+            assert cell[key] == evaluated[key]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=online_cases(),
+    kappas=st.lists(KAPPAS, min_size=1, max_size=3),
+    etas=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=2),
+    modes=st.lists(st.sampled_from(list(UpdateMode)), min_size=1, max_size=3, unique=True),
+)
+def test_sweep_matches_the_scalar_oracle(case, kappas, etas, modes):
+    config, _, games = case
+    dataset = Dataset(games=games)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "season.csv"
+        path.write_text(serialize_matches(dataset), newline="")
+        cfg = RunConfig(command="sweep", input_path=str(path), sigma=config.model.sigma,
+                        k_tilde=config.k_tilde, kappa=config.model.kappa)
+        rows = run_sweep(cfg, etas, kappas, modes, 1)["cells"]
+    cells = [(mode, kappa, eta) for mode in modes for kappa in kappas for eta in etas]
+    assert len(rows) == len(cells)
+    for row, (mode, kappa, eta) in zip(rows, cells):
+        cell = cfg.engine_config(mode=mode, eta=eta, kappa=kappa, check_kappa=kappa)
+        _, predictions, _ = oracles.run_season(games, cell, dataset.team_names)
+        scores = oracles.log_scores(predictions, games) if games else None
+        if scores is None:
+            assert row["mean_ls"] is None
+            assert ("probability 0" if games else "empty score list") in row["error"]
+        else:
+            assert row["error"] is None
+            check_report(row["mean_ls"], row["interval_low"], row["interval_high"], scores)
+
+
 def test_sweep_grid_shape_and_csv(runner, season_file):
     result = runner.invoke(
         main,
@@ -218,6 +289,24 @@ def test_sweep_records_cell_errors_and_continues(runner, draws_file):
     assert "probability 0" in cells[0]["error"]
     assert cells[0]["mean_ls"] is None
     assert cells[1]["error"] is None
+
+
+def test_sweep_invalid_grid_value_is_a_cell_error(runner, season_file):
+    result = runner.invoke(main, ["sweep", str(season_file), "--kappa-grid", "-1,0.7"])
+    assert result.exit_code == 0, result.output
+    bad, good = json.loads(result.stdout)["cells"]
+    assert bad["error"].startswith("kappa must be") and bad["mean_ls"] is None
+    assert good["error"] is None and good["mean_ls"] > 0
+
+
+def test_sweep_empty_season_gives_error_rows(runner, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(HEADER + "\n")
+    result = runner.invoke(main, ["sweep", str(empty), "--kappa-grid", "-1,0.7"])
+    assert result.exit_code == 0, result.output
+    bad, good = json.loads(result.stdout)["cells"]
+    assert bad["error"].startswith("kappa must be")
+    assert good["error"] == "empty score list"
 
 
 def test_sweep_jobs_do_not_change_results(runner, season_file):

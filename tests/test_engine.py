@@ -6,20 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import game, random_games
+from conftest import check_report, game, online_cases, random_games
 from drawelo.engine import (
     EngineConfig,
     RatingState,
     UpdateMode,
     batch_ml_fit,
+    compile_season,
     nll,
     nll_gradient,
     predict,
     rating_difference,
+    run_online,
     run_season,
     score_of,
     sg_update,
 )
+from drawelo.evaluation import evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
 from drawelo.models import ModelFamily, ModelParams, logistic_cdf
 from oracles import finite_diff_gradient
@@ -234,6 +237,113 @@ def test_expected_score_identity_for_classic_elo():
         probs = predict(state, "A", "B", cfg)
         expected = probs.p_home + 0.5 * probs.p_draw
         assert expected == pytest.approx(logistic_cdf(delta, SIGMA), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# compiled seasons and the online kernel
+# ---------------------------------------------------------------------------
+
+
+def test_compile_season_splits_runs_of_disjoint_games():
+    # a run ends when either side has already played in it: game 2 repeats
+    # the home team A, game 4 only the away team D
+    games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "C", "A", 2),
+             game("B", "D", "H", 3), game("E", "D", "D", 4), game("B", "A", "H", 5)]
+    season = compile_season(games, players=["Z", "C"])
+    assert season.players == ["Z", "C", "A", "B", "D", "E"]
+    assert season.home.tolist() == [2, 1, 2, 3, 5, 3]
+    assert season.away.tolist() == [3, 4, 1, 4, 4, 2]
+    assert season.score.tolist() == [1.0, 0.5, 0.0, 1.0, 0.5, 1.0]
+    assert season.runs == [0, 2, 4, 6]
+    assert season.known == [4, 5, 5, 5, 6, 6]
+
+
+def test_compile_season_empty():
+    season = compile_season([], players=["A"])
+    assert season.runs == [0] and season.known == [] and season.players == ["A"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=online_cases(), players_kind=st.sampled_from(["omitted", "all", "subset"]))
+def test_run_season_matches_the_scalar_oracle(case, players_kind):
+    config, teams, games = case
+    players = {"omitted": None, "all": teams + ["Idle"], "subset": teams[::-2]}[players_kind]
+    ratings, predictions, trajectory = oracles.run_season(games, config, players)
+    result = run_season(games, config, players=players)
+
+    scale = max([config.model.sigma] + [abs(r) for r in ratings.values()])
+    assert list(result.state.ratings) == list(ratings)
+    for player, rating in ratings.items():
+        assert abs(result.state.ratings[player] - rating) <= 1e-12 * scale
+    assert len(result.trajectory) == len(trajectory)
+    for got, want in zip(result.trajectory, trajectory):
+        assert list(got) == list(want)
+        assert all(abs(got[p] - want[p]) <= 1e-12 * scale for p in want)
+    assert len(result.predictions) == len(predictions)
+    for got, want in zip(result.predictions, predictions):
+        for field in ("p_home", "p_away", "p_draw"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12 * getattr(want, field)
+
+    if not games:
+        return
+    scores = oracles.log_scores(predictions, games)
+    if scores is None:
+        with pytest.raises(ZeroProbabilityError, match="probability 0"):
+            score_games(result.predictions, games)
+        return
+    report = evaluate_scores(score_games(result.predictions, games))
+    check_report(report.mean_ls, report.interval_low, report.interval_high, scores)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cases=st.lists(online_cases(max_teams=6), min_size=2, max_size=4))
+def test_run_online_cells_do_not_interact(cases):
+    # one pass over several configurations gives each exactly what it gets alone
+    games = cases[0][2]
+    season = compile_season(games)
+    configs = [config for config, _, _ in cases]
+    together = run_online(season, configs)
+    for c, config in enumerate(configs):
+        alone = run_online(season, [config])
+        for field in ("diffs", "deltas", "probs", "ratings"):
+            assert np.array_equal(getattr(together, field)[c], getattr(alone, field)[0])
+
+
+def test_run_season_non_finite_difference_is_an_error():
+    with pytest.raises(ValueError, match="rating difference must be finite, got nan"):
+        run_season([game("A", "B", "H")], config(initial_rating=math.inf))
+
+
+# ---------------------------------------------------------------------------
+# lazy trajectory
+# ---------------------------------------------------------------------------
+
+
+def test_trajectory_snapshots_hold_the_players_seen_so_far():
+    games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "C", "A", 2)]
+    result = run_season(games, config(eta=0.3))
+    traj = result.trajectory
+    assert len(traj) == 3
+    assert list(traj[0]) == ["A", "B"]
+    assert list(traj[1]) == ["A", "B", "C", "D"]
+    assert traj[0]["A"] == -traj[0]["B"] > 0
+    assert traj[1].get("C") == -traj[1]["D"]
+    assert traj[-1] == traj[2] == result.state.ratings
+    assert traj[1:] == [traj[1], traj[2]] and traj[::-2] == [traj[2], traj[0]]
+    assert list(traj) == [traj[0], traj[1], traj[2]]
+    assert traj == list(traj) and traj != list(traj)[:2]
+    with pytest.raises(IndexError):
+        traj[3]
+
+
+def test_trajectory_running_ratings_match_the_snapshots():
+    rng = np.random.default_rng(23)
+    players = [f"P{i}" for i in range(5)]
+    result = run_season(random_games(rng, players, 40), config(eta=0.3), players=players)
+    traj = result.trajectory
+    assert traj.players == players
+    for snapshot, running in zip(traj, traj.running()):
+        assert list(snapshot.values()) == running
 
 
 @pytest.mark.parametrize(

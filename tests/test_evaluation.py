@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from conftest import game
 from drawelo.errors import ZeroProbabilityError
 from drawelo.evaluation import (
+    cell_log_scores,
     credibility_interval,
     empirical_stats,
+    evaluate_cells,
     evaluate_scores,
     implied_draw_freq,
     log_score,
     mean_second_half_ls,
     score_games,
     second_half_window,
+    zero_probability,
 )
 from drawelo.models import ModelParams, OutcomeProbs, davidson_probs
 from drawelo.sim import SimSpec, generate_season
@@ -49,6 +52,27 @@ def test_score_games_names_the_offending_game():
         score_games(predictions, games)
     with pytest.raises(ValueError, match="2 predictions for 1 games"):
         score_games(predictions, games[:1])
+
+
+def test_cell_log_scores_pick_the_realized_column():
+    probs = np.array([[[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]],
+                      [[0.5, 0.5, 0.0], [0.1, 0.6, 0.3]]])
+    games = [game("A", "B", "A", 0), game("C", "D", "D", 1)]
+    scores = cell_log_scores(probs, games)
+    assert scores.shape == (2, 2)
+    assert scores[0].tolist() == [-math.log(0.25), -math.log(0.5)]
+    assert scores[1].tolist() == [-math.log(0.5), -math.log(0.3)]
+    assert zero_probability(scores[0], games) is None
+
+
+def test_zero_probability_names_the_first_game():
+    probs = np.array([[[1 / 3] * 3, [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]])
+    games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "B", "D", 2)]
+    error = zero_probability(cell_log_scores(probs, games)[0], games)
+    assert isinstance(error, ZeroProbabilityError)
+    assert str(error) == (
+        "game 1 (C vs D, 2021-08-02): prediction assigns probability 0 to realized outcome 'D'"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +126,14 @@ def test_interval_matches_exhaustive_scan(values):
     assert (low, high) == brute_min_interval(values)
     k = math.ceil(0.95 * len(values))
     assert sum(1 for v in values if low <= v <= high) >= k
+
+
+def test_evaluate_cells_rows_match_evaluate_scores():
+    rng = np.random.default_rng(31)
+    scores = rng.exponential(size=(5, 101))
+    for window in ("second-half", "full"):
+        for row, report in zip(scores, evaluate_cells(scores, window)):
+            assert report == evaluate_scores(list(row), window)
 
 
 def test_evaluate_scores_bundles_window_and_interval():

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +180,25 @@ def test_recovery_positive_scaling_keeps_ranks():
     metrics = recovery_metrics(truth, [2.5 * x for x in truth])
     assert metrics["rank_correlation"] == 1.0
     assert metrics["centered_rmse"] > 0
+
+
+def test_recovery_rank_correlation_averages_ties():
+    # ranks [1, 2.5, 2.5, 4] and [1, 4, 2.5, 2.5]; centred at 2.5 they are
+    # [-1.5, 0, 0, 1.5] and [-1.5, 1.5, 0, 0]: 2.25 / sqrt(4.5 * 4.5) = 0.5
+    assert recovery_metrics([1.0, 2.0, 2.0, 3.0], [1.0, 3.0, 2.0, 2.0])["rank_correlation"] == 0.5
+    # ranks [1.5, 1.5, 3] and [1, 2, 3]: 1.5 / sqrt(1.5 * 2) = sqrt(3) / 2
+    rho = recovery_metrics([1.0, 1.0, 2.0], [10.0, 20.0, 30.0])["rank_correlation"]
+    assert rho == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, drawelo.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_recovery_constant_vector_has_undefined_ranks():
