@@ -8,21 +8,16 @@ league simulator.
 
 from .data import Dataset, GameRecord, load_matches, odds_to_probs, parse_matches, scheduling_vector, serialize_matches
 from .engine import (
-    CompiledSeason,
     EngineConfig,
     FitResult,
-    OnlineRun,
     RatingState,
     SeasonResult,
-    Trajectory,
     UpdateMode,
     batch_ml_fit,
-    compile_season,
     nll,
     nll_gradient,
     predict,
     rating_difference,
-    run_online,
     run_season,
     score_of,
     sg_update,
@@ -31,16 +26,13 @@ from .errors import ConvergenceError, RowError, SchemaError, ZeroProbabilityErro
 from .evaluation import (
     EmpiricalStats,
     EvalReport,
-    cell_log_scores,
     credibility_interval,
     empirical_stats,
-    evaluate_cells,
     evaluate_scores,
     implied_draw_freq,
     log_score,
     mean_second_half_ls,
     score_games,
-    zero_probability,
 )
 from .models import (
     ModelFamily,

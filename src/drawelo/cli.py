@@ -37,6 +37,7 @@ from .evaluation import (
     empirical_stats,
     evaluate_cells,
     evaluate_scores,
+    log_score,
     score_games,
     zero_probability,
 )
@@ -229,6 +230,12 @@ def _config_payload(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _evaluate_dataset(dataset: Dataset, config: EngineConfig, window: str) -> EvalReport:
+    result = run_season(dataset.games, config, players=dataset.team_names)
+    scores = score_games(result.predictions, dataset.games)
+    return evaluate_scores(scores, window=window)
+
+
 def _evaluate_cells(
     dataset: Dataset, configs: list[EngineConfig], window: str
 ) -> list[EvalReport | Exception]:
@@ -251,8 +258,10 @@ def _baseline_report(dataset: Dataset, window: tuple[int, int]) -> EvalReport:
         raise ValueError(
             f"baseline requested but odds are missing on game(s) {missing}"
         )
-    games = dataset.games[start:end]
-    scores = score_games([odds_to_probs(*g.odds) for g in games], games)
+    scores = [
+        log_score(odds_to_probs(*g.odds), g.outcome)
+        for g in dataset.games[start:end]
+    ]
     return evaluate_scores(scores, window="full")
 
 
@@ -280,9 +289,7 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
 
 def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
     dataset = load_matches(cfg.input_path)
-    [report] = _evaluate_cells(dataset, [cfg.engine_config()], cfg.eval_window)
-    if isinstance(report, Exception):
-        raise report
+    report = _evaluate_dataset(dataset, cfg.engine_config(), cfg.eval_window)
     payload = {
         "command": "evaluate",
         "input": cfg.input_path,

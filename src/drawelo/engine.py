@@ -41,6 +41,8 @@ from .models import (
     apply_home_advantage,
     davidson_table,
     expected_score,
+    expected_score_of,
+    non_finite_difference,
     outcome_logp,
     predict_probs,
 )
@@ -89,7 +91,8 @@ class Trajectory(Sequence):
     moves by its negative), so memory grows with the games, not with games
     times players.  Item i is a dict like a copy of ``RatingState.ratings``
     taken after game i: the players given up front plus every team seen so
-    far.  Indexing walks the season from the start.
+    far.  Indexing walks the season from the start, so item i costs O(i)
+    and a slice builds only the snapshots it returns.
     """
 
     def __init__(self, season: CompiledSeason, deltas: np.ndarray, initial_rating: float):
@@ -118,11 +121,21 @@ class Trajectory(Sequence):
             yield dict(zip(self.players[:known], ratings))
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        g = range(len(self))[i]  # IndexError and negative indices as for a list
-        ratings = next(itertools.islice(self.running(), g, None))
-        return dict(zip(self.players[: self._season.known[g]], ratings))
+        wanted = range(len(self))[i]  # IndexError and negative indices as for a list
+        if not isinstance(i, slice):
+            return self._snapshots([wanted])[0]
+        return self._snapshots(wanted)
+
+    def _snapshots(self, games: Sequence[int]) -> list[dict[str, float]]:
+        """The snapshots after the given games, in the given order."""
+        if not games:
+            return []
+        wanted, last, known = set(games), max(games), self._season.known
+        found = {}
+        for g, ratings in enumerate(itertools.islice(self.running(), last + 1)):
+            if g in wanted:
+                found[g] = dict(zip(self.players[: known[g]], ratings))
+        return [found[g] for g in games]
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -136,7 +149,8 @@ class SeasonResult:
 
     ``predictions[i]`` is the forecast made *before* game i was processed;
     ``trajectory[i]`` is a snapshot of the ratings just after it, rebuilt
-    lazily from one rating change per game (see ``Trajectory``).
+    lazily from one rating change per game (see ``Trajectory``), so random
+    access to item i costs O(i).
     """
 
     state: RatingState
@@ -167,10 +181,6 @@ def _update_kappa(config: EngineConfig) -> float:
     return config.model.kappa if config.mode is UpdateMode.KAPPA_ELO else 0.0
 
 
-def _finite_difference_error(v: float) -> ValueError:
-    return ValueError(f"rating difference must be finite, got {v}")
-
-
 def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> RatingState:
     """One stochastic-gradient rating update; mutates and returns ``state``.
 
@@ -184,10 +194,11 @@ def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> Rat
         ratings[game.home_id] - ratings[game.away_id], config.model
     )
     if not math.isfinite(v):
-        raise _finite_difference_error(v)
+        raise non_finite_difference(v)
     k = config.k_tilde * config.model.sigma
-    f = expected_score(v, config.model.sigma, _update_kappa(config))
-    delta = float(k * (score_of(game.outcome, "home") - f))
+    # f_kappa at the update kappa, as the float path of run_online computes it
+    f = expected_score_of(v, config.model.sigma, _update_kappa(config))
+    delta = k * (score_of(game.outcome, "home") - f)
     ratings[game.home_id] += delta
     ratings[game.away_id] -= delta
     state.games_processed += 1
@@ -232,6 +243,11 @@ class CompiledSeason:
     runs: list[int]
     known: list[int]
 
+    @property
+    def mean_run(self) -> float:
+        """Games per run of disjoint games; 0 for an empty season."""
+        return len(self.home) / max(1, len(self.runs) - 1)
+
 
 def compile_season(
     games: Sequence[GameRecord], players: Iterable[str] | None = None
@@ -268,7 +284,7 @@ class OnlineRun:
         """The error a cell's first non-finite rating difference raises, if any."""
         diffs = self.diffs[cell]
         bad = np.flatnonzero(~np.isfinite(diffs))
-        return _finite_difference_error(float(diffs[bad[0]])) if bad.size else None
+        return non_finite_difference(float(diffs[bad[0]])) if bad.size else None
 
 
 def _cell_params(config: EngineConfig) -> tuple[float, ...]:
@@ -286,22 +302,43 @@ def _cell_params(config: EngineConfig) -> tuple[float, ...]:
             _update_kappa(config), predict_sigma, predict_kappa, config.initial_rating)
 
 
+# Float updates (configurations x mean run length) from which one vector
+# step per run beats the float loop.  A vector step costs 25-40 us of numpy
+# calls whatever its size, the float loop 0.6-1 us per game and
+# configuration (x86-64, numpy 2.4): one configuration breaks even at runs
+# of about 50 games, a grid of 32 at runs of about 2.
+MIN_VECTOR_GAMES = 50.0
+
+
 def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> OnlineRun:
     """Every configuration's sequential ratings and forecasts in one pass.
 
-    Ratings are held as a (configs, players) array.  Each run of disjoint
-    games advances in one vector step for every configuration; that is
-    exact, because no game of a run reads a rating another game of the same
-    run writes.  Forecasts depend only on the differences, so they are
-    computed after the pass.  A configuration whose ratings stop being
-    finite is not raised here: ``OnlineRun.error`` reports it.
+    From ``MIN_VECTOR_GAMES`` float updates per run on, ratings are held as
+    a (configs, players) array and each run of disjoint games advances in
+    one vector step for every configuration; that is exact, because no game
+    of a run reads a rating another game of the same run writes.  Below
+    it, each configuration steps game by game on floats.  Both paths do the
+    same float operations, but numpy's ``power`` may round 10^x differently
+    from the C library's in the last bit.  Forecasts depend only on the
+    differences, so they are computed after the pass.  A configuration
+    whose ratings stop being finite is not raised here: ``OnlineRun.error``
+    reports it.
     """
-    n_cells, n_games = len(configs), len(season.home)
-    params = np.array([_cell_params(c) for c in configs], dtype=float).reshape(n_cells, 7)
-    shift, step, sigma, kappa, predict_sigma, predict_kappa, initial = params.T[:, :, None]
+    params = np.array([_cell_params(c) for c in configs], dtype=float).reshape(len(configs), 7)
+    vectorize = len(configs) * season.mean_run >= MIN_VECTOR_GAMES
+    diffs, deltas, ratings = (_step_runs if vectorize else _step_games)(season, params)
+    predict_sigma, predict_kappa = params.T[4:6, :, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        probs = davidson_table(diffs, predict_sigma, predict_kappa)
+    return OnlineRun(diffs=diffs, deltas=deltas, probs=probs, ratings=ratings)
+
+
+def _step_runs(season: CompiledSeason, params: np.ndarray):
+    """(diffs, deltas, final ratings), one vector step per run for all cells."""
+    shift, step, sigma, kappa, _, _, initial = params.T[:, :, None]
     ratings = np.repeat(initial, len(season.players), axis=1)
-    diffs = np.empty((n_cells, n_games))
-    deltas = np.empty((n_cells, n_games))
+    diffs = np.empty((len(params), len(season.home)))
+    deltas = np.empty_like(diffs)
     runs = season.runs
     with np.errstate(invalid="ignore", over="ignore"):
         for start, end in zip(runs[:-1], runs[1:]):
@@ -312,8 +349,27 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
             ratings[:, away] -= delta
             diffs[:, start:end] = v
             deltas[:, start:end] = delta
-        probs = davidson_table(diffs, predict_sigma, predict_kappa)
-    return OnlineRun(diffs=diffs, deltas=deltas, probs=probs, ratings=ratings)
+    return diffs, deltas, ratings
+
+
+def _step_games(season: CompiledSeason, params: np.ndarray):
+    """(diffs, deltas, final ratings), one float update per game and cell."""
+    games = list(zip(season.home.tolist(), season.away.tolist(), season.score.tolist()))
+    diffs = np.empty((len(params), len(games)))
+    deltas = np.empty_like(diffs)
+    ratings = np.empty((len(params), len(season.players)))
+    for c, (shift, step, sigma, kappa, _, _, initial) in enumerate(params.tolist()):
+        r = [initial] * len(season.players)
+        cell_diffs, cell_deltas = [], []
+        for h, a, s in games:
+            v = (r[h] - r[a]) + shift
+            delta = step * (s - expected_score_of(v, sigma, kappa))
+            r[h] += delta
+            r[a] -= delta
+            cell_diffs.append(v)
+            cell_deltas.append(delta)
+        diffs[c], deltas[c], ratings[c] = cell_diffs, cell_deltas, r
+    return diffs, deltas, ratings
 
 
 def run_season(
@@ -360,7 +416,7 @@ def _game_terms(
     v = apply_home_advantage(x[home] - x[away], model)
     finite = np.isfinite(v)
     if not finite.all():
-        raise ValueError(f"rating difference must be finite, got {v[~finite][0]}")
+        raise non_finite_difference(v[~finite][0])
     return outcome_logp(v, score, model)
 
 

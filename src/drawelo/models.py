@@ -91,9 +91,14 @@ class OutcomeProbs:
 # ---------------------------------------------------------------------------
 
 
+def non_finite_difference(v: float) -> ValueError:
+    """The error every rating computation raises for a non-finite difference v."""
+    return ValueError(f"rating difference must be finite, got {v}")
+
+
 def _check_finite(v: float):
     if not math.isfinite(v):
-        raise ValueError(f"rating difference must be finite, got {v}")
+        raise non_finite_difference(v)
 
 
 def logistic_cdf(v: float, sigma: float) -> float:
@@ -120,10 +125,19 @@ def f_kappa(v: float, params: ModelParams) -> float:
     doubled scale.
     """
     _check_finite(v)
-    z = 0.5 * v / params.sigma
+    return expected_score_of(v, params.sigma, params.kappa)
+
+
+def expected_score_of(v: float, sigma: float, kappa: float) -> float:
+    """f_kappa on plain floats, without the finiteness check.
+
+    The scalar twin of ``expected_score``: the same operations in the same
+    order, and a non-finite v gives nan or a limit rather than an error.
+    """
+    z = 0.5 * v / sigma
     if z >= 0:
-        return _f_kappa_core(z, params.kappa)
-    return 1.0 - _f_kappa_core(-z, params.kappa)
+        return _f_kappa_core(z, kappa)
+    return 1.0 - _f_kappa_core(-z, kappa)
 
 
 def _f_kappa_core(z: float, kappa: float) -> float:

@@ -1,11 +1,14 @@
 import datetime as dt
+import math
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
 import oracles
+from drawelo import engine
 from drawelo.data import GameRecord
 from drawelo.engine import EngineConfig, UpdateMode
 from drawelo.models import ModelParams
@@ -51,6 +54,16 @@ def two_player_record():
 
 # draw parameters, with the binary (0) and classic-Elo (2) special cases
 KAPPAS = st.sampled_from([0.0, 2.0]) | st.floats(0.0, 5.0)
+
+
+# run_online's two stepping paths: floats game by game, or one vector step
+# per run of games
+BOTH_PATHS = pytest.mark.parametrize("vectorize", [False, True], ids=["floats", "vectors"])
+
+
+def stepping(vectorize):
+    """Context in which run_online takes the given path whenever it chooses."""
+    return mock.patch.object(engine, "MIN_VECTOR_GAMES", 0.0 if vectorize else math.inf)
 
 
 @st.composite

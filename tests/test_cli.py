@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import KAPPAS, check_report, online_cases
+from conftest import BOTH_PATHS, KAPPAS, check_report, online_cases, stepping
 from drawelo.cli import RunConfig, _csv_cell, _round6, main, run_rate, run_sweep
 from drawelo.data import Dataset, load_matches, serialize_matches
 from drawelo.engine import UpdateMode, run_season
@@ -204,7 +204,7 @@ def test_sweep_single_cell_matches_evaluate(runner, season_file):
 
 
 def test_sweep_cells_match_evaluate(runner, season_file):
-    # one pass over the grid gives each cell exactly what evaluate prints for it
+    # one pass over the grid prints for each cell what evaluate prints for it
     swept = json.loads(runner.invoke(
         main,
         ["sweep", str(season_file), "--eta-grid", "0,0.3", "--kappa-grid", "0.4,1",
@@ -222,6 +222,7 @@ def test_sweep_cells_match_evaluate(runner, season_file):
             assert cell[key] == evaluated[key]
 
 
+@BOTH_PATHS
 @settings(max_examples=60, deadline=None)
 @given(
     case=online_cases(),
@@ -229,10 +230,10 @@ def test_sweep_cells_match_evaluate(runner, season_file):
     etas=st.lists(st.floats(0.0, 0.6), min_size=1, max_size=2),
     modes=st.lists(st.sampled_from(list(UpdateMode)), min_size=1, max_size=3, unique=True),
 )
-def test_sweep_matches_the_scalar_oracle(case, kappas, etas, modes):
+def test_sweep_matches_the_scalar_oracle(vectorize, case, kappas, etas, modes):
     config, _, games = case
     dataset = Dataset(games=games)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, stepping(vectorize):
         path = Path(tmp) / "season.csv"
         path.write_text(serialize_matches(dataset), newline="")
         cfg = RunConfig(command="sweep", input_path=str(path), sigma=config.model.sigma,

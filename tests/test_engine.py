@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import check_report, game, online_cases, random_games
+from conftest import BOTH_PATHS, check_report, game, online_cases, random_games, stepping
+from drawelo import engine
 from drawelo.engine import (
     EngineConfig,
     RatingState,
@@ -25,6 +27,7 @@ from drawelo.engine import (
 from drawelo.evaluation import evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
 from drawelo.models import ModelFamily, ModelParams, logistic_cdf
+from drawelo.sim import generate_schedule
 from oracles import finite_diff_gradient
 
 SIGMA = 600.0
@@ -256,20 +259,24 @@ def test_compile_season_splits_runs_of_disjoint_games():
     assert season.score.tolist() == [1.0, 0.5, 0.0, 1.0, 0.5, 1.0]
     assert season.runs == [0, 2, 4, 6]
     assert season.known == [4, 5, 5, 5, 6, 6]
+    assert season.mean_run == 2.0
 
 
 def test_compile_season_empty():
     season = compile_season([], players=["A"])
     assert season.runs == [0] and season.known == [] and season.players == ["A"]
+    assert season.mean_run == 0.0
 
 
-@settings(max_examples=300, deadline=None)
+@BOTH_PATHS
+@settings(max_examples=200, deadline=None)
 @given(case=online_cases(), players_kind=st.sampled_from(["omitted", "all", "subset"]))
-def test_run_season_matches_the_scalar_oracle(case, players_kind):
+def test_run_season_matches_the_scalar_oracle(vectorize, case, players_kind):
     config, teams, games = case
     players = {"omitted": None, "all": teams + ["Idle"], "subset": teams[::-2]}[players_kind]
     ratings, predictions, trajectory = oracles.run_season(games, config, players)
-    result = run_season(games, config, players=players)
+    with stepping(vectorize):
+        result = run_season(games, config, players=players)
 
     scale = max([config.model.sigma] + [abs(r) for r in ratings.values()])
     assert list(result.state.ratings) == list(ratings)
@@ -295,23 +302,39 @@ def test_run_season_matches_the_scalar_oracle(case, players_kind):
     check_report(report.mean_ls, report.interval_low, report.interval_high, scores)
 
 
+@BOTH_PATHS
 @settings(max_examples=50, deadline=None)
 @given(cases=st.lists(online_cases(max_teams=6), min_size=2, max_size=4))
-def test_run_online_cells_do_not_interact(cases):
+def test_run_online_cells_do_not_interact(vectorize, cases):
     # one pass over several configurations gives each exactly what it gets alone
     games = cases[0][2]
     season = compile_season(games)
     configs = [config for config, _, _ in cases]
-    together = run_online(season, configs)
-    for c, config in enumerate(configs):
-        alone = run_online(season, [config])
+    with stepping(vectorize):
+        together = run_online(season, configs)
+        alone = [run_online(season, [config]) for config in configs]
+    for c, one in enumerate(alone):
         for field in ("diffs", "deltas", "probs", "ratings"):
-            assert np.array_equal(getattr(together, field)[c], getattr(alone, field)[0])
+            assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
 
 
-def test_run_season_non_finite_difference_is_an_error():
-    with pytest.raises(ValueError, match="rating difference must be finite, got nan"):
+@BOTH_PATHS
+def test_run_season_non_finite_difference_is_an_error(vectorize):
+    with stepping(vectorize), pytest.raises(
+        ValueError, match="rating difference must be finite, got nan"
+    ):
         run_season([game("A", "B", "H")], config(initial_rating=math.inf))
+
+
+def test_run_online_vectorizes_once_a_step_covers_enough_float_updates():
+    # a circle-method round-robin of 20 teams has runs of 10 games
+    games = [game(f"T{h}", f"T{a}", "D", i) for i, (h, a) in enumerate(generate_schedule(20))]
+    season = compile_season(games)
+    assert season.mean_run == 10.0
+    for n_configs in (1, 4, 5, 32):
+        with mock.patch.object(engine, "_step_runs", wraps=engine._step_runs) as step_runs:
+            run_online(season, [config()] * n_configs)
+        assert step_runs.called == (10.0 * n_configs >= engine.MIN_VECTOR_GAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +357,16 @@ def test_trajectory_snapshots_hold_the_players_seen_so_far():
     assert traj == list(traj) and traj != list(traj)[:2]
     with pytest.raises(IndexError):
         traj[3]
+
+
+def test_trajectory_slices_match_the_listed_snapshots():
+    rng = np.random.default_rng(29)
+    traj = run_season(random_games(rng, ["A", "B", "C", "D"], 25), config()).trajectory
+    snapshots = list(traj)
+    for part in (slice(None), slice(-1, None), slice(None, None, 7), slice(20, 3, -4),
+                 slice(30, 40), slice(5, 5), slice(None, None, -1)):
+        assert traj[part] == snapshots[part]
+    assert [traj[i] for i in range(len(traj))] == snapshots
 
 
 def test_trajectory_running_ratings_match_the_snapshots():
