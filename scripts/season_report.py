@@ -19,7 +19,13 @@ from pathlib import Path
 
 from drawelo.data import load_matches, odds_to_probs
 from drawelo.engine import EngineConfig, UpdateMode, run_season
-from drawelo.evaluation import empirical_stats, evaluate_scores, log_score, score_games
+from drawelo.evaluation import (
+    empirical_stats,
+    evaluate_scores,
+    log_score,
+    score_games,
+    second_half_window,
+)
 from drawelo.models import ModelParams
 
 
@@ -36,8 +42,8 @@ def season_cell(dataset, mode, kappa, *, sigma, k_tilde, eta, check_kappa=1.0):
 
 
 def bookmaker_cell(dataset):
-    start, _ = (dataset.n_games - (dataset.n_games + 1) // 2, dataset.n_games)
-    window = dataset.games[start:]
+    start, end = second_half_window(dataset.n_games)
+    window = dataset.games[start:end]
     if any(g.odds is None for g in window):
         return None
     scores = [log_score(odds_to_probs(*g.odds), g.outcome) for g in window]

@@ -11,13 +11,15 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 
 import click
 
@@ -26,6 +28,7 @@ from .engine import (
     EngineConfig,
     UpdateMode,
     batch_ml_fit,
+    check_fit_options,
     compile_season,
     run_online,
     run_season,
@@ -47,7 +50,12 @@ from .sim import SimSpec, generate_season
 
 @dataclass
 class RunConfig:
-    """One command invocation's parameters."""
+    """One command invocation's parameters.
+
+    Every field after ``input_path`` is a command-line option of the same
+    name, and its default is the option's default.  ``mode`` and ``family``
+    also accept their enum values as strings.
+    """
 
     command: str
     input_path: str | None = None
@@ -61,6 +69,10 @@ class RunConfig:
     family: ModelFamily = ModelFamily.DAVIDSON
     output_format: str = "json"
     eval_window: str = "second-half"
+
+    def __post_init__(self):
+        self.mode = UpdateMode(self.mode)
+        self.family = ModelFamily(self.family)
 
     def model_params(self, eta: float | None = None, kappa: float | None = None) -> ModelParams:
         return ModelParams(
@@ -88,6 +100,20 @@ class RunConfig:
             mode=mode,
             check_kappa=self.check_kappa if check_kappa is None else check_kappa,
         )
+
+
+def _plain(value):
+    """An enum member's value; any other value unchanged."""
+    return value.value if isinstance(value, Enum) else value
+
+
+_DEFAULTS = {f.name: _plain(f.default) for f in fields(RunConfig)}
+# The RunConfig fields that parametrize the model or the engine, in RunConfig
+# order; every payload's "config" echoes them.
+_MODEL_FIELDS = [
+    f.name for f in fields(RunConfig)
+    if f.name in {g.name for g in fields(ModelParams) + fields(EngineConfig)}
+]
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +185,30 @@ def _handle_errors(f):
 # Shared option groups
 # ---------------------------------------------------------------------------
 
+def _field_option(name: str, *decls: str, **kw):
+    """A click option that sets RunConfig's field ``name``, with the field's default."""
+    return click.option(*decls, name, default=_DEFAULTS[name], show_default=True, **kw)
+
+
 _MODEL_OPTIONS = [
-    click.option("--sigma", type=float, default=600.0, show_default=True, help="Rating scale."),
-    click.option("--k-step", "k_tilde", type=float, default=0.125, show_default=True,
-                 help="Normalized update step; the absolute step is k-step * sigma."),
-    click.option("--kappa", type=float, default=0.7, show_default=True, help="Draw parameter."),
-    click.option("--eta", type=float, default=0.3, show_default=True,
-                 help="Home advantage; the difference is shifted by eta * sigma."),
-    click.option("--check-kappa", type=float, default=1.0, show_default=True,
-                 help="Prediction-only draw parameter for --mode elo-check."),
-    click.option("--v0", type=float, default=0.0, show_default=True,
-                 help="Draw-band half width of the threshold family."),
-    click.option("--mode", type=click.Choice([m.value for m in UpdateMode]),
-                 default=UpdateMode.KAPPA_ELO.value, show_default=True,
-                 help="Online update / prediction mode."),
-    click.option("--family", type=click.Choice([f.value for f in ModelFamily]),
-                 default=ModelFamily.DAVIDSON.value, show_default=True,
-                 help="Probability model family (batch fitting and simulation)."),
-    click.option("--output-format", "-f", "output_format",
-                 type=click.Choice(["json", "csv"]), default="json", show_default=True),
+    _field_option("sigma", "--sigma", type=float, help="Rating scale."),
+    _field_option("k_tilde", "--k-step", type=float,
+                  help="Normalized update step; the absolute step is k-step * sigma."),
+    _field_option("kappa", "--kappa", type=float, help="Draw parameter."),
+    _field_option("eta", "--eta", type=float,
+                  help="Home advantage; the difference is shifted by eta * sigma."),
+    _field_option("check_kappa", "--check-kappa", type=float,
+                  help="Prediction-only draw parameter for --mode elo-check."),
+    _field_option("v0", "--v0", type=float, help="Draw-band half width of the threshold family."),
+    _field_option("mode", "--mode", type=click.Choice([m.value for m in UpdateMode]),
+                  help="Online update / prediction mode."),
+    _field_option("family", "--family", type=click.Choice([f.value for f in ModelFamily]),
+                  help="Probability model family (batch fitting and simulation)."),
+    _field_option("output_format", "--output-format", "-f", type=click.Choice(["json", "csv"])),
 ]
+_EVAL_WINDOW_OPTION = _field_option(
+    "eval_window", "--eval-window", type=click.Choice(["second-half", "full"])
+)
 
 
 def _model_options(f):
@@ -187,42 +217,31 @@ def _model_options(f):
     return f
 
 
-def _make_config(command: str, input_path: str | None, **kw) -> RunConfig:
-    """The run's configuration; an invalid parameter is a usage error naming its option."""
-    cfg = RunConfig(
-        command=command,
-        input_path=input_path,
-        sigma=kw["sigma"],
-        k_tilde=kw["k_tilde"],
-        kappa=kw["kappa"],
-        eta=kw["eta"],
-        check_kappa=kw["check_kappa"],
-        v0=kw["v0"],
-        mode=UpdateMode(kw["mode"]),
-        family=ModelFamily(kw["family"]),
-        output_format=kw["output_format"],
-    )
+@contextlib.contextmanager
+def _usage_errors():
+    """Turn a parameter check's ValueError into a usage error naming its option.
+
+    Each check's message starts with the parameter's name, which is also
+    the name of its option.
+    """
     try:
-        cfg.engine_config()  # builds and validates ModelParams and EngineConfig
+        yield
     except ValueError as exc:
-        # each parameter check's message starts with its field name
-        field = str(exc).split(" ", 1)[0]
-        options = [p for p in click.get_current_context().command.params if p.name == field]
+        name = str(exc).split(" ", 1)[0]
+        options = [p for p in click.get_current_context().command.params if p.name == name]
         raise click.BadParameter(str(exc), param=options[0] if options else None) from None
+
+
+def _make_config(command: str, input_path: str | None, **options) -> RunConfig:
+    """The run's configuration; an invalid parameter is a usage error naming its option."""
+    with _usage_errors():
+        cfg = RunConfig(command=command, input_path=input_path, **options)
+        cfg.engine_config()  # builds and validates ModelParams and EngineConfig
     return cfg
 
 
 def _config_payload(cfg: RunConfig) -> dict:
-    return {
-        "sigma": cfg.sigma,
-        "k_tilde": cfg.k_tilde,
-        "kappa": cfg.kappa,
-        "eta": cfg.eta,
-        "check_kappa": cfg.check_kappa,
-        "v0": cfg.v0,
-        "mode": cfg.mode.value,
-        "family": cfg.family.value,
-    }
+    return {name: _plain(getattr(cfg, name)) for name in _MODEL_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +426,13 @@ def run_simulate(
     }
 
 
+_STATS_COLUMNS = ["n_games", "p_home_bar", "p_away_bar", "p_draw_bar", "delta_bar", "kappa_bar"]
+
+
 def run_stats(cfg: RunConfig) -> dict:
-    dataset = load_matches(cfg.input_path)
-    stats = empirical_stats(dataset.games)
-    return {
-        "command": "stats",
-        "input": cfg.input_path,
-        "n_games": stats.n_games,
-        "p_home_bar": stats.p_home_bar,
-        "p_away_bar": stats.p_away_bar,
-        "p_draw_bar": stats.p_draw_bar,
-        "delta_bar": stats.delta_bar,
-        "kappa_bar": stats.kappa_bar,
-    }
+    stats = empirical_stats(load_matches(cfg.input_path).games)
+    return {"command": "stats", "input": cfg.input_path,
+            **{k: getattr(stats, k) for k in _STATS_COLUMNS}}
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +464,13 @@ def cmd_rate(input_path, trajectory_path, **kw):
 @main.command("evaluate")
 @click.argument("input_path", type=click.Path())
 @_model_options
-@click.option("--eval-window", type=click.Choice(["second-half", "full"]),
-              default="second-half", show_default=True)
+@_EVAL_WINDOW_OPTION
 @click.option("--baseline", is_flag=True, default=False,
               help="Also score the bookmaker probabilities over the same window.")
 @_handle_errors
-def cmd_evaluate(input_path, eval_window, baseline, **kw):
+def cmd_evaluate(input_path, baseline, **kw):
     """Score a season's sequential predictions by mean logarithmic score."""
     cfg = _make_config("evaluate", input_path, **kw)
-    cfg.eval_window = eval_window
     payload = run_evaluate(cfg, baseline)
     row = {
         "season": payload["input"],
@@ -471,16 +482,13 @@ def cmd_evaluate(input_path, eval_window, baseline, **kw):
         "interval_high": payload["interval_high"],
         "baseline_mean_ls": payload["baseline"]["mean_ls"] if payload["baseline"] else None,
     }
-    columns = ["season", "mode", "kappa", "eta", "mean_ls",
-               "interval_low", "interval_high", "baseline_mean_ls"]
-    _emit(payload, [row], columns, cfg.output_format)
+    _emit(payload, [row], list(row), cfg.output_format)
 
 
 @main.command("sweep")
 @click.argument("input_path", type=click.Path())
 @_model_options
-@click.option("--eval-window", type=click.Choice(["second-half", "full"]),
-              default="second-half", show_default=True)
+@_EVAL_WINDOW_OPTION
 @click.option("--eta-grid", default="0.3", show_default=True,
               help="Comma-separated home-advantage values.")
 @click.option("--kappa-grid", default="0.7", show_default=True,
@@ -490,10 +498,9 @@ def cmd_evaluate(input_path, eval_window, baseline, **kw):
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Accepted and ignored: one pass over the season evaluates every cell.")
 @_handle_errors
-def cmd_sweep(input_path, eval_window, eta_grid, kappa_grid, modes, jobs, **kw):
+def cmd_sweep(input_path, eta_grid, kappa_grid, modes, jobs, **kw):
     """Evaluate a grid of (mode, kappa, eta) cells over one season."""
     cfg = _make_config("sweep", input_path, **kw)
-    cfg.eval_window = eval_window
     try:
         etas = [float(x) for x in eta_grid.split(",") if x.strip() != ""]
         kappas = [float(x) for x in kappa_grid.split(",") if x.strip() != ""]
@@ -521,6 +528,8 @@ def cmd_sweep(input_path, eval_window, eta_grid, kappa_grid, modes, jobs, **kw):
 def cmd_fit(input_path, max_iters, tol, ridge, **kw):
     """Batch maximum-likelihood fit of the ratings on a full game list."""
     cfg = _make_config("fit", input_path, **kw)
+    with _usage_errors():
+        check_fit_options(max_iters, tol, ridge)
     payload = run_fit(cfg, None, max_iters, tol, ridge)
     _emit(payload, payload["ratings"], ["team", "rating"], cfg.output_format)
     if not payload["converged"]:
@@ -552,6 +561,8 @@ def cmd_simulate(teams, spacing, rounds, seed, output, truth, **kw):
         raise click.UsageError("--teams must be at least 2")
     if rounds < 1:
         raise click.UsageError("--rounds must be at least 1")
+    if not math.isfinite(spacing):
+        raise click.UsageError(f"--spacing must be finite, got {spacing}")
     payload = run_simulate(cfg, teams, spacing, rounds, seed, output, truth)
     row = {k: payload[k] for k in ("output", "truth_file", "n_games", "n_teams", "seed")}
     _emit(payload, [row], list(row), cfg.output_format)
@@ -565,8 +576,7 @@ def cmd_stats(input_path, **kw):
     """Outcome frequencies and the implied draw parameter for a season file."""
     cfg = _make_config("stats", input_path, **kw)
     payload = run_stats(cfg)
-    columns = ["n_games", "p_home_bar", "p_away_bar", "p_draw_bar", "delta_bar", "kappa_bar"]
-    _emit(payload, [{k: payload[k] for k in columns}], columns, cfg.output_format)
+    _emit(payload, [{k: payload[k] for k in _STATS_COLUMNS}], _STATS_COLUMNS, cfg.output_format)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ The online side covers three modes:
 
 The classic update's logistic expected score is f_kappa at kappa = 0, and
 its implicit draw model is davidson at kappa = 2 and half the scale, so
-every mode is one update kappa plus one davidson prediction (kappa, sigma).
+every mode is one update kappa plus one davidson prediction (kappa, sigma);
+``mode_parameters`` is the one place that maps a mode to them.
 A season is compiled once into index arrays; ``run_online`` then advances
 the ratings of any number of configurations together, one vector step per
 run of games in which no team appears twice.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,11 +41,11 @@ from .models import (
     OutcomeProbs,
     apply_home_advantage,
     davidson_table,
+    davidson_triple,
     expected_score,
     expected_score_of,
     non_finite_difference,
     outcome_logp,
-    predict_probs,
 )
 
 
@@ -176,9 +177,25 @@ def rating_difference(
     return ratings.get(home, initial_rating) - ratings.get(away, initial_rating)
 
 
-def _update_kappa(config: EngineConfig) -> float:
-    """The update's f_kappa parameter: elo and elo-check use the logistic, f_0."""
-    return config.model.kappa if config.mode is UpdateMode.KAPPA_ELO else 0.0
+def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, float]:
+    """shift, step, update kappa, prediction sigma and prediction kappa of a mode.
+
+    Every mode updates by step * (s - f_kappa(v + shift)) at the update
+    kappa and predicts with davidson at the prediction (sigma, kappa).
+    kappa-elo uses the model's kappa for both.  elo and elo-check update
+    with the logistic expected score, f_0; elo predicts with the draw model
+    that update implies, davidson at kappa = 2 and half the scale, and
+    elo-check with check_kappa.
+    """
+    model = config.model
+    sigma = model.sigma
+    if config.mode is UpdateMode.KAPPA_ELO:
+        update_kappa, predict_sigma, predict_kappa = model.kappa, sigma, model.kappa
+    elif config.mode is UpdateMode.ELO:
+        update_kappa, predict_sigma, predict_kappa = 0.0, 0.5 * sigma, 2.0
+    else:
+        update_kappa, predict_sigma, predict_kappa = 0.0, sigma, config.check_kappa
+    return model.eta * sigma, config.k_tilde * sigma, update_kappa, predict_sigma, predict_kappa
 
 
 def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> RatingState:
@@ -190,34 +207,24 @@ def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> Rat
     ratings = state.ratings
     for player in (game.home_id, game.away_id):
         ratings.setdefault(player, config.initial_rating)
-    v = apply_home_advantage(
-        ratings[game.home_id] - ratings[game.away_id], config.model
-    )
+    shift, step, kappa, _, _ = mode_parameters(config)
+    v = (ratings[game.home_id] - ratings[game.away_id]) + shift
     if not math.isfinite(v):
         raise non_finite_difference(v)
-    k = config.k_tilde * config.model.sigma
     # f_kappa at the update kappa, as the float path of run_online computes it
-    f = expected_score_of(v, config.model.sigma, _update_kappa(config))
-    delta = k * (score_of(game.outcome, "home") - f)
+    f = expected_score_of(v, config.model.sigma, kappa)
+    delta = step * (score_of(game.outcome, "home") - f)
     ratings[game.home_id] += delta
     ratings[game.away_id] -= delta
     state.games_processed += 1
     return state
 
 
-def prediction_model(config: EngineConfig) -> ModelParams:
-    """The probability model a given mode predicts with."""
-    if config.mode is UpdateMode.KAPPA_ELO:
-        return replace(config.model, family=ModelFamily.DAVIDSON)
-    if config.mode is UpdateMode.ELO:
-        return replace(config.model, family=ModelFamily.ELO_IMPLICIT)
-    return replace(config.model, family=ModelFamily.DAVIDSON, kappa=config.check_kappa)
-
-
 def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> OutcomeProbs:
     """Outcome probabilities for a fixture under the current ratings."""
-    v = rating_difference(state, home, away, config.initial_rating)
-    return predict_probs(v, prediction_model(config))
+    shift, _, _, sigma, kappa = mode_parameters(config)
+    v = rating_difference(state, home, away, config.initial_rating) + shift
+    return OutcomeProbs(*davidson_triple(v, sigma, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +294,6 @@ class OnlineRun:
         return non_finite_difference(float(diffs[bad[0]])) if bad.size else None
 
 
-def _cell_params(config: EngineConfig) -> tuple[float, ...]:
-    """shift, step, sigma, update kappa, prediction sigma and kappa, initial rating.
-
-    elo predicts with elo-implicit, which is davidson at kappa = 2 and half
-    the scale.
-    """
-    model = config.model
-    if config.mode is UpdateMode.ELO:
-        predict_sigma, predict_kappa = 0.5 * model.sigma, 2.0
-    else:
-        predict_sigma, predict_kappa = model.sigma, prediction_model(config).kappa
-    return (model.eta * model.sigma, config.k_tilde * model.sigma, model.sigma,
-            _update_kappa(config), predict_sigma, predict_kappa, config.initial_rating)
-
-
 # Float updates (configurations x mean run length) from which one vector
 # step per run beats the float loop.  A vector step costs 25-40 us of numpy
 # calls whatever its size, the float loop 0.6-1 us per game and
@@ -324,10 +316,13 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     whose ratings stop being finite is not raised here: ``OnlineRun.error``
     reports it.
     """
-    params = np.array([_cell_params(c) for c in configs], dtype=float).reshape(len(configs), 7)
+    # per configuration: the mode's five parameters, the scale and the initial rating
+    params = np.array(
+        [(*mode_parameters(c), c.model.sigma, c.initial_rating) for c in configs], dtype=float
+    ).reshape(len(configs), 7)
     vectorize = len(configs) * season.mean_run >= MIN_VECTOR_GAMES
     diffs, deltas, ratings = (_step_runs if vectorize else _step_games)(season, params)
-    predict_sigma, predict_kappa = params.T[4:6, :, None]
+    predict_sigma, predict_kappa = params.T[3:5, :, None]
     with np.errstate(invalid="ignore", over="ignore"):
         probs = davidson_table(diffs, predict_sigma, predict_kappa)
     return OnlineRun(diffs=diffs, deltas=deltas, probs=probs, ratings=ratings)
@@ -335,7 +330,7 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
 
 def _step_runs(season: CompiledSeason, params: np.ndarray):
     """(diffs, deltas, final ratings), one vector step per run for all cells."""
-    shift, step, sigma, kappa, _, _, initial = params.T[:, :, None]
+    shift, step, kappa, _, _, sigma, initial = params.T[:, :, None]
     ratings = np.repeat(initial, len(season.players), axis=1)
     diffs = np.empty((len(params), len(season.home)))
     deltas = np.empty_like(diffs)
@@ -358,7 +353,7 @@ def _step_games(season: CompiledSeason, params: np.ndarray):
     diffs = np.empty((len(params), len(games)))
     deltas = np.empty_like(diffs)
     ratings = np.empty((len(params), len(season.players)))
-    for c, (shift, step, sigma, kappa, _, _, initial) in enumerate(params.tolist()):
+    for c, (shift, step, kappa, _, _, sigma, initial) in enumerate(params.tolist()):
         r = [initial] * len(season.players)
         cell_diffs, cell_deltas = [], []
         for h, a, s in games:
@@ -452,12 +447,7 @@ def nll_gradient(
     """Gradient of ``nll``; only a game's two participants get contributions."""
     home, away, (logp, slope, _) = _theta_terms(theta, games, model)
     if np.isneginf(logp).any():
-        i = int(np.argmin(logp))
-        g = games[i]
-        raise ZeroProbabilityError(
-            f"game {i} ({g.home_id} vs {g.away_id}): {model.family.value} model "
-            "assigns probability 0 to draws"
-        )
+        raise _zero_probability(games, logp)
     n = len(theta)
     grad = np.bincount(away, slope, n) - np.bincount(home, slope, n)
     return dict(zip(theta, grad.tolist()))
@@ -503,6 +493,16 @@ def _check_separable(players: list[str], beats: np.ndarray, linked: np.ndarray):
         )
 
 
+def check_fit_options(max_iters: int, tol: float, ridge: float):
+    """Raise ValueError, starting with the argument's name, unless ``batch_ml_fit`` takes these."""
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite real, got {tol}")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be a finite real >= 0, got {ridge}")
+
+
 def batch_ml_fit(
     games: Sequence[GameRecord],
     model: ModelParams,
@@ -527,10 +527,9 @@ def batch_ml_fit(
     The fit stops unconverged with ``"max-iters"`` after max_iters steps,
     or with ``"stalled"`` when 60 halvings find no acceptable step.
     """
+    check_fit_options(max_iters, tol, ridge)
     if not games:
         raise ValueError("cannot fit an empty game list")
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
     if model.family is ModelFamily.BINARY and any(g.outcome == "D" for g in games):
         raise ValueError(
             "binary family assigns probability 0 to draws; "

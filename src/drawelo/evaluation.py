@@ -195,7 +195,10 @@ def empirical_stats(games: Sequence[GameRecord]) -> EmpiricalStats:
 
 
 def implied_draw_freq(kappa: float) -> float:
-    """Draw frequency a draw parameter assumes between equal-rated sides: k/(2+k)."""
-    if kappa < 0:
+    """Draw frequency a draw parameter assumes between equal-rated sides: k/(2+k).
+
+    kappa = inf, the ``kappa_bar`` of an all-draw season, gives the limit 1.
+    """
+    if not kappa >= 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    return kappa / (2.0 + kappa)
+    return 1.0 if math.isinf(kappa) else kappa / (2.0 + kappa)

@@ -1,15 +1,16 @@
 """Closed-form outcome-probability models for win/draw/loss games.
 
 All models map a rating difference v = theta_home - theta_away to a
-normalized triple (p_home, p_away, p_draw).  Four families are provided:
+normalized triple (p_home, p_away, p_draw).  Four families are provided,
+three of them points of one davidson kernel:
 
-* ``binary``       -- plain logistic win/loss model, p_draw identically 0
-* ``elo-implicit`` -- the draw model implied by the classic Elo update:
-                      (F^2(v), F^2(-v), 2 F(v) F(-v)) with F the logistic cdf
+* ``davidson``     -- draw parameter kappa >= 0
+* ``binary``       -- plain logistic win/loss model, p_draw identically 0:
+                      davidson at kappa = 0
+* ``elo-implicit`` -- the draw model implied by the classic Elo update,
+                      (F^2(v), F^2(-v), 2 F(v) F(-v)) with F the logistic
+                      cdf: davidson at kappa = 2 and half the scale
 * ``threshold``    -- latent-variable model with a draw band of width 2*v0
-* ``davidson``     -- draw parameter kappa >= 0; kappa=0 recovers the binary
-                      model and kappa=2 recovers the elo-implicit model at
-                      twice the scale
 
 Everything here is a pure function of its arguments and safe to call from
 any thread.
@@ -17,6 +18,7 @@ any thread.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,6 +68,22 @@ class ModelParams:
         """Natural-log equivalent of the base-10 scale: sigma * log10(e)."""
         return self.sigma * LOG10_E
 
+    @functools.cached_property  # read on every prediction; the instance is frozen
+    def davidson_point(self) -> tuple[float, float] | None:
+        """The (sigma, kappa) at which the family is the davidson model.
+
+        binary is davidson at kappa = 0, and elo-implicit at kappa = 2 and
+        half the scale; threshold is no davidson model and gives None.
+        """
+        family = self.family
+        if family is ModelFamily.DAVIDSON:
+            return self.sigma, self.kappa
+        if family is ModelFamily.BINARY:
+            return self.sigma, 0.0
+        if family is ModelFamily.ELO_IMPLICIT:
+            return 0.5 * self.sigma, 2.0
+        return None
+
 
 @dataclass(frozen=True)
 class OutcomeProbs:
@@ -87,7 +105,7 @@ class OutcomeProbs:
 
 
 # ---------------------------------------------------------------------------
-# Core curves
+# The davidson triple and the families it covers
 # ---------------------------------------------------------------------------
 
 
@@ -101,20 +119,26 @@ def _check_finite(v: float):
         raise non_finite_difference(v)
 
 
-def logistic_cdf(v: float, sigma: float) -> float:
-    """Logistic cdf 1 / (1 + 10^(-v/sigma)).
+def davidson_triple(v: float, sigma: float, kappa: float) -> tuple[float, float, float]:
+    """Davidson (p_home, p_away, p_draw) at difference v, scale sigma, draw parameter kappa.
 
-    Evaluated through 10^(-|v|/sigma) only, so large |v| underflows to the
-    asymptotic limit instead of overflowing.
+    p_draw = kappa * sqrt(p_home * p_away).  All three terms are scaled by
+    10^(-|v|/2sigma) relative to the textbook form, so nothing overflows and
+    the unlikely side keeps its digits far out in the tail.
     """
     _check_finite(v)
+    z = 0.5 * v / sigma
+    u = 10.0 ** (-abs(z))
+    den = 1.0 + u * u + kappa * u
+    fav, unfav, draw = 1.0 / den, (u * u) / den, (kappa * u) / den
+    return (fav, unfav, draw) if z >= 0 else (unfav, fav, draw)
+
+
+def logistic_cdf(v: float, sigma: float) -> float:
+    """Logistic cdf 1 / (1 + 10^(-v/sigma)): davidson's p_home at kappa = 0."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a positive finite real, got {sigma}")
-    t = v / sigma
-    if t >= 0:
-        return 1.0 / (1.0 + 10.0 ** (-t))
-    u = 10.0 ** t
-    return u / (1.0 + u)
+    return davidson_triple(v, sigma, 0.0)[0]
 
 
 def f_kappa(v: float, params: ModelParams) -> float:
@@ -135,76 +159,40 @@ def expected_score_of(v: float, sigma: float, kappa: float) -> float:
     order, and a non-finite v gives nan or a limit rather than an error.
     """
     z = 0.5 * v / sigma
-    if z >= 0:
-        return _f_kappa_core(z, kappa)
-    return 1.0 - _f_kappa_core(-z, kappa)
-
-
-def _f_kappa_core(z: float, kappa: float) -> float:
-    # z >= 0; numerator and denominator both scaled by 10^-z so nothing
-    # overflows and the z=0 case is exactly one half.
-    u = 10.0 ** (-z)
-    return (1.0 + 0.5 * kappa * u) / (1.0 + u * u + kappa * u)
-
-
-# ---------------------------------------------------------------------------
-# Family probability triples
-# ---------------------------------------------------------------------------
+    u = 10.0 ** (-abs(z))
+    fav = (1.0 + 0.5 * kappa * u) / (1.0 + u * u + kappa * u)
+    return fav if z >= 0 else 1.0 - fav
 
 
 def davidson_probs(v: float, params: ModelParams) -> OutcomeProbs:
     """Draw-parameter model: p_draw = kappa * sqrt(p_home * p_away)."""
-    _check_finite(v)
-    z = 0.5 * v / params.sigma
-    if z >= 0:
-        p_win, p_loss, p_draw = _davidson_core(z, params.kappa)
-        return OutcomeProbs(p_home=p_win, p_away=p_loss, p_draw=p_draw)
-    p_win, p_loss, p_draw = _davidson_core(-z, params.kappa)
-    return OutcomeProbs(p_home=p_loss, p_away=p_win, p_draw=p_draw)
-
-
-def _davidson_core(z: float, kappa: float) -> tuple[float, float, float]:
-    # z >= 0; all three terms scaled by 10^-z relative to the textbook form.
-    u = 10.0 ** (-z)
-    den = 1.0 + u * u + kappa * u
-    return 1.0 / den, (u * u) / den, (kappa * u) / den
-
-
-def elo_implicit_probs(v: float, params: ModelParams) -> OutcomeProbs:
-    """The draw model the classic Elo update implements implicitly."""
-    p = logistic_cdf(v, params.sigma)
-    q = logistic_cdf(-v, params.sigma)
-    return OutcomeProbs(p_home=p * p, p_away=q * q, p_draw=2.0 * p * q)
-
-
-def threshold_probs(v: float, params: ModelParams) -> OutcomeProbs:
-    """Latent-difference model: a draw is a difference landing in [-v0, v0]."""
-    lo = logistic_cdf(v - params.v0, params.sigma)
-    hi = logistic_cdf(v + params.v0, params.sigma)
-    # hi - lo >= 0 mathematically; clamp the ~1 ulp cancellation noise
-    return OutcomeProbs(
-        p_home=lo,
-        p_away=logistic_cdf(-v - params.v0, params.sigma),
-        p_draw=max(hi - lo, 0.0),
-    )
+    return OutcomeProbs(*davidson_triple(v, params.sigma, params.kappa))
 
 
 def binary_probs(v: float, params: ModelParams) -> OutcomeProbs:
-    """Win/loss logistic model; draws carry probability exactly zero."""
-    p = logistic_cdf(v, params.sigma)
-    return OutcomeProbs(p_home=p, p_away=logistic_cdf(-v, params.sigma), p_draw=0.0)
+    """Win/loss logistic model, davidson at kappa = 0; draws carry probability 0."""
+    return OutcomeProbs(*davidson_triple(v, params.sigma, 0.0))
 
 
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
+def elo_implicit_probs(v: float, params: ModelParams) -> OutcomeProbs:
+    """The draw model the classic Elo update implements implicitly.
 
-_FAMILY_FUNCS = {
-    ModelFamily.BINARY: binary_probs,
-    ModelFamily.ELO_IMPLICIT: elo_implicit_probs,
-    ModelFamily.THRESHOLD: threshold_probs,
-    ModelFamily.DAVIDSON: davidson_probs,
-}
+    (F^2(v), F^2(-v), 2 F(v) F(-v)) with F the logistic cdf, which is
+    davidson at kappa = 2 and half the scale.
+    """
+    return OutcomeProbs(*davidson_triple(v, 0.5 * params.sigma, 2.0))
+
+
+def threshold_probs(v: float, params: ModelParams) -> OutcomeProbs:
+    """Latent-difference model: a draw is a difference landing in [-v0, v0].
+
+    Each cdf is davidson's p_home at kappa = 0, as in ``logistic_cdf``.
+    """
+    sigma, v0 = params.sigma, params.v0
+    lo = davidson_triple(v - v0, sigma, 0.0)[0]
+    hi = davidson_triple(v + v0, sigma, 0.0)[0]
+    # hi - lo >= 0 mathematically; clamp the ~1 ulp cancellation noise
+    return OutcomeProbs(lo, davidson_triple(-v - v0, sigma, 0.0)[0], max(hi - lo, 0.0))
 
 
 def apply_home_advantage(v: float, params: ModelParams) -> float:
@@ -214,7 +202,11 @@ def apply_home_advantage(v: float, params: ModelParams) -> float:
 
 def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
     """Home-advantage shift followed by the configured family's triple."""
-    return _FAMILY_FUNCS[params.family](apply_home_advantage(v, params), params)
+    v = apply_home_advantage(v, params)
+    point = params.davidson_point
+    if point is None:
+        return threshold_probs(v, params)
+    return OutcomeProbs(*davidson_triple(v, *point))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +268,10 @@ def davidson_logp(
     u = np.exp(-half)
     ku = kappa * u
     rest = u * u + ku
-    den = 1.0 + rest  # D * e^(-|t|/2), as in _davidson_core
+    den = 1.0 + rest  # D * e^(-|t|/2), as in davidson_triple
     log_kappa = math.log(kappa) if kappa > 0 else -math.inf
     logp = (s - 0.5) * t - half - np.log1p(rest) + np.where(s == 0.5, log_kappa, 0.0)
-    f_fav = (1.0 + 0.5 * ku) / den  # f_kappa(|v|), as in _f_kappa_core
+    f_fav = (1.0 + 0.5 * ku) / den  # f_kappa(|v|), as in expected_score_of
     f = np.where(t >= 0, f_fav, 1.0 - f_fav)
     slope = (s - f) / sigma_prime
     curvature = -(u * u + 0.25 * ku * (1.0 + u * u)) / (den * sigma_prime) ** 2
@@ -327,16 +319,9 @@ def threshold_logp(
 def outcome_logp(
     v: np.ndarray, s: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The configured family's kernel at shifted differences v and scores s.
-
-    binary is davidson at kappa = 0, and elo-implicit is davidson at
-    kappa = 2 and half the scale.
-    """
-    sp = params.sigma_prime
-    if params.family is ModelFamily.THRESHOLD:
-        return threshold_logp(v, s, sp, params.v0)
-    if params.family is ModelFamily.BINARY:
-        return davidson_logp(v, s, sp, 0.0)
-    if params.family is ModelFamily.ELO_IMPLICIT:
-        return davidson_logp(v, s, 0.5 * sp, 2.0)
-    return davidson_logp(v, s, sp, params.kappa)
+    """The configured family's kernel at shifted differences v and scores s."""
+    point = params.davidson_point
+    if point is None:
+        return threshold_logp(v, s, params.sigma_prime, params.v0)
+    sigma, kappa = point
+    return davidson_logp(v, s, sigma * LOG10_E, kappa)

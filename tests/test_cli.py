@@ -475,3 +475,22 @@ def test_invalid_parameter_is_a_usage_error_naming_the_option(runner, season_fil
 def test_nan_is_printed_as_null_or_empty():
     assert json.dumps(_round6({"x": math.nan, "y": [math.nan, 1.0]})) == '{"x": null, "y": [null, 1.0]}'
     assert _csv_cell(math.nan) == ""
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [(["fit", "missing.csv", "--ridge", "-1"], "--ridge"),
+     (["fit", "missing.csv", "--ridge", "nan"], "--ridge"),
+     (["fit", "missing.csv", "--tol", "nan"], "--tol"),
+     (["fit", "missing.csv", "--tol", "-1"], "--tol"),
+     (["fit", "missing.csv", "--max-iters", "-3"], "--max-iters"),
+     (["simulate", "--spacing", "nan", "-o", "out.csv"], "--spacing"),
+     (["simulate", "--spacing", "inf", "-o", "out.csv"], "--spacing")],
+)
+def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args, option):
+    # the input does not exist: reading it first would be a data error, exit 3
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args)
+        assert not Path("out.csv").exists()
+    assert result.exit_code == 2, result.output
+    assert option in result.stderr

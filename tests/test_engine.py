@@ -26,7 +26,7 @@ from drawelo.engine import (
 )
 from drawelo.evaluation import evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
-from drawelo.models import ModelFamily, ModelParams, logistic_cdf
+from drawelo.models import ModelFamily, ModelParams, davidson_probs, logistic_cdf
 from drawelo.sim import generate_schedule
 from oracles import finite_diff_gradient
 
@@ -638,3 +638,37 @@ def test_batch_fit_respects_home_advantage():
     assert plain.theta["A"] == pytest.approx(0.0, abs=1e-6)
     assert shifted.theta["A"] == pytest.approx(0.0, abs=1e-6)
     assert shifted.nll < plain.nll  # eta=0.3 explains two home wins better
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+def test_predict_classic_elo_is_exactly_davidson_at_half_scale(eta):
+    cfg = config(mode=UpdateMode.ELO, eta=eta)
+    implicit = ModelParams(sigma=SIGMA / 2, kappa=2.0)
+    state = RatingState(ratings={"A": 0.0, "B": 0.0})
+    for v in [i * 10.0 for i in range(-300, 301)]:
+        state.ratings["A"] = v
+        assert predict(state, "A", "B", cfg) == davidson_probs(v + eta * SIGMA, implicit)
+
+
+def test_nll_gradient_zero_probability_message_is_nll_s():
+    theta = {"A": 0.0, "B": 0.0}
+    games = [game("A", "B", "H"), game("A", "B", "D")]
+    model = fit_model(family=ModelFamily.BINARY)
+    with pytest.raises(ZeroProbabilityError) as from_nll:
+        nll(theta, games, model)
+    with pytest.raises(ZeroProbabilityError) as from_gradient:
+        nll_gradient(theta, games, model)
+    assert str(from_gradient.value) == str(from_nll.value)
+    assert "game 1 (A vs B)" in str(from_gradient.value)
+
+
+@pytest.mark.parametrize(
+    "kw,name",
+    [({"ridge": math.nan}, "ridge"), ({"ridge": -1.0}, "ridge"),
+     ({"tol": math.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
+     ({"max_iters": 0}, "max_iters")],
+)
+def test_batch_ml_fit_rejects_bad_options_by_name(kw, name):
+    games = [game("A", "B", "H"), game("B", "A", "H")]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        batch_ml_fit(games, fit_model(), **kw)

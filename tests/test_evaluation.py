@@ -228,3 +228,11 @@ def test_true_draw_parameter_beats_mismatched_ones():
     truth = mean_ls(kappa_true)
     assert mean_ls(0.2) - truth > 0.0
     assert mean_ls(2 * kappa_true) - truth > 0.0
+
+
+def test_implied_draw_freq_at_infinity_and_nan():
+    assert implied_draw_freq(math.inf) == 1.0
+    all_draws = empirical_stats(_season_with_draw_rate(10, 10))
+    assert implied_draw_freq(all_draws.kappa_bar) == all_draws.p_draw_bar == 1.0
+    with pytest.raises(ValueError, match="kappa"):
+        implied_draw_freq(math.nan)

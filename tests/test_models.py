@@ -11,6 +11,7 @@ from drawelo.models import (
     OutcomeProbs,
     apply_home_advantage,
     binary_probs,
+    davidson_logp,
     davidson_probs,
     elo_implicit_probs,
     f_kappa,
@@ -324,3 +325,35 @@ def test_logp_kernel_slope_and_curvature_match_the_scalar_derivative(family, kw)
             assert d1 == pytest.approx(dlogp_dv(x, outcome, p), rel=1e-9, abs=1e-15)
             fd = (dlogp_dv(x + h, outcome, p) - dlogp_dv(x - h, outcome, p)) / (2 * h)
             assert d2 == pytest.approx(fd, rel=1e-5, abs=1e-12 / SIGMA**2)
+
+
+# ---------------------------------------------------------------------------
+# binary and elo-implicit are points of the davidson kernel, bit for bit
+# ---------------------------------------------------------------------------
+
+IDENTITY_GRID_V = [i * 10.0 for i in range(-300, 301)]  # -3000 .. 3000 in steps of 10
+
+
+@pytest.mark.parametrize("sigma", [400.0, 600.0, 1000.0])
+def test_binary_and_elo_implicit_are_exact_davidson_points(sigma):
+    model = ModelParams(sigma=sigma)
+    at_zero = ModelParams(sigma=sigma, kappa=0.0)
+    at_two = ModelParams(sigma=sigma / 2, kappa=2.0)
+    for v in IDENTITY_GRID_V:
+        assert binary_probs(v, model) == davidson_probs(v, at_zero)
+        assert elo_implicit_probs(v, model) == davidson_probs(v, at_two)
+
+
+@pytest.mark.parametrize(
+    "family,kappa,scale",
+    [(ModelFamily.BINARY, 0.0, 1.0), (ModelFamily.ELO_IMPLICIT, 2.0, 0.5)],
+)
+def test_outcome_logp_is_davidson_logp_at_the_mapped_point(family, kappa, scale):
+    v = np.repeat(np.array(IDENTITY_GRID_V), 3)
+    s = np.tile([1.0, 0.5, 0.0], len(IDENTITY_GRID_V))
+    model = params(family=family, kappa=0.7)
+    with np.errstate(divide="ignore"):
+        got = outcome_logp(v, s, model)
+        want = davidson_logp(v, s, scale * model.sigma_prime, kappa)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
