@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import click
@@ -41,7 +41,7 @@ from .evaluation import (
     evaluate_cells,
     evaluate_scores,
     log_score,
-    score_games,
+    score_games,  # unused here; perfbench/layers.py traces it by its name in this module
     zero_probability,
 )
 from .models import ModelFamily, ModelParams
@@ -53,8 +53,9 @@ class RunConfig:
     """One command invocation's parameters.
 
     Every field after ``input_path`` is a command-line option of the same
-    name, and its default is the option's default.  ``mode`` and ``family``
-    also accept their enum values as strings.
+    name on the commands that read it (``_COMMAND_FIELDS``), and its default
+    is the option's default.  ``mode`` and ``family`` also accept their enum
+    values as strings.
     """
 
     command: str
@@ -74,31 +75,17 @@ class RunConfig:
         self.mode = UpdateMode(self.mode)
         self.family = ModelFamily(self.family)
 
-    def model_params(self, eta: float | None = None, kappa: float | None = None) -> ModelParams:
+    def model_params(self) -> ModelParams:
         return ModelParams(
-            sigma=self.sigma,
-            kappa=self.kappa if kappa is None else kappa,
-            eta=self.eta if eta is None else eta,
-            v0=self.v0,
-            family=self.family,
+            sigma=self.sigma, kappa=self.kappa, eta=self.eta, v0=self.v0, family=self.family
         )
 
-    def engine_config(
-        self,
-        mode: UpdateMode | None = None,
-        eta: float | None = None,
-        kappa: float | None = None,
-        check_kappa: float | None = None,
-    ) -> EngineConfig:
-        mode = self.mode if mode is None else mode
-        update_kappa = self.kappa if kappa is None else kappa
-        if mode is not UpdateMode.KAPPA_ELO:
-            update_kappa = self.kappa  # update side ignores the grid kappa
+    def engine_config(self) -> EngineConfig:
         return EngineConfig(
-            model=self.model_params(eta=eta, kappa=update_kappa),
+            model=self.model_params(),
             k_tilde=self.k_tilde,
-            mode=mode,
-            check_kappa=self.check_kappa if check_kappa is None else check_kappa,
+            mode=self.mode,
+            check_kappa=self.check_kappa,
         )
 
 
@@ -108,12 +95,19 @@ def _plain(value):
 
 
 _DEFAULTS = {f.name: _plain(f.default) for f in fields(RunConfig)}
-# The RunConfig fields that parametrize the model or the engine, in RunConfig
-# order; every payload's "config" echoes them.
-_MODEL_FIELDS = [
-    f.name for f in fields(RunConfig)
-    if f.name in {g.name for g in fields(ModelParams) + fields(EngineConfig)}
-]
+_RATE_FIELDS = ("sigma", "k_tilde", "kappa", "eta", "check_kappa", "mode")
+_BATCH_FIELDS = ("sigma", "kappa", "eta", "v0", "family")
+# The RunConfig fields each command reads, in RunConfig order.  Each is an
+# option of the command, and "config" echoes them; evaluate reports
+# eval_window beside it.  Every command also takes --output-format.
+_COMMAND_FIELDS = {
+    "rate": _RATE_FIELDS,
+    "evaluate": _RATE_FIELDS + ("eval_window",),
+    "sweep": ("sigma", "k_tilde", "eval_window"),
+    "fit": _BATCH_FIELDS,
+    "simulate": _BATCH_FIELDS,
+    "stats": (),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +180,11 @@ def _handle_errors(f):
 # ---------------------------------------------------------------------------
 
 def _field_option(name: str, *decls: str, **kw):
-    """A click option that sets RunConfig's field ``name``, with the field's default."""
-    return click.option(*decls, name, default=_DEFAULTS[name], show_default=True, **kw)
+    """``name`` and a click option that sets RunConfig's field ``name``, with its default."""
+    return name, click.option(*decls, name, default=_DEFAULTS[name], show_default=True, **kw)
 
 
-_MODEL_OPTIONS = [
+_FIELD_OPTIONS = dict([
     _field_option("sigma", "--sigma", type=float, help="Rating scale."),
     _field_option("k_tilde", "--k-step", type=float,
                   help="Normalized update step; the absolute step is k-step * sigma."),
@@ -203,18 +197,20 @@ _MODEL_OPTIONS = [
     _field_option("mode", "--mode", type=click.Choice([m.value for m in UpdateMode]),
                   help="Online update / prediction mode."),
     _field_option("family", "--family", type=click.Choice([f.value for f in ModelFamily]),
-                  help="Probability model family (batch fitting and simulation)."),
+                  help="Probability model family."),
     _field_option("output_format", "--output-format", "-f", type=click.Choice(["json", "csv"])),
-]
-_EVAL_WINDOW_OPTION = _field_option(
-    "eval_window", "--eval-window", type=click.Choice(["second-half", "full"])
-)
+    _field_option("eval_window", "--eval-window", type=click.Choice(["second-half", "full"])),
+])
 
 
-def _model_options(f):
-    for option in reversed(_MODEL_OPTIONS):
-        f = option(f)
-    return f
+def _config_options(command: str):
+    """Decorate a command with the options of its fields, then --output-format."""
+    def decorate(f):
+        for name in reversed(_COMMAND_FIELDS[command] + ("output_format",)):
+            f = _FIELD_OPTIONS[name](f)
+        return f
+
+    return decorate
 
 
 @contextlib.contextmanager
@@ -241,18 +237,15 @@ def _make_config(command: str, input_path: str | None, **options) -> RunConfig:
 
 
 def _config_payload(cfg: RunConfig) -> dict:
-    return {name: _plain(getattr(cfg, name)) for name in _MODEL_FIELDS}
+    return {
+        name: _plain(getattr(cfg, name))
+        for name in _COMMAND_FIELDS[cfg.command] if name != "eval_window"
+    }
 
 
 # ---------------------------------------------------------------------------
 # Command implementations (pure, testable)
 # ---------------------------------------------------------------------------
-
-
-def _evaluate_dataset(dataset: Dataset, config: EngineConfig, window: str) -> EvalReport:
-    result = run_season(dataset.games, config, players=dataset.team_names)
-    scores = score_games(result.predictions, dataset.games)
-    return evaluate_scores(scores, window=window)
 
 
 def _evaluate_cells(
@@ -274,8 +267,10 @@ def _baseline_report(dataset: Dataset, window: tuple[int, int]) -> EvalReport:
     start, end = window
     missing = [i for i in range(start, end) if dataset.games[i].odds is None]
     if missing:
+        g = dataset.games[missing[0]]
         raise ValueError(
-            f"baseline requested but odds are missing on game(s) {missing}"
+            f"baseline requested but odds are missing on {len(missing)} game(s), "
+            f"first game {missing[0]} ({g.home_id} vs {g.away_id}, {g.date})"
         )
     scores = [
         log_score(odds_to_probs(*g.odds), g.outcome)
@@ -308,7 +303,9 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
 
 def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
     dataset = load_matches(cfg.input_path)
-    report = _evaluate_dataset(dataset, cfg.engine_config(), cfg.eval_window)
+    report, = _evaluate_cells(dataset, [cfg.engine_config()], cfg.eval_window)
+    if isinstance(report, Exception):
+        raise report
     payload = {
         "command": "evaluate",
         "input": cfg.input_path,
@@ -350,9 +347,8 @@ def run_sweep(
                        "eta": eta, "mean_ls": None, "interval_low": None,
                        "interval_high": None, "error": None}
                 try:
-                    configs[len(rows)] = cfg.engine_config(
-                        mode=mode, eta=eta, kappa=kappa, check_kappa=kappa
-                    )
+                    cell = replace(cfg, mode=mode, eta=eta, kappa=kappa, check_kappa=kappa)
+                    configs[len(rows)] = cell.engine_config()
                 except ValueError as exc:
                     row["error"] = str(exc)
                 rows.append(row)
@@ -448,7 +444,7 @@ def main():
 
 @main.command("rate")
 @click.argument("input_path", type=click.Path())
-@_model_options
+@_config_options("rate")
 @click.option("--trajectory", "trajectory_path", type=click.Path(), default=None,
               help="Write the per-game rating trajectory CSV here.")
 @_handle_errors
@@ -463,8 +459,7 @@ def cmd_rate(input_path, trajectory_path, **kw):
 
 @main.command("evaluate")
 @click.argument("input_path", type=click.Path())
-@_model_options
-@_EVAL_WINDOW_OPTION
+@_config_options("evaluate")
 @click.option("--baseline", is_flag=True, default=False,
               help="Also score the bookmaker probabilities over the same window.")
 @_handle_errors
@@ -487,13 +482,13 @@ def cmd_evaluate(input_path, baseline, **kw):
 
 @main.command("sweep")
 @click.argument("input_path", type=click.Path())
-@_model_options
-@_EVAL_WINDOW_OPTION
-@click.option("--eta-grid", default="0.3", show_default=True,
+@_config_options("sweep")
+@click.option("--eta-grid", default=str(_DEFAULTS["eta"]), show_default=True,
               help="Comma-separated home-advantage values.")
-@click.option("--kappa-grid", default="0.7", show_default=True,
-              help="Comma-separated draw-parameter values (sets check-kappa for elo-check cells).")
-@click.option("--modes", default="kappa-elo", show_default=True,
+@click.option("--kappa-grid", default=str(_DEFAULTS["kappa"]), show_default=True,
+              help="Comma-separated draw-parameter values: each cell's kappa, used to update "
+                   "and predict in kappa-elo, to predict in elo-check, and not at all in elo.")
+@click.option("--modes", default=_DEFAULTS["mode"], show_default=True,
               help="Comma-separated update modes.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Accepted and ignored: one pass over the season evaluates every cell.")
@@ -517,7 +512,7 @@ def cmd_sweep(input_path, eta_grid, kappa_grid, modes, jobs, **kw):
 
 @main.command("fit")
 @click.argument("input_path", type=click.Path())
-@_model_options
+@_config_options("fit")
 @click.option("--max-iters", type=int, default=5000, show_default=True,
               help="Most Newton steps to take.")
 @click.option("--tol", type=float, default=1e-6, show_default=True,
@@ -543,7 +538,7 @@ def cmd_fit(input_path, max_iters, tol, ridge, **kw):
 
 
 @main.command("simulate")
-@_model_options
+@_config_options("simulate")
 @click.option("--teams", type=int, default=20, show_default=True)
 @click.option("--spacing", type=float, default=0.1, show_default=True,
               help="True-rating gap between adjacent teams, in units of sigma.")
@@ -570,7 +565,7 @@ def cmd_simulate(teams, spacing, rounds, seed, output, truth, **kw):
 
 @main.command("stats")
 @click.argument("input_path", type=click.Path())
-@_model_options
+@_config_options("stats")
 @_handle_errors
 def cmd_stats(input_path, **kw):
     """Outcome frequencies and the implied draw parameter for a season file."""

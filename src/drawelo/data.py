@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
@@ -46,8 +47,8 @@ class GameRecord:
             raise ValueError(f"home and away must differ, got {self.home_id!r} twice")
         if self.outcome not in OUTCOMES:
             raise ValueError(f"outcome must be one of {OUTCOMES}, got {self.outcome!r}")
-        if self.odds is not None and any(o <= 1.0 for o in self.odds):
-            raise ValueError(f"decimal odds must all exceed 1, got {self.odds}")
+        if self.odds is not None and not all(math.isfinite(o) and o > 1.0 for o in self.odds):
+            raise ValueError(f"decimal odds must all be finite and exceed 1, got {self.odds}")
 
 
 @dataclass
@@ -98,9 +99,7 @@ def _parse_odds(row: dict[str, str], line: int) -> tuple[float, float, float] | 
         odds = tuple(float(c) for c in cells)
     except ValueError:
         raise RowError(f"unparseable odds {cells}", line) from None
-    if any(o <= 1.0 for o in odds):
-        raise RowError(f"decimal odds must all exceed 1, got {odds}", line)
-    return odds
+    return odds  # GameRecord checks the values; parse_matches names the line
 
 
 def parse_matches(source: str | TextIO) -> Dataset:

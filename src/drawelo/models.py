@@ -186,13 +186,16 @@ def elo_implicit_probs(v: float, params: ModelParams) -> OutcomeProbs:
 def threshold_probs(v: float, params: ModelParams) -> OutcomeProbs:
     """Latent-difference model: a draw is a difference landing in [-v0, v0].
 
-    Each cdf is davidson's p_home at kappa = 0, as in ``logistic_cdf``.
+    Each cdf F is davidson's p_home at kappa = 0, as in ``logistic_cdf``.
+    p_draw = F(v + v0) - F(v - v0) takes ``threshold_logp``'s product form
+    (1 - 10^(-2 v0 / sigma)) F(v + v0) F(v0 - v), which keeps its digits.
     """
     sigma, v0 = params.sigma, params.v0
-    lo = davidson_triple(v - v0, sigma, 0.0)[0]
-    hi = davidson_triple(v + v0, sigma, 0.0)[0]
-    # hi - lo >= 0 mathematically; clamp the ~1 ulp cancellation noise
-    return OutcomeProbs(lo, davidson_triple(-v - v0, sigma, 0.0)[0], max(hi - lo, 0.0))
+    home, away, band_high, band_low = (
+        davidson_triple(x, sigma, 0.0)[0] for x in (v - v0, -v - v0, v + v0, v0 - v)
+    )
+    band = -math.expm1(-2.0 * v0 / params.sigma_prime)
+    return OutcomeProbs(home, away, band * band_high * band_low)
 
 
 def apply_home_advantage(v: float, params: ModelParams) -> float:

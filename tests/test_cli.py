@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -177,10 +179,25 @@ def test_evaluate_baseline_from_odds(runner, tmp_path):
     assert payload["baseline"]["mean_ls"] == pytest.approx(math.log(2), abs=1e-5)
 
 
-def test_evaluate_baseline_missing_odds_is_a_data_error(runner, toy_file):
+def test_evaluate_baseline_missing_odds_is_a_data_error(runner, toy_file, season_file):
     result = runner.invoke(main, ["evaluate", str(toy_file), "--baseline"])
     assert result.exit_code == 3
     assert "odds" in result.stderr
+    assert "2 game(s), first game 1 (A vs B, 2021-08-02)" in result.stderr
+    # a count and one game, not every index of the window
+    result = runner.invoke(main, ["evaluate", str(season_file), "--baseline"])
+    assert result.exit_code == 3
+    assert "odds are missing on 190 game(s)" in result.stderr
+    assert len(result.stderr) < 200
+
+
+def test_evaluate_baseline_non_finite_odds_name_their_line(runner, tmp_path):
+    path = tmp_path / "odds.csv"
+    path.write_text("Date,HomeTeam,AwayTeam,FTR,B365H,B365D,B365A\n"
+                    "01/09/2021,A,B,H,2.0,4.0,4.0\n02/09/2021,B,A,D,2.0,nan,4.0\n")
+    result = runner.invoke(main, ["evaluate", str(path), "--baseline"])
+    assert result.exit_code == 3
+    assert "line 3" in result.stderr and "odds" in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +259,7 @@ def test_sweep_matches_the_scalar_oracle(vectorize, case, kappas, etas, modes):
     cells = [(mode, kappa, eta) for mode in modes for kappa in kappas for eta in etas]
     assert len(rows) == len(cells)
     for row, (mode, kappa, eta) in zip(rows, cells):
-        cell = cfg.engine_config(mode=mode, eta=eta, kappa=kappa, check_kappa=kappa)
+        cell = replace(cfg, mode=mode, eta=eta, kappa=kappa, check_kappa=kappa).engine_config()
         _, predictions, _ = oracles.run_season(games, cell, dataset.team_names)
         scores = oracles.log_scores(predictions, games) if games else None
         if scores is None:
@@ -298,6 +315,17 @@ def test_sweep_invalid_grid_value_is_a_cell_error(runner, season_file):
     bad, good = json.loads(result.stdout)["cells"]
     assert bad["error"].startswith("kappa must be") and bad["mean_ls"] is None
     assert good["error"] is None and good["mean_ls"] > 0
+
+
+def test_sweep_grid_kappa_is_each_cells_kappa_in_every_mode(runner, season_file):
+    # elo ignores the grid kappa and elo-check predicts with it, but in every
+    # mode it is the cell's kappa, checked as kappa
+    result = runner.invoke(main, ["sweep", str(season_file), "--kappa-grid", "-1,nan",
+                                  "--modes", "elo,elo-check"])
+    assert result.exit_code == 0, result.output
+    cells = json.loads(result.stdout)["cells"]
+    assert len(cells) == 4
+    assert all(c["error"].startswith("kappa must be") for c in cells)
 
 
 def test_sweep_empty_season_gives_error_rows(runner, tmp_path):
@@ -462,7 +490,7 @@ def test_bad_grid_is_a_usage_error(runner, season_file):
 
 @pytest.mark.parametrize(
     "option,value",
-    [("--kappa", "nan"), ("--kappa", "-1"), ("--eta", "inf"), ("--v0", "nan"),
+    [("--kappa", "nan"), ("--kappa", "-1"), ("--eta", "inf"),
      ("--check-kappa", "nan"), ("--k-step", "-1")],
 )
 def test_invalid_parameter_is_a_usage_error_naming_the_option(runner, season_file, option, value):
@@ -485,7 +513,8 @@ def test_nan_is_printed_as_null_or_empty():
      (["fit", "missing.csv", "--tol", "-1"], "--tol"),
      (["fit", "missing.csv", "--max-iters", "-3"], "--max-iters"),
      (["simulate", "--spacing", "nan", "-o", "out.csv"], "--spacing"),
-     (["simulate", "--spacing", "inf", "-o", "out.csv"], "--spacing")],
+     (["simulate", "--spacing", "inf", "-o", "out.csv"], "--spacing"),
+     (["fit", "missing.csv", "--v0", "nan"], "--v0")],
 )
 def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args, option):
     # the input does not exist: reading it first would be a data error, exit 3
@@ -494,3 +523,66 @@ def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args,
         assert not Path("out.csv").exists()
     assert result.exit_code == 2, result.output
     assert option in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# options: each command takes the RunConfig fields it reads
+# ---------------------------------------------------------------------------
+
+RATE_OPTIONS = ["--sigma", "--k-step", "--kappa", "--eta", "--check-kappa", "--mode"]
+BATCH_OPTIONS = ["--sigma", "--kappa", "--eta", "--v0", "--family"]
+COMMAND_OPTIONS = {
+    "rate": RATE_OPTIONS + ["--output-format", "--trajectory"],
+    "evaluate": RATE_OPTIONS + ["--eval-window", "--output-format", "--baseline"],
+    "sweep": ["--sigma", "--k-step", "--eval-window", "--output-format",
+              "--eta-grid", "--kappa-grid", "--modes", "--jobs"],
+    "fit": BATCH_OPTIONS + ["--output-format", "--max-iters", "--tol", "--ridge"],
+    "simulate": BATCH_OPTIONS + ["--output-format", "--teams", "--spacing", "--rounds",
+                                 "--seed", "--output", "--truth"],
+    "stats": ["--output-format"],
+}
+# a valid value for the option of every RunConfig field but output_format
+FIELD_VALUES = {"--sigma": "600", "--k-step": "0.1", "--kappa": "1", "--eta": "0.1",
+                "--check-kappa": "1", "--v0": "1", "--mode": "elo", "--family": "threshold",
+                "--eval-window": "full"}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_help_lists_exactly_the_options_a_command_reads(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    listed = re.findall(r"^  (?:-\w, )?(--[\w-]+)", result.stdout, flags=re.MULTILINE)
+    assert listed == COMMAND_OPTIONS[command] + ["--help"]
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command, options in COMMAND_OPTIONS.items()
+    for option in FIELD_VALUES if option not in options
+])
+def test_options_a_command_does_not_read_are_usage_errors(runner, tmp_path, command, option):
+    args = ["-o", "out.csv"] if command == "simulate" else ["missing.csv"]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, [command, *args, option, FIELD_VALUES[option]])
+        assert not Path("out.csv").exists()
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.stderr and option in result.stderr
+
+
+@pytest.mark.parametrize("command,extra,config", [
+    ("rate", ["--mode", "elo"],
+     {"sigma": 600.0, "k_tilde": 0.125, "kappa": 0.7, "eta": 0.3, "check_kappa": 1.0,
+      "mode": "elo"}),
+    ("evaluate", ["--check-kappa", "2"],
+     {"sigma": 600.0, "k_tilde": 0.125, "kappa": 0.7, "eta": 0.3, "check_kappa": 2.0,
+      "mode": "kappa-elo"}),
+    ("simulate", ["--family", "threshold", "--v0", "100"],
+     {"sigma": 600.0, "kappa": 0.7, "eta": 0.3, "v0": 100.0, "family": "threshold"}),
+])
+def test_config_echoes_exactly_the_fields_a_command_reads(
+    runner, season_file, tmp_path, command, extra, config
+):
+    args = ["-o", str(tmp_path / "sim.csv")] if command == "simulate" else [str(season_file)]
+    result = runner.invoke(main, [command, *args, *extra])
+    assert result.exit_code == 0, result.output
+    echoed = json.loads(result.stdout)["config"]
+    assert list(echoed.items()) == list(config.items())

@@ -116,6 +116,19 @@ def test_parse_bad_odds_are_row_errors():
         parse_matches(f"{HEADER}\n12/08/2017,A,B,H,x,4.5,6.5\n")
 
 
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_odds_are_rejected_where_they_are_read(column, bad):
+    cells = ["1.53", "4.5", "6.5"]
+    cells[column] = bad
+    text = f"{HEADER}\n12/08/2017,A,B,H,2.0,3.4,3.9\n13/08/2017,B,A,D,{','.join(cells)}\n"
+    with pytest.raises(RowError, match="line 3: decimal odds") as exc_info:
+        parse_matches(text)
+    assert exc_info.value.line == 3
+    with pytest.raises(ValueError, match="odds"):
+        game("A", "B", "H", odds=tuple(float(c) for c in cells))
+
 def test_parse_duplicate_fixture_same_date_accepted():
     text = "Date,HomeTeam,AwayTeam,FTR\n12/08/2017,A,B,H\n12/08/2017,A,B,D\n"
     dataset = parse_matches(text)

@@ -464,9 +464,8 @@ def test_gradient_matches_finite_differences(family, kw):
 def test_nll_and_gradient_match_the_scalar_oracle(data):
     family = data.draw(st.sampled_from(list(ModelFamily)))
     sigma = data.draw(st.floats(50.0, 2000.0))
-    # the oracle's threshold draw probability F(v + v0) - F(v - v0) loses
-    # digits when both terms are near 1, so v and v0 stay where it is exact
-    # to ~1e-13
+    # the oracle's threshold draw probability is threshold_probs, whose
+    # product form keeps its digits in the tails as the kernel's does
     model = ModelParams(
         sigma=sigma,
         kappa=data.draw(st.floats(0.01, 5.0)),

@@ -169,6 +169,14 @@ def test_threshold_examples():
     assert probs.p_draw == pytest.approx(1 - 0.5 - 1 / 11, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("v", [3000.0, -3000.0, 6000.0, -6000.0, 12000.0, -12000.0])
+def test_threshold_draw_probability_keeps_its_digits_in_the_tails(v):
+    model = params(v0=150.0, family=ModelFamily.THRESHOLD)
+    logp = outcome_logp(np.array([v]), np.array([0.5]), model)[0][0]
+    assert threshold_probs(v, model).p_draw == pytest.approx(math.exp(logp), rel=1e-12, abs=0)
+
+
 ALL_FAMILIES = (
     [("davidson", params(kappa=k), davidson_probs) for k in KAPPAS]
     + [("elo-implicit", params(), elo_implicit_probs)]
