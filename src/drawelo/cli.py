@@ -281,15 +281,22 @@ def _baseline_report(dataset: Dataset, window: tuple[int, int]) -> EvalReport:
 
 def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
     dataset = load_matches(cfg.input_path)
-    result = run_season(dataset.games, cfg.engine_config(), players=dataset.team_names)
+    config = cfg.engine_config()
+    result = run_season(dataset.games, config, players=dataset.team_names)
     ratings = sorted(result.state.ratings.items(), key=lambda kv: (-kv[1], kv[0]))
     if trajectory_path:
-        teams = result.trajectory.players  # dataset.team_names, in order
+        # One cached "team,rating\n" cell per team, the name quoted by
+        # csv.writer: a game re-formats only the two cells it moves and
+        # writes "idx," before every cell.
+        names = [_rows_to_csv([], [team, ""])[:-1] for team in result.trajectory.players]
+        cells = [f"{name}{config.initial_rating:.6g}\n" for name in names]
         with open(trajectory_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["game_index", "team", "rating"])
-            for idx, after in enumerate(result.trajectory.running(), start=1):
-                writer.writerows((idx, team, f"{r:.6g}") for team, r in zip(teams, after))
+            fh.write("game_index,team,rating\n")
+            for idx, (h, home, a, away) in enumerate(result.trajectory.moves(), start=1):
+                cells[h] = f"{names[h]}{home:.6g}\n"
+                cells[a] = f"{names[a]}{away:.6g}\n"
+                prefix = f"{idx},"
+                fh.write(prefix + prefix.join(cells))
     return {
         "command": "rate",
         "input": cfg.input_path,

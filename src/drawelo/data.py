@@ -2,8 +2,11 @@
 
 Required columns: Date, HomeTeam, AwayTeam, FTR (H/D/A).  The Bet365 odds
 columns B365H, B365D, B365A are picked up when present; everything else is
-ignored.  Dates are day-first with 2- or 4-digit years, both of which occur
-in the source files.
+ignored.  Dates are day first, d/m/y: 1- or 2-digit day and month, 2- or
+4-digit year (both occur in the source files), 2-digit years 69-99 read as
+19xx and 00-68 as 20xx.  ``rate --trajectory`` writes ``game_index,team,rating``
+rows, one per team per game, ratings to 6 significant digits, team names
+quoted only where CSV needs it.
 """
 
 from __future__ import annotations
@@ -83,6 +86,17 @@ class Dataset:
 
 
 def _parse_date(text: str, line: int) -> dt.date:
+    parts = text.split("/")
+    if len(parts) == 3 and text.isascii():  # the usual d/m/y form, parsed by hand
+        d, m, y = parts
+        if len(d) <= 2 and len(m) <= 2 and len(y) in (2, 4) and (d + m + y).isdigit():
+            try:
+                year = int(y)
+                if len(y) == 2:
+                    year += 1900 if year >= 69 else 2000  # strptime's %y pivot
+                return dt.date(year, int(m), int(d))
+            except ValueError:
+                pass  # empty day or month, or no such date: strptime gives the error
     for fmt in _DATE_FORMATS:
         try:
             return dt.datetime.strptime(text, fmt).date()
@@ -91,8 +105,7 @@ def _parse_date(text: str, line: int) -> dt.date:
     raise RowError(f"unparseable date {text!r}", line)
 
 
-def _parse_odds(row: dict[str, str], line: int) -> tuple[float, float, float] | None:
-    cells = [(row.get(c) or "").strip() for c in ODDS_COLUMNS]  # short rows give None
+def _parse_odds(cells: list[str], line: int) -> tuple[float, float, float] | None:
     if any(c == "" for c in cells):
         return None
     try:
@@ -107,36 +120,38 @@ def parse_matches(source: str | TextIO) -> Dataset:
 
     Games are sorted by date, preserving file order within a date (the
     files themselves do not record kick-off order).  Duplicate fixtures on
-    the same date are accepted; cup replays exist.
+    the same date are accepted; cup replays exist.  As with DictReader, the
+    last of a repeated column wins and a row's cells past the header are
+    ignored, missing ones empty.
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline="")
-    reader = csv.DictReader(source)
-    header = reader.fieldnames or []
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    reader = csv.reader(source)
+    column = {name: i for i, name in enumerate(next(reader, []))}
+    missing = [c for c in REQUIRED_COLUMNS if c not in column]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+    date_i, home_i, away_i, ftr_i = (column[c] for c in REQUIRED_COLUMNS)
+    odds_i = [column[c] for c in ODDS_COLUMNS] if all(c in column for c in ODDS_COLUMNS) else []
+    width = max(column.values()) + 1
 
     games: list[GameRecord] = []
     for row in reader:
         line = reader.line_num
-        date_cell = (row.get("Date") or "").strip()
-        home = (row.get("HomeTeam") or "").strip()
-        away = (row.get("AwayTeam") or "").strip()
-        outcome = (row.get("FTR") or "").strip()
-        if not any((date_cell, home, away, outcome)):
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        date_cell = row[date_i].strip()
+        home = row[home_i].strip()
+        away = row[away_i].strip()
+        outcome = row[ftr_i].strip()
+        if not (date_cell or home or away or outcome):
             continue  # blank line
         if outcome not in OUTCOMES:
             raise RowError(f"FTR must be one of {OUTCOMES}, got {outcome!r}", line)
         date = _parse_date(date_cell, line)
+        odds = _parse_odds([row[i].strip() for i in odds_i], line) if odds_i else None
         try:
-            record = GameRecord(
-                date=date,
-                home_id=home,
-                away_id=away,
-                outcome=outcome,
-                odds=_parse_odds(row, line),
-            )
+            record = GameRecord(date=date, home_id=home, away_id=away, outcome=outcome, odds=odds)
         except ValueError as exc:
             raise RowError(str(exc), line) from None
         games.append(record)
@@ -173,7 +188,8 @@ def serialize_matches(dataset: Dataset) -> str:
     header = list(REQUIRED_COLUMNS) + (list(ODDS_COLUMNS) if with_odds else [])
     writer.writerow(header)
     for g in dataset.games:
-        row = [g.date.strftime("%d/%m/%Y"), g.home_id, g.away_id, g.outcome]
+        d = g.date
+        row = [f"{d.day:02d}/{d.month:02d}/{d.year:04d}", g.home_id, g.away_id, g.outcome]
         if with_odds:
             row += [repr(o) for o in g.odds] if g.odds is not None else ["", "", ""]
         writer.writerow(row)

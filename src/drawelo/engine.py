@@ -102,16 +102,28 @@ class Trajectory(Sequence):
         self._deltas = deltas
         self._initial = initial_rating
 
-    def running(self) -> Iterator[list[float]]:
-        """Every player's rating after each game, in ``players`` order.
+    def moves(self) -> Iterator[tuple[int, float, int, float]]:
+        """Each game's home index and rating after it, then the away side's.
 
-        The same list is yielded each time, updated in place.
+        Indices are positions in ``players``; every other player keeps the
+        rating it had after the previous game.
         """
         ratings = [self._initial] * len(self.players)
         season = self._season
         for h, a, d in zip(season.home.tolist(), season.away.tolist(), self._deltas.tolist()):
             ratings[h] += d
             ratings[a] -= d
+            yield h, ratings[h], a, ratings[a]
+
+    def running(self) -> Iterator[list[float]]:
+        """Every player's rating after each game, in ``players`` order.
+
+        The same list is yielded each time, updated in place.
+        """
+        ratings = [self._initial] * len(self.players)
+        for h, home, a, away in self.moves():
+            ratings[h] = home
+            ratings[a] = away
             yield ratings
 
     def __len__(self) -> int:

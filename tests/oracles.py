@@ -5,6 +5,9 @@ scans, raw formula evaluation, per-game loops over the scalar probability
 formulas) and shares no code with the implementations it verifies.
 """
 
+import csv
+import datetime as dt
+import io
 import math
 from dataclasses import replace
 
@@ -162,3 +165,24 @@ def near_min_intervals(values, rtol, level=0.95):
     shortest = min(high - low for low, high in windows)
     slack = rtol * max(1.0, max(abs(v) for v in ordered))
     return [(low, high) for low, high in windows if high - low <= shortest + slack]
+
+
+def parse_date(text):
+    """A day-first date by strptime, 4-digit year tried first; None if neither matches."""
+    for fmt in ("%d/%m/%Y", "%d/%m/%y"):
+        try:
+            return dt.datetime.strptime(text, fmt).date()
+        except ValueError:
+            continue
+    return None
+
+
+def trajectory_csv(trajectory):
+    """The ``rate --trajectory`` file: csv.writer, one row per team per snapshot."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["game_index", "team", "rating"])
+    for idx, snapshot in enumerate(trajectory, start=1):
+        for team, rating in snapshot.items():
+            writer.writerow([idx, team, f"{rating:.6g}"])
+    return buf.getvalue()

@@ -102,13 +102,33 @@ def test_rate_trajectory_file_matches_the_snapshots(season_file, tmp_path):
     assert traj.read_text().splitlines() == expected
 
 
+def test_rate_trajectory_quotes_names_as_csv_writer_does(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text(
+        f"{HEADER}\n"
+        '01/08/2021,"Team, United","B ""b""",H\n'
+        '02/08/2021,Plain,"Team, United",D\n'
+        '03/08/2021,"B ""b""","Line\nBreak",A\n'
+        '04/08/2021,Plain,"B ""b""",H\n'
+    )
+    traj = tmp_path / "trajectory.csv"
+    cfg = RunConfig(command="rate", input_path=str(path))
+    run_rate(cfg, str(traj))
+    dataset = load_matches(path)
+    assert dataset.team_names == ["Team, United", 'B "b"', "Plain", "Line\nBreak"]
+    result = run_season(dataset.games, cfg.engine_config(), players=dataset.team_names)
+    assert traj.read_bytes() == oracles.trajectory_csv(result.trajectory).encode()
+
+
 def test_rate_empty_input_warns_and_succeeds(runner, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(HEADER + "\n")
-    result = runner.invoke(main, ["rate", str(empty)])
+    traj = tmp_path / "trajectory.csv"
+    result = runner.invoke(main, ["rate", str(empty), "--trajectory", str(traj)])
     assert result.exit_code == 0
     assert "no games" in result.stderr
     assert json.loads(result.stdout)["ratings"] == []
+    assert traj.read_bytes() == b"game_index,team,rating\n"
 
 
 def test_rate_json_and_csv_agree(runner, season_file):

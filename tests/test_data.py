@@ -2,13 +2,15 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import game
 from drawelo.data import (
     Dataset,
     GameRecord,
+    _parse_date,
     load_matches,
     odds_to_probs,
     parse_matches,
@@ -37,6 +39,46 @@ def test_parse_two_digit_years():
     dataset = parse_matches("Date,HomeTeam,AwayTeam,FTR\n25/12/97,A,B,D\n01/01/17,C,D,A\n")
     assert dataset.games[0].date == dt.date(1997, 12, 25)
     assert dataset.games[1].date == dt.date(2017, 1, 1)
+
+
+# cells from which the hand-parsed form and its near misses are built: ASCII
+# digits, signs and spaces that int() would accept, and a non-ASCII digit
+# that strptime's \d matches
+_DATE_CHARS = "0123456789/ +-\u0661"
+_DATE_PART = st.text("0123456789", min_size=1, max_size=5) | st.text(
+    _DATE_CHARS.replace("/", ""), max_size=5
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(_DATE_CHARS, max_size=12)
+    | st.builds("/".join, st.lists(_DATE_PART, min_size=2, max_size=4))
+)
+@example("31/02/2001")
+@example("29/02/1900")
+@example("29/02/2000")
+@example("0/1/2001")
+@example("1/13/2001")
+@example("001/1/2001")
+@example("1/1/999")
+@example("1/1/0000")
+@example("01/01/68")
+@example("01/01/69")
+@example("1/1/20001")
+@example(" 1/1/2001")
+@example("1/1/+001")
+@example("\u0661/1/2001")
+@example("1\u0661/1/2001")
+def test_parse_date_agrees_with_strptime(text):
+    want = oracles.parse_date(text)
+    if want is None:
+        with pytest.raises(RowError) as exc_info:
+            _parse_date(text, 7)
+        assert str(exc_info.value) == f"line 7: unparseable date {text!r}"
+        assert exc_info.value.line == 7
+    else:
+        assert _parse_date(text, 7) == want
 
 
 def test_parse_header_only():
@@ -78,6 +120,31 @@ def test_parse_realistic_source_layout():
 def test_parse_extra_columns_ignored():
     text = "Div,Date,HomeTeam,AwayTeam,FTHG,FTAG,FTR\nE0,12/08/2017,A,B,4,3,H\n"
     assert parse_matches(text).games[0].outcome == "H"
+
+
+def test_parse_duplicated_column_last_one_wins():
+    text = "Date,HomeTeam,AwayTeam,FTR,FTR\n12/08/2017,A,B,X,D\n"
+    assert parse_matches(text).games[0].outcome == "D"
+
+
+def test_parse_cells_past_the_header_are_ignored():
+    text = "Date,HomeTeam,AwayTeam,FTR\n12/08/2017,A,B,H,4,3,extra\n"
+    g = parse_matches(text).games[0]
+    assert (g.home_id, g.away_id, g.outcome) == ("A", "B", "H")
+
+
+def test_parse_odds_columns_before_date():
+    text = "B365H,B365D,B365A,Date,HomeTeam,AwayTeam,FTR\n1.53,4.5,6.5,12/08/2017,A,B,H\n"
+    g = parse_matches(text).games[0]
+    assert g.odds == (1.53, 4.5, 6.5)
+    assert g.date == dt.date(2017, 8, 12)
+
+
+def test_parse_row_error_after_a_blank_line_names_its_own_line():
+    text = "Date,HomeTeam,AwayTeam,FTR\n12/08/2017,A,B,H\n\n,,,\n13/08/2017,C,D,X\n"
+    with pytest.raises(RowError, match="line 5") as exc_info:
+        parse_matches(text)
+    assert exc_info.value.line == 5
 
 
 def test_parse_missing_required_column_is_schema_error():
@@ -165,6 +232,14 @@ def test_roundtrip_preserves_every_field():
     assert first.games == games
     assert second.games == first.games
     assert second.team_index == first.team_index
+
+
+@pytest.mark.parametrize("year", [50, 999, 1999])
+def test_roundtrip_keeps_years_below_1000(year):
+    games = [GameRecord(dt.date(year, 3, 4), "A", "B", "H")]
+    text = serialize_matches(Dataset(games=games))
+    assert text.splitlines()[1] == f"04/03/{year:04d},A,B,H"
+    assert parse_matches(text).games == games
 
 
 def test_simulated_season_flows_through_the_parser():
