@@ -6,7 +6,7 @@ logarithmic-score evaluation, football-data CSV ingestion, and a synthetic
 league simulator.
 """
 
-from .data import Dataset, GameRecord, load_matches, odds_to_probs, parse_matches, scheduling_vector, serialize_matches
+from .data import Dataset, GameRecord, load_matches, odds_to_probs, parse_matches, serialize_matches
 from .engine import (
     EngineConfig,
     FitResult,

@@ -42,6 +42,7 @@ from .evaluation import (
     evaluate_scores,
     log_score,
     score_games,  # unused here; perfbench/layers.py traces it by its name in this module
+    score_rows,
     zero_probability,
 )
 from .models import ModelFamily, ModelParams
@@ -251,9 +252,23 @@ def _config_payload(cfg: RunConfig) -> dict:
 def _evaluate_cells(
     dataset: Dataset, configs: list[EngineConfig], window: str
 ) -> list[EvalReport | Exception]:
-    """Each configuration's report from one pass over the season, or its cell's error."""
+    """Each configuration's report from one pass over the season, or its cell's error.
+
+    Float-side cells are scored one at a time in plain Python, vector-side
+    cells all at once on arrays.
+    """
     games = dataset.games
     run = run_online(compile_season(games, dataset.team_names), configs)
+    if not run.vectorized:
+        reports = []
+        for c in range(len(configs)):
+            try:
+                reports.append(
+                    run.error(c) or evaluate_scores(score_rows(run.probs[c], games), window)
+                )
+            except ValueError as exc:  # a zero probability, or no games to score
+                reports.append(exc)
+        return reports
     scores = cell_log_scores(run.probs, games)
     errors = [run.error(c) or zero_probability(scores[c], games) for c in range(len(configs))]
     try:
@@ -290,7 +305,7 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
         # writes "idx," before every cell.
         names = [_rows_to_csv([], [team, ""])[:-1] for team in result.trajectory.players]
         cells = [f"{name}{config.initial_rating:.6g}\n" for name in names]
-        with open(trajectory_path, "w", newline="") as fh:
+        with open(trajectory_path, "w", newline="", encoding="utf-8") as fh:
             fh.write("game_index,team,rating\n")
             for idx, (h, home, a, away) in enumerate(result.trajectory.moves(), start=1):
                 cells[h] = f"{names[h]}{home:.6g}\n"
@@ -409,10 +424,10 @@ def run_simulate(
         theta_true=theta_true, model=cfg.model_params(), rounds=rounds, seed=seed
     )
     dataset = generate_season(spec)
-    with open(output, "w", newline="") as fh:
+    with open(output, "w", newline="", encoding="utf-8") as fh:
         fh.write(serialize_matches(dataset))
     truth_path = truth or output + ".truth.csv"
-    with open(truth_path, "w", newline="") as fh:
+    with open(truth_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["team", "rating"])
         for name, value in theta_true.items():

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
-import numpy as np
-
 from .errors import RowError, SchemaError
 from .models import OutcomeProbs
 
@@ -213,20 +211,3 @@ def odds_to_probs(o_home: float, o_draw: float, o_away: float) -> OutcomeProbs:
     w_home, w_draw, w_away = 1.0 / o_home, 1.0 / o_draw, 1.0 / o_away
     total = w_home + w_draw + w_away
     return OutcomeProbs(p_home=w_home / total, p_away=w_away / total, p_draw=w_draw / total)
-
-
-def scheduling_vector(home_index: int, away_index: int, n_teams: int) -> np.ndarray:
-    """Signed indicator vector: +1 at home, -1 at away, 0 elsewhere.
-
-    Its inner product with a rating vector is the rating difference, which
-    also makes the origin ambiguity explicit: constant vectors map to 0.
-    """
-    if home_index == away_index:
-        raise ValueError("home and away indices must differ")
-    for idx in (home_index, away_index):
-        if not 0 <= idx < n_teams:
-            raise ValueError(f"index {idx} out of range for {n_teams} teams")
-    x = np.zeros(n_teams)
-    x[home_index] = 1.0
-    x[away_index] = -1.0
-    return x

@@ -14,9 +14,10 @@ The classic update's logistic expected score is f_kappa at kappa = 0, and
 its implicit draw model is davidson at kappa = 2 and half the scale, so
 every mode is one update kappa plus one davidson prediction (kappa, sigma);
 ``mode_parameters`` is the one place that maps a mode to them.
-A season is compiled once into index arrays; ``run_online`` then advances
+A season is compiled once into index lists; ``run_online`` then advances
 the ratings of any number of configurations together, one vector step per
-run of games in which no team appears twice.
+run of games in which no team appears twice, or, when that covers too few
+updates, game by game on plain floats without numpy.
 
 The batch side minimizes the negative log likelihood of a fixed game list
 by damped Newton steps on game arrays, pinning each connected group's
@@ -27,11 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .data import GameRecord
 from .errors import ConvergenceError, ZeroProbabilityError
@@ -47,6 +48,9 @@ from .models import (
     non_finite_difference,
     outcome_logp,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UpdateMode(str, Enum):
@@ -96,7 +100,7 @@ class Trajectory(Sequence):
     and a slice builds only the snapshots it returns.
     """
 
-    def __init__(self, season: CompiledSeason, deltas: np.ndarray, initial_rating: float):
+    def __init__(self, season: CompiledSeason, deltas: list[float], initial_rating: float):
         self.players = season.players
         self._season = season
         self._deltas = deltas
@@ -110,7 +114,7 @@ class Trajectory(Sequence):
         """
         ratings = [self._initial] * len(self.players)
         season = self._season
-        for h, a, d in zip(season.home.tolist(), season.away.tolist(), self._deltas.tolist()):
+        for h, a, d in zip(season.home, season.away, self._deltas):
             ratings[h] += d
             ratings[a] -= d
             yield h, ratings[h], a, ratings[a]
@@ -236,6 +240,8 @@ def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> O
     """Outcome probabilities for a fixture under the current ratings."""
     shift, _, _, sigma, kappa = mode_parameters(config)
     v = rating_difference(state, home, away, config.initial_rating) + shift
+    if not math.isfinite(v):
+        raise non_finite_difference(v)
     return OutcomeProbs(*davidson_triple(v, sigma, kappa))
 
 
@@ -246,19 +252,21 @@ def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> O
 
 @dataclass(frozen=True)
 class CompiledSeason:
-    """A game list as arrays, compiled once for any number of configurations.
+    """A game list as index lists, compiled once for any number of configurations.
 
     ``players`` is the rating index order: the players given up front, then
-    teams by first appearance (home before away).  ``runs`` holds the first
+    teams by first appearance (home before away).  ``home`` and ``away``
+    hold each game's rating indices and ``score`` its home score, in stdlib
+    arrays; ``arrays()`` reads them as numpy arrays.  ``runs`` holds the first
     game of each maximal run of consecutive games in which no player
     appears twice, then the game count.  ``known[i]`` counts the players
     rated after game i.
     """
 
     players: list[str]
-    home: np.ndarray
-    away: np.ndarray
-    score: np.ndarray
+    home: array
+    away: array
+    score: array
     runs: list[int]
     known: list[int]
 
@@ -266,6 +274,12 @@ class CompiledSeason:
     def mean_run(self) -> float:
         """Games per run of disjoint games; 0 for an empty season."""
         return len(self.home) / max(1, len(self.runs) - 1)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``home``, ``away`` and ``score`` as numpy arrays, for the vector side."""
+        import numpy as np
+        return (np.asarray(self.home, dtype=np.intp), np.asarray(self.away, dtype=np.intp),
+                np.asarray(self.score, dtype=float))
 
 
 def compile_season(
@@ -275,42 +289,61 @@ def compile_season(
     index: dict[str, int] = {}
     for player in players or ():
         index.setdefault(player, len(index))
+    home, away = array("q"), array("q")
     runs: list[int] = []
     known: list[int] = []
     in_run: set[int] = set()
     for i, g in enumerate(games):
-        pair = (index.setdefault(g.home_id, len(index)), index.setdefault(g.away_id, len(index)))
-        if not runs or not in_run.isdisjoint(pair):
+        h, a = index.setdefault(g.home_id, len(index)), index.setdefault(g.away_id, len(index))
+        if not runs or h in in_run or a in in_run:
             runs.append(i)
             in_run = set()
-        in_run.update(pair)
+        in_run.update((h, a))
+        home.append(h)
+        away.append(a)
         known.append(len(index))
     runs.append(len(games))
-    home, away, score = _compile_games(games, index)
+    score = array("d", [score_of(g.outcome, "home") for g in games])
     return CompiledSeason(list(index), home, away, score, runs, known)
 
 
 @dataclass(frozen=True)
 class OnlineRun:
-    """``run_online`` output for C configurations, G games and T players."""
+    """``run_online`` output for C configurations, G games and T players.
 
-    diffs: np.ndarray    # (C, G) shifted rating difference before each game
-    deltas: np.ndarray   # (C, G) home rating change; the away side gets its negative
-    probs: np.ndarray    # (C, G, 3) forecast (p_home, p_away, p_draw) before each game
-    ratings: np.ndarray  # (C, T) final ratings
+    ``vectorized`` tells the two sides apart: the vector side holds each
+    field as a numpy array of the shape shown, the float side as a list of
+    C plain lists, with forecasts as (p_home, p_away, p_draw) tuples.
+    """
+
+    diffs: np.ndarray | list    # (C, G) shifted rating difference before each game
+    deltas: np.ndarray | list   # (C, G) home rating change; the away side gets its negative
+    probs: np.ndarray | list    # (C, G, 3) forecast (p_home, p_away, p_draw) before each game
+    ratings: np.ndarray | list  # (C, T) final ratings
+    vectorized: bool
+
+    def row(self, name: str, cell: int) -> list:
+        """A cell's row of the field ``name`` as plain Python values."""
+        row = getattr(self, name)[cell]
+        return row.tolist() if self.vectorized else row
 
     def error(self, cell: int) -> ValueError | None:
         """The error a cell's first non-finite rating difference raises, if any."""
         diffs = self.diffs[cell]
-        bad = np.flatnonzero(~np.isfinite(diffs))
-        return non_finite_difference(float(diffs[bad[0]])) if bad.size else None
+        if self.vectorized:
+            import numpy as np
+            diffs = diffs[~np.isfinite(diffs)][:1].tolist()
+        bad = next(itertools.filterfalse(math.isfinite, diffs), None)
+        return None if bad is None else non_finite_difference(bad)
 
 
 # Float updates (configurations x mean run length) from which one vector
 # step per run beats the float loop.  A vector step costs 25-40 us of numpy
 # calls whatever its size, the float loop 0.6-1 us per game and
 # configuration (x86-64, numpy 2.4): one configuration breaks even at runs
-# of about 50 games, a grid of 32 at runs of about 2.
+# of about 50 games, a grid of 32 at runs of about 2.  Below it the float
+# side also forecasts and is scored in plain Python, so numpy is never
+# imported: one configuration on a 20-team season runs without it.
 MIN_VECTOR_GAMES = 50.0
 
 
@@ -318,56 +351,58 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     """Every configuration's sequential ratings and forecasts in one pass.
 
     From ``MIN_VECTOR_GAMES`` float updates per run on, ratings are held as
-    a (configs, players) array and each run of disjoint games advances in
-    one vector step for every configuration; that is exact, because no game
-    of a run reads a rating another game of the same run writes.  Below
-    it, each configuration steps game by game on floats.  Both paths do the
-    same float operations, but numpy's ``power`` may round 10^x differently
-    from the C library's in the last bit.  Forecasts depend only on the
-    differences, so they are computed after the pass.  A configuration
-    whose ratings stop being finite is not raised here: ``OnlineRun.error``
-    reports it.
+    a (configs, players) numpy array and each run of disjoint games
+    advances in one vector step for every configuration; that is exact,
+    because no game of a run reads a rating another game of the same run
+    writes, and forecasts are computed from the differences after the pass.
+    Below it, each configuration steps game by game on plain floats and
+    forecasts each game with the scalar ``davidson_triple``, without numpy;
+    its rows are plain lists, which the scorers of ``evaluation`` take one
+    at a time.  Both sides do the same float operations, but numpy's
+    ``power`` may round 10^x differently from the C library's in the last
+    bit.  A configuration whose ratings stop being finite is not raised
+    here: ``OnlineRun.error`` reports it.
     """
     # per configuration: the mode's five parameters, the scale and the initial rating
-    params = np.array(
-        [(*mode_parameters(c), c.model.sigma, c.initial_rating) for c in configs], dtype=float
-    ).reshape(len(configs), 7)
-    vectorize = len(configs) * season.mean_run >= MIN_VECTOR_GAMES
-    diffs, deltas, ratings = (_step_runs if vectorize else _step_games)(season, params)
-    predict_sigma, predict_kappa = params.T[3:5, :, None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        probs = davidson_table(diffs, predict_sigma, predict_kappa)
-    return OnlineRun(diffs=diffs, deltas=deltas, probs=probs, ratings=ratings)
+    params = [
+        [float(x) for x in (*mode_parameters(c), c.model.sigma, c.initial_rating)]
+        for c in configs
+    ]
+    if len(configs) * season.mean_run >= MIN_VECTOR_GAMES:
+        return _step_runs(season, params)
+    return _step_games(season, params)
 
 
-def _step_runs(season: CompiledSeason, params: np.ndarray):
-    """(diffs, deltas, final ratings), one vector step per run for all cells."""
-    shift, step, kappa, _, _, sigma, initial = params.T[:, :, None]
+def _step_runs(season: CompiledSeason, params: list[list[float]]) -> OnlineRun:
+    """One vector step per run for all cells, then every forecast at once."""
+    import numpy as np
+    table = np.array(params, dtype=float).reshape(len(params), 7)
+    shift, step, kappa, predict_sigma, predict_kappa, sigma, initial = table.T[:, :, None]
+    home_index, away_index, score = season.arrays()
     ratings = np.repeat(initial, len(season.players), axis=1)
-    diffs = np.empty((len(params), len(season.home)))
+    diffs = np.empty((len(params), len(score)))
     deltas = np.empty_like(diffs)
     runs = season.runs
     with np.errstate(invalid="ignore", over="ignore"):
         for start, end in zip(runs[:-1], runs[1:]):
-            home, away = season.home[start:end], season.away[start:end]
+            home, away = home_index[start:end], away_index[start:end]
             v = (ratings[:, home] - ratings[:, away]) + shift
-            delta = step * (season.score[start:end] - expected_score(v, sigma, kappa))
+            delta = step * (score[start:end] - expected_score(v, sigma, kappa))
             ratings[:, home] += delta
             ratings[:, away] -= delta
             diffs[:, start:end] = v
             deltas[:, start:end] = delta
-    return diffs, deltas, ratings
+        probs = davidson_table(diffs, predict_sigma, predict_kappa)
+    return OnlineRun(diffs, deltas, probs, ratings, vectorized=True)
 
 
-def _step_games(season: CompiledSeason, params: np.ndarray):
-    """(diffs, deltas, final ratings), one float update per game and cell."""
-    games = list(zip(season.home.tolist(), season.away.tolist(), season.score.tolist()))
-    diffs = np.empty((len(params), len(games)))
-    deltas = np.empty_like(diffs)
-    ratings = np.empty((len(params), len(season.players)))
-    for c, (shift, step, kappa, _, _, sigma, initial) in enumerate(params.tolist()):
+def _step_games(season: CompiledSeason, params: list[list[float]]) -> OnlineRun:
+    """One float update and one scalar forecast per game and cell."""
+    games = list(zip(season.home, season.away, season.score))
+    diffs, deltas, probs, ratings = [], [], [], []
+    for shift, step, kappa, predict_sigma, predict_kappa, sigma, initial in params:
         r = [initial] * len(season.players)
-        cell_diffs, cell_deltas = [], []
+        cell_diffs, cell_deltas, cell_probs = [], [], []
         for h, a, s in games:
             v = (r[h] - r[a]) + shift
             delta = step * (s - expected_score_of(v, sigma, kappa))
@@ -375,8 +410,12 @@ def _step_games(season: CompiledSeason, params: np.ndarray):
             r[a] -= delta
             cell_diffs.append(v)
             cell_deltas.append(delta)
-        diffs[c], deltas[c], ratings[c] = cell_diffs, cell_deltas, r
-    return diffs, deltas, ratings
+            cell_probs.append(davidson_triple(v, predict_sigma, predict_kappa))
+        diffs.append(cell_diffs)
+        deltas.append(cell_deltas)
+        probs.append(cell_probs)
+        ratings.append(r)
+    return OnlineRun(diffs, deltas, probs, ratings, vectorized=False)
 
 
 def run_season(
@@ -392,11 +431,11 @@ def run_season(
         raise error
     return SeasonResult(
         state=RatingState(
-            ratings=dict(zip(season.players, run.ratings[0].tolist())),
+            ratings=dict(zip(season.players, run.row("ratings", 0))),
             games_processed=len(games),
         ),
-        predictions=[OutcomeProbs(*p) for p in run.probs[0].tolist()],
-        trajectory=Trajectory(season, run.deltas[0], config.initial_rating),
+        predictions=[OutcomeProbs(*p) for p in run.row("probs", 0)],
+        trajectory=Trajectory(season, run.row("deltas", 0), config.initial_rating),
     )
 
 
@@ -409,6 +448,7 @@ def _compile_games(
     games: Sequence[GameRecord], index: Mapping[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Home and away rating indices and the home score of every game."""
+    import numpy as np
     n = len(games)
     home = np.fromiter((index[g.home_id] for g in games), dtype=np.intp, count=n)
     away = np.fromiter((index[g.away_id] for g in games), dtype=np.intp, count=n)
@@ -420,6 +460,7 @@ def _game_terms(
     x: np.ndarray, home: np.ndarray, away: np.ndarray, score: np.ndarray, model: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-game log P(observed outcome), slope and curvature at ratings x."""
+    import numpy as np
     v = apply_home_advantage(x[home] - x[away], model)
     finite = np.isfinite(v)
     if not finite.all():
@@ -428,7 +469,7 @@ def _game_terms(
 
 
 def _zero_probability(games: Sequence[GameRecord], logp: np.ndarray) -> ZeroProbabilityError:
-    i = int(np.argmin(logp))  # the first game whose outcome has log-probability -inf
+    i = int(logp.argmin())  # the first game whose outcome has log-probability -inf
     g = games[i]
     return ZeroProbabilityError(
         f"game {i} ({g.home_id} vs {g.away_id}): model assigns "
@@ -438,6 +479,7 @@ def _zero_probability(games: Sequence[GameRecord], logp: np.ndarray) -> ZeroProb
 
 def _theta_terms(theta: Mapping[str, float], games: Sequence[GameRecord], model: ModelParams):
     """Home and away indices into ``theta`` and the per-game terms at ``theta``."""
+    import numpy as np
     index = {p: i for i, p in enumerate(theta)}
     home, away, score = _compile_games(games, index)
     x = np.fromiter(theta.values(), dtype=float, count=len(theta))
@@ -457,6 +499,7 @@ def nll_gradient(
     theta: Mapping[str, float], games: Sequence[GameRecord], model: ModelParams
 ) -> dict[str, float]:
     """Gradient of ``nll``; only a game's two participants get contributions."""
+    import numpy as np
     home, away, (logp, slope, _) = _theta_terms(theta, games, model)
     if np.isneginf(logp).any():
         raise _zero_probability(games, logp)
@@ -477,6 +520,7 @@ class FitResult:
 
 def _closure(adjacency: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of a boolean adjacency matrix."""
+    import numpy as np
     reach = adjacency | np.eye(len(adjacency), dtype=bool)
     while True:
         wider = (reach.astype(float) @ reach) > 0
@@ -493,6 +537,7 @@ def _check_separable(players: list[str], beats: np.ndarray, linked: np.ndarray):
     some player's chains of results stop short of their group, and the
     players those chains reach won every game against the rest of it.
     """
+    import numpy as np
     reach = _closure(beats)
     short = np.flatnonzero((reach != linked).any(axis=1))
     if short.size:
@@ -539,6 +584,7 @@ def batch_ml_fit(
     The fit stops unconverged with ``"max-iters"`` after max_iters steps,
     or with ``"stalled"`` when 60 halvings find no acceptable step.
     """
+    import numpy as np
     check_fit_options(max_iters, tol, ridge)
     if not games:
         raise ValueError("cannot fit an empty game list")
@@ -549,8 +595,8 @@ def batch_ml_fit(
         )
 
     season = compile_season(games)
-    players, home, away, score = season.players, season.home, season.away, season.score
-    n = len(players)
+    players, n = season.players, len(season.players)
+    home, away, score = season.arrays()
 
     # beats[i, j]: i lost to j or drew with j
     beats = np.zeros((n, n), dtype=bool)

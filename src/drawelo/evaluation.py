@@ -4,21 +4,25 @@ The headline metric is the negative logarithmic score, -ln p(realized
 outcome), averaged over the second half of a season so the warm-up phase of
 the online algorithms is excluded.  Alongside the mean we report the
 minimum-length interval containing at least 95% of the per-game scores.
-Many configurations are scored at once on (cells, games) arrays; the
-single-season functions are one-row cases of the same code.
+One season's scores are plain Python lists; many configurations are scored
+at once on (cells, games) numpy arrays, by the same rules: the interval is
+the first shortest window of order statistics, a window whose ends are
+equal (inf included) has length 0, and a mean is ``sum(row) / len(row)``.
+numpy is imported only by the array functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .data import GameRecord
 from .errors import ZeroProbabilityError
 from .models import OutcomeProbs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,14 @@ def _zero_probability_message(outcome: str) -> str:
     return f"prediction assigns probability 0 to realized outcome {outcome!r}"
 
 
+def _zero_probability_at(i: int, games: Sequence[GameRecord]) -> ZeroProbabilityError:
+    game = games[i]
+    return ZeroProbabilityError(
+        f"game {i} ({game.home_id} vs {game.away_id}, {game.date}): "
+        f"{_zero_probability_message(game.outcome)}"
+    )
+
+
 def log_score(prediction: OutcomeProbs, outcome: str) -> float:
     """-ln of the probability assigned to the realized outcome (lower is better)."""
     p = prediction.prob_of(outcome)
@@ -66,6 +78,7 @@ def cell_log_scores(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarra
     Columns are (p_home, p_away, p_draw).  A zero probability scores inf;
     ``zero_probability`` names the game.
     """
+    import numpy as np
     column = np.fromiter(
         (_OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp, count=len(games)
     )
@@ -78,15 +91,24 @@ def zero_probability(
     scores: np.ndarray, games: Sequence[GameRecord]
 ) -> ZeroProbabilityError | None:
     """The error naming the first game a row of log scores gave probability 0."""
+    import numpy as np
     bad = np.flatnonzero(np.isposinf(scores))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    game = games[i]
-    return ZeroProbabilityError(
-        f"game {i} ({game.home_id} vs {game.away_id}, {game.date}): "
-        f"{_zero_probability_message(game.outcome)}"
-    )
+    return _zero_probability_at(int(bad[0]), games) if bad.size else None
+
+
+def score_rows(
+    probs: Iterable[Sequence[float]], games: Sequence[GameRecord]
+) -> list[float]:
+    """Per-game log scores of (p_home, p_away, p_draw) rows, in plain Python.
+
+    A zero probability raises the error ``zero_probability`` gives.
+    """
+    realized = [row[_OUTCOME_COLUMN[g.outcome]] for row, g in zip(probs, games)]
+    try:
+        return [-x for x in map(math.log, realized)]
+    except ValueError:  # math.log of a probability <= 0
+        first = next(i for i, p in enumerate(realized) if p <= 0.0)
+        raise _zero_probability_at(first, games) from None
 
 
 def score_games(
@@ -97,12 +119,7 @@ def score_games(
         raise ValueError(
             f"{len(predictions)} predictions for {len(games)} games"
         )
-    probs = np.array([(p.p_home, p.p_away, p.p_draw) for p in predictions], dtype=float)
-    scores = cell_log_scores(probs.reshape(1, -1, 3), games)[0]
-    error = zero_probability(scores, games)
-    if error is not None:
-        raise error
-    return scores.tolist()
+    return score_rows(((p.p_home, p.p_away, p.p_draw) for p in predictions), games)
 
 
 def second_half_window(n_total: int) -> tuple[int, int]:
@@ -121,10 +138,13 @@ def mean_second_half_ls(per_game_ls: Sequence[float]) -> float:
 
 def min_length_intervals(values: np.ndarray, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
     """``credibility_interval`` of each row of a (rows, n) array, n >= 1."""
+    import numpy as np
     ordered = np.sort(values, axis=-1)
     n = ordered.shape[-1]
     k = math.ceil(level * n)
-    widths = ordered[:, k - 1:] - ordered[:, : n - k + 1]
+    low, high = ordered[:, : n - k + 1], ordered[:, k - 1:]
+    with np.errstate(invalid="ignore"):  # inf - inf; such a window has length 0
+        widths = np.where(high == low, 0.0, high - low)
     first = np.argmin(widths, axis=-1)  # the first minimum has the smallest lower bound
     rows = np.arange(len(ordered))
     return ordered[rows, first], ordered[rows, first + k - 1]
@@ -133,7 +153,8 @@ def min_length_intervals(values: np.ndarray, level: float = 0.95) -> tuple[np.nd
 def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
     """Minimum-length interval covering at least ``level`` of the values.
 
-    Scans windows of k = ceil(level*n) consecutive order statistics; ties in
+    Scans windows of k = ceil(level*n) consecutive order statistics; a
+    window whose ends are equal, inf included, has length 0.  Ties in
     length are broken toward the smallest lower bound, so the result is
     deterministic.
     """
@@ -141,8 +162,11 @@ def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[
         raise ValueError("empty value list")
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must be in (0, 1], got {level}")
-    low, high = min_length_intervals(np.asarray(values, dtype=float).reshape(1, -1), level)
-    return float(low[0]), float(high[0])
+    ordered = sorted(map(float, values))
+    k = math.ceil(level * len(ordered))
+    widths = [0.0 if high == low else high - low for low, high in zip(ordered, ordered[k - 1:])]
+    first = widths.index(min(widths))  # as in min_length_intervals
+    return ordered[first], ordered[first + k - 1]
 
 
 def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
@@ -161,17 +185,19 @@ def evaluate_cells(per_game_ls: np.ndarray, window: str = "second-half") -> list
     scored = per_game_ls[:, start:end]
     low, high = min_length_intervals(scored)
     return [
-        EvalReport(mean_ls=m, interval_low=lo, interval_high=hi, per_game_ls=row,
-                   window=(start, end))
-        for m, lo, hi, row in zip(
-            scored.mean(axis=-1).tolist(), low.tolist(), high.tolist(), scored.tolist()
-        )
+        EvalReport(mean_ls=sum(row) / len(row), interval_low=lo, interval_high=hi,
+                   per_game_ls=row, window=(start, end))
+        for lo, hi, row in zip(low.tolist(), high.tolist(), scored.tolist())
     ]
 
 
 def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -> EvalReport:
-    """Bundle mean and interval over the chosen window into a report."""
-    return evaluate_cells(np.asarray(per_game_ls, dtype=float).reshape(1, -1), window)[0]
+    """Bundle mean and interval over the chosen window into a report, in plain Python."""
+    start, end = _window_bounds(len(per_game_ls), window)
+    scored = list(map(float, per_game_ls[start:end]))
+    low, high = credibility_interval(scored)
+    return EvalReport(mean_ls=sum(scored) / len(scored), interval_low=low, interval_high=high,
+                      per_game_ls=scored, window=(start, end))
 
 
 def empirical_stats(games: Sequence[GameRecord]) -> EmpiricalStats:

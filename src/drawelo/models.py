@@ -13,7 +13,8 @@ three of them points of one davidson kernel:
 * ``threshold``    -- latent-variable model with a draw band of width 2*v0
 
 Everything here is a pure function of its arguments and safe to call from
-any thread.
+any thread.  The scalar functions run on plain floats; numpy is imported by
+the array kernels, on their first call.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 LOG10_E = math.log10(math.e)
 
@@ -124,9 +127,9 @@ def davidson_triple(v: float, sigma: float, kappa: float) -> tuple[float, float,
 
     p_draw = kappa * sqrt(p_home * p_away).  All three terms are scaled by
     10^(-|v|/2sigma) relative to the textbook form, so nothing overflows and
-    the unlikely side keeps its digits far out in the tail.
+    the unlikely side keeps its digits far out in the tail.  v is not
+    checked: a non-finite v gives nan or a limit, as on arrays.
     """
-    _check_finite(v)
     z = 0.5 * v / sigma
     u = 10.0 ** (-abs(z))
     den = 1.0 + u * u + kappa * u
@@ -138,6 +141,7 @@ def logistic_cdf(v: float, sigma: float) -> float:
     """Logistic cdf 1 / (1 + 10^(-v/sigma)): davidson's p_home at kappa = 0."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a positive finite real, got {sigma}")
+    _check_finite(v)
     return davidson_triple(v, sigma, 0.0)[0]
 
 
@@ -166,11 +170,13 @@ def expected_score_of(v: float, sigma: float, kappa: float) -> float:
 
 def davidson_probs(v: float, params: ModelParams) -> OutcomeProbs:
     """Draw-parameter model: p_draw = kappa * sqrt(p_home * p_away)."""
+    _check_finite(v)
     return OutcomeProbs(*davidson_triple(v, params.sigma, params.kappa))
 
 
 def binary_probs(v: float, params: ModelParams) -> OutcomeProbs:
     """Win/loss logistic model, davidson at kappa = 0; draws carry probability 0."""
+    _check_finite(v)
     return OutcomeProbs(*davidson_triple(v, params.sigma, 0.0))
 
 
@@ -180,6 +186,7 @@ def elo_implicit_probs(v: float, params: ModelParams) -> OutcomeProbs:
     (F^2(v), F^2(-v), 2 F(v) F(-v)) with F the logistic cdf, which is
     davidson at kappa = 2 and half the scale.
     """
+    _check_finite(v)
     return OutcomeProbs(*davidson_triple(v, 0.5 * params.sigma, 2.0))
 
 
@@ -190,6 +197,7 @@ def threshold_probs(v: float, params: ModelParams) -> OutcomeProbs:
     p_draw = F(v + v0) - F(v - v0) takes ``threshold_logp``'s product form
     (1 - 10^(-2 v0 / sigma)) F(v + v0) F(v0 - v), which keeps its digits.
     """
+    _check_finite(v)
     sigma, v0 = params.sigma, params.v0
     home, away, band_high, band_low = (
         davidson_triple(x, sigma, 0.0)[0] for x in (v - v0, -v - v0, v + v0, v0 - v)
@@ -206,6 +214,7 @@ def apply_home_advantage(v: float, params: ModelParams) -> float:
 def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
     """Home-advantage shift followed by the configured family's triple."""
     v = apply_home_advantage(v, params)
+    _check_finite(v)
     point = params.davidson_point
     if point is None:
         return threshold_probs(v, params)
@@ -224,6 +233,7 @@ def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
 
 def expected_score(v: np.ndarray, sigma, kappa) -> np.ndarray:
     """f_kappa(v) over arrays; kappa = 0 gives the logistic cdf at scale sigma."""
+    import numpy as np
     z = 0.5 * v / sigma
     u = np.power(10.0, -np.abs(z))
     fav = (1.0 + 0.5 * kappa * u) / (1.0 + u * u + kappa * u)
@@ -232,6 +242,7 @@ def expected_score(v: np.ndarray, sigma, kappa) -> np.ndarray:
 
 def davidson_table(v: np.ndarray, sigma, kappa) -> np.ndarray:
     """davidson_probs(v) over arrays, as a trailing axis (p_home, p_away, p_draw)."""
+    import numpy as np
     z = 0.5 * v / sigma
     u = np.power(10.0, -np.abs(z))
     den = 1.0 + u * u + kappa * u
@@ -266,6 +277,7 @@ def davidson_logp(
     -(4 + kappa (e^(t/2) + e^(-t/2))) / (4 D^2 sigma'^2), which is never
     positive: the likelihood is concave in the ratings.
     """
+    import numpy as np
     t = v / sigma_prime
     half = 0.5 * np.abs(t)
     u = np.exp(-half)
@@ -283,6 +295,7 @@ def davidson_logp(
 
 def _logistic_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F(x), F(-x)) for the natural-scale logistic F(x) = 1 / (1 + e^-x)."""
+    import numpy as np
     e = np.exp(-np.abs(x))
     big, small = 1.0 / (1.0 + e), e / (1.0 + e)
     positive = x >= 0
@@ -300,6 +313,7 @@ def threshold_logp(
     digits.  Each log F term contributes -F(x) F(-x) / sigma'^2 to the
     curvature.
     """
+    import numpy as np
     t = v / sigma_prime
     w = v0 / sigma_prime
     lo, hi = t - w, t + w

@@ -3,7 +3,8 @@
 Seasons are double round-robins (every ordered home/away pair once per
 round) built with the circle method, with outcomes sampled from any of the
 probability families.  Randomness comes from numpy's seeded PCG64 stream,
-so a SimSpec pins the generated season byte for byte.
+so a SimSpec pins the generated season byte for byte; numpy is imported
+when a season is generated or scored, not with the module.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .data import Dataset, GameRecord
 from .models import ModelParams, predict_probs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EPOCH = dt.date(2000, 1, 1)  # synthetic calendar: one game per day
 
@@ -76,6 +78,7 @@ def sample_outcome(v: float, model: ModelParams, rng: np.random.Generator) -> st
 
 def generate_season(spec: SimSpec) -> Dataset:
     """Sample a full synthetic season; identical specs give identical data."""
+    import numpy as np
     names = list(spec.theta_true)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     games = []
@@ -95,6 +98,7 @@ def generate_season(spec: SimSpec) -> Dataset:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of the ranks they span."""
+    import numpy as np
     order = np.argsort(x, kind="stable")
     ordered = x[order]
     first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -106,6 +110,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     """Spearman rank correlation: the Pearson correlation of average-tie ranks."""
+    import numpy as np
     ra, rb = _average_ranks(a), _average_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()
@@ -121,6 +126,7 @@ def recovery_metrics(
     Returns Spearman rank correlation and the RMSE after centering both
     vectors (only differences are identifiable).
     """
+    import numpy as np
     if isinstance(theta_true, Mapping) != isinstance(theta_est, Mapping):
         raise ValueError("pass two mappings or two sequences, not a mix")
     if isinstance(theta_true, Mapping):

@@ -86,12 +86,17 @@ def finite_diff_gradient(theta, games, model, step=None):
 
 
 def brute_min_interval(values, level=0.95):
-    """Scan every window of ceil(level*n) order statistics; smallest-low tie break."""
+    """Scan every window of ceil(level*n) order statistics; smallest-low tie break.
+
+    A window whose two ends are equal has length 0, also when both are inf.
+    """
     ordered = sorted(values)
     n = len(ordered)
     k = math.ceil(level * n)
-    candidates = [(ordered[i + k - 1] - ordered[i], ordered[i], ordered[i + k - 1])
-                  for i in range(n - k + 1)]
+    candidates = []
+    for i in range(n - k + 1):
+        low, high = ordered[i], ordered[i + k - 1]
+        candidates.append((0.0 if low == high else high - low, low, high))
     length = min(c[0] for c in candidates)
     for c in candidates:  # first hit has the smallest lower bound
         if c[0] == length:

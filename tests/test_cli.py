@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +22,15 @@ from drawelo.data import Dataset, load_matches, serialize_matches
 from drawelo.engine import UpdateMode, run_season
 
 HEADER = "Date,HomeTeam,AwayTeam,FTR"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(args, env=None, driver="from drawelo.cli import main; main(sys.argv[1:])"):
+    """``drawelo`` ARGS in a fresh interpreter on this checkout's sources."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", f"import sys; {driver}", *args], env=env,
+                          capture_output=True, timeout=120)
 
 
 @pytest.fixture
@@ -118,6 +130,19 @@ def test_rate_trajectory_quotes_names_as_csv_writer_does(tmp_path):
     assert dataset.team_names == ["Team, United", 'B "b"', "Plain", "Line\nBreak"]
     result = run_season(dataset.games, cfg.engine_config(), players=dataset.team_names)
     assert traj.read_bytes() == oracles.trajectory_csv(result.trajectory).encode()
+
+
+def test_rate_writes_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "accents.csv"
+    path.write_bytes(f"{HEADER}\n01/08/2021,Café,B,H\n02/08/2021,B,Café,D\n".encode())
+    traj = tmp_path / "trajectory.csv"
+    result = run_cli(["rate", str(path), "--trajectory", str(traj)],
+                     env={"LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert result.returncode == 0, result.stderr
+    dataset = load_matches(path)
+    run = run_season(dataset.games, RunConfig("rate").engine_config(), dataset.team_names)
+    assert traj.read_bytes() == oracles.trajectory_csv(run.trajectory).encode("utf-8")
+    assert b"1,Caf\xc3\xa9," in traj.read_bytes()
 
 
 def test_rate_empty_input_warns_and_succeeds(runner, tmp_path):
@@ -606,3 +631,45 @@ def test_config_echoes_exactly_the_fields_a_command_reads(
     assert result.exit_code == 0, result.output
     echoed = json.loads(result.stdout)["config"]
     assert list(echoed.items()) == list(config.items())
+
+
+# ---------------------------------------------------------------------------
+# numpy stays unloaded where no command builds an array
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def season_with_odds(tmp_path_factory):
+    """``simulate --rounds 1`` of 20 teams (380 games, runs of 10), with odds added."""
+    path = tmp_path_factory.mktemp("numpy_free") / "season.csv"
+    result = CliRunner().invoke(main, ["simulate", "--rounds", "1", "-o", str(path)])
+    assert result.exit_code == 0, result.output
+    dataset = load_matches(path)
+    dataset.games[:] = [replace(g, odds=(2.5, 3.2, 2.9)) for g in dataset.games]
+    path.write_text(serialize_matches(dataset), newline="")
+    return path
+
+
+GRID_32 = ["--kappa-grid", "0.4,0.7,1,2", "--eta-grid", "0,0.15,0.3,0.45",
+           "--modes", "kappa-elo,elo-check"]
+
+
+@pytest.mark.parametrize("args,loads_numpy", [
+    (["stats"], False),
+    (["evaluate", "--baseline"], False),
+    (["rate", "--trajectory", "{tmp}/trajectory.csv"], False),
+    (["sweep"], False),
+    (["sweep", *GRID_32], True),
+    (["fit"], True),
+], ids=["stats", "evaluate", "rate", "sweep-1-cell", "sweep-32-cells", "fit"])
+def test_one_season_commands_run_without_numpy(season_with_odds, tmp_path, args, loads_numpy):
+    # one configuration on runs of 10 games takes run_online's float side
+    command, *options = [a.format(tmp=tmp_path) for a in args]
+    result = run_cli(
+        [command, str(season_with_odds), *options],
+        driver="from drawelo.cli import main\n"
+               "try:\n    main(sys.argv[1:])\n"
+               "finally:\n    print('numpy' in sys.modules, file=sys.stderr)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.decode().splitlines()[-1] == str(loads_numpy)

@@ -1,6 +1,5 @@
 import datetime as dt
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,6 @@ from drawelo.data import (
     load_matches,
     odds_to_probs,
     parse_matches,
-    scheduling_vector,
     serialize_matches,
 )
 from drawelo.errors import RowError, SchemaError
@@ -305,23 +303,3 @@ def test_odds_to_probs_invariant_to_common_scaling(o, c):
     assert scaled.p_home == pytest.approx(base.p_home, rel=1e-12, abs=1e-15)
     assert scaled.p_draw == pytest.approx(base.p_draw, rel=1e-12, abs=1e-15)
 
-
-# ---------------------------------------------------------------------------
-# scheduling vector
-# ---------------------------------------------------------------------------
-
-
-def test_scheduling_vector_basics():
-    assert scheduling_vector(0, 1, 3).tolist() == [1.0, -1.0, 0.0]
-    theta = np.array([5.0, 0.0, 8.0])
-    assert scheduling_vector(2, 0, 3) @ theta == 3.0
-    assert scheduling_vector(1, 2, 3) @ np.full(3, 42.0) == 0.0
-
-
-def test_scheduling_vector_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        scheduling_vector(1, 1, 3)
-    with pytest.raises(ValueError):
-        scheduling_vector(0, 3, 3)
-    with pytest.raises(ValueError):
-        scheduling_vector(-1, 0, 3)

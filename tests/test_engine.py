@@ -326,6 +326,27 @@ def test_run_season_non_finite_difference_is_an_error(vectorize):
         run_season([game("A", "B", "H")], config(initial_rating=math.inf))
 
 
+def test_predict_rejects_a_non_finite_difference():
+    state = RatingState(ratings={"A": math.inf, "B": 0.0})
+    with pytest.raises(ValueError, match="rating difference must be finite, got inf"):
+        predict(state, "A", "B", config())
+
+
+@BOTH_PATHS
+def test_run_online_rows_are_plain_lists_on_the_float_side(vectorize):
+    games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "C", "A", 2)]
+    with stepping(vectorize):
+        run = run_online(compile_season(games), [config(), config(k_tilde=0.0)])
+    assert run.vectorized is vectorize
+    for field in ("diffs", "deltas", "probs", "ratings"):
+        rows = getattr(run, field)
+        assert isinstance(rows, np.ndarray) is vectorize
+        for c in range(2):
+            row = run.row(field, c)
+            assert isinstance(row, list) and np.array_equal(row, rows[c])
+    assert run.error(0) is None and run.error(1) is None
+
+
 def test_run_online_vectorizes_once_a_step_covers_enough_float_updates():
     # a circle-method round-robin of 20 teams has runs of 10 games
     games = [game(f"T{h}", f"T{a}", "D", i) for i, (h, a) in enumerate(generate_schedule(20))]

@@ -16,7 +16,9 @@ from drawelo.evaluation import (
     implied_draw_freq,
     log_score,
     mean_second_half_ls,
+    min_length_intervals,
     score_games,
+    score_rows,
     second_half_window,
     zero_probability,
 )
@@ -75,6 +77,27 @@ def test_zero_probability_names_the_first_game():
     )
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_score_rows_match_cell_log_scores(data):
+    # the plain-Python scorer of one row and the array scorer of many
+    n = data.draw(st.integers(1, 30))
+    rows = data.draw(st.lists(
+        st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)] * 3),
+                 min_size=n, max_size=n),
+        min_size=1, max_size=3))
+    games = [game("A", "B", data.draw(st.sampled_from("HDA")), i) for i in range(n)]
+    table = cell_log_scores(np.array(rows, dtype=float), games)
+    for row, scores in zip(rows, table):
+        error = zero_probability(scores, games)
+        if error is None:
+            assert score_rows(row, games) == scores.tolist()
+        else:
+            with pytest.raises(ZeroProbabilityError) as raised:
+                score_rows(row, games)
+            assert str(raised.value) == str(error)
+
+
 # ---------------------------------------------------------------------------
 # second-half mean
 # ---------------------------------------------------------------------------
@@ -120,7 +143,8 @@ def test_interval_rejects_empty_and_bad_level():
 
 
 @settings(max_examples=200)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=500))
+@given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([-math.inf, math.inf]),
+                min_size=1, max_size=500))
 def test_interval_matches_exhaustive_scan(values):
     low, high = credibility_interval(values)
     assert (low, high) == brute_min_interval(values)
@@ -128,12 +152,34 @@ def test_interval_matches_exhaustive_scan(values):
     assert sum(1 for v in values if low <= v <= high) >= k
 
 
-def test_evaluate_cells_rows_match_evaluate_scores():
-    rng = np.random.default_rng(31)
-    scores = rng.exponential(size=(5, 101))
-    for window in ("second-half", "full"):
-        for row, report in zip(scores, evaluate_cells(scores, window)):
-            assert report == evaluate_scores(list(row), window)
+# log scores with many ties, and inf for a zero probability
+TIED_SCORES = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), window=st.sampled_from(["second-half", "full"]))
+def test_evaluate_cells_rows_match_evaluate_scores(data, window):
+    # evaluate_scores runs in plain Python, evaluate_cells on arrays: one rule
+    n = data.draw(st.integers(1, 80))
+    rows = data.draw(st.lists(st.lists(TIED_SCORES, min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    for row, report in zip(rows, evaluate_cells(np.array(rows), window)):
+        assert report == evaluate_scores(row, window)
+        start, end = report.window
+        assert report.per_game_ls == row[start:end]
+        assert (report.interval_low, report.interval_high) == brute_min_interval(row[start:end])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), level=st.sampled_from([0.5, 0.95, 1.0]) | st.floats(0.01, 1.0))
+def test_min_length_intervals_rows_match_credibility_interval(data, level):
+    # at any level, ties and infinite ends included, both scans pick one window
+    n = data.draw(st.integers(1, 40))
+    rows = data.draw(st.lists(st.lists(TIED_SCORES, min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    low, high = min_length_intervals(np.array(rows), level)
+    for row, interval in zip(rows, zip(low.tolist(), high.tolist())):
+        assert interval == credibility_interval(row, level) == brute_min_interval(row, level)
 
 
 def test_evaluate_scores_bundles_window_and_interval():

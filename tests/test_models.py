@@ -13,6 +13,8 @@ from drawelo.models import (
     binary_probs,
     davidson_logp,
     davidson_probs,
+    davidson_table,
+    davidson_triple,
     elo_implicit_probs,
     f_kappa,
     logistic_cdf,
@@ -70,6 +72,22 @@ def test_logistic_rejects_bad_sigma(bad_sigma):
 def test_logistic_rejects_non_finite_v(bad_v):
     with pytest.raises(ValueError):
         logistic_cdf(bad_v, SIGMA)
+
+
+@pytest.mark.parametrize("bad_v", [math.nan, math.inf, -math.inf])
+def test_public_functions_reject_what_the_kernel_carries(bad_v):
+    # davidson_triple gives what its array twin gives; the entry points raise
+    with np.errstate(invalid="ignore"):
+        table = davidson_table(np.array([bad_v]), SIGMA, 0.7)[0].tolist()
+    got = davidson_triple(bad_v, SIGMA, 0.7)
+    assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, table))
+    message = f"rating difference must be finite, got {bad_v}"
+    for family in ModelFamily:
+        with pytest.raises(ValueError, match=message):
+            predict_probs(bad_v, params(family=family, v0=50.0))
+    for func in (f_kappa, davidson_probs, binary_probs, elo_implicit_probs, threshold_probs):
+        with pytest.raises(ValueError, match=message):
+            func(bad_v, params())
 
 
 # ---------------------------------------------------------------------------
