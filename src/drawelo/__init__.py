@@ -31,7 +31,6 @@ from .evaluation import (
     evaluate_scores,
     implied_draw_freq,
     log_score,
-    mean_second_half_ls,
     score_games,
 )
 from .models import (

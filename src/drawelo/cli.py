@@ -304,7 +304,7 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
         # csv.writer: a game re-formats only the two cells it moves and
         # writes "idx," before every cell.
         names = [_rows_to_csv([], [team, ""])[:-1] for team in result.trajectory.players]
-        cells = [f"{name}{config.initial_rating:.6g}\n" for name in names]
+        cells = [f"{name}0\n" for name in names]  # every team starts at rating 0
         with open(trajectory_path, "w", newline="", encoding="utf-8") as fh:
             fh.write("game_index,team,rating\n")
             for idx, (h, home, a, away) in enumerate(result.trajectory.moves(), start=1):
@@ -565,7 +565,7 @@ def cmd_fit(input_path, max_iters, tol, ridge, **kw):
 @click.option("--spacing", type=float, default=0.1, show_default=True,
               help="True-rating gap between adjacent teams, in units of sigma.")
 @click.option("--rounds", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--output", "-o", type=click.Path(), required=True,
               help="Season CSV destination.")
 @click.option("--truth", type=click.Path(), default=None,

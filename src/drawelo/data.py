@@ -125,7 +125,10 @@ def parse_matches(source: str | TextIO) -> Dataset:
     if isinstance(source, str):
         source = io.StringIO(source, newline="")
     reader = csv.reader(source)
-    column = {name: i for i, name in enumerate(next(reader, []))}
+    header = next(reader, [])
+    if header:  # a spreadsheet's UTF-8 byte-order mark would hide the first column's name
+        header[0] = header[0].removeprefix("\ufeff")
+    column = {name: i for i, name in enumerate(header)}
     missing = [c for c in REQUIRED_COLUMNS if c not in column]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")

@@ -17,7 +17,9 @@ every mode is one update kappa plus one davidson prediction (kappa, sigma);
 A season is compiled once into index lists; ``run_online`` then advances
 the ratings of any number of configurations together, one vector step per
 run of games in which no team appears twice, or, when that covers too few
-updates, game by game on plain floats without numpy.
+updates, game by game on plain floats without numpy.  Every player starts
+at rating 0.  ``run_season`` is the one-configuration case; its trajectory
+is iterated game by game, not indexed.
 
 The batch side minimizes the negative log likelihood of a fixed game list
 by damped Newton steps on game arrays, pinning each connected group's
@@ -80,7 +82,6 @@ class EngineConfig:
     k_tilde: float = 0.125
     mode: UpdateMode = UpdateMode.KAPPA_ELO
     check_kappa: float = 1.0
-    initial_rating: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.k_tilde) and self.k_tilde >= 0):
@@ -89,22 +90,21 @@ class EngineConfig:
             raise ValueError(f"check_kappa must be a finite real >= 0, got {self.check_kappa}")
 
 
-class Trajectory(Sequence):
-    """Rating snapshots after each game, rebuilt on demand.
+class Trajectory:
+    """Rating snapshots after each game, rebuilt as they are iterated.
 
     Only the home side's rating change per game is stored (the away side
     moves by its negative), so memory grows with the games, not with games
-    times players.  Item i is a dict like a copy of ``RatingState.ratings``
-    taken after game i: the players given up front plus every team seen so
-    far.  Indexing walks the season from the start, so item i costs O(i)
-    and a slice builds only the snapshots it returns.
+    times players.  Iterating walks the season from the start and yields,
+    after each game, a dict like a copy of ``RatingState.ratings``: the
+    players given up front plus every team seen so far.  Snapshots are not
+    indexed; ``list(trajectory)`` builds them all.
     """
 
-    def __init__(self, season: CompiledSeason, deltas: list[float], initial_rating: float):
+    def __init__(self, season: CompiledSeason, deltas: list[float]):
         self.players = season.players
         self._season = season
         self._deltas = deltas
-        self._initial = initial_rating
 
     def moves(self) -> Iterator[tuple[int, float, int, float]]:
         """Each game's home index and rating after it, then the away side's.
@@ -112,62 +112,32 @@ class Trajectory(Sequence):
         Indices are positions in ``players``; every other player keeps the
         rating it had after the previous game.
         """
-        ratings = [self._initial] * len(self.players)
+        ratings = [0.0] * len(self.players)
         season = self._season
         for h, a, d in zip(season.home, season.away, self._deltas):
             ratings[h] += d
             ratings[a] -= d
             yield h, ratings[h], a, ratings[a]
 
-    def running(self) -> Iterator[list[float]]:
-        """Every player's rating after each game, in ``players`` order.
-
-        The same list is yielded each time, updated in place.
-        """
-        ratings = [self._initial] * len(self.players)
-        for h, home, a, away in self.moves():
-            ratings[h] = home
-            ratings[a] = away
-            yield ratings
-
     def __len__(self) -> int:
         return len(self._deltas)
 
     def __iter__(self) -> Iterator[dict[str, float]]:
-        for ratings, known in zip(self.running(), self._season.known):
+        ratings = [0.0] * len(self.players)
+        for (h, home, a, away), known in zip(self.moves(), self._season.known):
+            ratings[h] = home
+            ratings[a] = away
             yield dict(zip(self.players[:known], ratings))
-
-    def __getitem__(self, i):
-        wanted = range(len(self))[i]  # IndexError and negative indices as for a list
-        if not isinstance(i, slice):
-            return self._snapshots([wanted])[0]
-        return self._snapshots(wanted)
-
-    def _snapshots(self, games: Sequence[int]) -> list[dict[str, float]]:
-        """The snapshots after the given games, in the given order."""
-        if not games:
-            return []
-        wanted, last, known = set(games), max(games), self._season.known
-        found = {}
-        for g, ratings in enumerate(itertools.islice(self.running(), last + 1)):
-            if g in wanted:
-                found[g] = dict(zip(self.players[: known[g]], ratings))
-        return [found[g] for g in games]
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
 class SeasonResult:
     """Output of a sequential season run.
 
-    ``predictions[i]`` is the forecast made *before* game i was processed;
-    ``trajectory[i]`` is a snapshot of the ratings just after it, rebuilt
-    lazily from one rating change per game (see ``Trajectory``), so random
-    access to item i costs O(i).
+    ``predictions[i]`` is the forecast made *before* game i was processed.
+    Iterating ``trajectory`` yields the ratings just after each game in
+    turn, rebuilt lazily from one rating change per game (see
+    ``Trajectory``).
     """
 
     state: RatingState
@@ -185,12 +155,9 @@ def score_of(outcome: str, side: str) -> float:
     return 1.0 if won else 0.0
 
 
-def rating_difference(
-    state: RatingState, home: str, away: str, initial_rating: float = 0.0
-) -> float:
-    """theta_home - theta_away, before any home-advantage shift."""
-    ratings = state.ratings
-    return ratings.get(home, initial_rating) - ratings.get(away, initial_rating)
+def rating_difference(state: RatingState, home: str, away: str) -> float:
+    """theta_home - theta_away, before any home-advantage shift; unseen players rate 0."""
+    return state.ratings.get(home, 0.0) - state.ratings.get(away, 0.0)
 
 
 def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, float]:
@@ -217,12 +184,12 @@ def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, f
 def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> RatingState:
     """One stochastic-gradient rating update; mutates and returns ``state``.
 
-    Unknown players are initialized on first sight.  The two deltas are the
+    Unknown players start at rating 0 on first sight.  The two deltas are the
     same number with opposite signs, so the rating sum is conserved exactly.
     """
     ratings = state.ratings
     for player in (game.home_id, game.away_id):
-        ratings.setdefault(player, config.initial_rating)
+        ratings.setdefault(player, 0.0)
     shift, step, kappa, _, _ = mode_parameters(config)
     v = (ratings[game.home_id] - ratings[game.away_id]) + shift
     if not math.isfinite(v):
@@ -239,7 +206,7 @@ def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> Rat
 def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> OutcomeProbs:
     """Outcome probabilities for a fixture under the current ratings."""
     shift, _, _, sigma, kappa = mode_parameters(config)
-    v = rating_difference(state, home, away, config.initial_rating) + shift
+    v = rating_difference(state, home, away) + shift
     if not math.isfinite(v):
         raise non_finite_difference(v)
     return OutcomeProbs(*davidson_triple(v, sigma, kappa))
@@ -363,11 +330,8 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     bit.  A configuration whose ratings stop being finite is not raised
     here: ``OnlineRun.error`` reports it.
     """
-    # per configuration: the mode's five parameters, the scale and the initial rating
-    params = [
-        [float(x) for x in (*mode_parameters(c), c.model.sigma, c.initial_rating)]
-        for c in configs
-    ]
+    # per configuration: the mode's five parameters and the scale
+    params = [[float(x) for x in (*mode_parameters(c), c.model.sigma)] for c in configs]
     if len(configs) * season.mean_run >= MIN_VECTOR_GAMES:
         return _step_runs(season, params)
     return _step_games(season, params)
@@ -376,10 +340,10 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
 def _step_runs(season: CompiledSeason, params: list[list[float]]) -> OnlineRun:
     """One vector step per run for all cells, then every forecast at once."""
     import numpy as np
-    table = np.array(params, dtype=float).reshape(len(params), 7)
-    shift, step, kappa, predict_sigma, predict_kappa, sigma, initial = table.T[:, :, None]
+    table = np.array(params, dtype=float).reshape(len(params), 6)
+    shift, step, kappa, predict_sigma, predict_kappa, sigma = table.T[:, :, None]
     home_index, away_index, score = season.arrays()
-    ratings = np.repeat(initial, len(season.players), axis=1)
+    ratings = np.zeros((len(params), len(season.players)))
     diffs = np.empty((len(params), len(score)))
     deltas = np.empty_like(diffs)
     runs = season.runs
@@ -400,8 +364,8 @@ def _step_games(season: CompiledSeason, params: list[list[float]]) -> OnlineRun:
     """One float update and one scalar forecast per game and cell."""
     games = list(zip(season.home, season.away, season.score))
     diffs, deltas, probs, ratings = [], [], [], []
-    for shift, step, kappa, predict_sigma, predict_kappa, sigma, initial in params:
-        r = [initial] * len(season.players)
+    for shift, step, kappa, predict_sigma, predict_kappa, sigma in params:
+        r = [0.0] * len(season.players)
         cell_diffs, cell_deltas, cell_probs = [], [], []
         for h, a, s in games:
             v = (r[h] - r[a]) + shift
@@ -435,25 +399,13 @@ def run_season(
             games_processed=len(games),
         ),
         predictions=[OutcomeProbs(*p) for p in run.row("probs", 0)],
-        trajectory=Trajectory(season, run.row("deltas", 0), config.initial_rating),
+        trajectory=Trajectory(season, run.row("deltas", 0)),
     )
 
 
 # ---------------------------------------------------------------------------
 # Batch maximum likelihood
 # ---------------------------------------------------------------------------
-
-
-def _compile_games(
-    games: Sequence[GameRecord], index: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Home and away rating indices and the home score of every game."""
-    import numpy as np
-    n = len(games)
-    home = np.fromiter((index[g.home_id] for g in games), dtype=np.intp, count=n)
-    away = np.fromiter((index[g.away_id] for g in games), dtype=np.intp, count=n)
-    score = np.fromiter((score_of(g.outcome, "home") for g in games), dtype=float, count=n)
-    return home, away, score
 
 
 def _game_terms(
@@ -480,8 +432,10 @@ def _zero_probability(games: Sequence[GameRecord], logp: np.ndarray) -> ZeroProb
 def _theta_terms(theta: Mapping[str, float], games: Sequence[GameRecord], model: ModelParams):
     """Home and away indices into ``theta`` and the per-game terms at ``theta``."""
     import numpy as np
-    index = {p: i for i, p in enumerate(theta)}
-    home, away, score = _compile_games(games, index)
+    season = compile_season(games, theta)
+    if len(season.players) > len(theta):
+        raise ValueError(f"theta has no rating for player {season.players[len(theta)]!r}")
+    home, away, score = season.arrays()
     x = np.fromiter(theta.values(), dtype=float, count=len(theta))
     return home, away, _game_terms(x, home, away, score, model)
 

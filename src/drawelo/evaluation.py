@@ -129,13 +129,6 @@ def second_half_window(n_total: int) -> tuple[int, int]:
     return n_total - (n_total + 1) // 2, n_total
 
 
-def mean_second_half_ls(per_game_ls: Sequence[float]) -> float:
-    """Mean log score over the second half of the list."""
-    start, end = second_half_window(len(per_game_ls))
-    window = per_game_ls[start:end]
-    return sum(window) / len(window)
-
-
 def min_length_intervals(values: np.ndarray, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
     """``credibility_interval`` of each row of a (rows, n) array, n >= 1."""
     import numpy as np

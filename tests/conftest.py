@@ -83,7 +83,6 @@ def online_cases(draw, max_teams=8):
         k_tilde=draw(st.floats(0.0, 0.5)),
         mode=draw(st.sampled_from(list(UpdateMode))),
         check_kappa=draw(KAPPAS),
-        initial_rating=draw(st.sampled_from([0.0]) | st.floats(-1000.0, 1000.0)),
     )
     n = draw(st.integers(2, max_teams))
     teams = [f"T{i}" for i in range(n)]

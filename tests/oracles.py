@@ -128,12 +128,12 @@ def run_season(games, config, players=None):
     """(final ratings, predictions, per-game snapshots), one game at a time."""
     ratings = {}
     for player in players or ():
-        ratings.setdefault(player, config.initial_rating)
+        ratings.setdefault(player, 0.0)
     predictions, trajectory = [], []
     k = config.k_tilde * config.model.sigma
     for game in games:
         for player in (game.home_id, game.away_id):
-            ratings.setdefault(player, config.initial_rating)
+            ratings.setdefault(player, 0.0)
         v = ratings[game.home_id] - ratings[game.away_id]
         predictions.append(predict_probs(v, _prediction_model(config)))
         s = {"H": 1.0, "D": 0.5, "A": 0.0}[game.outcome]

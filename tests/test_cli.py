@@ -498,6 +498,18 @@ def test_stats_all_draws_reports_infinite_kappa(runner, draws_file):
     assert payload["kappa_bar"] == "inf"
 
 
+def test_stats_reads_a_file_with_a_byte_order_mark(runner, season_file, tmp_path):
+    # as a spreadsheet saves a CSV in UTF-8: the mark would hide the Date column
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + season_file.read_bytes())
+    results = [runner.invoke(main, ["stats", str(path)]) for path in (season_file, bom)]
+    assert [r.exit_code for r in results] == [0, 0], results[1].output
+    plain, marked = (json.loads(r.stdout) for r in results)
+    assert marked.pop("input") == str(bom)
+    assert plain.pop("input") == str(season_file)
+    assert marked == plain
+
+
 def test_stats_empty_file_is_a_data_error(runner, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(HEADER + "\n")
@@ -559,7 +571,8 @@ def test_nan_is_printed_as_null_or_empty():
      (["fit", "missing.csv", "--max-iters", "-3"], "--max-iters"),
      (["simulate", "--spacing", "nan", "-o", "out.csv"], "--spacing"),
      (["simulate", "--spacing", "inf", "-o", "out.csv"], "--spacing"),
-     (["fit", "missing.csv", "--v0", "nan"], "--v0")],
+     (["fit", "missing.csv", "--v0", "nan"], "--v0"),
+     (["simulate", "--seed", "-1", "-o", "out.csv"], "--seed")],
 )
 def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args, option):
     # the input does not exist: reading it first would be a data error, exit 3

@@ -145,6 +145,14 @@ def test_parse_row_error_after_a_blank_line_names_its_own_line():
     assert exc_info.value.line == 5
 
 
+def test_parse_drops_a_leading_byte_order_mark():
+    text = "Date,HomeTeam,AwayTeam,FTR\n12/08/2017,A,B,H\n"
+    assert parse_matches("\ufeff" + text).games == parse_matches(text).games
+    with pytest.raises(RowError, match="line 3") as exc_info:
+        parse_matches("\ufeff" + text + "13/08/2017,C,D,X\n")
+    assert exc_info.value.line == 3
+
+
 def test_parse_missing_required_column_is_schema_error():
     with pytest.raises(SchemaError, match="FTR"):
         parse_matches("Date,HomeTeam,AwayTeam\n12/08/2017,A,B\n")

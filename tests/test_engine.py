@@ -76,7 +76,7 @@ def test_rating_difference():
     assert rating_difference(state, "A", "B") == 120.0
     assert rating_difference(state, "B", "A") == -120.0
     assert rating_difference(state, "X", "Y") == 0.0
-    assert rating_difference(state, "X", "Y", initial_rating=25.0) == 0.0
+    assert rating_difference(state, "A", "X") == 180.0  # an unseen player rates 0
 
 
 def test_rating_difference_origin_invariance():
@@ -113,16 +113,18 @@ def test_updates_are_exactly_zero_sum(mode):
     rng = np.random.default_rng(7)
     players = [f"P{i}" for i in range(6)]
     state = RatingState()
-    cfg = config(mode=mode, eta=0.3, initial_rating=10.0)
+    cfg = config(mode=mode, eta=0.3)
     for g in random_games(rng, players, 200):
         sg_update(state, g, cfg)
-    assert sum(state.ratings.values()) == pytest.approx(10.0 * len(players), abs=1e-9)
+    assert sum(state.ratings.values()) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_unknown_players_are_initialized():
     state = RatingState()
-    sg_update(state, game("A", "B", "H"), config(initial_rating=100.0))
-    assert state.ratings["A"] + state.ratings["B"] == pytest.approx(200.0)
+    cfg = config()
+    sg_update(state, game("A", "B", "H"), cfg)
+    # both start at 0, so a home win between them moves each by half a step
+    assert state.ratings == {"A": cfg.k_tilde * SIGMA / 2, "B": -cfg.k_tilde * SIGMA / 2}
 
 
 def test_home_advantage_applies_inside_the_update():
@@ -183,16 +185,16 @@ def test_run_season_predicts_before_updating():
 
 def test_run_season_empty():
     result = run_season([], config(), players=["A", "B"])
-    assert result.predictions == [] and result.trajectory == []
+    assert result.predictions == [] and list(result.trajectory) == []
     assert result.state.ratings == {"A": 0.0, "B": 0.0}
 
 
 def test_run_season_rating_sum_is_conserved():
     rng = np.random.default_rng(3)
     players = [f"P{i}" for i in range(8)]
-    cfg = config(eta=0.3, initial_rating=5.0)
+    cfg = config(eta=0.3)
     result = run_season(random_games(rng, players, 150), cfg, players=players)
-    assert sum(result.state.ratings.values()) == pytest.approx(5.0 * len(players), abs=1e-9)
+    assert sum(result.state.ratings.values()) == pytest.approx(0.0, abs=1e-9)
     assert result.state.games_processed == 150
     assert len(result.trajectory) == 150
 
@@ -320,10 +322,12 @@ def test_run_online_cells_do_not_interact(vectorize, cases):
 
 @BOTH_PATHS
 def test_run_season_non_finite_difference_is_an_error(vectorize):
+    # the step overflows to inf, and inf * 0 on the draw makes both ratings NaN
+    games = [game("A", "B", "D", 0), game("A", "B", "H", 1)]
     with stepping(vectorize), pytest.raises(
         ValueError, match="rating difference must be finite, got nan"
     ):
-        run_season([game("A", "B", "H")], config(initial_rating=math.inf))
+        run_season(games, config(k_tilde=1e306))
 
 
 def test_predict_rejects_a_non_finite_difference():
@@ -363,41 +367,53 @@ def test_run_online_vectorizes_once_a_step_covers_enough_float_updates():
 # ---------------------------------------------------------------------------
 
 
+def check_snapshots(traj, want):
+    """Iterating ``traj`` gives the oracle's snapshots ``want``, and ``moves()`` agrees.
+
+    Each game's move gives its two players their ratings in the snapshot
+    after it.
+    """
+    snapshots = list(traj)
+    assert len(traj) == len(snapshots) == len(want)
+    for got, expected in zip(snapshots, want):
+        assert list(got) == list(expected)
+        assert all(abs(got[p] - expected[p]) <= 1e-12 * SIGMA for p in expected)
+    moves = list(traj.moves())
+    assert len(moves) == len(snapshots)
+    for (h, home, a, away), after in zip(moves, snapshots):
+        assert after[traj.players[h]] == home and after[traj.players[a]] == away
+    return snapshots
+
+
 def test_trajectory_snapshots_hold_the_players_seen_so_far():
     games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "C", "A", 2)]
     result = run_season(games, config(eta=0.3))
     traj = result.trajectory
+    snapshots = check_snapshots(traj, oracles.run_season(games, config(eta=0.3))[2])
     assert len(traj) == 3
-    assert list(traj[0]) == ["A", "B"]
-    assert list(traj[1]) == ["A", "B", "C", "D"]
-    assert traj[0]["A"] == -traj[0]["B"] > 0
-    assert traj[1].get("C") == -traj[1]["D"]
-    assert traj[-1] == traj[2] == result.state.ratings
-    assert traj[1:] == [traj[1], traj[2]] and traj[::-2] == [traj[2], traj[0]]
-    assert list(traj) == [traj[0], traj[1], traj[2]]
-    assert traj == list(traj) and traj != list(traj)[:2]
-    with pytest.raises(IndexError):
-        traj[3]
+    assert list(snapshots[0]) == ["A", "B"]
+    assert list(snapshots[1]) == ["A", "B", "C", "D"]
+    assert snapshots[0]["A"] == -snapshots[0]["B"] > 0
+    assert snapshots[1].get("C") == -snapshots[1]["D"]
+    assert snapshots[-1] == result.state.ratings
+    assert list(traj) == snapshots  # each iteration rebuilds the same snapshots
 
 
 def test_trajectory_slices_match_the_listed_snapshots():
     rng = np.random.default_rng(29)
-    traj = run_season(random_games(rng, ["A", "B", "C", "D"], 25), config()).trajectory
-    snapshots = list(traj)
-    for part in (slice(None), slice(-1, None), slice(None, None, 7), slice(20, 3, -4),
-                 slice(30, 40), slice(5, 5), slice(None, None, -1)):
-        assert traj[part] == snapshots[part]
-    assert [traj[i] for i in range(len(traj))] == snapshots
+    games = random_games(rng, ["A", "B", "C", "D"], 25)
+    traj = run_season(games, config()).trajectory
+    check_snapshots(traj, oracles.run_season(games, config())[2])
 
 
 def test_trajectory_running_ratings_match_the_snapshots():
     rng = np.random.default_rng(23)
     players = [f"P{i}" for i in range(5)]
-    result = run_season(random_games(rng, players, 40), config(eta=0.3), players=players)
-    traj = result.trajectory
+    games = random_games(rng, players, 40)
+    traj = run_season(games, config(eta=0.3), players=players).trajectory
     assert traj.players == players
-    for snapshot, running in zip(traj, traj.running()):
-        assert list(snapshot.values()) == running
+    snapshots = check_snapshots(traj, oracles.run_season(games, config(eta=0.3), players)[2])
+    assert all(list(snapshot) == players for snapshot in snapshots)
 
 
 @pytest.mark.parametrize(
@@ -442,6 +458,13 @@ def test_nll_zero_probability_names_the_game():
     theta = {"A": 0.0, "B": 0.0}
     with pytest.raises(ZeroProbabilityError, match="game 0.*A vs B"):
         nll(theta, [game("A", "B", "D")], fit_model(family=ModelFamily.BINARY))
+
+
+@pytest.mark.parametrize("function", [nll, nll_gradient])
+def test_nll_names_a_player_missing_from_theta(function):
+    games = [game("A", "B", "H", 0), game("C", "A", "D", 1), game("B", "D", "A", 2)]
+    with pytest.raises(ValueError, match="theta has no rating for player 'C'"):
+        function({"A": 0.0, "B": 0.0}, games, fit_model())
 
 
 def test_gradient_zero_at_draw_between_equals():

@@ -15,7 +15,6 @@ from drawelo.evaluation import (
     evaluate_scores,
     implied_draw_freq,
     log_score,
-    mean_second_half_ls,
     min_length_intervals,
     score_games,
     score_rows,
@@ -104,24 +103,24 @@ def test_score_rows_match_cell_log_scores(data):
 
 
 def test_mean_second_half_examples():
-    assert mean_second_half_ls([9.0, 9.0, 1.0, 3.0]) == 2.0
-    assert mean_second_half_ls([4.2] * 10) == pytest.approx(4.2)
+    assert evaluate_scores([9.0, 9.0, 1.0, 3.0]).mean_ls == 2.0
+    assert evaluate_scores([4.2] * 10).mean_ls == pytest.approx(4.2)
 
 
 def test_mean_second_half_odd_length_uses_last_ceil_half():
     assert second_half_window(5) == (2, 5)
-    assert mean_second_half_ls([100.0, 100.0, 1.0, 2.0, 3.0]) == 2.0
+    assert evaluate_scores([100.0, 100.0, 1.0, 2.0, 3.0]).mean_ls == 2.0
 
 
 def test_mean_second_half_matches_direct_summation():
     rng = np.random.default_rng(19)
     values = list(rng.exponential(size=380))
-    assert mean_second_half_ls(values) == pytest.approx(sum(values[190:]) / 190, rel=1e-12)
+    assert evaluate_scores(values).mean_ls == pytest.approx(sum(values[190:]) / 190, rel=1e-12)
 
 
 def test_mean_second_half_empty_is_an_error():
     with pytest.raises(ValueError):
-        mean_second_half_ls([])
+        evaluate_scores([])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ def test_uniform_predictor_scores_ln3_whatever_happens():
     rng = np.random.default_rng(23)
     games = [game("A", "B", "HDA"[rng.integers(3)], day=i) for i in range(100)]
     scores = score_games([UNIFORM] * len(games), games)
-    assert mean_second_half_ls(scores) == pytest.approx(math.log(3), abs=1e-12)
+    assert evaluate_scores(scores).mean_ls == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_true_draw_parameter_beats_mismatched_ones():
