@@ -17,37 +17,33 @@ Usage:
 import argparse
 from pathlib import Path
 
-from drawelo.data import load_matches, odds_to_probs
-from drawelo.engine import EngineConfig, UpdateMode, run_season
-from drawelo.evaluation import (
-    empirical_stats,
-    evaluate_scores,
-    log_score,
-    score_games,
-    second_half_window,
-)
+from drawelo.cli import _baseline_report, _evaluate_cells
+from drawelo.data import load_matches
+from drawelo.engine import EngineConfig, UpdateMode
+from drawelo.evaluation import empirical_stats
 from drawelo.models import ModelParams
 
-
-def season_cell(dataset, mode, kappa, *, sigma, k_tilde, eta, check_kappa=1.0):
-    config = EngineConfig(
-        model=ModelParams(sigma=sigma, kappa=kappa, eta=eta),
-        k_tilde=k_tilde,
-        mode=mode,
-        check_kappa=check_kappa,
-    )
-    result = run_season(dataset.games, config, players=dataset.team_names)
-    report = evaluate_scores(score_games(result.predictions, dataset.games))
-    return report
+# (mode, kappa, check_kappa) of the three rating columns
+CELLS = ((UpdateMode.KAPPA_ELO, 0.7, 1.0), (UpdateMode.KAPPA_ELO, 1.0, 1.0),
+         (UpdateMode.ELO_CHECK_KAPPA, 0.7, 1.0))
 
 
-def bookmaker_cell(dataset):
-    start, end = second_half_window(dataset.n_games)
-    window = dataset.games[start:end]
-    if any(g.odds is None for g in window):
-        return None
-    scores = [log_score(odds_to_probs(*g.odds), g.outcome) for g in window]
-    return evaluate_scores(scores, window="full")
+def season_cells(dataset, *, sigma, k_tilde, eta):
+    """The bookmaker's report (None without odds), then one per rating column."""
+    configs = [
+        EngineConfig(model=ModelParams(sigma=sigma, kappa=kappa, eta=eta), k_tilde=k_tilde,
+                     mode=mode, check_kappa=check_kappa)
+        for mode, kappa, check_kappa in CELLS
+    ]
+    reports = _evaluate_cells(dataset, configs, "second-half")
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
+    try:
+        bookmaker = _baseline_report(dataset, reports[0].window)
+    except ValueError:  # odds missing on a game of the window
+        bookmaker = None
+    return [bookmaker, *reports]
 
 
 def fmt(report):
@@ -74,12 +70,7 @@ def main():
     for path in args.seasons:
         dataset = load_matches(path)
         stats = empirical_stats(dataset.games)
-        cells = [
-            bookmaker_cell(dataset),
-            season_cell(dataset, UpdateMode.KAPPA_ELO, 0.7, **knobs),
-            season_cell(dataset, UpdateMode.KAPPA_ELO, 1.0, **knobs),
-            season_cell(dataset, UpdateMode.ELO_CHECK_KAPPA, 0.7, check_kappa=1.0, **knobs),
-        ]
+        cells = season_cells(dataset, **knobs)
         print(
             f"{Path(path).stem:<16} {stats.p_draw_bar:>6.2f} {stats.kappa_bar:>9.2f} | "
             + " | ".join(fmt(c) for c in cells)

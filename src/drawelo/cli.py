@@ -41,8 +41,7 @@ from .evaluation import (
     evaluate_cells,
     evaluate_scores,
     log_score,
-    score_games,  # unused here; perfbench/layers.py traces it by its name in this module
-    score_rows,
+    score_games,
     zero_probability,
 )
 from .models import ModelFamily, ModelParams
@@ -254,21 +253,20 @@ def _evaluate_cells(
 ) -> list[EvalReport | Exception]:
     """Each configuration's report from one pass over the season, or its cell's error.
 
-    Float-side cells are scored one at a time in plain Python, vector-side
-    cells all at once on arrays.
+    One configuration runs on plain floats (``run_season``) and is scored in
+    plain Python, without numpy; a grid runs on the vector kernel
+    (``run_online``) and is scored on arrays.
     """
     games = dataset.games
+    if len(configs) == 1:
+        try:
+            result = run_season(games, configs[0], players=dataset.team_names)
+            return [evaluate_scores(score_games(result.predictions, games), window)]
+        except ValueError as exc:  # a non-finite difference, a zero probability, or no games
+            return [exc]
+    if not configs:
+        return []
     run = run_online(compile_season(games, dataset.team_names), configs)
-    if not run.vectorized:
-        reports = []
-        for c in range(len(configs)):
-            try:
-                reports.append(
-                    run.error(c) or evaluate_scores(score_rows(run.probs[c], games), window)
-                )
-            except ValueError as exc:  # a zero probability, or no games to score
-                reports.append(exc)
-        return reports
     scores = cell_log_scores(run.probs, games)
     errors = [run.error(c) or zero_probability(scores[c], games) for c in range(len(configs))]
     try:

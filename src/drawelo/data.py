@@ -122,12 +122,10 @@ def parse_matches(source: str | TextIO) -> Dataset:
     last of a repeated column wins and a row's cells past the header are
     ignored, missing ones empty.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source, newline="")
-    reader = csv.reader(source)
+    text = source if isinstance(source, str) else source.read()
+    # a spreadsheet's UTF-8 byte-order mark would hide the first column's name
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     header = next(reader, [])
-    if header:  # a spreadsheet's UTF-8 byte-order mark would hide the first column's name
-        header[0] = header[0].removeprefix("\ufeff")
     column = {name: i for i, name in enumerate(header)}
     missing = [c for c in REQUIRED_COLUMNS if c not in column]
     if missing:

@@ -14,12 +14,12 @@ The classic update's logistic expected score is f_kappa at kappa = 0, and
 its implicit draw model is davidson at kappa = 2 and half the scale, so
 every mode is one update kappa plus one davidson prediction (kappa, sigma);
 ``mode_parameters`` is the one place that maps a mode to them.
-A season is compiled once into index lists; ``run_online`` then advances
-the ratings of any number of configurations together, one vector step per
-run of games in which no team appears twice, or, when that covers too few
-updates, game by game on plain floats without numpy.  Every player starts
-at rating 0.  ``run_season`` is the one-configuration case; its trajectory
-is iterated game by game, not indexed.
+A season is compiled once into index lists.  Each entry point has one
+path: ``run_season`` steps one configuration game by game on plain floats
+and never imports numpy; ``run_online`` advances a grid of configurations
+together on numpy arrays, one vector step per run of games in which no
+team appears twice.  Every player starts at rating 0.  ``run_season``'s
+trajectory is iterated game by game, not indexed.
 
 The batch side minimizes the negative log likelihood of a fixed game list
 by damped Newton steps on game arrays, pinning each connected group's
@@ -28,7 +28,6 @@ rating sum to zero to remove the origin ambiguity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -194,7 +193,7 @@ def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> Rat
     v = (ratings[game.home_id] - ratings[game.away_id]) + shift
     if not math.isfinite(v):
         raise non_finite_difference(v)
-    # f_kappa at the update kappa, as the float path of run_online computes it
+    # f_kappa at the update kappa, as run_season computes it
     f = expected_score_of(v, config.model.sigma, kappa)
     delta = step * (score_of(game.outcome, "home") - f)
     ratings[game.home_id] += delta
@@ -237,11 +236,6 @@ class CompiledSeason:
     runs: list[int]
     known: list[int]
 
-    @property
-    def mean_run(self) -> float:
-        """Games per run of disjoint games; 0 for an empty season."""
-        return len(self.home) / max(1, len(self.runs) - 1)
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``home``, ``away`` and ``score`` as numpy arrays, for the vector side."""
         import numpy as np
@@ -276,75 +270,42 @@ def compile_season(
 
 @dataclass(frozen=True)
 class OnlineRun:
-    """``run_online`` output for C configurations, G games and T players.
+    """``run_online`` output for C configurations, G games and T players, as numpy arrays."""
 
-    ``vectorized`` tells the two sides apart: the vector side holds each
-    field as a numpy array of the shape shown, the float side as a list of
-    C plain lists, with forecasts as (p_home, p_away, p_draw) tuples.
-    """
-
-    diffs: np.ndarray | list    # (C, G) shifted rating difference before each game
-    deltas: np.ndarray | list   # (C, G) home rating change; the away side gets its negative
-    probs: np.ndarray | list    # (C, G, 3) forecast (p_home, p_away, p_draw) before each game
-    ratings: np.ndarray | list  # (C, T) final ratings
-    vectorized: bool
-
-    def row(self, name: str, cell: int) -> list:
-        """A cell's row of the field ``name`` as plain Python values."""
-        row = getattr(self, name)[cell]
-        return row.tolist() if self.vectorized else row
+    diffs: np.ndarray    # (C, G) shifted rating difference before each game
+    deltas: np.ndarray   # (C, G) home rating change; the away side gets its negative
+    probs: np.ndarray    # (C, G, 3) forecast (p_home, p_away, p_draw) before each game
+    ratings: np.ndarray  # (C, T) final ratings
 
     def error(self, cell: int) -> ValueError | None:
         """The error a cell's first non-finite rating difference raises, if any."""
+        import numpy as np
         diffs = self.diffs[cell]
-        if self.vectorized:
-            import numpy as np
-            diffs = diffs[~np.isfinite(diffs)][:1].tolist()
-        bad = next(itertools.filterfalse(math.isfinite, diffs), None)
-        return None if bad is None else non_finite_difference(bad)
-
-
-# Float updates (configurations x mean run length) from which one vector
-# step per run beats the float loop.  A vector step costs 25-40 us of numpy
-# calls whatever its size, the float loop 0.6-1 us per game and
-# configuration (x86-64, numpy 2.4): one configuration breaks even at runs
-# of about 50 games, a grid of 32 at runs of about 2.  Below it the float
-# side also forecasts and is scored in plain Python, so numpy is never
-# imported: one configuration on a 20-team season runs without it.
-MIN_VECTOR_GAMES = 50.0
+        bad = diffs[~np.isfinite(diffs)]
+        return non_finite_difference(float(bad[0])) if bad.size else None
 
 
 def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> OnlineRun:
-    """Every configuration's sequential ratings and forecasts in one pass.
+    """Every configuration's sequential ratings and forecasts in one pass, on numpy.
 
-    From ``MIN_VECTOR_GAMES`` float updates per run on, ratings are held as
-    a (configs, players) numpy array and each run of disjoint games
-    advances in one vector step for every configuration; that is exact,
-    because no game of a run reads a rating another game of the same run
-    writes, and forecasts are computed from the differences after the pass.
-    Below it, each configuration steps game by game on plain floats and
-    forecasts each game with the scalar ``davidson_triple``, without numpy;
-    its rows are plain lists, which the scorers of ``evaluation`` take one
-    at a time.  Both sides do the same float operations, but numpy's
-    ``power`` may round 10^x differently from the C library's in the last
-    bit.  A configuration whose ratings stop being finite is not raised
-    here: ``OnlineRun.error`` reports it.
+    Ratings are held as a (configs, players) array, and each run of
+    disjoint games advances in one vector step for every configuration;
+    that is exact, because no game of a run reads a rating another game of
+    the same run writes.  Forecasts are computed from the differences after
+    the pass.  The operations are ``run_season``'s, but numpy's ``power``
+    may round 10^x differently from the C library's in the last bit.  A
+    configuration whose ratings stop being finite is not raised here:
+    ``OnlineRun.error`` reports it.
     """
-    # per configuration: the mode's five parameters and the scale
-    params = [[float(x) for x in (*mode_parameters(c), c.model.sigma)] for c in configs]
-    if len(configs) * season.mean_run >= MIN_VECTOR_GAMES:
-        return _step_runs(season, params)
-    return _step_games(season, params)
-
-
-def _step_runs(season: CompiledSeason, params: list[list[float]]) -> OnlineRun:
-    """One vector step per run for all cells, then every forecast at once."""
     import numpy as np
-    table = np.array(params, dtype=float).reshape(len(params), 6)
+    # per configuration: the mode's five parameters and the scale
+    table = np.array(
+        [(*mode_parameters(c), c.model.sigma) for c in configs], dtype=float
+    ).reshape(len(configs), 6)
     shift, step, kappa, predict_sigma, predict_kappa, sigma = table.T[:, :, None]
     home_index, away_index, score = season.arrays()
-    ratings = np.zeros((len(params), len(season.players)))
-    diffs = np.empty((len(params), len(score)))
+    ratings = np.zeros((len(configs), len(season.players)))
+    diffs = np.empty((len(configs), len(score)))
     deltas = np.empty_like(diffs)
     runs = season.runs
     with np.errstate(invalid="ignore", over="ignore"):
@@ -357,29 +318,7 @@ def _step_runs(season: CompiledSeason, params: list[list[float]]) -> OnlineRun:
             diffs[:, start:end] = v
             deltas[:, start:end] = delta
         probs = davidson_table(diffs, predict_sigma, predict_kappa)
-    return OnlineRun(diffs, deltas, probs, ratings, vectorized=True)
-
-
-def _step_games(season: CompiledSeason, params: list[list[float]]) -> OnlineRun:
-    """One float update and one scalar forecast per game and cell."""
-    games = list(zip(season.home, season.away, season.score))
-    diffs, deltas, probs, ratings = [], [], [], []
-    for shift, step, kappa, predict_sigma, predict_kappa, sigma in params:
-        r = [0.0] * len(season.players)
-        cell_diffs, cell_deltas, cell_probs = [], [], []
-        for h, a, s in games:
-            v = (r[h] - r[a]) + shift
-            delta = step * (s - expected_score_of(v, sigma, kappa))
-            r[h] += delta
-            r[a] -= delta
-            cell_diffs.append(v)
-            cell_deltas.append(delta)
-            cell_probs.append(davidson_triple(v, predict_sigma, predict_kappa))
-        diffs.append(cell_diffs)
-        deltas.append(cell_deltas)
-        probs.append(cell_probs)
-        ratings.append(r)
-    return OnlineRun(diffs, deltas, probs, ratings, vectorized=False)
+    return OnlineRun(diffs, deltas, probs, ratings)
 
 
 def run_season(
@@ -387,19 +326,30 @@ def run_season(
     config: EngineConfig,
     players: Iterable[str] | None = None,
 ) -> SeasonResult:
-    """Process games in order, predicting each one before updating on it."""
+    """Process games in order, predicting each one before updating on it.
+
+    One configuration steps game by game on plain floats and forecasts each
+    game with the scalar ``davidson_triple``; numpy is never imported.  The
+    first non-finite rating difference raises.
+    """
     season = compile_season(games, players)
-    run = run_online(season, [config])
-    error = run.error(0)
-    if error is not None:
-        raise error
+    shift, step, kappa, predict_sigma, predict_kappa = mode_parameters(config)
+    sigma = config.model.sigma
+    ratings = [0.0] * len(season.players)
+    predictions, deltas = [], []
+    for h, a, s in zip(season.home, season.away, season.score):
+        v = (ratings[h] - ratings[a]) + shift
+        if not math.isfinite(v):
+            raise non_finite_difference(v)
+        delta = step * (s - expected_score_of(v, sigma, kappa))
+        ratings[h] += delta
+        ratings[a] -= delta
+        deltas.append(delta)
+        predictions.append(OutcomeProbs(*davidson_triple(v, predict_sigma, predict_kappa)))
     return SeasonResult(
-        state=RatingState(
-            ratings=dict(zip(season.players, run.row("ratings", 0))),
-            games_processed=len(games),
-        ),
-        predictions=[OutcomeProbs(*p) for p in run.row("probs", 0)],
-        trajectory=Trajectory(season, run.row("deltas", 0)),
+        state=RatingState(ratings=dict(zip(season.players, ratings)), games_processed=len(games)),
+        predictions=predictions,
+        trajectory=Trajectory(season, deltas),
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .data import GameRecord
 from .errors import ZeroProbabilityError
@@ -96,30 +96,24 @@ def zero_probability(
     return _zero_probability_at(int(bad[0]), games) if bad.size else None
 
 
-def score_rows(
-    probs: Iterable[Sequence[float]], games: Sequence[GameRecord]
+def score_games(
+    predictions: Sequence[Sequence[float]], games: Sequence[GameRecord]
 ) -> list[float]:
-    """Per-game log scores of (p_home, p_away, p_draw) rows, in plain Python.
+    """Per-game log scores of (p_home, p_away, p_draw) rows such as ``OutcomeProbs``.
 
-    A zero probability raises the error ``zero_probability`` gives.
+    Scored in plain Python; a zero probability raises the error
+    ``zero_probability`` gives, naming the game.
     """
-    realized = [row[_OUTCOME_COLUMN[g.outcome]] for row, g in zip(probs, games)]
+    if len(predictions) != len(games):
+        raise ValueError(
+            f"{len(predictions)} predictions for {len(games)} games"
+        )
+    realized = [row[_OUTCOME_COLUMN[g.outcome]] for row, g in zip(predictions, games)]
     try:
         return [-x for x in map(math.log, realized)]
     except ValueError:  # math.log of a probability <= 0
         first = next(i for i, p in enumerate(realized) if p <= 0.0)
         raise _zero_probability_at(first, games) from None
-
-
-def score_games(
-    predictions: Sequence[OutcomeProbs], games: Sequence[GameRecord]
-) -> list[float]:
-    """Per-game log scores, with the offending game named on failure."""
-    if len(predictions) != len(games):
-        raise ValueError(
-            f"{len(predictions)} predictions for {len(games)} games"
-        )
-    return score_rows(((p.p_home, p.p_away, p.p_draw) for p in predictions), games)
 
 
 def second_half_window(n_total: int) -> tuple[int, int]:

@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,9 +88,8 @@ class ModelParams:
         return None
 
 
-@dataclass(frozen=True)
-class OutcomeProbs:
-    """Normalized probabilities of home win / away win / draw."""
+class OutcomeProbs(NamedTuple):
+    """Normalized probabilities of home win / away win / draw, in that order."""
 
     p_home: float
     p_away: float

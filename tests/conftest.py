@@ -1,14 +1,11 @@
 import datetime as dt
-import math
 import os
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
 import oracles
-from drawelo import engine
 from drawelo.data import GameRecord
 from drawelo.engine import EngineConfig, UpdateMode
 from drawelo.models import ModelParams
@@ -56,14 +53,10 @@ def two_player_record():
 KAPPAS = st.sampled_from([0.0, 2.0]) | st.floats(0.0, 5.0)
 
 
-# run_online's two stepping paths: floats game by game, or one vector step
-# per run of games
+# The online engine's two paths: floats game by game (run_season, or a
+# one-cell grid), or one vector step per run of games (run_online, or a
+# grid of two or more cells)
 BOTH_PATHS = pytest.mark.parametrize("vectorize", [False, True], ids=["floats", "vectors"])
-
-
-def stepping(vectorize):
-    """Context in which run_online takes the given path whenever it chooses."""
-    return mock.patch.object(engine, "MIN_VECTOR_GAMES", 0.0 if vectorize else math.inf)
 
 
 @st.composite

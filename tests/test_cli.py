@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BOTH_PATHS, KAPPAS, check_report, online_cases, stepping
+from conftest import BOTH_PATHS, KAPPAS, check_report, online_cases
 from drawelo.cli import RunConfig, _csv_cell, _round6, main, run_rate, run_sweep
 from drawelo.data import Dataset, load_matches, serialize_matches
 from drawelo.engine import UpdateMode, run_season
@@ -293,9 +293,14 @@ def test_sweep_cells_match_evaluate(runner, season_file):
     modes=st.lists(st.sampled_from(list(UpdateMode)), min_size=1, max_size=3, unique=True),
 )
 def test_sweep_matches_the_scalar_oracle(vectorize, case, kappas, etas, modes):
+    # a one-cell grid runs on floats, a grid of two or more cells on vectors
+    if not vectorize:
+        kappas, etas, modes = kappas[:1], etas[:1], modes[:1]
+    elif len(kappas) * len(etas) * len(modes) == 1:
+        etas = etas * 2
     config, _, games = case
     dataset = Dataset(games=games)
-    with tempfile.TemporaryDirectory() as tmp, stepping(vectorize):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "season.csv"
         path.write_text(serialize_matches(dataset), newline="")
         cfg = RunConfig(command="sweep", input_path=str(path), sigma=config.model.sigma,
@@ -663,23 +668,37 @@ def season_with_odds(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def league_100(tmp_path_factory):
+    """``simulate --teams 100`` (9,900 games, runs of 50)."""
+    path = tmp_path_factory.mktemp("numpy_free") / "league.csv"
+    result = CliRunner().invoke(main, ["simulate", "--teams", "100", "-o", str(path)])
+    assert result.exit_code == 0, result.output
+    return path
+
+
 GRID_32 = ["--kappa-grid", "0.4,0.7,1,2", "--eta-grid", "0,0.15,0.3,0.45",
            "--modes", "kappa-elo,elo-check"]
 
 
-@pytest.mark.parametrize("args,loads_numpy", [
-    (["stats"], False),
-    (["evaluate", "--baseline"], False),
-    (["rate", "--trajectory", "{tmp}/trajectory.csv"], False),
-    (["sweep"], False),
-    (["sweep", *GRID_32], True),
-    (["fit"], True),
-], ids=["stats", "evaluate", "rate", "sweep-1-cell", "sweep-32-cells", "fit"])
-def test_one_season_commands_run_without_numpy(season_with_odds, tmp_path, args, loads_numpy):
-    # one configuration on runs of 10 games takes run_online's float side
+@pytest.mark.parametrize("season,args,loads_numpy", [
+    ("season_with_odds", ["stats"], False),
+    ("season_with_odds", ["evaluate", "--baseline"], False),
+    ("season_with_odds", ["rate", "--trajectory", "{tmp}/trajectory.csv"], False),
+    ("season_with_odds", ["sweep"], False),
+    ("season_with_odds", ["sweep", "--modes", "kappa-elo,elo"], True),
+    ("season_with_odds", ["sweep", *GRID_32], True),
+    ("season_with_odds", ["fit"], True),
+    ("league_100", ["evaluate"], False),
+    ("league_100", ["rate", "--trajectory", "{tmp}/trajectory.csv"], False),
+], ids=["stats", "evaluate", "rate", "sweep-1-cell", "sweep-2-cells", "sweep-32-cells", "fit",
+        "evaluate-100-teams", "rate-100-teams"])
+def test_one_season_commands_run_without_numpy(request, tmp_path, season, args, loads_numpy):
+    # one configuration runs on floats whatever the season's length; a grid
+    # of two or more cells takes the vector kernel
     command, *options = [a.format(tmp=tmp_path) for a in args]
     result = run_cli(
-        [command, str(season_with_odds), *options],
+        [command, str(request.getfixturevalue(season)), *options],
         driver="from drawelo.cli import main\n"
                "try:\n    main(sys.argv[1:])\n"
                "finally:\n    print('numpy' in sys.modules, file=sys.stderr)",

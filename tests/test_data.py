@@ -151,6 +151,9 @@ def test_parse_drops_a_leading_byte_order_mark():
     with pytest.raises(RowError, match="line 3") as exc_info:
         parse_matches("\ufeff" + text + "13/08/2017,C,D,X\n")
     assert exc_info.value.line == 3
+    # the mark is stripped before csv.reader reads the text, so a quoted first cell loses it too
+    quoted = '"Date",HomeTeam,AwayTeam,FTR\n12/08/2017,A,B,H\n'
+    assert parse_matches("\ufeff" + quoted).games == parse_matches(text).games
 
 
 def test_parse_missing_required_column_is_schema_error():

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BOTH_PATHS, check_report, game, online_cases, random_games, stepping
-from drawelo import engine
+from conftest import BOTH_PATHS, check_report, game, online_cases, random_games
 from drawelo.engine import (
     EngineConfig,
     RatingState,
+    SeasonResult,
+    Trajectory,
     UpdateMode,
     batch_ml_fit,
     compile_season,
@@ -26,8 +26,7 @@ from drawelo.engine import (
 )
 from drawelo.evaluation import evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
-from drawelo.models import ModelFamily, ModelParams, davidson_probs, logistic_cdf
-from drawelo.sim import generate_schedule
+from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, davidson_probs, logistic_cdf
 from oracles import finite_diff_gradient
 
 SIGMA = 600.0
@@ -261,13 +260,26 @@ def test_compile_season_splits_runs_of_disjoint_games():
     assert season.score.tolist() == [1.0, 0.5, 0.0, 1.0, 0.5, 1.0]
     assert season.runs == [0, 2, 4, 6]
     assert season.known == [4, 5, 5, 5, 6, 6]
-    assert season.mean_run == 2.0
 
 
 def test_compile_season_empty():
     season = compile_season([], players=["A"])
     assert season.runs == [0] and season.known == [] and season.players == ["A"]
-    assert season.mean_run == 0.0
+
+
+def one_cell_run(games, config, players=None) -> SeasonResult:
+    """``run_season``'s result, built from a one-cell ``run_online``."""
+    season = compile_season(games, players)
+    run = run_online(season, [config])
+    error = run.error(0)
+    if error is not None:
+        raise error
+    return SeasonResult(
+        state=RatingState(ratings=dict(zip(season.players, run.ratings[0].tolist())),
+                          games_processed=len(games)),
+        predictions=[OutcomeProbs(*p) for p in run.probs[0].tolist()],
+        trajectory=Trajectory(season, run.deltas[0].tolist()),
+    )
 
 
 @BOTH_PATHS
@@ -277,8 +289,7 @@ def test_run_season_matches_the_scalar_oracle(vectorize, case, players_kind):
     config, teams, games = case
     players = {"omitted": None, "all": teams + ["Idle"], "subset": teams[::-2]}[players_kind]
     ratings, predictions, trajectory = oracles.run_season(games, config, players)
-    with stepping(vectorize):
-        result = run_season(games, config, players=players)
+    result = (one_cell_run if vectorize else run_season)(games, config, players)
 
     scale = max([config.model.sigma] + [abs(r) for r in ratings.values()])
     assert list(result.state.ratings) == list(ratings)
@@ -308,58 +319,47 @@ def test_run_season_matches_the_scalar_oracle(vectorize, case, players_kind):
 @settings(max_examples=50, deadline=None)
 @given(cases=st.lists(online_cases(max_teams=6), min_size=2, max_size=4))
 def test_run_online_cells_do_not_interact(vectorize, cases):
-    # one pass over several configurations gives each exactly what it gets alone
+    # one pass over several configurations gives each what it gets alone:
+    # exactly what a one-cell pass gives, and run_season's floats to 1e-12
     games = cases[0][2]
     season = compile_season(games)
     configs = [config for config, _, _ in cases]
-    with stepping(vectorize):
-        together = run_online(season, configs)
-        alone = [run_online(season, [config]) for config in configs]
-    for c, one in enumerate(alone):
-        for field in ("diffs", "deltas", "probs", "ratings"):
-            assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
+    together = run_online(season, configs)
+    for c, config in enumerate(configs):
+        if vectorize:
+            one = run_online(season, [config])
+            for field in ("diffs", "deltas", "probs", "ratings"):
+                assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
+            continue
+        alone = run_season(games, config)
+        ratings = together.ratings[c].tolist()
+        scale = max([config.model.sigma] + [abs(r) for r in ratings])
+        assert list(alone.state.ratings) == season.players
+        for got, want in zip(ratings, alone.state.ratings.values()):
+            assert abs(got - want) <= 1e-12 * scale
+        assert len(alone.predictions) == len(games)
+        for got, want in zip(together.probs[c].tolist(), alone.predictions):
+            assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
 
 
 @BOTH_PATHS
 def test_run_season_non_finite_difference_is_an_error(vectorize):
     # the step overflows to inf, and inf * 0 on the draw makes both ratings NaN
     games = [game("A", "B", "D", 0), game("A", "B", "H", 1)]
-    with stepping(vectorize), pytest.raises(
-        ValueError, match="rating difference must be finite, got nan"
-    ):
-        run_season(games, config(k_tilde=1e306))
+    message = "rating difference must be finite, got nan"
+    if not vectorize:
+        with pytest.raises(ValueError, match=message):
+            run_season(games, config(k_tilde=1e306))
+        return
+    # on the vector side only the failing cell of a grid reports it
+    run = run_online(compile_season(games), [config(k_tilde=1e306), config()])
+    assert str(run.error(0)) == message and run.error(1) is None
 
 
 def test_predict_rejects_a_non_finite_difference():
     state = RatingState(ratings={"A": math.inf, "B": 0.0})
     with pytest.raises(ValueError, match="rating difference must be finite, got inf"):
         predict(state, "A", "B", config())
-
-
-@BOTH_PATHS
-def test_run_online_rows_are_plain_lists_on_the_float_side(vectorize):
-    games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "C", "A", 2)]
-    with stepping(vectorize):
-        run = run_online(compile_season(games), [config(), config(k_tilde=0.0)])
-    assert run.vectorized is vectorize
-    for field in ("diffs", "deltas", "probs", "ratings"):
-        rows = getattr(run, field)
-        assert isinstance(rows, np.ndarray) is vectorize
-        for c in range(2):
-            row = run.row(field, c)
-            assert isinstance(row, list) and np.array_equal(row, rows[c])
-    assert run.error(0) is None and run.error(1) is None
-
-
-def test_run_online_vectorizes_once_a_step_covers_enough_float_updates():
-    # a circle-method round-robin of 20 teams has runs of 10 games
-    games = [game(f"T{h}", f"T{a}", "D", i) for i, (h, a) in enumerate(generate_schedule(20))]
-    season = compile_season(games)
-    assert season.mean_run == 10.0
-    for n_configs in (1, 4, 5, 32):
-        with mock.patch.object(engine, "_step_runs", wraps=engine._step_runs) as step_runs:
-            run_online(season, [config()] * n_configs)
-        assert step_runs.called == (10.0 * n_configs >= engine.MIN_VECTOR_GAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from drawelo.evaluation import (
     log_score,
     min_length_intervals,
     score_games,
-    score_rows,
     second_half_window,
     zero_probability,
 )
@@ -79,7 +78,8 @@ def test_zero_probability_names_the_first_game():
 @settings(max_examples=100)
 @given(st.data())
 def test_score_rows_match_cell_log_scores(data):
-    # the plain-Python scorer of one row and the array scorer of many
+    # the plain-Python scorer of one row of (p_home, p_away, p_draw) tuples
+    # and the array scorer of many
     n = data.draw(st.integers(1, 30))
     rows = data.draw(st.lists(
         st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)] * 3),
@@ -90,10 +90,10 @@ def test_score_rows_match_cell_log_scores(data):
     for row, scores in zip(rows, table):
         error = zero_probability(scores, games)
         if error is None:
-            assert score_rows(row, games) == scores.tolist()
+            assert score_games(row, games) == scores.tolist()
         else:
             with pytest.raises(ZeroProbabilityError) as raised:
-                score_rows(row, games)
+                score_games(row, games)
             assert str(raised.value) == str(error)
 
 
