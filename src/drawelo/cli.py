@@ -44,7 +44,7 @@ from .evaluation import (
     score_games,
     zero_probability,
 )
-from .models import ModelFamily, ModelParams
+from .models import ModelFamily, ModelParams, apply_home_advantage
 from .sim import SimSpec, generate_season
 
 
@@ -409,15 +409,20 @@ def run_fit(cfg: RunConfig, step: None, max_iters: int, tol: float, ridge: float
     }
 
 
+def _true_ratings(teams: int, spacing: float, sigma: float) -> dict[str, float]:
+    """Evenly spaced true ratings, strongest first, ``spacing`` sigmas apart."""
+    width = len(str(teams))
+    return {
+        f"T{i + 1:0{width}d}": ((teams - 1) / 2.0 - i) * spacing * sigma
+        for i in range(teams)
+    }
+
+
 def run_simulate(
     cfg: RunConfig, teams: int, spacing: float, rounds: int, seed: int,
     output: str, truth: str | None,
 ) -> dict:
-    width = len(str(teams))
-    theta_true = {
-        f"T{i + 1:0{width}d}": ((teams - 1) / 2.0 - i) * spacing * cfg.sigma
-        for i in range(teams)
-    }
+    theta_true = _true_ratings(teams, spacing, cfg.sigma)
     spec = SimSpec(
         theta_true=theta_true, model=cfg.model_params(), rounds=rounds, seed=seed
     )
@@ -576,8 +581,12 @@ def cmd_simulate(teams, spacing, rounds, seed, output, truth, **kw):
         raise click.UsageError("--teams must be at least 2")
     if rounds < 1:
         raise click.UsageError("--rounds must be at least 1")
-    if not math.isfinite(spacing):
-        raise click.UsageError(f"--spacing must be finite, got {spacing}")
+    ratings = list(_true_ratings(teams, spacing, cfg.sigma).values())
+    # the first and last teams give the widest difference; eta only widens it
+    widest = apply_home_advantage(abs(ratings[0] - ratings[-1]), cfg.model_params())
+    if not math.isfinite(widest):
+        raise click.UsageError(f"--spacing {spacing} at --sigma {cfg.sigma} and --eta {cfg.eta} "
+                               "makes a rating difference non-finite")
     payload = run_simulate(cfg, teams, spacing, rounds, seed, output, truth)
     row = {k: payload[k] for k in ("output", "truth_file", "n_games", "n_teams", "seed")}
     _emit(payload, [row], list(row), cfg.output_format)

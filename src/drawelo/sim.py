@@ -2,17 +2,19 @@
 
 Seasons are double round-robins (every ordered home/away pair once per
 round) built with the circle method, with outcomes sampled from any of the
-probability families.  Randomness comes from numpy's seeded PCG64 stream,
-so a SimSpec pins the generated season byte for byte; numpy is imported
-when a season is generated or scored, not with the module.
+probability families.  Randomness is numpy's seeded PCG64 stream, drawn
+bit for bit in plain Python (``_PCG64``), so a SimSpec pins the
+generated season byte for byte without importing numpy; only
+``recovery_metrics`` imports it, on first call.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 from .data import Dataset, GameRecord
 from .models import ModelParams, predict_probs
@@ -37,6 +39,82 @@ class SimSpec:
             raise ValueError("need at least two teams")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: hash one 32-bit word, then move the constant on."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return result ^ result >> 16
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(8, np.uint32)``."""
+    # the seed's little-endian 32-bit words (0 is one word) go into a pool of 4
+    entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(0x8B51F9DD, 0x58F38DED)
+    return [output(pool[i % 4]) for i in range(8)]
+
+
+class _PCG64:
+    """numpy's ``Generator(PCG64(seed)).random()`` stream, bit for bit.
+
+    A 128-bit LCG with the XSL-RR output (O'Neill 2014, HMC-CS-2014-0905),
+    seeded through numpy's SeedSequence as ``PCG64`` seeds it.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int):
+        w = _seed_words(seed)  # generate_state(4, np.uint64): low word first
+        w0, w1, w2, w3 = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
+        self.inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        # srandom: step from 0, add the initial state, step again
+        self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _M128
+
+    def random(self) -> float:
+        """The next double in [0, 1): the top 53 bits of the next output."""
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        return (((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53
+
+
+class Uniforms(Protocol):
+    """Any source of uniform doubles in [0, 1), numpy's Generator included."""
+
+    def random(self) -> float: ...
 
 
 def generate_schedule(n_teams: int, rounds: int = 1) -> list[tuple[int, int]]:
@@ -65,8 +143,12 @@ def generate_schedule(n_teams: int, rounds: int = 1) -> list[tuple[int, int]]:
     return one_round * rounds
 
 
-def sample_outcome(v: float, model: ModelParams, rng: np.random.Generator) -> str:
-    """Draw H/D/A by inverse cdf over the fixed category order (H, D, A)."""
+def sample_outcome(v: float, model: ModelParams, rng: Uniforms) -> str:
+    """Draw H/D/A by inverse cdf over the fixed category order (H, D, A).
+
+    ``rng`` is any object whose ``random()`` returns a uniform double in
+    [0, 1), such as numpy's ``Generator`` or ``random.Random``.
+    """
     probs = predict_probs(v, model)
     u = rng.random()
     if u < probs.p_home:
@@ -78,9 +160,8 @@ def sample_outcome(v: float, model: ModelParams, rng: np.random.Generator) -> st
 
 def generate_season(spec: SimSpec) -> Dataset:
     """Sample a full synthetic season; identical specs give identical data."""
-    import numpy as np
     names = list(spec.theta_true)
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    rng = _PCG64(spec.seed)
     games = []
     for idx, (hi, ai) in enumerate(generate_schedule(len(names), spec.rounds)):
         home, away = names[hi], names[ai]

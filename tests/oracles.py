@@ -11,6 +11,9 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
+
+from drawelo.data import Dataset, GameRecord
 from drawelo.engine import UpdateMode
 from drawelo.errors import ZeroProbabilityError
 from drawelo.models import (
@@ -20,6 +23,7 @@ from drawelo.models import (
     logistic_cdf,
     predict_probs,
 )
+from drawelo.sim import generate_schedule, sample_outcome
 
 
 def nll(theta, games, model):
@@ -191,3 +195,31 @@ def trajectory_csv(trajectory):
         for team, rating in snapshot.items():
             writer.writerow([idx, team, f"{rating:.6g}"])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Simulation: the season drawn from numpy's own PCG64 generator
+# ---------------------------------------------------------------------------
+
+
+def generate_season(spec):
+    """``sim.generate_season`` with uniforms from ``Generator(PCG64(seed))``.
+
+    The schedule and the inverse-cdf draw are the package's own; what this
+    checks is the pure-Python stream that replaced numpy's generator.
+    """
+    names = list(spec.theta_true)
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    games = []
+    for idx, (hi, ai) in enumerate(generate_schedule(len(names), spec.rounds)):
+        home, away = names[hi], names[ai]
+        v = spec.theta_true[home] - spec.theta_true[away]
+        games.append(
+            GameRecord(
+                date=dt.date(2000, 1, 1) + dt.timedelta(days=idx),
+                home_id=home,
+                away_id=away,
+                outcome=sample_outcome(v, spec.model, rng),
+            )
+        )
+    return Dataset(games=games, team_index={name: i for i, name in enumerate(names)})

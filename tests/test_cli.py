@@ -577,7 +577,8 @@ def test_nan_is_printed_as_null_or_empty():
      (["simulate", "--spacing", "nan", "-o", "out.csv"], "--spacing"),
      (["simulate", "--spacing", "inf", "-o", "out.csv"], "--spacing"),
      (["fit", "missing.csv", "--v0", "nan"], "--v0"),
-     (["simulate", "--seed", "-1", "-o", "out.csv"], "--seed")],
+     (["simulate", "--seed", "-1", "-o", "out.csv"], "--seed"),
+     (["simulate", "--teams", "3", "--spacing", "1e308", "-o", "out.csv"], "--spacing")],
 )
 def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args, option):
     # the input does not exist: reading it first would be a data error, exit 3
@@ -691,14 +692,17 @@ GRID_32 = ["--kappa-grid", "0.4,0.7,1,2", "--eta-grid", "0,0.15,0.3,0.45",
     ("season_with_odds", ["fit"], True),
     ("league_100", ["evaluate"], False),
     ("league_100", ["rate", "--trajectory", "{tmp}/trajectory.csv"], False),
+    (None, ["simulate", "-o", "{tmp}/season.csv"], False),
 ], ids=["stats", "evaluate", "rate", "sweep-1-cell", "sweep-2-cells", "sweep-32-cells", "fit",
-        "evaluate-100-teams", "rate-100-teams"])
+        "evaluate-100-teams", "rate-100-teams", "simulate"])
 def test_one_season_commands_run_without_numpy(request, tmp_path, season, args, loads_numpy):
     # one configuration runs on floats whatever the season's length; a grid
-    # of two or more cells takes the vector kernel
+    # of two or more cells takes the vector kernel; the simulator draws
+    # numpy's PCG64 stream in plain Python
     command, *options = [a.format(tmp=tmp_path) for a in args]
+    inputs = [str(request.getfixturevalue(season))] if season else []
     result = run_cli(
-        [command, str(request.getfixturevalue(season)), *options],
+        [command, *inputs, *options],
         driver="from drawelo.cli import main\n"
                "try:\n    main(sys.argv[1:])\n"
                "finally:\n    print('numpy' in sys.modules, file=sys.stderr)",

@@ -7,11 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from conftest import KAPPAS
 from drawelo.data import serialize_matches
-from drawelo.models import ModelParams, predict_probs
+from drawelo.models import ModelFamily, ModelParams, predict_probs
 from drawelo.sim import (
     SimSpec,
+    _PCG64,
     generate_schedule,
     generate_season,
     recovery_metrics,
@@ -155,6 +160,55 @@ def test_sim_spec_validation():
         SimSpec(theta_true={"A": 0.0})
     with pytest.raises(ValueError):
         SimSpec(theta_true=ladder(4, 10.0), rounds=0)
+    for seed in (-1, -(2**64), 1.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match="^seed"):
+            SimSpec(theta_true=ladder(4, 10.0), seed=seed)
+    for seed, expected in ((np.int64(7), 7), (np.uint32(2**32 - 1), 2**32 - 1), (2**130, 2**130)):
+        spec = SimSpec(theta_true=ladder(4, 10.0), seed=seed)
+        assert spec.seed == expected and type(spec.seed) is int
+
+
+# ---------------------------------------------------------------------------
+# the PCG64 stream against numpy's
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1), n=st.integers(1, 300))
+@example(seed=0, n=300)
+@example(seed=2**32 - 1, n=300)
+@example(seed=2**32, n=300)
+@example(seed=2**64, n=300)
+@example(seed=2**128 + 1, n=300)
+def test_stream_matches_numpy_pcg64(seed, n):
+    rng, reference = _PCG64(seed), np.random.Generator(np.random.PCG64(seed))
+    assert [rng.random() for _ in range(n)] == [reference.random() for _ in range(n)]
+
+
+@st.composite
+def sim_specs(draw):
+    n = draw(st.integers(2, 8))
+    model = ModelParams(
+        sigma=draw(st.floats(100.0, 1500.0)),
+        kappa=draw(KAPPAS),
+        eta=draw(st.sampled_from([0.0]) | st.floats(0.0, 0.6)),
+        v0=draw(st.floats(0.0, 300.0)),
+        family=draw(st.sampled_from(list(ModelFamily))),
+    )
+    theta = draw(st.lists(st.floats(-1000.0, 1000.0), min_size=n, max_size=n))
+    return SimSpec(
+        theta_true={f"T{i}": value for i, value in enumerate(theta)},
+        model=model,
+        rounds=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**130)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=sim_specs())
+def test_generate_season_matches_the_numpy_oracle(spec):
+    expected = serialize_matches(oracles.generate_season(spec))
+    assert serialize_matches(generate_season(spec)) == expected
 
 
 # ---------------------------------------------------------------------------
