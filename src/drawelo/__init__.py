@@ -17,10 +17,8 @@ from .engine import (
     nll,
     nll_gradient,
     predict,
-    rating_difference,
     run_season,
     score_of,
-    sg_update,
 )
 from .errors import ConvergenceError, RowError, SchemaError, ZeroProbabilityError
 from .evaluation import (

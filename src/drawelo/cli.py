@@ -44,7 +44,7 @@ from .evaluation import (
     score_games,
     zero_probability,
 )
-from .models import ModelFamily, ModelParams, apply_home_advantage
+from .models import ModelFamily, ModelParams, apply_home_advantage, enum_field
 from .sim import SimSpec, generate_season
 
 
@@ -72,8 +72,8 @@ class RunConfig:
     eval_window: str = "second-half"
 
     def __post_init__(self):
-        self.mode = UpdateMode(self.mode)
-        self.family = ModelFamily(self.family)
+        self.mode = enum_field(UpdateMode, "mode", self.mode)
+        self.family = enum_field(ModelFamily, "family", self.family)
 
     def model_params(self) -> ModelParams:
         return ModelParams(

@@ -15,11 +15,11 @@ its implicit draw model is davidson at kappa = 2 and half the scale, so
 every mode is one update kappa plus one davidson prediction (kappa, sigma);
 ``mode_parameters`` is the one place that maps a mode to them.
 A season is compiled once into index lists.  Each entry point has one
-path: ``run_season`` steps one configuration game by game on plain floats
-and never imports numpy; ``run_online`` advances a grid of configurations
-together on numpy arrays, one vector step per run of games in which no
-team appears twice.  Every player starts at rating 0.  ``run_season``'s
-trajectory is iterated game by game, not indexed.
+path: ``run_season``, the rating update, steps one configuration game by
+game on floats without numpy; ``run_online`` advances a grid of them on
+numpy arrays, one vector step per run of games in which no team appears
+twice.  Every player starts at rating 0.  ``predict`` forecasts a fixture
+from a ``RatingState``; ``run_season``'s trajectory is iterated, not indexed.
 
 The batch side minimizes the negative log likelihood of a fixed game list
 by damped Newton steps on game arrays, pinning each connected group's
@@ -44,6 +44,7 @@ from .models import (
     apply_home_advantage,
     davidson_table,
     davidson_triple,
+    enum_field,
     expected_score,
     expected_score_of,
     non_finite_difference,
@@ -62,10 +63,9 @@ class UpdateMode(str, Enum):
 
 @dataclass
 class RatingState:
-    """Rating level per player plus a processed-game counter."""
+    """Rating per player, as ``run_season`` leaves it; ``predict`` rates a missing player 0."""
 
     ratings: dict[str, float] = field(default_factory=dict)
-    games_processed: int = 0
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ class EngineConfig:
     The step is specified as k_tilde with K = k_tilde * sigma, which makes
     the produced predictions independent of the scale.  k_tilde = 0 is
     allowed and freezes the ratings (useful as a degenerate baseline).
+    ``mode`` may be its string value.  Each check's message starts with the field's name.
     """
 
     model: ModelParams = ModelParams()
@@ -85,6 +86,11 @@ class EngineConfig:
     def __post_init__(self):
         if not (math.isfinite(self.k_tilde) and self.k_tilde >= 0):
             raise ValueError(f"k_tilde must be >= 0, got {self.k_tilde}")
+        # the absolute step K; an infinite one gives inf * 0 = nan on a game scored as expected
+        if not math.isfinite(self.k_tilde * self.model.sigma):
+            raise ValueError(
+                f"k_tilde * sigma must be finite, got {self.k_tilde} * {self.model.sigma}")
+        object.__setattr__(self, "mode", enum_field(UpdateMode, "mode", self.mode))
         if not (math.isfinite(self.check_kappa) and self.check_kappa >= 0):
             raise ValueError(f"check_kappa must be a finite real >= 0, got {self.check_kappa}")
 
@@ -144,19 +150,14 @@ class SeasonResult:
     trajectory: Trajectory
 
 
-def score_of(outcome: str, side: str) -> float:
-    """Numeric game score from one side's perspective: win 1, draw 0.5, loss 0."""
-    if side not in ("home", "away"):
-        raise ValueError(f"side must be 'home' or 'away', got {side!r}")
-    if outcome == "D":
-        return 0.5
-    won = (outcome == "H") == (side == "home")
-    return 1.0 if won else 0.0
+_HOME_SCORE = {"H": 1.0, "D": 0.5, "A": 0.0}
 
 
-def rating_difference(state: RatingState, home: str, away: str) -> float:
-    """theta_home - theta_away, before any home-advantage shift; unseen players rate 0."""
-    return state.ratings.get(home, 0.0) - state.ratings.get(away, 0.0)
+def score_of(outcome: str) -> float:
+    """The home side's score for an outcome code: 'H' 1, 'D' 0.5, 'A' 0."""
+    if outcome not in _HOME_SCORE:
+        raise ValueError(f"unknown outcome {outcome!r}")
+    return _HOME_SCORE[outcome]
 
 
 def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, float]:
@@ -180,32 +181,11 @@ def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, f
     return model.eta * sigma, config.k_tilde * sigma, update_kappa, predict_sigma, predict_kappa
 
 
-def sg_update(state: RatingState, game: GameRecord, config: EngineConfig) -> RatingState:
-    """One stochastic-gradient rating update; mutates and returns ``state``.
-
-    Unknown players start at rating 0 on first sight.  The two deltas are the
-    same number with opposite signs, so the rating sum is conserved exactly.
-    """
-    ratings = state.ratings
-    for player in (game.home_id, game.away_id):
-        ratings.setdefault(player, 0.0)
-    shift, step, kappa, _, _ = mode_parameters(config)
-    v = (ratings[game.home_id] - ratings[game.away_id]) + shift
-    if not math.isfinite(v):
-        raise non_finite_difference(v)
-    # f_kappa at the update kappa, as run_season computes it
-    f = expected_score_of(v, config.model.sigma, kappa)
-    delta = step * (score_of(game.outcome, "home") - f)
-    ratings[game.home_id] += delta
-    ratings[game.away_id] -= delta
-    state.games_processed += 1
-    return state
-
-
 def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> OutcomeProbs:
-    """Outcome probabilities for a fixture under the current ratings."""
+    """Outcome probabilities for a fixture under the state's ratings; unseen players rate 0."""
     shift, _, _, sigma, kappa = mode_parameters(config)
-    v = rating_difference(state, home, away) + shift
+    ratings = state.ratings
+    v = (ratings.get(home, 0.0) - ratings.get(away, 0.0)) + shift
     if not math.isfinite(v):
         raise non_finite_difference(v)
     return OutcomeProbs(*davidson_triple(v, sigma, kappa))
@@ -264,7 +244,7 @@ def compile_season(
         away.append(a)
         known.append(len(index))
     runs.append(len(games))
-    score = array("d", [score_of(g.outcome, "home") for g in games])
+    score = array("d", [score_of(g.outcome) for g in games])
     return CompiledSeason(list(index), home, away, score, runs, known)
 
 
@@ -347,7 +327,7 @@ def run_season(
         deltas.append(delta)
         predictions.append(OutcomeProbs(*davidson_triple(v, predict_sigma, predict_kappa)))
     return SeasonResult(
-        state=RatingState(ratings=dict(zip(season.players, ratings)), games_processed=len(games)),
+        state=RatingState(ratings=dict(zip(season.players, ratings))),
         predictions=predictions,
         trajectory=Trajectory(season, deltas),
     )

@@ -38,6 +38,15 @@ class ModelFamily(str, Enum):
     DAVIDSON = "davidson"
 
 
+def enum_field(enum: type[Enum], name: str, value) -> Enum:
+    """``value`` as a member of ``enum``, given as one or by value, else a ValueError."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in enum)
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters shared by all model families.
@@ -49,6 +58,7 @@ class ModelParams:
     eta    -- home advantage; the effective difference is v + eta*sigma,
               which makes eta independent of the scale.
     v0     -- draw-band half width of the threshold family.
+    family -- the model family, a ``ModelFamily`` or its string value.
     """
 
     sigma: float = 600.0
@@ -65,6 +75,10 @@ class ModelParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite real >= 0, got {value}")
+        # the home-advantage shift of every rating difference
+        if not math.isfinite(self.eta * self.sigma):
+            raise ValueError(f"eta * sigma must be finite, got {self.eta} * {self.sigma}")
+        object.__setattr__(self, "family", enum_field(ModelFamily, "family", self.family))
 
     @property
     def sigma_prime(self) -> float:

@@ -367,6 +367,15 @@ def test_sweep_invalid_grid_value_is_a_cell_error(runner, season_file):
     assert good["error"] is None and good["mean_ls"] > 0
 
 
+def test_sweep_overflowing_eta_is_a_cell_error(runner, season_file):
+    result = runner.invoke(main, ["sweep", str(season_file), "--sigma", "1e300",
+                                  "--eta-grid", "1e10,0.3"])
+    assert result.exit_code == 0, result.output
+    bad, good = json.loads(result.stdout)["cells"]
+    assert bad["error"].startswith("eta * sigma must be finite") and bad["mean_ls"] is None
+    assert good["error"] is None and good["mean_ls"] > 0
+
+
 def test_sweep_grid_kappa_is_each_cells_kappa_in_every_mode(runner, season_file):
     # elo ignores the grid kappa and elo-check predicts with it, but in every
     # mode it is the cell's kappa, checked as kappa
@@ -578,7 +587,8 @@ def test_nan_is_printed_as_null_or_empty():
      (["simulate", "--spacing", "inf", "-o", "out.csv"], "--spacing"),
      (["fit", "missing.csv", "--v0", "nan"], "--v0"),
      (["simulate", "--seed", "-1", "-o", "out.csv"], "--seed"),
-     (["simulate", "--teams", "3", "--spacing", "1e308", "-o", "out.csv"], "--spacing")],
+     (["simulate", "--teams", "3", "--spacing", "1e308", "-o", "out.csv"], "--spacing"),
+     (["fit", "missing.csv", "--sigma", "1e300", "--eta", "1e10"], "--eta")],
 )
 def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args, option):
     # the input does not exist: reading it first would be a data error, exit 3
@@ -587,6 +597,25 @@ def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args,
         assert not Path("out.csv").exists()
     assert result.exit_code == 2, result.output
     assert option in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [(["evaluate", "one.csv", "--sigma", "1e300", "--eta", "1e10"], "--eta"),
+     (["rate", "one.csv", "--sigma", "1e10", "--k-step", "1e300", "--eta", "0",
+       "--trajectory", "out.csv"], "--k-step"),
+     (["sweep", "one.csv", "--sigma", "1e10", "--k-step", "1e300"], "--k-step"),
+     (["simulate", "--sigma", "1e300", "--eta", "1e10", "-o", "out.csv"], "--eta")],
+)
+def test_overflowing_shift_or_step_is_a_usage_error(runner, tmp_path, args, option):
+    # an infinite shift eta * sigma, or an infinite step k-step * sigma,
+    # whose inf * 0 on a draw between equals would print null ratings
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("one.csv").write_text(f"{HEADER}\n01/08/2021,A,B,D\n")
+        result = runner.invoke(main, args)
+        assert not Path("out.csv").exists()
+    assert result.exit_code == 2, result.output
+    assert option in result.stderr and "rating difference" not in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BOTH_PATHS, check_report, game, online_cases, random_games
+from conftest import BOTH_PATHS, KAPPAS, check_report, game, online_cases, random_games
 from drawelo.engine import (
     EngineConfig,
     RatingState,
@@ -18,11 +18,9 @@ from drawelo.engine import (
     nll,
     nll_gradient,
     predict,
-    rating_difference,
     run_online,
     run_season,
     score_of,
-    sg_update,
 )
 from drawelo.evaluation import evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
@@ -50,38 +48,31 @@ def fit_model(family=ModelFamily.DAVIDSON, kappa=0.7, eta=0.0, v0=0.0, sigma=SIG
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "outcome,side,expected",
-    [("H", "home", 1.0), ("H", "away", 0.0),
-     ("A", "home", 0.0), ("A", "away", 1.0),
-     ("D", "home", 0.5), ("D", "away", 0.5)],
-)
-def test_score_of(outcome, side, expected):
-    assert score_of(outcome, side) == expected
+@pytest.mark.parametrize("outcome,expected", [("H", 1.0), ("D", 0.5), ("A", 0.0)])
+def test_score_of(outcome, expected):
+    assert score_of(outcome) == expected
 
 
-def test_score_of_sides_sum_to_one():
-    for outcome in "HDA":
-        assert score_of(outcome, "home") + score_of(outcome, "away") == 1.0
-
-
-def test_score_of_rejects_bad_side():
-    with pytest.raises(ValueError):
-        score_of("H", "left")
+def test_score_of_rejects_bad_outcome():
+    for outcome in ("X", "h", "", "HD"):
+        with pytest.raises(ValueError, match="unknown outcome"):
+            score_of(outcome)
 
 
 def test_rating_difference():
+    # predict forecasts at theta_home - theta_away; an unseen player rates 0
     state = RatingState(ratings={"A": 180.0, "B": 60.0})
-    assert rating_difference(state, "A", "B") == 120.0
-    assert rating_difference(state, "B", "A") == -120.0
-    assert rating_difference(state, "X", "Y") == 0.0
-    assert rating_difference(state, "A", "X") == 180.0  # an unseen player rates 0
+    cfg = config()
+    assert predict(state, "A", "B", cfg) == davidson_probs(120.0, cfg.model)
+    assert predict(state, "B", "A", cfg) == davidson_probs(-120.0, cfg.model)
+    assert predict(state, "X", "Y", cfg) == davidson_probs(0.0, cfg.model)
+    assert predict(state, "A", "X", cfg) == davidson_probs(180.0, cfg.model)
 
 
 def test_rating_difference_origin_invariance():
     state = RatingState(ratings={"A": 180.0, "B": 60.0})
     shifted = RatingState(ratings={k: v + 1234.5 for k, v in state.ratings.items()})
-    assert rating_difference(shifted, "A", "B") == rating_difference(state, "A", "B")
+    assert predict(shifted, "A", "B", config()) == predict(state, "A", "B", config())
 
 
 # ---------------------------------------------------------------------------
@@ -91,55 +82,45 @@ def test_rating_difference_origin_invariance():
 
 @pytest.mark.parametrize("mode", list(UpdateMode))
 def test_draw_between_equals_is_a_fixed_point(mode):
-    state = RatingState(ratings={"A": 0.0, "B": 0.0})
-    sg_update(state, game("A", "B", "D"), config(mode=mode))
-    assert state.ratings == {"A": 0.0, "B": 0.0}
-    assert state.games_processed == 1
+    result = run_season([game("A", "B", "D")], config(mode=mode))
+    assert result.state.ratings == {"A": 0.0, "B": 0.0}
+    assert len(result.trajectory) == 1
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.7, 2.0])
 def test_home_win_between_equals_moves_half_step(kappa):
     cfg = config(kappa=kappa)
-    state = RatingState(ratings={"A": 0.0, "B": 0.0})
-    sg_update(state, game("A", "B", "H"), cfg)
+    ratings = run_season([game("A", "B", "H")], cfg).state.ratings
     k = cfg.k_tilde * SIGMA
-    assert state.ratings["A"] == k / 2
-    assert state.ratings["B"] == -k / 2
+    assert ratings["A"] == k / 2
+    assert ratings["B"] == -k / 2
 
 
 @pytest.mark.parametrize("mode", list(UpdateMode))
 def test_updates_are_exactly_zero_sum(mode):
     rng = np.random.default_rng(7)
     players = [f"P{i}" for i in range(6)]
-    state = RatingState()
-    cfg = config(mode=mode, eta=0.3)
-    for g in random_games(rng, players, 200):
-        sg_update(state, g, cfg)
-    assert sum(state.ratings.values()) == pytest.approx(0.0, abs=1e-9)
+    result = run_season(random_games(rng, players, 200), config(mode=mode, eta=0.3))
+    assert sum(result.state.ratings.values()) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_unknown_players_are_initialized():
-    state = RatingState()
     cfg = config()
-    sg_update(state, game("A", "B", "H"), cfg)
+    result = run_season([game("A", "B", "H")], cfg)
     # both start at 0, so a home win between them moves each by half a step
-    assert state.ratings == {"A": cfg.k_tilde * SIGMA / 2, "B": -cfg.k_tilde * SIGMA / 2}
+    assert result.state.ratings == {"A": cfg.k_tilde * SIGMA / 2, "B": -cfg.k_tilde * SIGMA / 2}
 
 
 def test_home_advantage_applies_inside_the_update():
     # with a shifted difference a draw between equals is no longer neutral
-    state = RatingState(ratings={"A": 0.0, "B": 0.0})
-    sg_update(state, game("A", "B", "D"), config(eta=0.3))
-    assert state.ratings["A"] < 0 < state.ratings["B"]
+    ratings = run_season([game("A", "B", "D")], config(eta=0.3)).state.ratings
+    assert ratings["A"] < 0 < ratings["B"]
 
 
 def test_step_is_scale_normalized():
-    small, big = config(sigma=600.0), config(sigma=1200.0)
-    s1 = RatingState(ratings={"A": 0.0, "B": 0.0})
-    s2 = RatingState(ratings={"A": 0.0, "B": 0.0})
-    sg_update(s1, game("A", "B", "H"), small)
-    sg_update(s2, game("A", "B", "H"), big)
-    assert s2.ratings["A"] == 2 * s1.ratings["A"]
+    small = run_season([game("A", "B", "H")], config(sigma=600.0)).state.ratings
+    big = run_season([game("A", "B", "H")], config(sigma=1200.0)).state.ratings
+    assert big["A"] == 2 * small["A"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +158,8 @@ def test_run_season_predicts_before_updating():
     result = run_season(games, cfg)
     fresh = RatingState(ratings={"A": 0.0, "B": 0.0})
     assert result.predictions[0] == predict(fresh, "A", "B", cfg)
-    sg_update(fresh, games[0], cfg)
-    assert result.predictions[1] == predict(fresh, "A", "B", cfg)
+    after_first = run_season(games[:1], cfg).state
+    assert result.predictions[1] == predict(after_first, "A", "B", cfg)
     assert result.predictions[1].p_home > result.predictions[0].p_home
 
 
@@ -194,7 +175,6 @@ def test_run_season_rating_sum_is_conserved():
     cfg = config(eta=0.3)
     result = run_season(random_games(rng, players, 150), cfg, players=players)
     assert sum(result.state.ratings.values()) == pytest.approx(0.0, abs=1e-9)
-    assert result.state.games_processed == 150
     assert len(result.trajectory) == 150
 
 
@@ -275,8 +255,7 @@ def one_cell_run(games, config, players=None) -> SeasonResult:
     if error is not None:
         raise error
     return SeasonResult(
-        state=RatingState(ratings=dict(zip(season.players, run.ratings[0].tolist())),
-                          games_processed=len(games)),
+        state=RatingState(ratings=dict(zip(season.players, run.ratings[0].tolist()))),
         predictions=[OutcomeProbs(*p) for p in run.probs[0].tolist()],
         trajectory=Trajectory(season, run.deltas[0].tolist()),
     )
@@ -344,15 +323,17 @@ def test_run_online_cells_do_not_interact(vectorize, cases):
 
 @BOTH_PATHS
 def test_run_season_non_finite_difference_is_an_error(vectorize):
-    # the step overflows to inf, and inf * 0 on the draw makes both ratings NaN
-    games = [game("A", "B", "D", 0), game("A", "B", "H", 1)]
-    message = "rating difference must be finite, got nan"
+    # step and shift are finite (1e308), but after the away win the ratings
+    # are -1e308 and 1e308, so the return game's shifted difference overflows
+    games = [game("A", "B", "A", 0), game("B", "A", "H", 1)]
+    huge = config(sigma=1e307, eta=10.0, k_tilde=10.0)
+    message = "rating difference must be finite, got inf"
     if not vectorize:
         with pytest.raises(ValueError, match=message):
-            run_season(games, config(k_tilde=1e306))
+            run_season(games, huge)
         return
     # on the vector side only the failing cell of a grid reports it
-    run = run_online(compile_season(games), [config(k_tilde=1e306), config()])
+    run = run_online(compile_season(games), [huge, config()])
     assert str(run.error(0)) == message and run.error(1) is None
 
 
@@ -424,6 +405,66 @@ def test_trajectory_running_ratings_match_the_snapshots():
 def test_engine_config_validation(kw):
     with pytest.raises(ValueError):
         EngineConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw,name",
+    [({"k_tilde": 1e300, "model": ModelParams(sigma=1e10)}, "k_tilde"),
+     ({"k_tilde": 2.0, "model": ModelParams(sigma=1e308)}, "k_tilde"),
+     ({"mode": "nonsense"}, "mode"), ({"mode": None}, "mode")],
+)
+def test_engine_config_messages_start_with_the_field(kw, name):
+    # an infinite absolute step k_tilde * sigma is k_tilde's error (--k-step)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        EngineConfig(**kw)
+
+
+@pytest.mark.parametrize("mode", list(UpdateMode))
+def test_engine_config_takes_a_mode_by_its_value(mode):
+    by_value = config(mode=mode.value, eta=0.3)
+    assert by_value.mode is mode
+    games = [game("A", "B", "H", 0), game("B", "A", "D", 1), game("A", "B", "A", 2)]
+    got, want = run_season(games, by_value), run_season(games, config(mode=mode, eta=0.3))
+    assert got.predictions == want.predictions and got.state == want.state
+
+
+def test_kappa_elo_by_value_predicts_with_the_model_kappa():
+    # davidson at kappa 0.7 between equals: (1, 1, 0.7) / 2.7
+    first = run_season([game("A", "B", "H")], EngineConfig(mode="kappa-elo")).predictions[0]
+    assert first == pytest.approx((1 / 2.7, 1 / 2.7, 0.7 / 2.7), abs=1e-15)
+
+
+# sizes near overflow: the product of two of them may or may not be finite
+NEAR_OVERFLOW = st.sampled_from([1e10, 1e300, 1e308]) | st.floats(1.0, 1e300)
+
+
+@BOTH_PATHS
+@settings(max_examples=200, deadline=None)
+@given(sigma=NEAR_OVERFLOW, k_tilde=st.sampled_from([0.0]) | NEAR_OVERFLOW,
+       eta=st.sampled_from([0.0]) | NEAR_OVERFLOW, kappa=KAPPAS,
+       mode=st.sampled_from(list(UpdateMode)),
+       fixtures=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3), st.sampled_from("HDA")),
+                         min_size=1, max_size=6))
+# an infinite step times the zero surprise of a draw between equals is nan
+@example(sigma=1e10, k_tilde=1e300, eta=0.0, kappa=0.7, mode=UpdateMode.KAPPA_ELO,
+         fixtures=[(0, 1, "D")])
+def test_a_valid_config_never_yields_nan(vectorize, sigma, k_tilde, eta, kappa, mode, fixtures):
+    # the config rejects an infinite step or shift, the run rejects a
+    # non-finite difference, or every rating is a number
+    try:
+        cfg = EngineConfig(model=ModelParams(sigma=sigma, kappa=kappa, eta=eta),
+                           k_tilde=k_tilde, mode=mode)
+    except ValueError:
+        return
+    games = [game(f"T{h}", f"T{(h + d) % 4}", o, day=i) for i, (h, d, o) in enumerate(fixtures)]
+    try:
+        result = (one_cell_run if vectorize else run_season)(games, cfg)
+    except ValueError as exc:
+        assert str(exc).startswith("rating difference must be finite")
+        return
+    assert not any(math.isnan(r) for r in result.state.ratings.values())
+    for snapshot in result.trajectory:
+        assert not any(math.isnan(r) for r in snapshot.values())
 
 
 # ---------------------------------------------------------------------------

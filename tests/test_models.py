@@ -318,11 +318,34 @@ def test_outcome_probs_prob_of():
     [{"sigma": 0.0}, {"sigma": -5.0}, {"sigma": math.inf},
      {"kappa": -0.1}, {"eta": -0.2}, {"v0": -1.0},
      {"kappa": math.nan}, {"kappa": math.inf}, {"eta": math.nan}, {"eta": math.inf},
-     {"v0": math.nan}, {"v0": math.inf}],
+     {"v0": math.nan}, {"v0": math.inf},
+     {"sigma": 1e300, "eta": 1e10}, {"family": "bogus"}],
 )
 def test_model_params_validation(kw):
     with pytest.raises(ValueError):
         ModelParams(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw,name",
+    [({"sigma": 1e300, "eta": 1e10}, "eta"), ({"sigma": 1e308, "eta": 2.0}, "eta"),
+     ({"family": "bogus"}, "family"), ({"family": None}, "family")],
+)
+def test_model_params_messages_start_with_the_field(kw, name):
+    # the CLI maps the first word to the option: the home-advantage shift
+    # eta * sigma overflowing is --eta's error
+    with pytest.raises(ValueError, match=f"^{name} "):
+        ModelParams(**kw)
+
+
+@pytest.mark.parametrize("family", list(ModelFamily))
+def test_model_params_take_a_family_by_its_value(family):
+    by_value = params(kappa=0.7, v0=100.0, family=family.value)
+    assert by_value.family is family
+    by_member = params(kappa=0.7, v0=100.0, family=family)
+    assert predict_probs(30.0, by_value) == predict_probs(30.0, by_member)
+    if family is not ModelFamily.BINARY:
+        assert predict_probs(30.0, by_value).p_draw > 0
 
 
 def test_sigma_prime_is_natural_log_scale():
