@@ -76,7 +76,9 @@ def cell_log_scores(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarra
     """(cells, games) log scores of a (cells, games, 3) forecast table.
 
     Columns are (p_home, p_away, p_draw).  A zero probability scores inf;
-    ``zero_probability`` names the game.
+    ``zero_probability`` names the game.  Positive probabilities go through
+    ``math.log``, as in ``score_games``: numpy's vectorised log can differ
+    from it in the last bit.  One row at a time keeps the Python floats few.
     """
     import numpy as np
     column = np.fromiter(
@@ -84,7 +86,11 @@ def cell_log_scores(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarra
     )
     realized = np.take_along_axis(probs, column[None, :, None], axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
-        return -np.log(realized)
+        logs = np.log(realized)
+    for out, row in zip(logs, realized):
+        positive = row > 0.0
+        out[positive] = np.fromiter(map(math.log, row[positive].tolist()), dtype=float)
+    return np.negative(logs, out=logs)
 
 
 def zero_probability(

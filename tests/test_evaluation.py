@@ -75,6 +75,16 @@ def test_zero_probability_names_the_first_game():
     )
 
 
+def test_cell_log_scores_use_the_same_log_as_score_games():
+    # numpy's vectorised log gives -0.0026422158305394673 here on some CPUs,
+    # math.log -0.0026422158305394678
+    p = 0.9973612717493856
+    rows = [[(0.0, 0.0, p)] * 8 + [(p, 0.0, 0.0)]]
+    games = [game("A", "B", "D", i) for i in range(8)] + [game("A", "B", "H", 8)]
+    scores = cell_log_scores(np.array(rows), games)
+    assert scores[0].tolist() == score_games(rows[0], games) == [-math.log(p)] * 9
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_score_rows_match_cell_log_scores(data):
