@@ -17,10 +17,9 @@ Usage:
 import argparse
 from pathlib import Path
 
-from drawelo.cli import _baseline_report, _evaluate_cells
 from drawelo.data import load_matches
 from drawelo.engine import EngineConfig, UpdateMode
-from drawelo.evaluation import empirical_stats
+from drawelo.evaluation import baseline_report, empirical_stats, evaluate_configs
 from drawelo.models import ModelParams
 
 # (mode, kappa, check_kappa) of the three rating columns
@@ -35,12 +34,12 @@ def season_cells(dataset, *, sigma, k_tilde, eta):
                      mode=mode, check_kappa=check_kappa)
         for mode, kappa, check_kappa in CELLS
     ]
-    reports = _evaluate_cells(dataset, configs, "second-half")
+    reports = evaluate_configs(dataset.games, configs)
     for report in reports:
         if isinstance(report, Exception):
             raise report
     try:
-        bookmaker = _baseline_report(dataset, reports[0].window)
+        bookmaker = baseline_report(dataset.games, reports[0].window)
     except ValueError:  # odds missing on a game of the window
         bookmaker = None
     return [bookmaker, *reports]

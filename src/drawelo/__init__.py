@@ -24,8 +24,10 @@ from .errors import ConvergenceError, RowError, SchemaError, ZeroProbabilityErro
 from .evaluation import (
     EmpiricalStats,
     EvalReport,
+    baseline_report,
     credibility_interval,
     empirical_stats,
+    evaluate_configs,
     evaluate_scores,
     implied_draw_freq,
     log_score,

@@ -23,27 +23,12 @@ from enum import Enum
 
 import click
 
-from .data import Dataset, load_matches, odds_to_probs, serialize_matches
-from .engine import (
-    EngineConfig,
-    UpdateMode,
-    batch_ml_fit,
-    check_fit_options,
-    compile_season,
-    run_online,
-    run_season,
-)
+from .data import load_matches, serialize_matches
+from .engine import EngineConfig, UpdateMode, batch_ml_fit, check_fit_options, run_season
 from .errors import ConvergenceError, RowError, SchemaError, ZeroProbabilityError
-from .evaluation import (
-    EvalReport,
-    cell_log_scores,
-    empirical_stats,
-    evaluate_cells,
-    evaluate_scores,
-    log_score,
-    score_games,
-    zero_probability,
-)
+from .evaluation import baseline_report, empirical_stats, evaluate_configs
+# unused here, but perfbench/layers.py patches them on this module by name (LAYER_OF)
+from .evaluation import evaluate_scores, score_games  # noqa: F401
 from .models import ModelFamily, ModelParams, apply_home_advantage, enum_field
 from .sim import SimSpec, generate_season
 
@@ -248,50 +233,6 @@ def _config_payload(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_cells(
-    dataset: Dataset, configs: list[EngineConfig], window: str
-) -> list[EvalReport | Exception]:
-    """Each configuration's report from one pass over the season, or its cell's error.
-
-    One configuration runs on plain floats (``run_season``) and is scored in
-    plain Python, without numpy; a grid runs on the vector kernel
-    (``run_online``) and is scored on arrays.
-    """
-    games = dataset.games
-    if len(configs) == 1:
-        try:
-            result = run_season(games, configs[0], players=dataset.team_names)
-            return [evaluate_scores(score_games(result.predictions, games), window)]
-        except ValueError as exc:  # a non-finite difference, a zero probability, or no games
-            return [exc]
-    if not configs:
-        return []
-    run = run_online(compile_season(games, dataset.team_names), configs)
-    scores = cell_log_scores(run.probs, games)
-    errors = [run.error(c) or zero_probability(scores[c], games) for c in range(len(configs))]
-    try:
-        reports = iter(evaluate_cells(scores[[e is None for e in errors]], window))
-    except ValueError as exc:  # no games to score
-        return [e or exc for e in errors]
-    return [e or next(reports) for e in errors]
-
-
-def _baseline_report(dataset: Dataset, window: tuple[int, int]) -> EvalReport:
-    start, end = window
-    missing = [i for i in range(start, end) if dataset.games[i].odds is None]
-    if missing:
-        g = dataset.games[missing[0]]
-        raise ValueError(
-            f"baseline requested but odds are missing on {len(missing)} game(s), "
-            f"first game {missing[0]} ({g.home_id} vs {g.away_id}, {g.date})"
-        )
-    scores = [
-        log_score(odds_to_probs(*g.odds), g.outcome)
-        for g in dataset.games[start:end]
-    ]
-    return evaluate_scores(scores, window="full")
-
-
 def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
     dataset = load_matches(cfg.input_path)
     config = cfg.engine_config()
@@ -323,7 +264,7 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
 
 def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
     dataset = load_matches(cfg.input_path)
-    report, = _evaluate_cells(dataset, [cfg.engine_config()], cfg.eval_window)
+    report, = evaluate_configs(dataset.games, [cfg.engine_config()], cfg.eval_window)
     if isinstance(report, Exception):
         raise report
     payload = {
@@ -340,7 +281,7 @@ def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
         "baseline": None,
     }
     if baseline:
-        bk = _baseline_report(dataset, report.window)
+        bk = baseline_report(dataset.games, report.window)
         payload["baseline"] = {
             "mean_ls": bk.mean_ls,
             "interval_low": bk.interval_low,
@@ -372,7 +313,7 @@ def run_sweep(
                 except ValueError as exc:
                     row["error"] = str(exc)
                 rows.append(row)
-    outcomes = _evaluate_cells(dataset, list(configs.values()), cfg.eval_window)
+    outcomes = evaluate_configs(dataset.games, list(configs.values()), cfg.eval_window)
     for i, outcome in zip(configs, outcomes):
         if isinstance(outcome, Exception):
             rows[i]["error"] = str(outcome)

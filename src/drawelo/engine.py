@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -464,7 +464,9 @@ def batch_ml_fit(
     checked to have a finite maximizer.
 
     Convergence means the gradient, projected onto the pinned plane, has
-    max-norm below tol/sigma'.  ``iterations`` counts Newton steps taken.
+    max-norm below tol/sigma'.  The steps are taken in y = theta / sigma'
+    under the model at unit sigma', so no curvature overflows or underflows
+    at any scale.  ``iterations`` counts Newton steps taken.
     The fit stops unconverged with ``"max-iters"`` after max_iters steps,
     or with ``"stalled"`` when 60 halvings find no acceptable step.
     """
@@ -493,9 +495,13 @@ def batch_ml_fit(
     pin = linked / linked.sum(axis=1, keepdims=True)
     pair_index = home * n + away
     sp = model.sigma_prime
+    unit = replace(model, sigma=model.sigma / sp, v0=model.v0 / sp)  # sigma' = 1
+    if ridge and not 0.0 < ridge * sp * sp < math.inf:  # else the ridge is lost or nan
+        raise ValueError(f"ridge * sigma'^2 must be positive and finite, got {ridge} * {sp}^2")
+    ridge = ridge * sp * sp  # the same penalty on y
 
     def objective(x: np.ndarray):
-        logp, slope, curvature = _game_terms(x, home, away, score, model)
+        logp, slope, curvature = _game_terms(x, home, away, score, unit)
         return float(ridge * (x @ x) - logp.sum()), logp, slope, curvature
 
     x = np.zeros(n)
@@ -511,7 +517,7 @@ def batch_ml_fit(
         grad = np.bincount(away, slope, n) - np.bincount(home, slope, n) + 2.0 * ridge * x
         grad -= pin @ grad
         g_max = float(np.abs(grad).max())
-        if g_max < tol / sp:
+        if g_max < tol:
             converged = True
             stop_reason = "gradient"
             iterations -= 1
@@ -536,16 +542,16 @@ def batch_ml_fit(
             stop_reason = "stalled"
             break
         x, current, slope, curvature = trial, trial_value, trial_slope, trial_curvature
-        if np.abs(x).max() > 50.0 * model.sigma:
+        if np.abs(x).max() > 50.0 * unit.sigma:
             raise ConvergenceError(
                 "ratings diverging beyond 50 sigma; data may be separable - "
                 "enable ridge regularization"
             )
 
     return FitResult(
-        theta=dict(zip(players, x.tolist())),
+        theta=dict(zip(players, (sp * x).tolist())),
         nll=current,
-        grad_max_norm=g_max,
+        grad_max_norm=g_max / sp,
         iterations=iterations,
         converged=converged,
         stop_reason=stop_reason,

@@ -8,7 +8,9 @@ One season's scores are plain Python lists; many configurations are scored
 at once on (cells, games) numpy arrays, by the same rules: the interval is
 the first shortest window of order statistics, a window whose ends are
 equal (inf included) has length 0, and a mean is ``sum(row) / len(row)``.
-numpy is imported only by the array functions.
+numpy is imported only by the array functions.  ``evaluate_configs`` scores
+the online forecasts of a list of configurations; it is the one place that
+picks between the float and the vector online path.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .data import GameRecord
+from .data import GameRecord, odds_to_probs
 from .errors import ZeroProbabilityError
-from .models import OutcomeProbs
+from .models import OUTCOME_COLUMN, OutcomeProbs
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .engine import EngineConfig
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,6 @@ class EvalReport:
     interval_high: float
     per_game_ls: list[float]
     window: tuple[int, int]  # half-open [start, end) into the scored list
-
-
-# Column of each outcome in a forecast table, the OutcomeProbs field order.
-_OUTCOME_COLUMN = {"H": 0, "A": 1, "D": 2}
 
 
 def _zero_probability_message(outcome: str) -> str:
@@ -82,7 +82,7 @@ def cell_log_scores(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarra
     """
     import numpy as np
     column = np.fromiter(
-        (_OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp, count=len(games)
+        (OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp, count=len(games)
     )
     realized = np.take_along_axis(probs, column[None, :, None], axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
@@ -114,7 +114,7 @@ def score_games(
         raise ValueError(
             f"{len(predictions)} predictions for {len(games)} games"
         )
-    realized = [row[_OUTCOME_COLUMN[g.outcome]] for row, g in zip(predictions, games)]
+    realized = [row[OUTCOME_COLUMN[g.outcome]] for row, g in zip(predictions, games)]
     try:
         return [-x for x in map(math.log, realized)]
     except ValueError:  # math.log of a probability <= 0
@@ -191,6 +191,50 @@ def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -
     low, high = credibility_interval(scored)
     return EvalReport(mean_ls=sum(scored) / len(scored), interval_low=low, interval_high=high,
                       per_game_ls=scored, window=(start, end))
+
+
+def evaluate_configs(
+    games: Sequence[GameRecord], configs: Sequence[EngineConfig], window: str = "second-half"
+) -> list[EvalReport | ValueError]:
+    """Each configuration's report on its online forecasts of ``games``, or its error.
+
+    One configuration steps on plain floats (``run_season``) and is scored
+    in plain Python, without numpy; two or more run in one pass of the
+    vector kernel (``run_online``) and are scored on arrays.  A cell's error
+    is a non-finite rating difference, a zero probability or no games to
+    score; the other cells are still scored.
+    """
+    from .engine import compile_season, run_online, run_season
+    if len(configs) == 1:
+        try:
+            result = run_season(games, configs[0])
+            return [evaluate_scores(score_games(result.predictions, games), window)]
+        except ValueError as exc:
+            return [exc]
+    if not configs:
+        return []
+    run = run_online(compile_season(games), configs)
+    scores = cell_log_scores(run.probs, games)
+    try:
+        reports = evaluate_cells(scores, window)
+    except ValueError as exc:  # no games to score
+        return [exc] * len(configs)
+    return [run.error(c) or zero_probability(scores[c], games) or report
+            for c, report in enumerate(reports)]
+
+
+def baseline_report(games: Sequence[GameRecord], window: tuple[int, int]) -> EvalReport:
+    """The bookmaker's report over ``window``, from each game's odds."""
+    start, end = window
+    missing = [i for i in range(start, end) if games[i].odds is None]
+    if missing:
+        g = games[missing[0]]
+        raise ValueError(
+            f"baseline requested but odds are missing on {len(missing)} game(s), "
+            f"first game {missing[0]} ({g.home_id} vs {g.away_id}, {g.date})"
+        )
+    scores = [log_score(odds_to_probs(*g.odds), g.outcome) for g in games[start:end]]
+    return evaluate_scores(scores, window="full")
 
 
 def empirical_stats(games: Sequence[GameRecord]) -> EmpiricalStats:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -68,8 +69,10 @@ class ModelParams:
     family: ModelFamily = ModelFamily.DAVIDSON
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
+        # a subnormal sigma can halve to 0 (elo's prediction scale)
+        if not (math.isfinite(self.sigma) and self.sigma >= sys.float_info.min):
+            raise ValueError(f"sigma must be a finite real >= {sys.float_info.min}, "
+                             f"got {self.sigma}")
         # every message starts with the field name; the CLI maps it to the option
         for name in ("kappa", "eta", "v0"):
             value = getattr(self, name)
@@ -111,13 +114,13 @@ class OutcomeProbs(NamedTuple):
 
     def prob_of(self, outcome: str) -> float:
         """Probability assigned to an outcome code 'H', 'A' or 'D'."""
-        if outcome == "H":
-            return self.p_home
-        if outcome == "A":
-            return self.p_away
-        if outcome == "D":
-            return self.p_draw
-        raise ValueError(f"unknown outcome {outcome!r}")
+        if outcome not in OUTCOME_COLUMN:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        return self[OUTCOME_COLUMN[outcome]]
+
+
+# Column of each outcome code in an OutcomeProbs row or a forecast table.
+OUTCOME_COLUMN = {"H": 0, "A": 1, "D": 2}
 
 
 # ---------------------------------------------------------------------------

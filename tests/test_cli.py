@@ -588,7 +588,8 @@ def test_nan_is_printed_as_null_or_empty():
      (["fit", "missing.csv", "--v0", "nan"], "--v0"),
      (["simulate", "--seed", "-1", "-o", "out.csv"], "--seed"),
      (["simulate", "--teams", "3", "--spacing", "1e308", "-o", "out.csv"], "--spacing"),
-     (["fit", "missing.csv", "--sigma", "1e300", "--eta", "1e10"], "--eta")],
+     (["fit", "missing.csv", "--sigma", "1e300", "--eta", "1e10"], "--eta"),
+     (["fit", "missing.csv", "--sigma", "5e-324"], "--sigma")],
 )
 def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args, option):
     # the input does not exist: reading it first would be a data error, exit 3
@@ -605,11 +606,13 @@ def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args,
      (["rate", "one.csv", "--sigma", "1e10", "--k-step", "1e300", "--eta", "0",
        "--trajectory", "out.csv"], "--k-step"),
      (["sweep", "one.csv", "--sigma", "1e10", "--k-step", "1e300"], "--k-step"),
-     (["simulate", "--sigma", "1e300", "--eta", "1e10", "-o", "out.csv"], "--eta")],
+     (["simulate", "--sigma", "1e300", "--eta", "1e10", "-o", "out.csv"], "--eta"),
+     (["rate", "one.csv", "--mode", "elo", "--sigma", "5e-324"], "--sigma")],
 )
 def test_overflowing_shift_or_step_is_a_usage_error(runner, tmp_path, args, option):
     # an infinite shift eta * sigma, or an infinite step k-step * sigma,
-    # whose inf * 0 on a draw between equals would print null ratings
+    # whose inf * 0 on a draw between equals would print null ratings; or
+    # a subnormal sigma, whose half (elo's prediction scale) rounds to 0
     with runner.isolated_filesystem(temp_dir=tmp_path):
         Path("one.csv").write_text(f"{HEADER}\n01/08/2021,A,B,D\n")
         result = runner.invoke(main, args)
@@ -738,3 +741,20 @@ def test_one_season_commands_run_without_numpy(request, tmp_path, season, args, 
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr.decode().splitlines()[-1] == str(loads_numpy)
+
+
+def test_season_report_runs_without_the_cli(season_with_odds):
+    # the script scores its configurations through the library alone
+    script = Path(__file__).resolve().parent.parent / "scripts" / "season_report.py"
+    result = run_cli(
+        [str(season_with_odds)],
+        driver=f"import runpy\ntry:\n    runpy.run_path({str(script)!r}, run_name='__main__')\n"
+               "finally:\n    print('click' in sys.modules, 'drawelo.cli' in sys.modules, "
+               "file=sys.stderr)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.decode().splitlines()[-1] == "False False"
+    header, rule, row = result.stdout.decode().splitlines()
+    assert header.split()[:3] == ["season", "p_draw", "kappa_bar"]
+    assert set(rule) == {"-"}
+    assert row.split()[0] == "season" and row.count(" in (") == 4

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -448,6 +449,12 @@ NEAR_OVERFLOW = st.sampled_from([1e10, 1e300, 1e308]) | st.floats(1.0, 1e300)
 # an infinite step times the zero surprise of a draw between equals is nan
 @example(sigma=1e10, k_tilde=1e300, eta=0.0, kappa=0.7, mode=UpdateMode.KAPPA_ELO,
          fixtures=[(0, 1, "D")])
+# a subnormal sigma halves to 0 in elo's prediction scale; the smallest
+# normal sigma is accepted and runs
+@example(sigma=5e-324, k_tilde=0.125, eta=0.3, kappa=0.7, mode=UpdateMode.ELO,
+         fixtures=[(0, 1, "H"), (1, 2, "D")])
+@example(sigma=sys.float_info.min, k_tilde=0.125, eta=0.3, kappa=0.7, mode=UpdateMode.ELO,
+         fixtures=[(0, 1, "H"), (1, 2, "D")])
 def test_a_valid_config_never_yields_nan(vectorize, sigma, k_tilde, eta, kappa, mode, fixtures):
     # the config rejects an infinite step or shift, the run rejects a
     # non-finite difference, or every rating is a number
@@ -724,6 +731,26 @@ def test_batch_fit_respects_home_advantage():
     assert shifted.nll < plain.nll  # eta=0.3 explains two home wins better
 
 
+@pytest.mark.parametrize("family,v0", [(ModelFamily.DAVIDSON, 0.0), (ModelFamily.THRESHOLD, 0.25)])
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e-6, 1e6, 1e160, 1e300])
+def test_batch_fit_is_scale_equivariant(family, v0, sigma):
+    # the ratings scale with sigma and the likelihood does not move, even
+    # where the curvature's 1/sigma'^2 over- or underflows a float
+    from drawelo.sim import SimSpec, generate_season
+
+    truth = {f"T{i:02d}": (5.5 - i) * 0.1 * SIGMA for i in range(12)}
+    games = generate_season(SimSpec(theta_true=truth, model=fit_model(eta=0.3), seed=4)).games
+    base = batch_ml_fit(games, fit_model(family, eta=0.3, v0=v0 * SIGMA))
+    model = fit_model(family, eta=0.3, v0=v0 * sigma, sigma=sigma)
+    scaled = batch_ml_fit(games, model)
+    assert scaled.converged and scaled.iterations == base.iterations
+    assert scaled.grad_max_norm < 1e-6 / model.sigma_prime
+    assert scaled.nll == pytest.approx(base.nll, rel=1e-12)
+    top = max(map(abs, base.theta.values()))
+    for player, rating in base.theta.items():
+        assert abs(scaled.theta[player] / sigma - rating / SIGMA) <= 1e-12 * top / SIGMA
+
+
 @pytest.mark.parametrize("eta", [0.0, 0.3])
 def test_predict_classic_elo_is_exactly_davidson_at_half_scale(eta):
     cfg = config(mode=UpdateMode.ELO, eta=eta)
@@ -756,3 +783,13 @@ def test_batch_ml_fit_rejects_bad_options_by_name(kw, name):
     games = [game("A", "B", "H"), game("B", "A", "H")]
     with pytest.raises(ValueError, match=f"^{name} "):
         batch_ml_fit(games, fit_model(), **kw)
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e160])
+def test_batch_fit_rejects_a_ridge_lost_at_unit_scale(sigma):
+    # the fit runs on theta / sigma', where the penalty is ridge * sigma'^2:
+    # at 1e-160 it rounds to 0 and would leave separable data unpenalized,
+    # at 1e160 it overflows
+    games = [game("A", "B", "H", 0), game("A", "B", "H", 1)]
+    with pytest.raises(ValueError, match=r"^ridge \* sigma'\^2 must be positive and finite"):
+        batch_ml_fit(games, fit_model(family=ModelFamily.BINARY, sigma=sigma), ridge=1e-4)

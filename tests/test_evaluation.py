@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import game
+from conftest import check_report, game, online_cases
+from drawelo.engine import EngineConfig, UpdateMode, run_season
 from drawelo.errors import ZeroProbabilityError
 from drawelo.evaluation import (
+    baseline_report,
     cell_log_scores,
     credibility_interval,
     empirical_stats,
     evaluate_cells,
+    evaluate_configs,
     evaluate_scores,
     implied_draw_freq,
     log_score,
@@ -202,6 +205,67 @@ def test_evaluate_scores_bundles_window_and_interval():
     assert full.window == (0, 4)
     with pytest.raises(ValueError):
         evaluate_scores(values, window="first-half")
+
+
+# ---------------------------------------------------------------------------
+# a list of configurations: floats for one, the vector kernel for a grid
+# ---------------------------------------------------------------------------
+
+
+def assert_cells_match_each_configuration_alone(games, configs, cells):
+    """Each cell's report is the one-configuration report to 1e-12, or the same error."""
+    assert len(cells) == len(configs)
+    for config, cell in zip(configs, cells):
+        alone, = evaluate_configs(games, [config])
+        if isinstance(alone, ValueError):
+            assert (type(cell), str(cell)) == (type(alone), str(alone))
+            continue
+        assert cell.window == alone.window
+        scores = score_games(run_season(games, config).predictions, games)
+        check_report(alone.mean_ls, alone.interval_low, alone.interval_high, scores)
+        check_report(cell.mean_ls, cell.interval_low, cell.interval_high, scores)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cases=st.lists(online_cases(max_teams=6), min_size=2, max_size=4))
+def test_evaluate_configs_grid_cells_match_each_configuration_alone(cases):
+    games = cases[0][2]
+    configs = [config for config, _, _ in cases]
+    assert_cells_match_each_configuration_alone(games, configs, evaluate_configs(games, configs))
+
+
+@pytest.mark.parametrize("n_configs", [1, 3])
+def test_evaluate_configs_of_no_games_is_an_error_in_every_cell(n_configs):
+    cells = evaluate_configs([], [EngineConfig()] * n_configs)
+    assert [str(cell) for cell in cells] == ["empty score list"] * n_configs
+    assert all(isinstance(cell, ValueError) for cell in cells)
+    assert evaluate_configs([], []) == []
+
+
+def test_failing_cells_leave_the_rest_of_the_grid_alone():
+    games = [game("A", "B", "A", 0), game("B", "A", "H", 1), game("A", "B", "D", 2),
+             game("C", "D", "H", 3), game("D", "C", "A", 4), game("C", "A", "D", 5)]
+    never_draws = EngineConfig(ModelParams(kappa=0.0))
+    # a finite step and shift, but after game 0 the return game's difference is inf
+    overflows = EngineConfig(ModelParams(sigma=1e307, eta=10.0), k_tilde=10.0)
+    configs = [EngineConfig(ModelParams(eta=0.3)), never_draws, overflows,
+               EngineConfig(mode=UpdateMode.ELO)]
+    cells = evaluate_configs(games, configs)
+    assert isinstance(cells[1], ZeroProbabilityError)
+    assert str(cells[1]).startswith("game 2 (A vs B, ")
+    assert str(cells[2]) == "rating difference must be finite, got inf"
+    assert not isinstance(cells[0], ValueError) and not isinstance(cells[3], ValueError)
+    assert_cells_match_each_configuration_alone(games, configs, cells)
+
+
+def test_baseline_report_scores_the_odds_over_the_window():
+    odds = (2.0, 4.0, 4.0)  # with no margin: p_home 1/2, p_draw and p_away 1/4
+    games = [game("A", "B", "H", 0), game("B", "A", "D", 1, odds), game("A", "B", "A", 2, odds)]
+    report = baseline_report(games, (1, 3))
+    assert report.window == (0, 2)
+    assert report.mean_ls == pytest.approx(math.log(4), rel=1e-15)
+    with pytest.raises(ValueError, match=r"missing on 1 game\(s\), first game 0 \(A vs B"):
+        baseline_report(games, (0, 3))
 
 
 # ---------------------------------------------------------------------------

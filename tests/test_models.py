@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drawelo.models import (
+    OUTCOME_COLUMN,
     ModelFamily,
     ModelParams,
     OutcomeProbs,
@@ -309,8 +311,15 @@ def test_outcome_probs_prob_of():
     assert probs.prob_of("H") == 0.5
     assert probs.prob_of("A") == 0.3
     assert probs.prob_of("D") == 0.2
-    with pytest.raises(ValueError):
-        probs.prob_of("X")
+    assert [probs.prob_of(outcome) for outcome in OUTCOME_COLUMN] == [probs[c] for c in (0, 1, 2)]
+    for outcome in ("X", "h", "", "HD", None):
+        with pytest.raises(ValueError, match="unknown outcome"):
+            probs.prob_of(outcome)
+
+
+def test_the_smallest_normal_sigma_is_accepted():
+    # below it, sigma / 2 and sigma' lose digits and can round to 0
+    assert ModelParams(sigma=sys.float_info.min, eta=0.3).sigma_prime > 0
 
 
 @pytest.mark.parametrize(
@@ -319,7 +328,8 @@ def test_outcome_probs_prob_of():
      {"kappa": -0.1}, {"eta": -0.2}, {"v0": -1.0},
      {"kappa": math.nan}, {"kappa": math.inf}, {"eta": math.nan}, {"eta": math.inf},
      {"v0": math.nan}, {"v0": math.inf},
-     {"sigma": 1e300, "eta": 1e10}, {"family": "bogus"}],
+     {"sigma": 1e300, "eta": 1e10}, {"family": "bogus"},
+     {"sigma": 5e-324}, {"sigma": sys.float_info.min / 2}],
 )
 def test_model_params_validation(kw):
     with pytest.raises(ValueError):
@@ -329,7 +339,7 @@ def test_model_params_validation(kw):
 @pytest.mark.parametrize(
     "kw,name",
     [({"sigma": 1e300, "eta": 1e10}, "eta"), ({"sigma": 1e308, "eta": 2.0}, "eta"),
-     ({"family": "bogus"}, "family"), ({"family": None}, "family")],
+     ({"family": "bogus"}, "family"), ({"family": None}, "family"), ({"sigma": 5e-324}, "sigma")],
 )
 def test_model_params_messages_start_with_the_field(kw, name):
     # the CLI maps the first word to the option: the home-advantage shift
