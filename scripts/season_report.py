@@ -8,7 +8,7 @@ score with its 95% minimum-length interval for:
   * the bookmaker probabilities (when odds columns are present),
   * kappa-Elo with kappa = 0.7,
   * kappa-Elo with kappa = 1,
-  * classic Elo predicting with check-kappa = 1.
+  * classic Elo predicting with kappa = 1 (elo-check).
 
 Usage:
     python scripts/season_report.py data/epl/2017-2018.csv [more.csv ...]
@@ -22,17 +22,17 @@ from drawelo.engine import EngineConfig, UpdateMode
 from drawelo.evaluation import baseline_report, empirical_stats, evaluate_configs
 from drawelo.models import ModelParams
 
-# (mode, kappa, check_kappa) of the three rating columns
-CELLS = ((UpdateMode.KAPPA_ELO, 0.7, 1.0), (UpdateMode.KAPPA_ELO, 1.0, 1.0),
-         (UpdateMode.ELO_CHECK_KAPPA, 0.7, 1.0))
+# (mode, kappa) of the three rating columns
+CELLS = ((UpdateMode.KAPPA_ELO, 0.7), (UpdateMode.KAPPA_ELO, 1.0),
+         (UpdateMode.ELO_CHECK_KAPPA, 1.0))
 
 
 def season_cells(dataset, *, sigma, k_tilde, eta):
     """The bookmaker's report (None without odds), then one per rating column."""
     configs = [
         EngineConfig(model=ModelParams(sigma=sigma, kappa=kappa, eta=eta), k_tilde=k_tilde,
-                     mode=mode, check_kappa=check_kappa)
-        for mode, kappa, check_kappa in CELLS
+                     mode=mode, check_kappa=kappa)
+        for mode, kappa in CELLS
     ]
     reports = evaluate_configs(dataset.games, configs)
     for report in reports:

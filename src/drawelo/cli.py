@@ -49,7 +49,6 @@ class RunConfig:
     k_tilde: float = 0.125
     kappa: float = 0.7
     eta: float = 0.3
-    check_kappa: float = 1.0
     v0: float = 0.0
     mode: UpdateMode = UpdateMode.KAPPA_ELO
     family: ModelFamily = ModelFamily.DAVIDSON
@@ -70,7 +69,7 @@ class RunConfig:
             model=self.model_params(),
             k_tilde=self.k_tilde,
             mode=self.mode,
-            check_kappa=self.check_kappa,
+            check_kappa=self.kappa,
         )
 
 
@@ -80,7 +79,7 @@ def _plain(value):
 
 
 _DEFAULTS = {f.name: _plain(f.default) for f in fields(RunConfig)}
-_RATE_FIELDS = ("sigma", "k_tilde", "kappa", "eta", "check_kappa", "mode")
+_RATE_FIELDS = ("sigma", "k_tilde", "kappa", "eta", "mode")
 _BATCH_FIELDS = ("sigma", "kappa", "eta", "v0", "family")
 # The RunConfig fields each command reads, in RunConfig order.  Each is an
 # option of the command, and "config" echoes them; evaluate reports
@@ -173,11 +172,11 @@ _FIELD_OPTIONS = dict([
     _field_option("sigma", "--sigma", type=float, help="Rating scale."),
     _field_option("k_tilde", "--k-step", type=float,
                   help="Normalized update step; the absolute step is k-step * sigma."),
-    _field_option("kappa", "--kappa", type=float, help="Draw parameter."),
+    _field_option("kappa", "--kappa", type=float,
+                  help="Draw parameter.  Of the online modes, kappa-elo updates and predicts "
+                       "with it, elo-check only predicts with it, and elo does not use it."),
     _field_option("eta", "--eta", type=float,
                   help="Home advantage; the difference is shifted by eta * sigma."),
-    _field_option("check_kappa", "--check-kappa", type=float,
-                  help="Prediction-only draw parameter for --mode elo-check."),
     _field_option("v0", "--v0", type=float, help="Draw-band half width of the threshold family."),
     _field_option("mode", "--mode", type=click.Choice([m.value for m in UpdateMode]),
                   help="Online update / prediction mode."),
@@ -308,7 +307,7 @@ def run_sweep(
                        "eta": eta, "mean_ls": None, "interval_low": None,
                        "interval_high": None, "error": None}
                 try:
-                    cell = replace(cfg, mode=mode, eta=eta, kappa=kappa, check_kappa=kappa)
+                    cell = replace(cfg, mode=mode, eta=eta, kappa=kappa)
                     configs[len(rows)] = cell.engine_config()
                 except ValueError as exc:
                     row["error"] = str(exc)
@@ -505,10 +504,10 @@ def cmd_fit(input_path, max_iters, tol, ridge, **kw):
 
 @main.command("simulate")
 @_config_options("simulate")
-@click.option("--teams", type=int, default=20, show_default=True)
+@click.option("--teams", type=click.IntRange(min=2), default=20, show_default=True)
 @click.option("--spacing", type=float, default=0.1, show_default=True,
               help="True-rating gap between adjacent teams, in units of sigma.")
-@click.option("--rounds", type=int, default=1, show_default=True)
+@click.option("--rounds", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--output", "-o", type=click.Path(), required=True,
               help="Season CSV destination.")
@@ -518,10 +517,6 @@ def cmd_fit(input_path, max_iters, tol, ridge, **kw):
 def cmd_simulate(teams, spacing, rounds, seed, output, truth, **kw):
     """Generate a synthetic season from evenly spaced true ratings."""
     cfg = _make_config("simulate", None, **kw)
-    if teams < 2:
-        raise click.UsageError("--teams must be at least 2")
-    if rounds < 1:
-        raise click.UsageError("--rounds must be at least 1")
     ratings = list(_true_ratings(teams, spacing, cfg.sigma).values())
     # the first and last teams give the widest difference; eta only widens it
     widest = apply_home_advantage(abs(ratings[0] - ratings[-1]), cfg.model_params())

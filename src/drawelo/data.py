@@ -26,8 +26,6 @@ REQUIRED_COLUMNS = ("Date", "HomeTeam", "AwayTeam", "FTR")
 ODDS_COLUMNS = ("B365H", "B365D", "B365A")
 OUTCOMES = ("H", "D", "A")
 
-_DATE_FORMATS = ("%d/%m/%Y", "%d/%m/%y")
-
 
 @dataclass(frozen=True)
 class GameRecord:
@@ -85,21 +83,16 @@ class Dataset:
 
 def _parse_date(text: str, line: int) -> dt.date:
     parts = text.split("/")
-    if len(parts) == 3 and text.isascii():  # the usual d/m/y form, parsed by hand
+    if len(parts) == 3 and text.isascii():
         d, m, y = parts
-        if len(d) <= 2 and len(m) <= 2 and len(y) in (2, 4) and (d + m + y).isdigit():
+        if 0 < len(d) <= 2 and 0 < len(m) <= 2 and len(y) in (2, 4) and (d + m + y).isdigit():
+            year = int(y)
+            if len(y) == 2:
+                year += 1900 if year >= 69 else 2000  # strptime's %y pivot
             try:
-                year = int(y)
-                if len(y) == 2:
-                    year += 1900 if year >= 69 else 2000  # strptime's %y pivot
                 return dt.date(year, int(m), int(d))
             except ValueError:
-                pass  # empty day or month, or no such date: strptime gives the error
-    for fmt in _DATE_FORMATS:
-        try:
-            return dt.datetime.strptime(text, fmt).date()
-        except ValueError:
-            continue
+                pass  # no such date
     raise RowError(f"unparseable date {text!r}", line)
 
 

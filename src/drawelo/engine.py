@@ -253,7 +253,6 @@ class OnlineRun:
     """``run_online`` output for C configurations, G games and T players, as numpy arrays."""
 
     diffs: np.ndarray    # (C, G) shifted rating difference before each game
-    deltas: np.ndarray   # (C, G) home rating change; the away side gets its negative
     probs: np.ndarray    # (C, G, 3) forecast (p_home, p_away, p_draw) before each game
     ratings: np.ndarray  # (C, T) final ratings
 
@@ -286,7 +285,6 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     home_index, away_index, score = season.arrays()
     ratings = np.zeros((len(configs), len(season.players)))
     diffs = np.empty((len(configs), len(score)))
-    deltas = np.empty_like(diffs)
     runs = season.runs
     with np.errstate(invalid="ignore", over="ignore"):
         for start, end in zip(runs[:-1], runs[1:]):
@@ -296,9 +294,8 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
             ratings[:, home] += delta
             ratings[:, away] -= delta
             diffs[:, start:end] = v
-            deltas[:, start:end] = delta
         probs = davidson_table(diffs, predict_sigma, predict_kappa)
-    return OnlineRun(diffs, deltas, probs, ratings)
+    return OnlineRun(diffs, probs, ratings)
 
 
 def run_season(

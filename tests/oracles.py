@@ -177,7 +177,13 @@ def near_min_intervals(values, rtol, level=0.95):
 
 
 def parse_date(text):
-    """A day-first date by strptime, 4-digit year tried first; None if neither matches."""
+    """A day-first date by strptime, 4-digit year tried first; None if neither matches.
+
+    Only ASCII text without surrounding spaces is a date: strptime's ``%d``
+    would also take a leading space or a non-ASCII digit.
+    """
+    if not text.isascii() or text != text.strip():
+        return None
     for fmt in ("%d/%m/%Y", "%d/%m/%y"):
         try:
             return dt.datetime.strptime(text, fmt).date()

@@ -19,7 +19,9 @@ import oracles
 from conftest import BOTH_PATHS, KAPPAS, check_report, online_cases
 from drawelo.cli import RunConfig, _csv_cell, _round6, main, run_rate, run_sweep
 from drawelo.data import Dataset, load_matches, serialize_matches
-from drawelo.engine import UpdateMode, run_season
+from drawelo.engine import EngineConfig, UpdateMode, run_season
+from drawelo.evaluation import evaluate_configs
+from drawelo.models import ModelParams
 
 HEADER = "Date,HomeTeam,AwayTeam,FTR"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -274,14 +276,26 @@ def test_sweep_cells_match_evaluate(runner, season_file):
     ).stdout)["cells"]
     assert len(swept) == 12
     for cell in swept:
-        kappa_option = "--check-kappa" if cell["mode"] == "elo-check" else "--kappa"
         evaluated = json.loads(runner.invoke(
             main,
             ["evaluate", str(season_file), "--mode", cell["mode"], "--eta", str(cell["eta"]),
-             kappa_option, str(cell["kappa"])],
+             "--kappa", str(cell["kappa"])],
         ).stdout)
         for key in ("mean_ls", "interval_low", "interval_high"):
             assert cell[key] == evaluated[key]
+
+
+@pytest.mark.parametrize("kappa", [0.4, 1.0])
+def test_elo_check_forecasts_with_kappa(runner, season_file, kappa):
+    # --kappa is the library's check kappa in elo-check; the update never reads it
+    evaluated = json.loads(runner.invoke(
+        main, ["evaluate", str(season_file), "--mode", "elo-check", "--kappa", str(kappa)],
+    ).stdout)
+    config = EngineConfig(model=ModelParams(sigma=600.0, kappa=0.7, eta=0.3), k_tilde=0.125,
+                          mode=UpdateMode.ELO_CHECK_KAPPA, check_kappa=kappa)
+    report, = evaluate_configs(load_matches(season_file).games, [config])
+    for key in ("mean_ls", "interval_low", "interval_high"):
+        assert evaluated[key] == _round6(getattr(report, key))
 
 
 @BOTH_PATHS
@@ -309,7 +323,7 @@ def test_sweep_matches_the_scalar_oracle(vectorize, case, kappas, etas, modes):
     cells = [(mode, kappa, eta) for mode in modes for kappa in kappas for eta in etas]
     assert len(rows) == len(cells)
     for row, (mode, kappa, eta) in zip(rows, cells):
-        cell = replace(cfg, mode=mode, eta=eta, kappa=kappa, check_kappa=kappa).engine_config()
+        cell = replace(cfg, mode=mode, eta=eta, kappa=kappa).engine_config()
         _, predictions, _ = oracles.run_season(games, cell, dataset.team_names)
         scores = oracles.log_scores(predictions, games) if games else None
         if scores is None:
@@ -561,8 +575,7 @@ def test_bad_grid_is_a_usage_error(runner, season_file):
 
 @pytest.mark.parametrize(
     "option,value",
-    [("--kappa", "nan"), ("--kappa", "-1"), ("--eta", "inf"),
-     ("--check-kappa", "nan"), ("--k-step", "-1")],
+    [("--kappa", "nan"), ("--kappa", "-1"), ("--eta", "inf"), ("--k-step", "-1")],
 )
 def test_invalid_parameter_is_a_usage_error_naming_the_option(runner, season_file, option, value):
     result = runner.invoke(main, ["evaluate", str(season_file), option, value])
@@ -589,7 +602,9 @@ def test_nan_is_printed_as_null_or_empty():
      (["simulate", "--seed", "-1", "-o", "out.csv"], "--seed"),
      (["simulate", "--teams", "3", "--spacing", "1e308", "-o", "out.csv"], "--spacing"),
      (["fit", "missing.csv", "--sigma", "1e300", "--eta", "1e10"], "--eta"),
-     (["fit", "missing.csv", "--sigma", "5e-324"], "--sigma")],
+     (["fit", "missing.csv", "--sigma", "5e-324"], "--sigma"),
+     (["simulate", "--teams", "1", "-o", "out.csv"], "--teams"),
+     (["simulate", "--rounds", "0", "-o", "out.csv"], "--rounds")],
 )
 def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args, option):
     # the input does not exist: reading it first would be a data error, exit 3
@@ -625,7 +640,7 @@ def test_overflowing_shift_or_step_is_a_usage_error(runner, tmp_path, args, opti
 # options: each command takes the RunConfig fields it reads
 # ---------------------------------------------------------------------------
 
-RATE_OPTIONS = ["--sigma", "--k-step", "--kappa", "--eta", "--check-kappa", "--mode"]
+RATE_OPTIONS = ["--sigma", "--k-step", "--kappa", "--eta", "--mode"]
 BATCH_OPTIONS = ["--sigma", "--kappa", "--eta", "--v0", "--family"]
 COMMAND_OPTIONS = {
     "rate": RATE_OPTIONS + ["--output-format", "--trajectory"],
@@ -666,11 +681,9 @@ def test_options_a_command_does_not_read_are_usage_errors(runner, tmp_path, comm
 
 @pytest.mark.parametrize("command,extra,config", [
     ("rate", ["--mode", "elo"],
-     {"sigma": 600.0, "k_tilde": 0.125, "kappa": 0.7, "eta": 0.3, "check_kappa": 1.0,
-      "mode": "elo"}),
-    ("evaluate", ["--check-kappa", "2"],
-     {"sigma": 600.0, "k_tilde": 0.125, "kappa": 0.7, "eta": 0.3, "check_kappa": 2.0,
-      "mode": "kappa-elo"}),
+     {"sigma": 600.0, "k_tilde": 0.125, "kappa": 0.7, "eta": 0.3, "mode": "elo"}),
+    ("evaluate", ["--kappa", "2", "--mode", "elo-check"],
+     {"sigma": 600.0, "k_tilde": 0.125, "kappa": 2.0, "eta": 0.3, "mode": "elo-check"}),
     ("simulate", ["--family", "threshold", "--v0", "100"],
      {"sigma": 600.0, "kappa": 0.7, "eta": 0.3, "v0": 100.0, "family": "threshold"}),
 ])

@@ -41,7 +41,7 @@ def test_parse_two_digit_years():
 
 # cells from which the hand-parsed form and its near misses are built: ASCII
 # digits, signs and spaces that int() would accept, and a non-ASCII digit
-# that strptime's \d matches
+# that strptime's \d matches but a date may not hold
 _DATE_CHARS = "0123456789/ +-\u0661"
 _DATE_PART = st.text("0123456789", min_size=1, max_size=5) | st.text(
     _DATE_CHARS.replace("/", ""), max_size=5

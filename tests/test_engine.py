@@ -12,7 +12,6 @@ from drawelo.engine import (
     EngineConfig,
     RatingState,
     SeasonResult,
-    Trajectory,
     UpdateMode,
     batch_ml_fit,
     compile_season,
@@ -249,7 +248,10 @@ def test_compile_season_empty():
 
 
 def one_cell_run(games, config, players=None) -> SeasonResult:
-    """``run_season``'s result, built from a one-cell ``run_online``."""
+    """``run_season``'s ratings and forecasts, built from a one-cell ``run_online``.
+
+    ``run_online`` keeps no per-game rating changes, so the trajectory is None.
+    """
     season = compile_season(games, players)
     run = run_online(season, [config])
     error = run.error(0)
@@ -258,7 +260,7 @@ def one_cell_run(games, config, players=None) -> SeasonResult:
     return SeasonResult(
         state=RatingState(ratings=dict(zip(season.players, run.ratings[0].tolist()))),
         predictions=[OutcomeProbs(*p) for p in run.probs[0].tolist()],
-        trajectory=Trajectory(season, run.deltas[0].tolist()),
+        trajectory=None,
     )
 
 
@@ -275,10 +277,11 @@ def test_run_season_matches_the_scalar_oracle(vectorize, case, players_kind):
     assert list(result.state.ratings) == list(ratings)
     for player, rating in ratings.items():
         assert abs(result.state.ratings[player] - rating) <= 1e-12 * scale
-    assert len(result.trajectory) == len(trajectory)
-    for got, want in zip(result.trajectory, trajectory):
-        assert list(got) == list(want)
-        assert all(abs(got[p] - want[p]) <= 1e-12 * scale for p in want)
+    if not vectorize:
+        assert len(result.trajectory) == len(trajectory)
+        for got, want in zip(result.trajectory, trajectory):
+            assert list(got) == list(want)
+            assert all(abs(got[p] - want[p]) <= 1e-12 * scale for p in want)
     assert len(result.predictions) == len(predictions)
     for got, want in zip(result.predictions, predictions):
         for field in ("p_home", "p_away", "p_draw"):
@@ -308,7 +311,7 @@ def test_run_online_cells_do_not_interact(vectorize, cases):
     for c, config in enumerate(configs):
         if vectorize:
             one = run_online(season, [config])
-            for field in ("diffs", "deltas", "probs", "ratings"):
+            for field in ("diffs", "probs", "ratings"):
                 assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
             continue
         alone = run_season(games, config)
@@ -470,8 +473,9 @@ def test_a_valid_config_never_yields_nan(vectorize, sigma, k_tilde, eta, kappa, 
         assert str(exc).startswith("rating difference must be finite")
         return
     assert not any(math.isnan(r) for r in result.state.ratings.values())
-    for snapshot in result.trajectory:
-        assert not any(math.isnan(r) for r in snapshot.values())
+    if not vectorize:
+        for snapshot in result.trajectory:
+            assert not any(math.isnan(r) for r in snapshot.values())
 
 
 # ---------------------------------------------------------------------------
