@@ -23,6 +23,7 @@ from enum import Enum
 
 import click
 
+from . import __version__
 from .data import load_matches, serialize_matches
 from .engine import EngineConfig, UpdateMode, batch_ml_fit, check_fit_options, run_season
 from .errors import ConvergenceError, RowError, SchemaError, ZeroProbabilityError
@@ -402,7 +403,7 @@ def run_stats(cfg: RunConfig) -> dict:
 
 
 @click.group()
-@click.version_option(package_name="drawelo")
+@click.version_option(version=__version__)
 def main():
     """Rating engine for win/draw/loss competitions."""
 

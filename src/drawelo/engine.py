@@ -18,8 +18,10 @@ A season is compiled once into index lists.  Each entry point has one
 path: ``run_season``, the rating update, steps one configuration game by
 game on floats without numpy; ``run_online`` advances a grid of them on
 numpy arrays, one vector step per run of games in which no team appears
-twice.  Every player starts at rating 0.  ``predict`` forecasts a fixture
-from a ``RatingState``; ``run_season``'s trajectory is iterated, not indexed.
+twice.  Both paths call the one ``expected_score`` and ``davidson_triple``
+of ``models``.  Every player starts at rating 0.  ``predict`` forecasts a
+fixture from a ``RatingState``; ``run_season``'s trajectory is iterated,
+not indexed.
 
 The batch side minimizes the negative log likelihood of a fixed game list
 by damped Newton steps on game arrays, pinning each connected group's
@@ -42,11 +44,9 @@ from .models import (
     ModelParams,
     OutcomeProbs,
     apply_home_advantage,
-    davidson_table,
     davidson_triple,
     enum_field,
     expected_score,
-    expected_score_of,
     non_finite_difference,
     outcome_logp,
 )
@@ -271,8 +271,9 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     disjoint games advances in one vector step for every configuration;
     that is exact, because no game of a run reads a rating another game of
     the same run writes.  Forecasts are computed from the differences after
-    the pass.  The operations are ``run_season``'s, but numpy's ``power``
-    may round 10^x differently from the C library's in the last bit.  A
+    the pass.  The update and the forecast call ``run_season``'s own
+    ``expected_score`` and ``davidson_triple`` on arrays, so only numpy's
+    ``power`` can round 10^x differently from the C library's ``pow``.  A
     configuration whose ratings stop being finite is not raised here:
     ``OnlineRun.error`` reports it.
     """
@@ -294,7 +295,7 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
             ratings[:, home] += delta
             ratings[:, away] -= delta
             diffs[:, start:end] = v
-        probs = davidson_table(diffs, predict_sigma, predict_kappa)
+        probs = np.stack(davidson_triple(diffs, predict_sigma, predict_kappa), axis=-1)
     return OnlineRun(diffs, probs, ratings)
 
 
@@ -306,7 +307,7 @@ def run_season(
     """Process games in order, predicting each one before updating on it.
 
     One configuration steps game by game on plain floats and forecasts each
-    game with the scalar ``davidson_triple``; numpy is never imported.  The
+    game with ``davidson_triple`` on floats; numpy is never imported.  The
     first non-finite rating difference raises.
     """
     season = compile_season(games, players)
@@ -318,7 +319,7 @@ def run_season(
         v = (ratings[h] - ratings[a]) + shift
         if not math.isfinite(v):
             raise non_finite_difference(v)
-        delta = step * (s - expected_score_of(v, sigma, kappa))
+        delta = step * (s - expected_score(v, sigma, kappa))
         ratings[h] += delta
         ratings[a] -= delta
         deltas.append(delta)
@@ -457,8 +458,10 @@ def batch_ml_fit(
     connected group of players that pins the group's rating sum to zero,
     solves for the Newton step and halves it from the full step until the
     Armijo condition holds.  The objective is convex, so from the flat
-    start this takes a handful of steps.  With ridge = 0 the data are first
-    checked to have a finite maximizer.
+    start this takes a handful of steps.  An outcome with probability 0 at
+    the flat start raises first; then, with ridge = 0, the data are checked
+    to have a finite maximizer, and with ridge > 0 the objective is strongly
+    convex, so no step can run off to infinity.
 
     Convergence means the gradient, projected onto the pinned plane, has
     max-norm below tol/sigma'.  The steps are taken in y = theta / sigma'
@@ -486,8 +489,6 @@ def batch_ml_fit(
     beats[away[score >= 0.5], home[score >= 0.5]] = True
     beats[home[score <= 0.5], away[score <= 0.5]] = True
     linked = _closure(beats | beats.T)  # same connected group of players
-    if ridge == 0.0:
-        _check_separable(players, beats, linked)
     # pin @ v replaces each entry of v by its group's mean
     pin = linked / linked.sum(axis=1, keepdims=True)
     pair_index = home * n + away
@@ -503,8 +504,11 @@ def batch_ml_fit(
 
     x = np.zeros(n)
     current, logp, slope, curvature = objective(x)
+    # an outcome the model cannot produce is a fault no ridge mends, so it is named first
     if math.isinf(current):
         raise _zero_probability(games, logp)
+    if ridge == 0.0:
+        _check_separable(players, beats, linked)
     g_max = math.inf
     converged = False
     stop_reason = "max-iters"
@@ -539,11 +543,6 @@ def batch_ml_fit(
             stop_reason = "stalled"
             break
         x, current, slope, curvature = trial, trial_value, trial_slope, trial_curvature
-        if np.abs(x).max() > 50.0 * unit.sigma:
-            raise ConvergenceError(
-                "ratings diverging beyond 50 sigma; data may be separable - "
-                "enable ridge regularization"
-            )
 
     return FitResult(
         theta=dict(zip(players, (sp * x).tolist())),

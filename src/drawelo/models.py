@@ -13,8 +13,10 @@ three of them points of one davidson kernel:
 * ``threshold``    -- latent-variable model with a draw band of width 2*v0
 
 Everything here is a pure function of its arguments and safe to call from
-any thread.  The scalar functions run on plain floats; numpy is imported by
-the array kernels, on their first call.
+any thread.  ``davidson_triple`` and ``expected_score`` are the one copy of
+each davidson formula: they take a float or a numpy array, so the float and
+the grid engines call the same code, and they never import numpy.  The
+log-likelihood kernels import it on their first call.
 """
 
 from __future__ import annotations
@@ -138,19 +140,24 @@ def _check_finite(v: float):
         raise non_finite_difference(v)
 
 
-def davidson_triple(v: float, sigma: float, kappa: float) -> tuple[float, float, float]:
+def davidson_triple(v: float | np.ndarray, sigma, kappa) -> tuple:
     """Davidson (p_home, p_away, p_draw) at difference v, scale sigma, draw parameter kappa.
 
     p_draw = kappa * sqrt(p_home * p_away).  All three terms are scaled by
     10^(-|v|/2sigma) relative to the textbook form, so nothing overflows and
-    the unlikely side keeps its digits far out in the tail.  v is not
-    checked: a non-finite v gives nan or a limit, as on arrays.
+    the unlikely side keeps its digits far out in the tail.  v is a float
+    or a numpy array, and sigma and kappa broadcast against it, so one call
+    serves a whole grid of configurations.  v is not checked: a non-finite
+    v gives nan or a limit.
     """
     z = 0.5 * v / sigma
-    u = 10.0 ** (-abs(z))
-    den = 1.0 + u * u + kappa * u
-    fav, unfav, draw = 1.0 / den, (u * u) / den, (kappa * u) / den
-    return (fav, unfav, draw) if z >= 0 else (unfav, fav, draw)
+    u = 10.0 ** -abs(z)  # libm pow on a float, numpy's power on an array
+    uu = u * u
+    den = 1.0 + uu + kappa * u
+    # the favourite's side, selected by exact arithmetic: 0.0 * uu adds no bit
+    home = 1.0 * (z >= 0)
+    away = 1.0 - home
+    return (home + away * uu) / den, (away + home * uu) / den, (kappa * u) / den
 
 
 def logistic_cdf(v: float, sigma: float) -> float:
@@ -169,19 +176,20 @@ def f_kappa(v: float, params: ModelParams) -> float:
     doubled scale.
     """
     _check_finite(v)
-    return expected_score_of(v, params.sigma, params.kappa)
+    return expected_score(v, params.sigma, params.kappa)
 
 
-def expected_score_of(v: float, sigma: float, kappa: float) -> float:
-    """f_kappa on plain floats, without the finiteness check.
+def expected_score(v: float | np.ndarray, sigma, kappa) -> float | np.ndarray:
+    """f_kappa on a float or a numpy array, without the finiteness check.
 
-    The scalar twin of ``expected_score``: the same operations in the same
-    order, and a non-finite v gives nan or a limit rather than an error.
+    sigma and kappa broadcast as in ``davidson_triple``; kappa = 0 gives the
+    logistic cdf at scale sigma, and a non-finite v gives nan or a limit.
     """
     z = 0.5 * v / sigma
-    u = 10.0 ** (-abs(z))
+    u = 10.0 ** -abs(z)
     fav = (1.0 + 0.5 * kappa * u) / (1.0 + u * u + kappa * u)
-    return fav if z >= 0 else 1.0 - fav
+    home = 1.0 * (z >= 0)
+    return home * fav + (1.0 - home) * (1.0 - fav)
 
 
 def davidson_probs(v: float, params: ModelParams) -> OutcomeProbs:
@@ -238,38 +246,6 @@ def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
 
 
 # ---------------------------------------------------------------------------
-# Davidson curves on arrays (online ratings)
-# ---------------------------------------------------------------------------
-#
-# f_kappa and davidson_probs evaluated elementwise, with the same operations
-# in the same order as the scalar formulas above.  v is the shifted rating
-# difference; sigma and kappa broadcast against it, so one call serves a
-# whole grid of configurations.
-
-
-def expected_score(v: np.ndarray, sigma, kappa) -> np.ndarray:
-    """f_kappa(v) over arrays; kappa = 0 gives the logistic cdf at scale sigma."""
-    import numpy as np
-    z = 0.5 * v / sigma
-    u = np.power(10.0, -np.abs(z))
-    fav = (1.0 + 0.5 * kappa * u) / (1.0 + u * u + kappa * u)
-    return np.where(z >= 0, fav, 1.0 - fav)
-
-
-def davidson_table(v: np.ndarray, sigma, kappa) -> np.ndarray:
-    """davidson_probs(v) over arrays, as a trailing axis (p_home, p_away, p_draw)."""
-    import numpy as np
-    z = 0.5 * v / sigma
-    u = np.power(10.0, -np.abs(z))
-    den = 1.0 + u * u + kappa * u
-    fav, unfav = 1.0 / den, (u * u) / den
-    home = z >= 0
-    return np.stack(
-        [np.where(home, fav, unfav), np.where(home, unfav, fav), (kappa * u) / den], axis=-1
-    )
-
-
-# ---------------------------------------------------------------------------
 # Log-likelihood kernels on game arrays (batch fitting)
 # ---------------------------------------------------------------------------
 #
@@ -302,7 +278,7 @@ def davidson_logp(
     den = 1.0 + rest  # D * e^(-|t|/2), as in davidson_triple
     log_kappa = math.log(kappa) if kappa > 0 else -math.inf
     logp = (s - 0.5) * t - half - np.log1p(rest) + np.where(s == 0.5, log_kappa, 0.0)
-    f_fav = (1.0 + 0.5 * ku) / den  # f_kappa(|v|), as in expected_score_of
+    f_fav = (1.0 + 0.5 * ku) / den  # f_kappa(|v|), as in expected_score
     f = np.where(t >= 0, f_fav, 1.0 - f_fav)
     slope = (s - f) / sigma_prime
     curvature = -(u * u + 0.25 * ku * (1.0 + u * u)) / (den * sigma_prime) ** 2

@@ -658,6 +658,13 @@ FIELD_VALUES = {"--sigma": "600", "--k-step": "0.1", "--kappa": "1", "--eta": "0
                 "--eval-window": "full"}
 
 
+def test_version_reads_the_package_not_installed_metadata():
+    # a source checkout on PYTHONPATH has no installed distribution to read
+    result = run_cli(["--version"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode().rstrip().endswith("version 0.1.0")
+
+
 @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
 def test_help_lists_exactly_the_options_a_command_reads(runner, command):
     result = runner.invoke(main, [command, "--help"])

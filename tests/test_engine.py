@@ -694,6 +694,31 @@ def test_batch_fit_ladder_converges_in_few_newton_steps():
     assert max(abs(g) for g in fd.values()) < 1e-6 / model.sigma_prime
 
 
+@pytest.mark.parametrize("model", [fit_model(), fit_model(family=ModelFamily.THRESHOLD, v0=150.0)],
+                         ids=["davidson", "threshold"])
+def test_batch_fit_converges_on_a_long_lopsided_ladder(model):
+    # each of 40 teams beats the next 99 times in 100: every result chain
+    # closes (Hunter's condition), so the maximizer is finite, however far
+    # apart the ladder's ends are rated
+    names = [f"T{i:02d}" for i in range(40)]
+    games = [game(high, low, "H" if k < 99 else "A", day=k)
+             for high, low in zip(names, names[1:]) for k in range(100)]
+    assert len(games) == 3900
+    result = batch_ml_fit(games, model)
+    assert result.converged
+    assert result.theta["T00"] - result.theta["T39"] > 50 * model.sigma
+
+
+def test_batch_fit_names_an_impossible_outcome_before_separable_data():
+    # A beat B twice (separable) and C drew D, which a zero-width draw band
+    # cannot produce; no ridge mends the draw, so it is the error reported
+    games = [game("A", "B", "H", 0), game("A", "B", "H", 1), game("C", "D", "D", 2)]
+    model = fit_model(family=ModelFamily.THRESHOLD, v0=0.0)
+    for ridge in (0.0, 1e-4):
+        with pytest.raises(ZeroProbabilityError, match="game 2 \\(C vs D\\)"):
+            batch_ml_fit(games, model, ridge=ridge)
+
+
 def test_batch_fit_ridge_rescues_separable_data():
     games = [game("A", "B", "H", 0), game("A", "B", "H", 1)]
     result = batch_ml_fit(games, fit_model(family=ModelFamily.BINARY), ridge=1e-4)

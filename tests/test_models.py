@@ -15,9 +15,9 @@ from drawelo.models import (
     binary_probs,
     davidson_logp,
     davidson_probs,
-    davidson_table,
     davidson_triple,
     elo_implicit_probs,
+    expected_score,
     f_kappa,
     logistic_cdf,
     outcome_logp,
@@ -78,9 +78,9 @@ def test_logistic_rejects_non_finite_v(bad_v):
 
 @pytest.mark.parametrize("bad_v", [math.nan, math.inf, -math.inf])
 def test_public_functions_reject_what_the_kernel_carries(bad_v):
-    # davidson_triple gives what its array twin gives; the entry points raise
+    # davidson_triple gives on a float what it gives on an array; the entry points raise
     with np.errstate(invalid="ignore"):
-        table = davidson_table(np.array([bad_v]), SIGMA, 0.7)[0].tolist()
+        table = [float(p[0]) for p in davidson_triple(np.array([bad_v]), SIGMA, 0.7)]
     got = davidson_triple(bad_v, SIGMA, 0.7)
     assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, table))
     message = f"rating difference must be finite, got {bad_v}"
@@ -130,6 +130,37 @@ def test_f_kappa_monotone():
     p = params(kappa=0.7)
     values = [f_kappa(v, p) for v in GRID_V]
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+# shifted rating differences, with the extremes a diverging grid cell can reach
+DIFFS = st.floats(-1e4, 1e4) | st.sampled_from(
+    [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan])
+
+
+def grid_parameter(values):
+    """One value for every cell, or a (3, 1) column of one value per cell."""
+    return values | st.lists(values, min_size=3, max_size=3).map(lambda c: np.array(c)[:, None])
+
+
+@given(
+    v=st.lists(DIFFS, min_size=1, max_size=12),
+    sigma=grid_parameter(st.floats(1e-10, 1e4)),
+    kappa=grid_parameter(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 5.0)),
+)
+def test_kernels_on_arrays_match_float_calls(v, sigma, kappa):
+    # one kernel for both engines; only numpy's power may round 10^x
+    # differently from the C library's pow
+    x = np.array(v)
+    with np.errstate(all="ignore"):
+        got = (*davidson_triple(x, sigma, kappa), expected_score(x, sigma, kappa))
+    cells = np.broadcast_arrays(x, sigma, kappa)
+    calls = [(*davidson_triple(*c), expected_score(*c))
+             for c in zip(*(a.ravel().tolist() for a in cells))]
+    for column, array in enumerate(got):
+        want = np.array([call[column] for call in calls]).reshape(cells[0].shape)
+        assert array.shape == want.shape
+        np.testing.assert_array_equal(np.isnan(array), np.isnan(want))
+        np.testing.assert_array_max_ulp(array[~np.isnan(array)], want[~np.isnan(want)], maxulp=4)
 
 
 # ---------------------------------------------------------------------------
