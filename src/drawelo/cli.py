@@ -25,13 +25,22 @@ import click
 
 from . import __version__
 from .data import load_matches, serialize_matches
-from .engine import EngineConfig, UpdateMode, batch_ml_fit, check_fit_options, run_season
 from .errors import ConvergenceError, RowError, SchemaError, ZeroProbabilityError
-from .evaluation import baseline_report, empirical_stats, evaluate_configs
-# unused here, but perfbench/layers.py patches them on this module by name (LAYER_OF)
-from .evaluation import evaluate_scores, score_games  # noqa: F401
-from .models import ModelFamily, ModelParams, apply_home_advantage, enum_field
+from .models import ModelFamily, ModelParams, UpdateMode, apply_home_advantage, enum_field
 from .sim import SimSpec, generate_season
+
+# engine's and evaluation's names load on first use (stats needs no engine,
+# simulate neither), and commands call them through this module, _lib, so a
+# name set on it replaces them here, as perfbench/layers.py does (LAYER_OF).
+_DEFERRED = {"EngineConfig", "batch_ml_fit", "check_fit_options", "run_season", "score_games",
+             "baseline_report", "empirical_stats", "evaluate_configs", "evaluate_scores"}
+_lib = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 @dataclass
@@ -66,12 +75,8 @@ class RunConfig:
         )
 
     def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            model=self.model_params(),
-            k_tilde=self.k_tilde,
-            mode=self.mode,
-            check_kappa=self.kappa,
-        )
+        return _lib.EngineConfig(model=self.model_params(), k_tilde=self.k_tilde,
+                                 mode=self.mode, check_kappa=self.kappa)
 
 
 def _plain(value):
@@ -217,7 +222,12 @@ def _make_config(command: str, input_path: str | None, **options) -> RunConfig:
     """The run's configuration; an invalid parameter is a usage error naming its option."""
     with _usage_errors():
         cfg = RunConfig(command=command, input_path=input_path, **options)
-        cfg.engine_config()  # builds and validates ModelParams and EngineConfig
+        # building what the command runs checks its parameters; only the online
+        # commands, which read k_tilde or mode, need the engine's EngineConfig
+        if {"k_tilde", "mode"}.isdisjoint(_COMMAND_FIELDS[command]):
+            cfg.model_params()
+        else:
+            cfg.engine_config()
     return cfg
 
 
@@ -236,7 +246,7 @@ def _config_payload(cfg: RunConfig) -> dict:
 def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
     dataset = load_matches(cfg.input_path)
     config = cfg.engine_config()
-    result = run_season(dataset.games, config, players=dataset.team_names)
+    result = _lib.run_season(dataset.games, config, players=dataset.team_names)
     ratings = sorted(result.state.ratings.items(), key=lambda kv: (-kv[1], kv[0]))
     if trajectory_path:
         # One cached "team,rating\n" cell per team, the name quoted by
@@ -264,7 +274,7 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
 
 def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
     dataset = load_matches(cfg.input_path)
-    report, = evaluate_configs(dataset.games, [cfg.engine_config()], cfg.eval_window)
+    report, = _lib.evaluate_configs(dataset.games, [cfg.engine_config()], cfg.eval_window)
     if isinstance(report, Exception):
         raise report
     payload = {
@@ -281,7 +291,7 @@ def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
         "baseline": None,
     }
     if baseline:
-        bk = baseline_report(dataset.games, report.window)
+        bk = _lib.baseline_report(dataset.games, report.window)
         payload["baseline"] = {
             "mean_ls": bk.mean_ls,
             "interval_low": bk.interval_low,
@@ -313,7 +323,7 @@ def run_sweep(
                 except ValueError as exc:
                     row["error"] = str(exc)
                 rows.append(row)
-    outcomes = evaluate_configs(dataset.games, list(configs.values()), cfg.eval_window)
+    outcomes = _lib.evaluate_configs(dataset.games, list(configs.values()), cfg.eval_window)
     for i, outcome in zip(configs, outcomes):
         if isinstance(outcome, Exception):
             rows[i]["error"] = str(outcome)
@@ -332,7 +342,7 @@ def run_fit(cfg: RunConfig, step: None, max_iters: int, tol: float, ridge: float
     if step is not None:
         raise TypeError("run_fit takes no step size; pass None")
     dataset = load_matches(cfg.input_path)
-    result = batch_ml_fit(
+    result = _lib.batch_ml_fit(
         dataset.games, cfg.model_params(), max_iters=max_iters, tol=tol, ridge=ridge
     )
     ratings = sorted(result.theta.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -392,7 +402,7 @@ _STATS_COLUMNS = ["n_games", "p_home_bar", "p_away_bar", "p_draw_bar", "delta_ba
 
 
 def run_stats(cfg: RunConfig) -> dict:
-    stats = empirical_stats(load_matches(cfg.input_path).games)
+    stats = _lib.empirical_stats(load_matches(cfg.input_path).games)
     return {"command": "stats", "input": cfg.input_path,
             **{k: getattr(stats, k) for k in _STATS_COLUMNS}}
 
@@ -484,13 +494,14 @@ def cmd_sweep(input_path, eta_grid, kappa_grid, modes, jobs, **kw):
 @click.option("--tol", type=float, default=1e-6, show_default=True,
               help="Convergence threshold on gradient max-norm, in units of 1/sigma'.")
 @click.option("--ridge", type=float, default=0.0, show_default=True,
-              help="Ridge penalty weight (0 disables).")
+              help="Ridge penalty weight (0 disables).  On separable data a ridge near 0 "
+                   "stops where --tol says, not at the penalized optimum.")
 @_handle_errors
 def cmd_fit(input_path, max_iters, tol, ridge, **kw):
     """Batch maximum-likelihood fit of the ratings on a full game list."""
     cfg = _make_config("fit", input_path, **kw)
     with _usage_errors():
-        check_fit_options(max_iters, tol, ridge)
+        _lib.check_fit_options(max_iters, tol, ridge)
     payload = run_fit(cfg, None, max_iters, tol, ridge)
     _emit(payload, payload["ratings"], ["team", "rating"], cfg.output_format)
     if not payload["converged"]:

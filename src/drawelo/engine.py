@@ -34,7 +34,6 @@ import math
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from .data import GameRecord
@@ -43,6 +42,7 @@ from .models import (
     ModelFamily,
     ModelParams,
     OutcomeProbs,
+    UpdateMode,
     apply_home_advantage,
     davidson_triple,
     enum_field,
@@ -53,12 +53,6 @@ from .models import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class UpdateMode(str, Enum):
-    ELO = "elo"
-    KAPPA_ELO = "kappa-elo"
-    ELO_CHECK_KAPPA = "elo-check"
 
 
 @dataclass
@@ -275,17 +269,18 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     ``expected_score`` and ``davidson_triple`` on arrays, so only numpy's
     ``power`` can round 10^x differently from the C library's ``pow``.  A
     configuration whose ratings stop being finite is not raised here:
-    ``OnlineRun.error`` reports it.
+    ``OnlineRun.error`` reports it.  Configurations with equal parameters
+    (elo reads no kappa) are stepped once and share their rows.
     """
     import numpy as np
-    # per configuration: the mode's five parameters and the scale
-    table = np.array(
-        [(*mode_parameters(c), c.model.sigma) for c in configs], dtype=float
-    ).reshape(len(configs), 6)
+    # per distinct configuration: the mode's five parameters and the scale
+    row_of: dict[tuple, int] = {}
+    rows = [row_of.setdefault((*mode_parameters(c), c.model.sigma), len(row_of)) for c in configs]
+    table = np.array(list(row_of), dtype=float).reshape(len(row_of), 6)
     shift, step, kappa, predict_sigma, predict_kappa, sigma = table.T[:, :, None]
     home_index, away_index, score = season.arrays()
-    ratings = np.zeros((len(configs), len(season.players)))
-    diffs = np.empty((len(configs), len(score)))
+    ratings = np.zeros((len(row_of), len(season.players)))
+    diffs = np.empty((len(row_of), len(score)))
     runs = season.runs
     with np.errstate(invalid="ignore", over="ignore"):
         for start, end in zip(runs[:-1], runs[1:]):
@@ -296,6 +291,8 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
             ratings[:, away] -= delta
             diffs[:, start:end] = v
         probs = np.stack(davidson_triple(diffs, predict_sigma, predict_kappa), axis=-1)
+    if len(row_of) < len(rows):  # one row per configuration again
+        diffs, probs, ratings = diffs[rows], probs[rows], ratings[rows]
     return OnlineRun(diffs, probs, ratings)
 
 
@@ -461,7 +458,9 @@ def batch_ml_fit(
     start this takes a handful of steps.  An outcome with probability 0 at
     the flat start raises first; then, with ridge = 0, the data are checked
     to have a finite maximizer, and with ridge > 0 the objective is strongly
-    convex, so no step can run off to infinity.
+    convex, so no step can run off to infinity.  On separable data a ridge
+    near 0 stops where ``tol`` says, not at the penalized optimum: the
+    likelihood's slope falls below tol/sigma' far short of it.
 
     Convergence means the gradient, projected onto the pinned plane, has
     max-norm below tol/sigma'.  The steps are taken in y = theta / sigma'

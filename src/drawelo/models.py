@@ -41,6 +41,12 @@ class ModelFamily(str, Enum):
     DAVIDSON = "davidson"
 
 
+class UpdateMode(str, Enum):  # the online modes of engine.EngineConfig
+    ELO = "elo"
+    KAPPA_ELO = "kappa-elo"
+    ELO_CHECK_KAPPA = "elo-check"
+
+
 def enum_field(enum: type[Enum], name: str, value) -> Enum:
     """``value`` as a member of ``enum``, given as one or by value, else a ValueError."""
     try:

@@ -1,5 +1,7 @@
 import datetime as dt
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,15 @@ from drawelo.models import ModelParams
 from drawelo.sim import generate_schedule
 
 EPOCH = dt.date(2021, 8, 1)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(args, env=None, driver="from drawelo.cli import main; main(sys.argv[1:])"):
+    """``drawelo`` ARGS in a fresh interpreter on this checkout's sources."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", f"import sys; {driver}", *args], env=env,
+                          capture_output=True, timeout=120)
 
 
 def game(home, away, outcome, day=0, odds=None):

@@ -2,10 +2,7 @@ import csv
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BOTH_PATHS, KAPPAS, check_report, online_cases
+from conftest import BOTH_PATHS, KAPPAS, check_report, online_cases, run_cli
+from drawelo import engine
 from drawelo.cli import RunConfig, _csv_cell, _round6, main, run_rate, run_sweep
 from drawelo.data import Dataset, load_matches, serialize_matches
 from drawelo.engine import EngineConfig, UpdateMode, run_season
@@ -24,15 +22,6 @@ from drawelo.evaluation import evaluate_configs
 from drawelo.models import ModelParams
 
 HEADER = "Date,HomeTeam,AwayTeam,FTR"
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def run_cli(args, env=None, driver="from drawelo.cli import main; main(sys.argv[1:])"):
-    """``drawelo`` ARGS in a fresh interpreter on this checkout's sources."""
-    env = {**os.environ, **(env or {})}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", f"import sys; {driver}", *args], env=env,
-                          capture_output=True, timeout=120)
 
 
 @pytest.fixture
@@ -401,6 +390,23 @@ def test_sweep_grid_kappa_is_each_cells_kappa_in_every_mode(runner, season_file)
     assert all(c["error"].startswith("kappa must be") for c in cells)
 
 
+def test_sweep_steps_each_distinct_elo_row_once(runner, season_file, monkeypatch):
+    # elo reads no kappa: three grid kappas print three identical rows from
+    # one row of the vector kernel
+    widths = []
+    expected_score = engine.expected_score
+    monkeypatch.setattr(engine, "expected_score",
+                        lambda v, *args: widths.append(len(v)) or expected_score(v, *args))
+    result = runner.invoke(main, ["sweep", str(season_file), "--modes", "elo",
+                                  "--kappa-grid", "0.4,1,2"])
+    assert result.exit_code == 0, result.output
+    cells = json.loads(result.stdout)["cells"]
+    assert [c["kappa"] for c in cells] == [0.4, 1.0, 2.0]
+    assert len({json.dumps({**c, "kappa": None}) for c in cells}) == 1
+    assert cells[0]["error"] is None
+    assert widths and set(widths) == {1}
+
+
 def test_sweep_empty_season_gives_error_rows(runner, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(HEADER + "\n")
@@ -761,6 +767,38 @@ def test_one_season_commands_run_without_numpy(request, tmp_path, season, args, 
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr.decode().splitlines()[-1] == str(loads_numpy)
+
+
+# what every command loads: the CLI, the CSV reader and the simulator
+CLI_MODULES = ["drawelo", "drawelo.cli", "drawelo.data", "drawelo.errors", "drawelo.models",
+               "drawelo.sim"]
+
+
+@pytest.mark.parametrize("args,runs", [
+    (["--version"], []),
+    *[([command, "--help"], []) for command in COMMAND_OPTIONS],
+    (["stats", "{season}"], ["evaluation"]),
+    (["simulate", "-o", "{tmp}/season.csv"], []),
+    (["rate", "{season}", "--trajectory", "{tmp}/trajectory.csv"], ["engine"]),
+    (["fit", "{season}"], ["engine"]),
+    (["evaluate", "{season}", "--baseline"], ["engine", "evaluation"]),
+    (["sweep", "{season}", "--modes", "kappa-elo,elo"], ["engine", "evaluation"]),
+], ids=["version", *[f"{command}-help" for command in COMMAND_OPTIONS],
+        "stats", "simulate", "rate", "fit", "evaluate", "sweep"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, season_with_odds, args, runs):
+    # engine and evaluation load on first use: stats needs no engine, rate
+    # and fit no evaluation, simulate, --version and --help neither
+    argv = [a.format(season=season_with_odds, tmp=tmp_path) for a in args]
+    result = run_cli(
+        argv,
+        driver="from drawelo.cli import main\n"
+               "try:\n    main(sys.argv[1:])\n"
+               "finally:\n    print(*sorted(m for m in sys.modules if m.startswith('drawelo')),"
+               " file=sys.stderr)",
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stderr.decode().splitlines()[-1].split()
+    assert loaded == sorted(CLI_MODULES + [f"drawelo.{m}" for m in runs])
 
 
 def test_season_report_runs_without_the_cli(season_with_odds):

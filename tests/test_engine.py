@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import BOTH_PATHS, KAPPAS, check_report, game, online_cases, random_games
+from drawelo import engine
 from drawelo.engine import (
     EngineConfig,
     RatingState,
@@ -323,6 +324,24 @@ def test_run_online_cells_do_not_interact(vectorize, cases):
         assert len(alone.predictions) == len(games)
         for got, want in zip(together.probs[c].tolist(), alone.predictions):
             assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
+
+
+def test_run_online_steps_equal_configurations_once(monkeypatch):
+    # elo reads no kappa, so the three elo cells are one row of the kernel;
+    # each comes back bit for bit as it does alone
+    games = random_games(np.random.default_rng(3), list("ABCDEF"), 60)
+    season = compile_season(games)
+    cells = [config(mode=UpdateMode.ELO, kappa=k) for k in (0.4, 1.0, 2.0)] + [config()]
+    widths = []
+    expected_score = engine.expected_score
+    monkeypatch.setattr(engine, "expected_score",
+                        lambda v, *args: widths.append(len(v)) or expected_score(v, *args))
+    together = run_online(season, cells)
+    assert widths and set(widths) == {2}
+    for c, cell in enumerate(cells):
+        one = run_online(season, [cell])
+        for field in ("diffs", "probs", "ratings"):
+            assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
 
 
 @BOTH_PATHS
