@@ -21,9 +21,7 @@ _EXPORTS = {
     "errors": "ConvergenceError RowError SchemaError ZeroProbabilityError",
     "evaluation": "EmpiricalStats EvalReport baseline_report credibility_interval empirical_stats "
                   "evaluate_configs evaluate_scores implied_draw_freq log_score score_games",
-    "models": "ModelFamily ModelParams OutcomeProbs UpdateMode apply_home_advantage binary_probs "
-              "davidson_probs elo_implicit_probs f_kappa logistic_cdf predict_probs "
-              "threshold_probs",
+    "models": "ModelFamily ModelParams OutcomeProbs UpdateMode apply_home_advantage predict_probs",
     "sim": "SimSpec generate_schedule generate_season recovery_metrics sample_outcome",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -69,7 +69,8 @@ class EngineConfig:
     The step is specified as k_tilde with K = k_tilde * sigma, which makes
     the produced predictions independent of the scale.  k_tilde = 0 is
     allowed and freezes the ratings (useful as a degenerate baseline).
-    ``mode`` may be its string value.  Each check's message starts with the field's name.
+    ``mode`` may be its string value, and the model's family must be
+    davidson.  Each check's message starts with the field's name.
     """
 
     model: ModelParams = ModelParams()
@@ -85,6 +86,10 @@ class EngineConfig:
             raise ValueError(
                 f"k_tilde * sigma must be finite, got {self.k_tilde} * {self.model.sigma}")
         object.__setattr__(self, "mode", enum_field(UpdateMode, "mode", self.mode))
+        # every mode steps and predicts with a davidson curve (mode_parameters)
+        if self.model.family is not ModelFamily.DAVIDSON:
+            raise ValueError(
+                f"family must be davidson in the online engine, got {self.model.family.value}")
         if not (math.isfinite(self.check_kappa) and self.check_kappa >= 0):
             raise ValueError(f"check_kappa must be a finite real >= 0, got {self.check_kappa}")
 

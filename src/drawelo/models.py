@@ -11,12 +11,16 @@ three of them points of one davidson kernel:
                       (F^2(v), F^2(-v), 2 F(v) F(-v)) with F the logistic
                       cdf: davidson at kappa = 2 and half the scale
 * ``threshold``    -- latent-variable model with a draw band of width 2*v0
+                      (Rao and Kupper 1967)
 
 Everything here is a pure function of its arguments and safe to call from
-any thread.  ``davidson_triple`` and ``expected_score`` are the one copy of
-each davidson formula: they take a float or a numpy array, so the float and
-the grid engines call the same code, and they never import numpy.  The
-log-likelihood kernels import it on their first call.
+any thread.  Each family's curve is written once: ``davidson_triple`` with
+its expected score ``expected_score``, and ``threshold_triple``.  They take
+a float or a numpy array, so the float and the grid engines call the same
+code, and they never import numpy.  ``predict_probs`` is the one
+per-family entry point for a single difference.  The log-likelihood
+kernels of the batch fit take their slope and curvature from the same
+curves; they import numpy on their first call.
 """
 
 from __future__ import annotations
@@ -132,18 +136,13 @@ OUTCOME_COLUMN = {"H": 0, "A": 1, "D": 2}
 
 
 # ---------------------------------------------------------------------------
-# The davidson triple and the families it covers
+# The family curves
 # ---------------------------------------------------------------------------
 
 
 def non_finite_difference(v: float) -> ValueError:
     """The error every rating computation raises for a non-finite difference v."""
     return ValueError(f"rating difference must be finite, got {v}")
-
-
-def _check_finite(v: float):
-    if not math.isfinite(v):
-        raise non_finite_difference(v)
 
 
 def davidson_triple(v: float | np.ndarray, sigma, kappa) -> tuple:
@@ -166,30 +165,13 @@ def davidson_triple(v: float | np.ndarray, sigma, kappa) -> tuple:
     return (home + away * uu) / den, (away + home * uu) / den, (kappa * u) / den
 
 
-def logistic_cdf(v: float, sigma: float) -> float:
-    """Logistic cdf 1 / (1 + 10^(-v/sigma)): davidson's p_home at kappa = 0."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma}")
-    _check_finite(v)
-    return davidson_triple(v, sigma, 0.0)[0]
-
-
-def f_kappa(v: float, params: ModelParams) -> float:
-    """Generalized expected score (10^(v/2s) + k/2) / (10^(v/2s) + 10^(-v/2s) + k).
-
-    Antisymmetric around one half: f_kappa(v) + f_kappa(-v) = 1.  kappa=0
-    collapses to logistic_cdf(v, sigma); kappa=2 equals logistic_cdf at
-    doubled scale.
-    """
-    _check_finite(v)
-    return expected_score(v, params.sigma, params.kappa)
-
-
 def expected_score(v: float | np.ndarray, sigma, kappa) -> float | np.ndarray:
-    """f_kappa on a float or a numpy array, without the finiteness check.
+    """Davidson's expected home score f_kappa = p_home + p_draw / 2 at v.
 
-    sigma and kappa broadcast as in ``davidson_triple``; kappa = 0 gives the
-    logistic cdf at scale sigma, and a non-finite v gives nan or a limit.
+    f_kappa(v) = (10^(v/2s) + k/2) / (10^(v/2s) + 10^(-v/2s) + k) is
+    antisymmetric around one half, and kappa = 0 gives the logistic cdf at
+    scale sigma.  sigma and kappa broadcast as in ``davidson_triple``, and a
+    non-finite v gives nan or a limit.
     """
     z = 0.5 * v / sigma
     u = 10.0 ** -abs(z)
@@ -198,42 +180,20 @@ def expected_score(v: float | np.ndarray, sigma, kappa) -> float | np.ndarray:
     return home * fav + (1.0 - home) * (1.0 - fav)
 
 
-def davidson_probs(v: float, params: ModelParams) -> OutcomeProbs:
-    """Draw-parameter model: p_draw = kappa * sqrt(p_home * p_away)."""
-    _check_finite(v)
-    return OutcomeProbs(*davidson_triple(v, params.sigma, params.kappa))
+def threshold_triple(v: float | np.ndarray, sigma: float, v0: float) -> tuple:
+    """Threshold (p_home, p_away, p_draw) at difference v, scale sigma, band half width v0.
 
-
-def binary_probs(v: float, params: ModelParams) -> OutcomeProbs:
-    """Win/loss logistic model, davidson at kappa = 0; draws carry probability 0."""
-    _check_finite(v)
-    return OutcomeProbs(*davidson_triple(v, params.sigma, 0.0))
-
-
-def elo_implicit_probs(v: float, params: ModelParams) -> OutcomeProbs:
-    """The draw model the classic Elo update implements implicitly.
-
-    (F^2(v), F^2(-v), 2 F(v) F(-v)) with F the logistic cdf, which is
-    davidson at kappa = 2 and half the scale.
+    A draw is a latent difference landing in [-v0, v0]: with F the logistic
+    cdf, davidson's p_home at kappa = 0, p_home = F(v - v0), p_away =
+    F(-v - v0) and p_draw = F(v + v0) - F(v - v0).  The draw takes the
+    product form (1 - 10^(-2 v0 / sigma)) F(v + v0) F(v0 - v), which keeps
+    its digits far from v = 0.  v is a float or a numpy array; sigma and v0
+    are floats.  v is not checked, as in ``davidson_triple``.
     """
-    _check_finite(v)
-    return OutcomeProbs(*davidson_triple(v, 0.5 * params.sigma, 2.0))
-
-
-def threshold_probs(v: float, params: ModelParams) -> OutcomeProbs:
-    """Latent-difference model: a draw is a difference landing in [-v0, v0].
-
-    Each cdf F is davidson's p_home at kappa = 0, as in ``logistic_cdf``.
-    p_draw = F(v + v0) - F(v - v0) takes ``threshold_logp``'s product form
-    (1 - 10^(-2 v0 / sigma)) F(v + v0) F(v0 - v), which keeps its digits.
-    """
-    _check_finite(v)
-    sigma, v0 = params.sigma, params.v0
-    home, away, band_high, band_low = (
-        davidson_triple(x, sigma, 0.0)[0] for x in (v - v0, -v - v0, v + v0, v0 - v)
-    )
-    band = -math.expm1(-2.0 * v0 / params.sigma_prime)
-    return OutcomeProbs(home, away, band * band_high * band_low)
+    home, band_low, _ = davidson_triple(v - v0, sigma, 0.0)
+    band_high, away, _ = davidson_triple(v + v0, sigma, 0.0)
+    band = -math.expm1(-2.0 * v0 / (sigma * LOG10_E))
+    return home, away, band * band_high * band_low
 
 
 def apply_home_advantage(v: float, params: ModelParams) -> float:
@@ -244,10 +204,11 @@ def apply_home_advantage(v: float, params: ModelParams) -> float:
 def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
     """Home-advantage shift followed by the configured family's triple."""
     v = apply_home_advantage(v, params)
-    _check_finite(v)
+    if not math.isfinite(v):
+        raise non_finite_difference(v)
     point = params.davidson_point
     if point is None:
-        return threshold_probs(v, params)
+        return OutcomeProbs(*threshold_triple(v, params.sigma, params.v0))
     return OutcomeProbs(*davidson_triple(v, *point))
 
 
@@ -256,77 +217,70 @@ def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
 # ---------------------------------------------------------------------------
 #
 # Each kernel takes the shifted differences v and the observed home scores
-# s (1 home win, 0.5 draw, 0 away win) as arrays and returns log P(observed
-# outcome) with its first and second derivatives in v.  Everything is
-# written in t = v / sigma' (10^(v/sigma) = e^t) through e^(-|t|/2) or
-# e^(-|t|), so no term overflows and log-probabilities stay finite where the
-# probabilities themselves would underflow.  An outcome the model cannot
-# produce gets log-probability -inf.
+# s (1 home win, 0.5 draw, 0 away win) as arrays, with the scale and the
+# family's parameter as floats in the triples' units, and returns
+# log P(observed outcome) with its first and second derivatives in v.
+# log p is written in t = v / sigma' (10^(v/sigma) = e^t) through log1p and
+# logaddexp, so it stays finite where the probabilities themselves
+# underflow; the derivatives are read off the family's triple.  An outcome
+# the model cannot produce gets log-probability -inf.
 
 
 def davidson_logp(
-    v: np.ndarray, s: np.ndarray, sigma_prime: float, kappa: float
+    v: np.ndarray, s: np.ndarray, sigma: float, kappa: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Davidson log P(outcome | v) and its v-derivatives.
 
     With D = e^(t/2) + e^(-t/2) + kappa, log p is t/2 - log D for a home
     win, -t/2 - log D for an away win and log kappa - log D for a draw.
-    The slope is (s - f_kappa(v)) / sigma' and the curvature is
-    -(4 + kappa (e^(t/2) + e^(-t/2))) / (4 D^2 sigma'^2), which is never
-    positive: the likelihood is concave in the ratings.
+    The slope is (s - f_kappa(v)) / sigma', the online update's score.  The
+    curvature is minus the score's variance,
+    -(p_home p_away + p_draw (p_home + p_away) / 4) / sigma'^2, which is
+    never positive: the likelihood is concave in the ratings.
     """
     import numpy as np
+    sigma_prime = sigma * LOG10_E
     t = v / sigma_prime
     half = 0.5 * np.abs(t)
     u = np.exp(-half)
-    ku = kappa * u
-    rest = u * u + ku
-    den = 1.0 + rest  # D * e^(-|t|/2), as in davidson_triple
     log_kappa = math.log(kappa) if kappa > 0 else -math.inf
-    logp = (s - 0.5) * t - half - np.log1p(rest) + np.where(s == 0.5, log_kappa, 0.0)
-    f_fav = (1.0 + 0.5 * ku) / den  # f_kappa(|v|), as in expected_score
-    f = np.where(t >= 0, f_fav, 1.0 - f_fav)
-    slope = (s - f) / sigma_prime
-    curvature = -(u * u + 0.25 * ku * (1.0 + u * u)) / (den * sigma_prime) ** 2
+    logp = (s - 0.5) * t - half - np.log1p(u * u + kappa * u) + np.where(s == 0.5, log_kappa, 0.0)
+    home, away, draw = davidson_triple(v, sigma, kappa)
+    slope = (s - expected_score(v, sigma, kappa)) / sigma_prime
+    curvature = -(home * away + 0.25 * draw * (home + away)) / sigma_prime**2
     return logp, slope, curvature
 
 
-def _logistic_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F(x), F(-x)) for the natural-scale logistic F(x) = 1 / (1 + e^-x)."""
-    import numpy as np
-    e = np.exp(-np.abs(x))
-    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
-    positive = x >= 0
-    return np.where(positive, big, small), np.where(positive, small, big)
-
-
 def threshold_logp(
-    v: np.ndarray, s: np.ndarray, sigma_prime: float, v0: float
+    v: np.ndarray, s: np.ndarray, sigma: float, v0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Threshold-model log P(outcome | v) and its v-derivatives.
 
-    With w = v0 / sigma', p_home = F(t - w), p_away = F(-t - w) and
-    p_draw = F(t + w) - F(t - w) = (1 - e^(-2w)) F(t + w) F(w - t).  The
-    product form has no cancellation, so draws far from v = 0 keep their
-    digits.  Each log F term contributes -F(x) F(-x) / sigma'^2 to the
-    curvature.
+    With w = v0 / sigma' and F the logistic cdf, log p is log F(t - w) for a
+    home win, log F(-t - w) for an away win and
+    log(1 - e^(-2w)) + log F(t + w) + log F(w - t) for a draw, the product
+    form of ``threshold_triple``.  Each log F(x) term contributes
+    F(-x) / sigma' to the slope and -F(x) F(-x) / sigma'^2 to the
+    curvature; F(v0 - v) = p_away + p_draw and F(v + v0) = p_home + p_draw
+    are sums, so they keep their digits where p_home or p_away is near 1.
     """
     import numpy as np
+    sigma_prime = sigma * LOG10_E
     t = v / sigma_prime
     w = v0 / sigma_prime
     lo, hi = t - w, t + w
-    f_lo, fc_lo = _logistic_pair(lo)
-    f_hi, fc_hi = _logistic_pair(hi)
-    home, away = s == 1.0, s == 0.0
+    is_home, is_away = s == 1.0, s == 0.0
     log_band = math.log(-math.expm1(-2.0 * w)) if w > 0 else -math.inf
     logp = np.where(
-        home, -np.logaddexp(0.0, -lo),
-        np.where(away, -np.logaddexp(0.0, hi),
+        is_home, -np.logaddexp(0.0, -lo),
+        np.where(is_away, -np.logaddexp(0.0, hi),
                  log_band - np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo)),
     )
-    slope = np.where(home, fc_lo, np.where(away, -f_hi, fc_hi - f_lo)) / sigma_prime
+    home, away, draw = threshold_triple(v, sigma, v0)
+    not_home, not_away = away + draw, home + draw
+    slope = np.where(is_home, not_home, np.where(is_away, -not_away, away - home)) / sigma_prime
     curvature = -(
-        np.where(away, 0.0, f_lo * fc_lo) + np.where(home, 0.0, f_hi * fc_hi)
+        np.where(is_away, 0.0, home * not_home) + np.where(is_home, 0.0, away * not_away)
     ) / sigma_prime**2
     return logp, slope, curvature
 
@@ -337,6 +291,5 @@ def outcome_logp(
     """The configured family's kernel at shifted differences v and scores s."""
     point = params.davidson_point
     if point is None:
-        return threshold_logp(v, s, params.sigma_prime, params.v0)
-    sigma, kappa = point
-    return davidson_logp(v, s, sigma * LOG10_E, kappa)
+        return threshold_logp(v, s, params.sigma, params.v0)
+    return davidson_logp(v, s, *point)

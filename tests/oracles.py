@@ -2,7 +2,11 @@
 
 Everything here is deliberately naive (finite differences, exhaustive
 scans, raw formula evaluation, per-game loops over the scalar probability
-formulas) and shares no code with the implementations it verifies.
+formulas).  The probability formulas are the textbook forms, written out
+here and shared with no implementation they verify.  ``nll`` and the
+online loop's forecasts read the library's scalar ``predict_probs``, which
+the model tests check against these forms, so what they verify is the
+array and compiled paths against the scalar one.
 """
 
 import csv
@@ -19,11 +23,42 @@ from drawelo.errors import ZeroProbabilityError
 from drawelo.models import (
     ModelFamily,
     apply_home_advantage,
-    f_kappa,
-    logistic_cdf,
     predict_probs,
 )
 from drawelo.sim import generate_schedule, sample_outcome
+
+
+# ---------------------------------------------------------------------------
+# Textbook probability formulas
+# ---------------------------------------------------------------------------
+
+
+def logistic(v, sigma):
+    """The logistic cdf F(v) = 1 / (1 + 10^(-v/sigma))."""
+    return 1.0 / (1.0 + 10.0 ** (-v / sigma))
+
+
+def f_kappa(v, sigma, kappa):
+    """Davidson's expected score (10^(v/2s) + k/2) / (10^(v/2s) + 10^(-v/2s) + k)."""
+    up, down = 10.0 ** (v / (2.0 * sigma)), 10.0 ** (-v / (2.0 * sigma))
+    return (up + kappa / 2.0) / (up + down + kappa)
+
+
+def elo_implicit(v, sigma):
+    """The classic Elo update's draw model (F(v)^2, F(-v)^2, 2 F(v) F(-v))."""
+    win, loss = logistic(v, sigma), logistic(-v, sigma)
+    return win * win, loss * loss, 2.0 * win * loss
+
+
+def threshold(v, sigma, v0):
+    """The draw-band model (F(v - v0), F(-v - v0), F(v + v0) - F(v - v0))."""
+    return (logistic(v - v0, sigma), logistic(-v - v0, sigma),
+            logistic(v + v0, sigma) - logistic(v - v0, sigma))
+
+
+# ---------------------------------------------------------------------------
+# Likelihood
+# ---------------------------------------------------------------------------
 
 
 def nll(theta, games, model):
@@ -46,15 +81,15 @@ def dlogp_dv(v, outcome, model):
     sp = model.sigma_prime
     s = {"H": 1.0, "D": 0.5, "A": 0.0}[outcome]
     if model.family is ModelFamily.DAVIDSON:
-        return (s - f_kappa(v, model)) / sp
+        return (s - f_kappa(v, model.sigma, model.kappa)) / sp
     if model.family is ModelFamily.ELO_IMPLICIT:
-        return 2.0 * (s - logistic_cdf(v, model.sigma)) / sp
+        return 2.0 * (s - logistic(v, model.sigma)) / sp
     if model.family is ModelFamily.BINARY:
         if outcome == "D":
             raise ZeroProbabilityError("binary model assigns probability 0 to draws")
-        return (s - logistic_cdf(v, model.sigma)) / sp
-    lo = logistic_cdf(v - model.v0, model.sigma)
-    hi = logistic_cdf(v + model.v0, model.sigma)
+        return (s - logistic(v, model.sigma)) / sp
+    lo = logistic(v - model.v0, model.sigma)
+    hi = logistic(v + model.v0, model.sigma)
     if outcome == "H":
         return (1.0 - lo) / sp
     if outcome == "A":
@@ -114,10 +149,10 @@ def brute_min_interval(values, level=0.95):
 
 def _expected_score(v, config):
     if config.mode is UpdateMode.KAPPA_ELO:
-        return f_kappa(v, config.model)
+        return f_kappa(v, config.model.sigma, config.model.kappa)
     # classic Elo: plain logistic expected score (the factor 2 of the
     # implicit draw model's gradient lives inside K)
-    return logistic_cdf(v, config.model.sigma)
+    return logistic(v, config.model.sigma)
 
 
 def _prediction_model(config):

@@ -29,18 +29,9 @@ from drawelo.evaluation import (
     log_score,
     score_games,
 )
-from drawelo.models import (
-    ModelFamily,
-    ModelParams,
-    binary_probs,
-    davidson_probs,
-    elo_implicit_probs,
-    f_kappa,
-    logistic_cdf,
-    threshold_probs,
-)
+from drawelo.models import ModelFamily, ModelParams, expected_score, predict_probs
 from drawelo.sim import SimSpec, generate_season, recovery_metrics
-from oracles import finite_diff_gradient
+from oracles import elo_implicit, finite_diff_gradient, logistic
 
 SIGMA = 600.0
 GRID_V = [i * SIGMA / 10 for i in range(-50, 51)]
@@ -55,31 +46,30 @@ def report(criterion, elapsed, detail):
 def test_acceptance_1_model_identities():
     start = time.perf_counter()
     families = (
-        [davidson_probs] * 0
-        + [lambda v, k=k: davidson_probs(v, ModelParams(sigma=SIGMA, kappa=k)) for k in KAPPAS]
-        + [lambda v: elo_implicit_probs(v, ModelParams(sigma=SIGMA))]
-        + [lambda v, w=w: threshold_probs(v, ModelParams(sigma=SIGMA, v0=w)) for w in (0.0, 300.0, 600.0)]
-        + [lambda v: binary_probs(v, ModelParams(sigma=SIGMA))]
+        [ModelParams(sigma=SIGMA, kappa=k) for k in KAPPAS]
+        + [ModelParams(sigma=SIGMA, family=ModelFamily.ELO_IMPLICIT)]
+        + [ModelParams(sigma=SIGMA, v0=w, family=ModelFamily.THRESHOLD)
+           for w in (0.0, 300.0, 600.0)]
+        + [ModelParams(sigma=SIGMA, family=ModelFamily.BINARY)]
     )
-    for func in families:
+    for model in families:
         for v in GRID_V:
-            probs, mirror = func(v), func(-v)
+            probs, mirror = predict_probs(v, model), predict_probs(-v, model)
             assert abs(probs.p_home + probs.p_away + probs.p_draw - 1.0) < TOL
             assert abs(probs.p_home - mirror.p_away) < TOL
             assert abs(probs.p_draw - mirror.p_draw) < TOL
     for v in GRID_V:
         none = ModelParams(sigma=SIGMA, kappa=0.0)
-        assert abs(davidson_probs(v, none).p_home - logistic_cdf(v, SIGMA)) < TOL
-        dav = davidson_probs(v, ModelParams(sigma=SIGMA, kappa=2.0))
-        elo = elo_implicit_probs(v, ModelParams(sigma=2 * SIGMA))
-        assert abs(dav.p_home - elo.p_home) < TOL
-        assert abs(dav.p_away - elo.p_away) < TOL
-        assert abs(dav.p_draw - elo.p_draw) < TOL
+        assert abs(predict_probs(v, none).p_home - logistic(v, SIGMA)) < TOL
+        dav = predict_probs(v, ModelParams(sigma=SIGMA, kappa=2.0))
+        elo_home, elo_away, elo_draw = elo_implicit(v, 2 * SIGMA)
+        assert abs(dav.p_home - elo_home) < TOL
+        assert abs(dav.p_away - elo_away) < TOL
+        assert abs(dav.p_draw - elo_draw) < TOL
         for kappa in KAPPAS:
-            p = ModelParams(sigma=SIGMA, kappa=kappa)
-            assert abs(f_kappa(v, p) + f_kappa(-v, p) - 1.0) < TOL
+            assert abs(expected_score(v, SIGMA, kappa) + expected_score(-v, SIGMA, kappa) - 1.0) < TOL
     for kappa in (1.0, 2.0):
-        probs = davidson_probs(0.0, ModelParams(sigma=SIGMA, kappa=kappa))
+        probs = predict_probs(0.0, ModelParams(sigma=SIGMA, kappa=kappa))
         assert probs.p_draw >= probs.p_home
     report(1, time.perf_counter() - start,
            "normalization, symmetry, reductions, antisymmetry, draw dominance at 1e-12")
@@ -91,7 +81,7 @@ def test_acceptance_2_equal_rating_elo_prediction_is_exact():
     config = EngineConfig(model=ModelParams(sigma=SIGMA, eta=0.0), mode=UpdateMode.ELO)
     probs = predict(state, "A", "B", config)
     assert (probs.p_home, probs.p_away, probs.p_draw) == (0.25, 0.25, 0.5)
-    direct = elo_implicit_probs(0.0, ModelParams(sigma=SIGMA))
+    direct = predict_probs(0.0, ModelParams(sigma=SIGMA, family=ModelFamily.ELO_IMPLICIT))
     assert (direct.p_home, direct.p_away, direct.p_draw) == (0.25, 0.25, 0.5)
     report(2, time.perf_counter() - start, "equal-rating Elo prediction is exactly (0.25, 0.25, 0.5)")
 
@@ -280,7 +270,7 @@ def test_acceptance_9_true_kappa_beats_kappa_two_by_margin():
         total = 0.0
         for g in games:
             v = theta[g.home_id] - theta[g.away_id]
-            total += log_score(davidson_probs(v, model), g.outcome)
+            total += log_score(predict_probs(v, model), g.outcome)
         return total / len(games)
 
     truth, mismatched = mean_ls(kappa_true), mean_ls(2.0)

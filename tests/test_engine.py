@@ -23,9 +23,9 @@ from drawelo.engine import (
     run_season,
     score_of,
 )
-from drawelo.evaluation import evaluate_scores, score_games
+from drawelo.evaluation import evaluate_configs, evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
-from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, davidson_probs, logistic_cdf
+from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, predict_probs
 from oracles import finite_diff_gradient
 
 SIGMA = 600.0
@@ -64,10 +64,10 @@ def test_rating_difference():
     # predict forecasts at theta_home - theta_away; an unseen player rates 0
     state = RatingState(ratings={"A": 180.0, "B": 60.0})
     cfg = config()
-    assert predict(state, "A", "B", cfg) == davidson_probs(120.0, cfg.model)
-    assert predict(state, "B", "A", cfg) == davidson_probs(-120.0, cfg.model)
-    assert predict(state, "X", "Y", cfg) == davidson_probs(0.0, cfg.model)
-    assert predict(state, "A", "X", cfg) == davidson_probs(180.0, cfg.model)
+    assert predict(state, "A", "B", cfg) == predict_probs(120.0, cfg.model)
+    assert predict(state, "B", "A", cfg) == predict_probs(-120.0, cfg.model)
+    assert predict(state, "X", "Y", cfg) == predict_probs(0.0, cfg.model)
+    assert predict(state, "A", "X", cfg) == predict_probs(180.0, cfg.model)
 
 
 def test_rating_difference_origin_invariance():
@@ -221,7 +221,7 @@ def test_expected_score_identity_for_classic_elo():
         state.ratings["A"] = delta
         probs = predict(state, "A", "B", cfg)
         expected = probs.p_home + 0.5 * probs.p_draw
-        assert expected == pytest.approx(logistic_cdf(delta, SIGMA), abs=1e-12)
+        assert expected == pytest.approx(oracles.logistic(delta, SIGMA), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +442,20 @@ def test_engine_config_messages_start_with_the_field(kw, name):
         EngineConfig(**kw)
 
 
+@pytest.mark.parametrize("family", [f for f in ModelFamily if f is not ModelFamily.DAVIDSON])
+def test_the_online_engine_rejects_a_family_it_would_ignore(family):
+    # every mode steps and predicts with a davidson curve, so any other
+    # family would be ignored: its forecasts would be davidson's
+    model = ModelParams(v0=150.0, family=family)
+    games = [game("A", "B", "H", 0), game("B", "A", "D", 1)]
+    with pytest.raises(ValueError, match="^family must be davidson"):
+        run_season(games, EngineConfig(model=model))
+    with pytest.raises(ValueError, match="^family must be davidson"):
+        evaluate_configs(games, [EngineConfig(model=model, mode=UpdateMode.ELO)])
+    with pytest.raises(ValueError, match="^family must be davidson"):
+        predict(RatingState(), "A", "B", EngineConfig(model=model, mode=UpdateMode.ELO_CHECK_KAPPA))
+
+
 @pytest.mark.parametrize("mode", list(UpdateMode))
 def test_engine_config_takes_a_mode_by_its_value(mode):
     by_value = config(mode=mode.value, eta=0.3)
@@ -579,7 +593,7 @@ def test_gradient_matches_finite_differences(family, kw):
 def test_nll_and_gradient_match_the_scalar_oracle(data):
     family = data.draw(st.sampled_from(list(ModelFamily)))
     sigma = data.draw(st.floats(50.0, 2000.0))
-    # the oracle's threshold draw probability is threshold_probs, whose
+    # the oracle's threshold draw probability is predict_probs's, whose
     # product form keeps its digits in the tails as the kernel's does
     model = ModelParams(
         sigma=sigma,
@@ -806,7 +820,7 @@ def test_predict_classic_elo_is_exactly_davidson_at_half_scale(eta):
     state = RatingState(ratings={"A": 0.0, "B": 0.0})
     for v in [i * 10.0 for i in range(-300, 301)]:
         state.ratings["A"] = v
-        assert predict(state, "A", "B", cfg) == davidson_probs(v + eta * SIGMA, implicit)
+        assert predict(state, "A", "B", cfg) == predict_probs(v + eta * SIGMA, implicit)
 
 
 def test_nll_gradient_zero_probability_message_is_nll_s():

@@ -23,7 +23,7 @@ from drawelo.evaluation import (
     second_half_window,
     zero_probability,
 )
-from drawelo.models import ModelParams, OutcomeProbs, davidson_probs
+from drawelo.models import ModelParams, OutcomeProbs, predict_probs
 from drawelo.sim import SimSpec, generate_season
 from oracles import brute_min_interval
 
@@ -341,7 +341,7 @@ def test_true_draw_parameter_beats_mismatched_ones():
         total = 0.0
         for g in season.games:
             v = theta[g.home_id] - theta[g.away_id]
-            total += log_score(davidson_probs(v, model), g.outcome)
+            total += log_score(predict_probs(v, model), g.outcome)
         return total / len(season.games)
 
     truth = mean_ls(kappa_true)

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,19 +13,14 @@ from drawelo.models import (
     ModelParams,
     OutcomeProbs,
     apply_home_advantage,
-    binary_probs,
     davidson_logp,
-    davidson_probs,
     davidson_triple,
-    elo_implicit_probs,
     expected_score,
-    f_kappa,
-    logistic_cdf,
     outcome_logp,
     predict_probs,
-    threshold_probs,
+    threshold_triple,
 )
-from oracles import dlogp_dv
+import oracles
 
 SIGMA = 600.0
 GRID_V = [i * SIGMA / 10 for i in range(-50, 51)]  # -5 sigma .. 5 sigma
@@ -39,41 +35,62 @@ def triple(p: OutcomeProbs):
     return (p.p_home, p.p_away, p.p_draw)
 
 
+# each family's triple through the one public entry point, predict_probs
+def davidson_probs(v, model):
+    return predict_probs(v, replace(model, family=ModelFamily.DAVIDSON))
+
+
+def binary_probs(v, model):
+    return predict_probs(v, replace(model, family=ModelFamily.BINARY))
+
+
+def elo_implicit_probs(v, model):
+    return predict_probs(v, replace(model, family=ModelFamily.ELO_IMPLICIT))
+
+
+def threshold_probs(v, model):
+    return predict_probs(v, replace(model, family=ModelFamily.THRESHOLD))
+
+
 # ---------------------------------------------------------------------------
-# logistic cdf
+# logistic cdf: binary's p_home
 # ---------------------------------------------------------------------------
+
+
+def logistic(v, sigma=SIGMA):
+    return binary_probs(v, ModelParams(sigma=sigma)).p_home
 
 
 def test_logistic_examples():
-    assert logistic_cdf(0.0, SIGMA) == 0.5
-    assert logistic_cdf(600.0, SIGMA) == pytest.approx(10 / 11, abs=1e-15)
-    assert logistic_cdf(-600.0, SIGMA) == pytest.approx(1 / 11, abs=1e-15)
+    assert logistic(0.0) == 0.5
+    assert logistic(600.0) == pytest.approx(10 / 11, abs=1e-15)
+    assert logistic(-600.0) == pytest.approx(1 / 11, abs=1e-15)
 
 
 def test_logistic_monotone_and_complement():
     previous = -1.0
     for v in GRID_V:
-        p = logistic_cdf(v, SIGMA)
+        p = logistic(v)
         assert p > previous
-        assert abs(p + logistic_cdf(-v, SIGMA) - 1.0) < 1e-15
+        assert abs(p + logistic(-v) - 1.0) < 1e-15
         previous = p
 
 
 def test_logistic_extremes_do_not_overflow():
-    assert logistic_cdf(1e9, SIGMA) == 1.0
-    assert logistic_cdf(-1e9, SIGMA) == 0.0
+    assert logistic(1e9) == 1.0
+    assert logistic(-1e9) == 0.0
 
 
 @pytest.mark.parametrize("bad_sigma", [0.0, -1.0, math.nan, math.inf])
 def test_logistic_rejects_bad_sigma(bad_sigma):
     with pytest.raises(ValueError):
-        logistic_cdf(0.0, bad_sigma)
+        logistic(0.0, bad_sigma)
 
 
 @pytest.mark.parametrize("bad_v", [math.nan, math.inf, -math.inf])
 def test_logistic_rejects_non_finite_v(bad_v):
     with pytest.raises(ValueError):
-        logistic_cdf(bad_v, SIGMA)
+        logistic(bad_v)
 
 
 @pytest.mark.parametrize("bad_v", [math.nan, math.inf, -math.inf])
@@ -87,9 +104,6 @@ def test_public_functions_reject_what_the_kernel_carries(bad_v):
     for family in ModelFamily:
         with pytest.raises(ValueError, match=message):
             predict_probs(bad_v, params(family=family, v0=50.0))
-    for func in (f_kappa, davidson_probs, binary_probs, elo_implicit_probs, threshold_probs):
-        with pytest.raises(ValueError, match=message):
-            func(bad_v, params())
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +113,21 @@ def test_public_functions_reject_what_the_kernel_carries(bad_v):
 
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_f_kappa_half_at_zero(kappa):
-    assert f_kappa(0.0, params(kappa=kappa)) == 0.5
+    assert expected_score(0.0, SIGMA, kappa) == 0.5
 
 
 def test_f_kappa_zero_reduces_to_logistic():
-    p = params(kappa=0.0)
     for v in GRID_V:
-        assert f_kappa(v, p) == pytest.approx(logistic_cdf(v, SIGMA), rel=1e-12, abs=1e-15)
+        assert expected_score(v, SIGMA, 0.0) == pytest.approx(
+            oracles.logistic(v, SIGMA), rel=1e-12, abs=1e-15)
 
 
 def test_f_kappa_two_is_logistic_at_double_scale():
     # F_2(v; s) = logistic(v; 2s); at v = sigma both sides are 1/(1+10^-0.5)
-    p = params(kappa=2.0)
     for v in GRID_V:
-        assert f_kappa(v, p) == pytest.approx(logistic_cdf(v, 2 * SIGMA), abs=1e-15)
-    assert f_kappa(600.0, p) == pytest.approx(0.7597469266479578, abs=1e-12)
+        assert expected_score(v, SIGMA, 2.0) == pytest.approx(
+            oracles.logistic(v, 2 * SIGMA), abs=1e-15)
+    assert expected_score(600.0, SIGMA, 2.0) == pytest.approx(0.7597469266479578, abs=1e-12)
 
 
 @given(
@@ -122,13 +136,11 @@ def test_f_kappa_two_is_logistic_at_double_scale():
     sigma=st.floats(1, 2000),
 )
 def test_f_kappa_antisymmetry(v, kappa, sigma):
-    p = ModelParams(sigma=sigma, kappa=kappa)
-    assert abs(f_kappa(v, p) + f_kappa(-v, p) - 1.0) < 1e-15
+    assert abs(expected_score(v, sigma, kappa) + expected_score(-v, sigma, kappa) - 1.0) < 1e-15
 
 
 def test_f_kappa_monotone():
-    p = params(kappa=0.7)
-    values = [f_kappa(v, p) for v in GRID_V]
+    values = [expected_score(v, SIGMA, 0.7) for v in GRID_V]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -142,25 +154,34 @@ def grid_parameter(values):
     return values | st.lists(values, min_size=3, max_size=3).map(lambda c: np.array(c)[:, None])
 
 
+def assert_columns_match(got, calls, shape):
+    """Each array of ``got`` against that column of the float calls, within 4 ulp."""
+    for column, array in enumerate(got):
+        want = np.array([call[column] for call in calls]).reshape(shape)
+        assert array.shape == want.shape
+        np.testing.assert_array_equal(np.isnan(array), np.isnan(want))
+        np.testing.assert_array_max_ulp(array[~np.isnan(array)], want[~np.isnan(want)], maxulp=4)
+
+
 @given(
     v=st.lists(DIFFS, min_size=1, max_size=12),
     sigma=grid_parameter(st.floats(1e-10, 1e4)),
     kappa=grid_parameter(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 5.0)),
+    v0=st.floats(0.0, 1e4),
 )
-def test_kernels_on_arrays_match_float_calls(v, sigma, kappa):
+def test_kernels_on_arrays_match_float_calls(v, sigma, kappa, v0):
     # one kernel for both engines; only numpy's power may round 10^x
     # differently from the C library's pow
     x = np.array(v)
+    scale = float(np.ravel(sigma)[0])  # threshold_triple takes a float scale
     with np.errstate(all="ignore"):
         got = (*davidson_triple(x, sigma, kappa), expected_score(x, sigma, kappa))
+        band = threshold_triple(x, scale, v0)
     cells = np.broadcast_arrays(x, sigma, kappa)
     calls = [(*davidson_triple(*c), expected_score(*c))
              for c in zip(*(a.ravel().tolist() for a in cells))]
-    for column, array in enumerate(got):
-        want = np.array([call[column] for call in calls]).reshape(cells[0].shape)
-        assert array.shape == want.shape
-        np.testing.assert_array_equal(np.isnan(array), np.isnan(want))
-        np.testing.assert_array_max_ulp(array[~np.isnan(array)], want[~np.isnan(want)], maxulp=4)
+    assert_columns_match(got, calls, cells[0].shape)
+    assert_columns_match(band, [threshold_triple(d, scale, v0) for d in v], x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +241,18 @@ def test_threshold_examples():
     assert probs.p_draw == pytest.approx(1 - 0.5 - 1 / 11, abs=1e-12)
 
 
+@pytest.mark.parametrize("v0", [0.0, 150.0, 600.0])
+def test_threshold_matches_the_textbook_form_on_grid(v0):
+    for v in GRID_V:
+        assert triple(threshold_probs(v, params(v0=v0))) == pytest.approx(
+            oracles.threshold(v, SIGMA, v0), rel=1e-12, abs=1e-15)
+
 
 @pytest.mark.parametrize("v", [3000.0, -3000.0, 6000.0, -6000.0, 12000.0, -12000.0])
 def test_threshold_draw_probability_keeps_its_digits_in_the_tails(v):
     model = params(v0=150.0, family=ModelFamily.THRESHOLD)
     logp = outcome_logp(np.array([v]), np.array([0.5]), model)[0][0]
-    assert threshold_probs(v, model).p_draw == pytest.approx(math.exp(logp), rel=1e-12, abs=0)
+    assert predict_probs(v, model).p_draw == pytest.approx(math.exp(logp), rel=1e-12, abs=0)
 
 
 ALL_FAMILIES = (
@@ -278,19 +305,18 @@ def test_davidson_kappa0_matches_binary_on_grid():
     model = params(kappa=0.0)
     for v in GRID_V:
         assert davidson_probs(v, model).p_home == pytest.approx(
-            logistic_cdf(v, SIGMA), rel=1e-12, abs=1e-15
+            oracles.logistic(v, SIGMA), rel=1e-12, abs=1e-15
         )
 
 
 @pytest.mark.parametrize("scale", [300.0, 600.0])
 def test_davidson_kappa2_equals_elo_implicit_at_double_scale(scale):
     dav = ModelParams(sigma=scale, kappa=2.0)
-    elo = ModelParams(sigma=2 * scale)
     for v in GRID_V:
-        a, b = davidson_probs(v, dav), elo_implicit_probs(v, elo)
-        assert a.p_home == pytest.approx(b.p_home, rel=1e-12, abs=1e-15)
-        assert a.p_away == pytest.approx(b.p_away, rel=1e-12, abs=1e-15)
-        assert a.p_draw == pytest.approx(b.p_draw, rel=1e-12, abs=1e-15)
+        a, b = davidson_probs(v, dav), oracles.elo_implicit(v, 2 * scale)
+        assert a.p_home == pytest.approx(b[0], rel=1e-12, abs=1e-15)
+        assert a.p_away == pytest.approx(b[1], rel=1e-12, abs=1e-15)
+        assert a.p_draw == pytest.approx(b[2], rel=1e-12, abs=1e-15)
 
 
 def test_draw_dominates_at_kappa_one_and_above():
@@ -412,8 +438,9 @@ def test_logp_kernel_slope_and_curvature_match_the_scalar_derivative(family, kw)
             # eta = 0, so v is also the shifted difference the kernel takes
             expected = math.log(predict_probs(x, p).prob_of(outcome))
             assert lp == pytest.approx(expected, rel=1e-12, abs=1e-12)
-            assert d1 == pytest.approx(dlogp_dv(x, outcome, p), rel=1e-9, abs=1e-15)
-            fd = (dlogp_dv(x + h, outcome, p) - dlogp_dv(x - h, outcome, p)) / (2 * h)
+            assert d1 == pytest.approx(oracles.dlogp_dv(x, outcome, p), rel=1e-9, abs=1e-15)
+            up, down = oracles.dlogp_dv(x + h, outcome, p), oracles.dlogp_dv(x - h, outcome, p)
+            fd = (up - down) / (2 * h)
             assert d2 == pytest.approx(fd, rel=1e-5, abs=1e-12 / SIGMA**2)
 
 
@@ -444,6 +471,6 @@ def test_outcome_logp_is_davidson_logp_at_the_mapped_point(family, kappa, scale)
     model = params(family=family, kappa=0.7)
     with np.errstate(divide="ignore"):
         got = outcome_logp(v, s, model)
-        want = davidson_logp(v, s, scale * model.sigma_prime, kappa)
+        want = davidson_logp(v, s, scale * model.sigma, kappa)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
