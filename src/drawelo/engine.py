@@ -271,8 +271,8 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     that is exact, because no game of a run reads a rating another game of
     the same run writes.  Forecasts are computed from the differences after
     the pass.  The update and the forecast call ``run_season``'s own
-    ``expected_score`` and ``davidson_triple`` on arrays, so only numpy's
-    ``power`` can round 10^x differently from the C library's ``pow``.  A
+    ``expected_score`` and ``davidson_triple`` on arrays, so each cell
+    matches a ``run_season`` of its configuration bit for bit.  A
     configuration whose ratings stop being finite is not raised here:
     ``OnlineRun.error`` reports it.  Configurations with equal parameters
     (elo reads no kappa) are stepped once and share their rows.

@@ -145,6 +145,18 @@ def non_finite_difference(v: float) -> ValueError:
     return ValueError(f"rating difference must be finite, got {v}")
 
 
+def exp10(x: float | np.ndarray) -> float | np.ndarray:
+    """10^x by the C library's pow, on a float or on each element of an array.
+
+    numpy's ``power`` rounds some powers a bit away from pow's, and
+    ``float_power`` calls pow itself, so a float and an array give the
+    same bits.  An array means numpy is already imported.
+    """
+    if isinstance(x, float):
+        return 10.0 ** x
+    return sys.modules["numpy"].float_power(10.0, x)
+
+
 def davidson_triple(v: float | np.ndarray, sigma, kappa) -> tuple:
     """Davidson (p_home, p_away, p_draw) at difference v, scale sigma, draw parameter kappa.
 
@@ -156,7 +168,7 @@ def davidson_triple(v: float | np.ndarray, sigma, kappa) -> tuple:
     v gives nan or a limit.
     """
     z = 0.5 * v / sigma
-    u = 10.0 ** -abs(z)  # libm pow on a float, numpy's power on an array
+    u = exp10(-abs(z))
     uu = u * u
     den = 1.0 + uu + kappa * u
     # the favourite's side, selected by exact arithmetic: 0.0 * uu adds no bit
@@ -174,10 +186,12 @@ def expected_score(v: float | np.ndarray, sigma, kappa) -> float | np.ndarray:
     non-finite v gives nan or a limit.
     """
     z = 0.5 * v / sigma
-    u = 10.0 ** -abs(z)
-    fav = (1.0 + 0.5 * kappa * u) / (1.0 + u * u + kappa * u)
+    u = exp10(-abs(z))
+    uu = u * u
+    # each side's numerator directly, as in davidson_triple: the underdog's
+    # 1 - fav would cancel and lose up to a digit near v = 0
     home = 1.0 * (z >= 0)
-    return home * fav + (1.0 - home) * (1.0 - fav)
+    return (home + (1.0 - home) * uu + 0.5 * kappa * u) / (1.0 + uu + kappa * u)
 
 
 def threshold_triple(v: float | np.ndarray, sigma: float, v0: float) -> tuple:

@@ -155,12 +155,11 @@ def grid_parameter(values):
 
 
 def assert_columns_match(got, calls, shape):
-    """Each array of ``got`` against that column of the float calls, within 4 ulp."""
+    """Each array of ``got`` equals that column of the float calls, bit for bit."""
     for column, array in enumerate(got):
         want = np.array([call[column] for call in calls]).reshape(shape)
         assert array.shape == want.shape
-        np.testing.assert_array_equal(np.isnan(array), np.isnan(want))
-        np.testing.assert_array_max_ulp(array[~np.isnan(array)], want[~np.isnan(want)], maxulp=4)
+        np.testing.assert_array_equal(array, want, strict=True)
 
 
 @given(
@@ -170,8 +169,8 @@ def assert_columns_match(got, calls, shape):
     v0=st.floats(0.0, 1e4),
 )
 def test_kernels_on_arrays_match_float_calls(v, sigma, kappa, v0):
-    # one kernel for both engines; only numpy's power may round 10^x
-    # differently from the C library's pow
+    # one kernel for both engines, and exp10 takes 10^x from the C
+    # library's pow on floats and arrays alike
     x = np.array(v)
     scale = float(np.ravel(sigma)[0])  # threshold_triple takes a float scale
     with np.errstate(all="ignore"):
