@@ -148,7 +148,7 @@ def non_finite_difference(v: float) -> ValueError:
 def exp10(x: float | np.ndarray) -> float | np.ndarray:
     """10^x by the C library's pow, on a float or on each element of an array.
 
-    numpy's ``power`` rounds some powers a bit away from pow's, and
+    numpy's ``power`` rounds some powers differently in the last bit, and
     ``float_power`` calls pow itself, so a float and an array give the
     same bits.  An array means numpy is already imported.
     """
