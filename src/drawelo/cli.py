@@ -5,23 +5,26 @@ JSON (default) or CSV to stdout.  Defaults reproduce the headline
 configuration: sigma=600, normalized step 0.125, home advantage 0.3,
 draw parameter 0.7, scored over the second half of the season.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error
-(zero-probability outcome or non-convergence).
+``main(argv)`` reads the command line with the standard library's
+argparse.  A usage error prints the command's usage line and one
+``Error:`` line in click's format.  Exit codes: 0 success, 2 usage
+error, 3 data error, 4 numeric error (zero-probability outcome or
+non-convergence).
 """
 
 from __future__ import annotations
 
+import argparse
+import codecs
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-
-import click
 
 from . import __version__
 from .data import load_matches, serialize_matches
@@ -143,64 +146,113 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
+def _ranked(ratings: dict[str, float]) -> list[dict]:
+    """Rating rows, highest first as printed (six digits), equal ones by team."""
+    order = sorted(ratings, key=lambda team: (-float(f"{ratings[team]:.6g}"), team))
+    return [{"team": team, "rating": ratings[team]} for team in order]
+
+
 def _emit(payload: dict, rows: list[dict], columns: list[str], output_format: str):
     if output_format == "json":
-        click.echo(json.dumps(_round6(payload), indent=2))
+        print(json.dumps(_round6(payload), indent=2))
     else:
-        click.echo(_rows_to_csv(rows, columns), nl=False)
+        sys.stdout.write(_rows_to_csv(rows, columns))
 
 
-def _handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+@contextlib.contextmanager
+def _handle_errors():
+    """Exit 4 after a numeric error's message, 3 after a data error's."""
+    try:
+        yield
+    except (ZeroProbabilityError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(4)
+    except (SchemaError, RowError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
+
+
+# ---------------------------------------------------------------------------
+# Options
+# ---------------------------------------------------------------------------
+
+
+class UsageError(Exception):
+    """A command-line mistake: exit 2 after the command's usage line."""
+
+
+def _kind(name: str, convert=str, low=None, choices=()) -> dict:
+    """argparse keywords of a value: ``convert``ed, at least ``low``, one of ``choices``.
+
+    ``name`` names the value in a conversion error and, without choices, in the help.
+    """
+    def parse(text):
         try:
-            return f(*args, **kwargs)
-        except (ZeroProbabilityError, ConvergenceError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
-        except (SchemaError, RowError, OSError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {name}.") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}.")
+        if choices and value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+        return value
 
-    return wrapper
-
-
-# ---------------------------------------------------------------------------
-# Shared option groups
-# ---------------------------------------------------------------------------
-
-def _field_option(name: str, *decls: str, **kw):
-    """``name`` and a click option that sets RunConfig's field ``name``, with its default."""
-    return name, click.option(*decls, name, default=_DEFAULTS[name], show_default=True, **kw)
+    return {"type": parse, "metavar": f"[{'|'.join(choices)}]" if choices else name.upper()}
 
 
-_FIELD_OPTIONS = dict([
-    _field_option("sigma", "--sigma", type=float, help="Rating scale."),
-    _field_option("k_tilde", "--k-step", type=float,
-                  help="Normalized update step; the absolute step is k-step * sigma."),
-    _field_option("kappa", "--kappa", type=float,
-                  help="Draw parameter.  Of the online modes, kappa-elo updates and predicts "
-                       "with it, elo-check only predicts with it, and elo does not use it."),
-    _field_option("eta", "--eta", type=float,
-                  help="Home advantage; the difference is shifted by eta * sigma."),
-    _field_option("v0", "--v0", type=float, help="Draw-band half width of the threshold family."),
-    _field_option("mode", "--mode", type=click.Choice([m.value for m in UpdateMode]),
-                  help="Online update / prediction mode."),
-    _field_option("family", "--family", type=click.Choice([f.value for f in ModelFamily]),
-                  help="Probability model family."),
-    _field_option("output_format", "--output-format", "-f", type=click.Choice(["json", "csv"])),
-    _field_option("eval_window", "--eval-window", type=click.Choice(["second-half", "full"])),
-])
+_FLOAT, _INT = _kind("float", float), _kind("integer", int)
+_TEXT, _PATH = {"metavar": "TEXT"}, {"metavar": "PATH"}
+# Every option by its dest, a RunConfig field or a command's keyword: its
+# flags, argparse keywords and help.  input_path is the INPUT_PATH argument.
+_OPTIONS = {
+    "input_path": ("", {"nargs": "?"}, argparse.SUPPRESS),
+    "sigma": ("--sigma", _FLOAT, "Rating scale."),
+    "k_tilde": ("--k-step", _FLOAT, "Normalized update step; the absolute step is k-step * sigma."),
+    "kappa": ("--kappa", _FLOAT, "Draw parameter.  Of the online modes, kappa-elo updates and "
+              "predicts with it, elo-check only predicts with it, and elo does not use it."),
+    "eta": ("--eta", _FLOAT, "Home advantage; the difference is shifted by eta * sigma."),
+    "v0": ("--v0", _FLOAT, "Draw-band half width of the threshold family."),
+    "mode": ("--mode", _kind("mode", choices=[m.value for m in UpdateMode]),
+             "Online update / prediction mode."),
+    "family": ("--family", _kind("family", choices=[f.value for f in ModelFamily]),
+               "Probability model family."),
+    "output_format": ("--output-format -f", _kind("format", choices=("json", "csv")),
+                      "Output format."),
+    "eval_window": ("--eval-window", _kind("window", choices=("second-half", "full")),
+                    "Games scored: the second half of the season, or all of it."),
+    "trajectory_path": ("--trajectory", _PATH, "Write the per-game rating trajectory CSV here."),
+    "baseline": ("--baseline", {"action": "store_true", "default": False},
+                 "Also score the bookmaker probabilities over the same window."),
+    "eta_grid": ("--eta-grid", dict(_TEXT, default=str(_DEFAULTS["eta"])),
+                 "Comma-separated home-advantage values."),
+    "kappa_grid": ("--kappa-grid", dict(_TEXT, default=str(_DEFAULTS["kappa"])),
+                   "Comma-separated draw-parameter values: each cell's kappa, used to update "
+                   "and predict in kappa-elo, to predict in elo-check, and not at all in elo."),
+    "modes": ("--modes", dict(_TEXT, default=_DEFAULTS["mode"]), "Comma-separated update modes."),
+    "jobs": ("--jobs", dict(_INT, default=1),
+             "Accepted and ignored: one pass over the season evaluates every cell."),
+    "max_iters": ("--max-iters", dict(_INT, default=5000), "Most Newton steps to take."),
+    "tol": ("--tol", dict(_FLOAT, default=1e-6),
+            "Convergence threshold on gradient max-norm, in units of 1/sigma'."),
+    "ridge": ("--ridge", dict(_FLOAT, default=0.0), "Ridge penalty weight (0 disables).  On "
+              "separable data a ridge near 0 stops where --tol says, not at the penalized "
+              "optimum."),
+    "teams": ("--teams", dict(_kind("integer range", int, 2), default=20),
+              "Number of teams; at least 2."),
+    "spacing": ("--spacing", dict(_FLOAT, default=0.1),
+                "True-rating gap between adjacent teams, in units of sigma."),
+    "rounds": ("--rounds", dict(_kind("integer range", int, 1), default=1),
+               "Double round-robins to play; at least 1."),
+    "seed": ("--seed", dict(_kind("integer range", int, 0), default=0), "Random seed; at least 0."),
+    "output": ("--output -o", _PATH, "Season CSV destination.  [required]"),
+    "truth": ("--truth", _PATH, "Ground-truth ratings CSV (default: OUTPUT.truth.csv)."),
+}
 
 
-def _config_options(command: str):
-    """Decorate a command with the options of its fields, then --output-format."""
-    def decorate(f):
-        for name in reversed(_COMMAND_FIELDS[command] + ("output_format",)):
-            f = _FIELD_OPTIONS[name](f)
-        return f
-
-    return decorate
+def _invalid(flags: list[str], message: str) -> UsageError:
+    names = " / ".join(map(repr, flags))
+    return UsageError(f"Invalid value{' for ' * bool(flags)}{names}: {message}")
 
 
 @contextlib.contextmanager
@@ -208,17 +260,16 @@ def _usage_errors():
     """Turn a parameter check's ValueError into a usage error naming its option.
 
     Each check's message starts with the parameter's name, which is also
-    the name of its option.
+    the dest of its option in ``_OPTIONS``.
     """
     try:
         yield
     except ValueError as exc:
-        name = str(exc).split(" ", 1)[0]
-        options = [p for p in click.get_current_context().command.params if p.name == name]
-        raise click.BadParameter(str(exc), param=options[0] if options else None) from None
+        flags = _OPTIONS.get(str(exc).split(" ", 1)[0], ("",))[0].split()
+        raise _invalid(flags, str(exc)) from None
 
 
-def _make_config(command: str, input_path: str | None, **options) -> RunConfig:
+def _make_config(command: str, input_path: str | None = None, **options) -> RunConfig:
     """The run's configuration; an invalid parameter is a usage error naming its option."""
     with _usage_errors():
         cfg = RunConfig(command=command, input_path=input_path, **options)
@@ -247,7 +298,6 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
     dataset = load_matches(cfg.input_path)
     config = cfg.engine_config()
     result = _lib.run_season(dataset.games, config, players=dataset.team_names)
-    ratings = sorted(result.state.ratings.items(), key=lambda kv: (-kv[1], kv[0]))
     if trajectory_path:
         # One cached "team,rating\n" cell per team, the name quoted by
         # csv.writer: a game re-formats only the two cells it moves and
@@ -267,7 +317,7 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
         "config": _config_payload(cfg),
         "n_games": dataset.n_games,
         "n_teams": dataset.n_teams,
-        "ratings": [{"team": t, "rating": r} for t, r in ratings],
+        "ratings": _ranked(result.state.ratings),
         "trajectory_file": trajectory_path,
     }
 
@@ -345,7 +395,6 @@ def run_fit(cfg: RunConfig, step: None, max_iters: int, tol: float, ridge: float
     result = _lib.batch_ml_fit(
         dataset.games, cfg.model_params(), max_iters=max_iters, tol=tol, ridge=ridge
     )
-    ratings = sorted(result.theta.items(), key=lambda kv: (-kv[1], kv[0]))
     return {
         "command": "fit",
         "input": cfg.input_path,
@@ -356,7 +405,7 @@ def run_fit(cfg: RunConfig, step: None, max_iters: int, tol: float, ridge: float
         "iterations": result.iterations,
         "converged": result.converged,
         "stop_reason": result.stop_reason,
-        "ratings": [{"team": t, "rating": r} for t, r in ratings],
+        "ratings": _ranked(result.theta),
     }
 
 
@@ -408,40 +457,20 @@ def run_stats(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Click wiring
+# Command-line front end
 # ---------------------------------------------------------------------------
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Rating engine for win/draw/loss competitions."""
-
-
-@main.command("rate")
-@click.argument("input_path", type=click.Path())
-@_config_options("rate")
-@click.option("--trajectory", "trajectory_path", type=click.Path(), default=None,
-              help="Write the per-game rating trajectory CSV here.")
-@_handle_errors
-def cmd_rate(input_path, trajectory_path, **kw):
+def cmd_rate(cfg: RunConfig, trajectory_path):
     """Run the online ratings over a season and print the final table."""
-    cfg = _make_config("rate", input_path, **kw)
     payload = run_rate(cfg, trajectory_path)
     if payload["n_games"] == 0:
-        click.echo("warning: no games parsed from input", err=True)
+        print("warning: no games parsed from input", file=sys.stderr)
     _emit(payload, payload["ratings"], ["team", "rating"], cfg.output_format)
 
 
-@main.command("evaluate")
-@click.argument("input_path", type=click.Path())
-@_config_options("evaluate")
-@click.option("--baseline", is_flag=True, default=False,
-              help="Also score the bookmaker probabilities over the same window.")
-@_handle_errors
-def cmd_evaluate(input_path, baseline, **kw):
+def cmd_evaluate(cfg: RunConfig, baseline):
     """Score a season's sequential predictions by mean logarithmic score."""
-    cfg = _make_config("evaluate", input_path, **kw)
     payload = run_evaluate(cfg, baseline)
     row = {
         "season": payload["input"],
@@ -456,99 +485,178 @@ def cmd_evaluate(input_path, baseline, **kw):
     _emit(payload, [row], list(row), cfg.output_format)
 
 
-@main.command("sweep")
-@click.argument("input_path", type=click.Path())
-@_config_options("sweep")
-@click.option("--eta-grid", default=str(_DEFAULTS["eta"]), show_default=True,
-              help="Comma-separated home-advantage values.")
-@click.option("--kappa-grid", default=str(_DEFAULTS["kappa"]), show_default=True,
-              help="Comma-separated draw-parameter values: each cell's kappa, used to update "
-                   "and predict in kappa-elo, to predict in elo-check, and not at all in elo.")
-@click.option("--modes", default=_DEFAULTS["mode"], show_default=True,
-              help="Comma-separated update modes.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Accepted and ignored: one pass over the season evaluates every cell.")
-@_handle_errors
-def cmd_sweep(input_path, eta_grid, kappa_grid, modes, jobs, **kw):
+def cmd_sweep(cfg: RunConfig, eta_grid, kappa_grid, modes, jobs):
     """Evaluate a grid of (mode, kappa, eta) cells over one season."""
-    cfg = _make_config("sweep", input_path, **kw)
     try:
         etas = [float(x) for x in eta_grid.split(",") if x.strip() != ""]
         kappas = [float(x) for x in kappa_grid.split(",") if x.strip() != ""]
         mode_list = [UpdateMode(m.strip()) for m in modes.split(",") if m.strip() != ""]
     except ValueError as exc:
-        raise click.UsageError(f"bad grid value: {exc}") from None
+        raise UsageError(f"bad grid value: {exc}") from None
     if not (etas and kappas and mode_list):
-        raise click.UsageError("grids must be non-empty")
+        raise UsageError("grids must be non-empty")
     payload = run_sweep(cfg, etas, kappas, mode_list, jobs)
     columns = ["season", "mode", "kappa", "eta", "mean_ls",
                "interval_low", "interval_high", "error"]
     _emit(payload, payload["cells"], columns, cfg.output_format)
 
 
-@main.command("fit")
-@click.argument("input_path", type=click.Path())
-@_config_options("fit")
-@click.option("--max-iters", type=int, default=5000, show_default=True,
-              help="Most Newton steps to take.")
-@click.option("--tol", type=float, default=1e-6, show_default=True,
-              help="Convergence threshold on gradient max-norm, in units of 1/sigma'.")
-@click.option("--ridge", type=float, default=0.0, show_default=True,
-              help="Ridge penalty weight (0 disables).  On separable data a ridge near 0 "
-                   "stops where --tol says, not at the penalized optimum.")
-@_handle_errors
-def cmd_fit(input_path, max_iters, tol, ridge, **kw):
+def cmd_fit(cfg: RunConfig, max_iters, tol, ridge):
     """Batch maximum-likelihood fit of the ratings on a full game list."""
-    cfg = _make_config("fit", input_path, **kw)
     with _usage_errors():
         _lib.check_fit_options(max_iters, tol, ridge)
     payload = run_fit(cfg, None, max_iters, tol, ridge)
     _emit(payload, payload["ratings"], ["team", "rating"], cfg.output_format)
     if not payload["converged"]:
-        click.echo(
+        print(
             f"error: fit did not converge ({payload['stop_reason']}; "
             f"gradient max-norm {payload['grad_max_norm']:.3g} "
             f"after {payload['iterations']} iterations)",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(4)
 
 
-@main.command("simulate")
-@_config_options("simulate")
-@click.option("--teams", type=click.IntRange(min=2), default=20, show_default=True)
-@click.option("--spacing", type=float, default=0.1, show_default=True,
-              help="True-rating gap between adjacent teams, in units of sigma.")
-@click.option("--rounds", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--output", "-o", type=click.Path(), required=True,
-              help="Season CSV destination.")
-@click.option("--truth", type=click.Path(), default=None,
-              help="Ground-truth ratings CSV (default: OUTPUT.truth.csv).")
-@_handle_errors
-def cmd_simulate(teams, spacing, rounds, seed, output, truth, **kw):
+def cmd_simulate(cfg: RunConfig, teams, spacing, rounds, seed, output, truth):
     """Generate a synthetic season from evenly spaced true ratings."""
-    cfg = _make_config("simulate", None, **kw)
     ratings = list(_true_ratings(teams, spacing, cfg.sigma).values())
     # the first and last teams give the widest difference; eta only widens it
     widest = apply_home_advantage(abs(ratings[0] - ratings[-1]), cfg.model_params())
     if not math.isfinite(widest):
-        raise click.UsageError(f"--spacing {spacing} at --sigma {cfg.sigma} and --eta {cfg.eta} "
-                               "makes a rating difference non-finite")
+        raise UsageError(f"--spacing {spacing} at --sigma {cfg.sigma} and --eta {cfg.eta} "
+                         "makes a rating difference non-finite")
     payload = run_simulate(cfg, teams, spacing, rounds, seed, output, truth)
     row = {k: payload[k] for k in ("output", "truth_file", "n_games", "n_teams", "seed")}
     _emit(payload, [row], list(row), cfg.output_format)
 
 
-@main.command("stats")
-@click.argument("input_path", type=click.Path())
-@_config_options("stats")
-@_handle_errors
-def cmd_stats(input_path, **kw):
+def cmd_stats(cfg: RunConfig):
     """Outcome frequencies and the implied draw parameter for a season file."""
-    cfg = _make_config("stats", input_path, **kw)
     payload = run_stats(cfg)
     _emit(payload, [{k: payload[k] for k in _STATS_COLUMNS}], _STATS_COLUMNS, cfg.output_format)
+
+
+# Each command's function and the dests of its own options, which follow
+# its fields' (_COMMAND_FIELDS) and --output-format in its help.
+_COMMANDS = {
+    "evaluate": (cmd_evaluate, ("input_path", "baseline")),
+    "fit": (cmd_fit, ("input_path", "max_iters", "tol", "ridge")),
+    "rate": (cmd_rate, ("input_path", "trajectory_path")),
+    "simulate": (cmd_simulate, ("teams", "spacing", "rounds", "seed", "output", "truth")),
+    "stats": (cmd_stats, ("input_path",)),
+    "sweep": (cmd_sweep, ("input_path", "eta_grid", "kappa_grid", "modes", "jobs")),
+}
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    def _get_help_string(self, action):  # each option's help ends in its default
+        shown = action.nargs != 0 and action.default is not None
+        return action.help + "  [default: %(default)s]" * shown
+
+
+def _flag(arg: str) -> str:
+    """The option an argument names: --eta of --eta=0.3, -f of -fcsv."""
+    return arg.split("=", 1)[0] if arg.startswith("--") else arg[:2]
+
+
+def _no_such_option(flag: str, known: list[str]) -> str:
+    """An unknown option's message; a long one suggests its close matches in ``known``."""
+    import difflib
+    close = sorted(difflib.get_close_matches(flag, [k for k in known if k[1] == "-"])
+                   if flag.startswith("--") else [])
+    names = ", ".join(map(repr, close))
+    hint = f" Did you mean {names}?" if len(close) == 1 else f" (Did you mean one of: {names}?)"
+    return f"No such option {flag!r}." + hint * bool(close)
+
+
+def _parse(name: str, usage: str, args: list[str]) -> tuple[RunConfig, dict]:
+    """Command ``name``'s configuration and its own options, from the arguments after it."""
+    parser = argparse.ArgumentParser(
+        usage=usage, description=_COMMANDS[name][0].__doc__, formatter_class=_HelpFormatter,
+        add_help=False, allow_abbrev=False, exit_on_error=False)
+    known, takes_value = ["--help"], set()
+    for dest in _COMMAND_FIELDS[name] + ("output_format",) + _COMMANDS[name][1]:
+        flags, kind, text = _OPTIONS[dest]
+        parser.add_argument(*flags.split(), dest=dest, help=text,
+                            **{"default": _DEFAULTS.get(dest), **kind})
+        known += flags.split()
+        takes_value.update(() if "action" in kind else flags.split())
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    # Options are read left to right before any value is checked.  An
+    # option's value is the next argument, even one that starts with "-"
+    # (--kappa-grid -1,0.7), which argparse would take for an option, and
+    # any other argument that starts with "-" (-1 too) is an option.
+    joined, rest = [], iter(args)
+    for arg in rest:
+        flag = _flag(arg)
+        if arg == "--":  # the rest are arguments
+            joined += [arg, *rest]
+        elif arg in takes_value:
+            value = next(rest, None)
+            if value is None:
+                raise UsageError(f"Option {arg!r} requires an argument.")
+            joined.append(f"{arg}={value}")
+        elif flag in takes_value and arg[1] != "-":  # -fcsv: the rest is the value
+            joined.append(f"{flag}={arg[2:]}")
+        elif arg.startswith("-") and arg != "-" and flag not in known:
+            raise UsageError(_no_such_option(flag, known))
+        elif flag in known and flag not in takes_value and "=" in arg:
+            raise UsageError(f"Option {flag!r} does not take a value.")
+        else:
+            joined.append(arg)
+    try:
+        namespace, extra = parser.parse_known_args(joined)
+    except argparse.ArgumentError as exc:  # a value of the wrong type
+        raise _invalid(exc.argument_name.split("/"), exc.message) from None
+    if extra:
+        s = "s" * (len(extra) > 1)
+        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    values = vars(namespace)
+    if values.get("input_path", "") is None:
+        raise UsageError("Missing argument 'INPUT_PATH'.")
+    if values.get("output", "") is None:
+        raise UsageError("Missing option '--output' / '-o'.")
+    own = {dest: values.pop(dest) for dest in _COMMANDS[name][1] if dest != "input_path"}
+    return _make_config(name, **values), own
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command line ``argv`` (default: ``sys.argv[1:]``).
+
+    Exits 2 on a usage error, 3 on a data error and 4 on a numeric one.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    prog = os.path.basename(sys.argv[0]).replace("__main__.py", "python -m drawelo")
+    for stream in (sys.stdout, sys.stderr):  # team names may not be ASCII, whatever the locale
+        if codecs.lookup(getattr(stream, "encoding", None) or "utf-8").name == "ascii":
+            stream.reconfigure(encoding="utf-8")
+    name = args[0] if args else ""
+    command, own = _COMMANDS.get(name, (None, ()))
+    path = f"{prog} {name}" if command else prog
+    usage = path + (" [OPTIONS]" + " INPUT_PATH" * ("input_path" in own) if command
+                    else " [OPTIONS] COMMAND [ARGS]...")
+    try:
+        if command:
+            cfg, options = _parse(name, usage, args[1:])
+            with _handle_errors():
+                command(cfg, **options)
+        elif name in ("", "--help"):
+            commands = "".join(f"\n  {c:<8}  {f.__doc__.splitlines()[0]}"
+                               for c, (f, _) in _COMMANDS.items())
+            print(f"Usage: {usage}\n\n  Rating engine for win/draw/loss competitions.\n\n"
+                  "Options:\n  --version  Show the version and exit.\n"
+                  f"  --help     Show this message and exit.\n\nCommands:{commands}",
+                  file=sys.stdout if name else sys.stderr)
+            sys.exit(0 if name else 2)
+        elif name == "--version":
+            print(f"{prog}, version {__version__}")
+        elif name.startswith("-"):
+            raise UsageError(_no_such_option(_flag(name), ["--version", "--help"]))
+        else:
+            raise UsageError(f"No such command {name!r}.")
+    except UsageError as exc:
+        print(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

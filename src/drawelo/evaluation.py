@@ -72,19 +72,26 @@ def log_score(prediction: OutcomeProbs, outcome: str) -> float:
     return -math.log(p)
 
 
-def cell_log_scores(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarray:
-    """(cells, games) log scores of a (cells, games, 3) forecast table.
+def realized_probs(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarray:
+    """(cells, games) probability of each realized outcome in a (cells, games, 3) forecast table.
 
-    Columns are (p_home, p_away, p_draw).  A zero probability scores inf;
-    ``zero_probability`` names the game.  Positive probabilities go through
-    ``math.log``, as in ``score_games``: numpy's vectorised log can differ
-    from it in the last bit.  One row at a time keeps the Python floats few.
+    Columns are (p_home, p_away, p_draw).
     """
     import numpy as np
     column = np.fromiter(
         (OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp, count=len(games)
     )
-    realized = np.take_along_axis(probs, column[None, :, None], axis=-1)[..., 0]
+    return np.take_along_axis(probs, column[None, :, None], axis=-1)[..., 0]
+
+
+def cell_log_scores(realized: np.ndarray) -> np.ndarray:
+    """Log scores of a (cells, games) array of realized probabilities; 0 scores inf.
+
+    Positive probabilities go through ``math.log``, as in ``score_games``:
+    numpy's vectorised log can differ from it in the last bit.  One row at
+    a time keeps the Python floats few.
+    """
+    import numpy as np
     with np.errstate(divide="ignore"):
         logs = np.log(realized)
     for out, row in zip(logs, realized):
@@ -94,11 +101,11 @@ def cell_log_scores(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarra
 
 
 def zero_probability(
-    scores: np.ndarray, games: Sequence[GameRecord]
+    realized: np.ndarray, games: Sequence[GameRecord]
 ) -> ZeroProbabilityError | None:
-    """The error naming the first game a row of log scores gave probability 0."""
+    """The error naming the first game a row of realized probabilities gives probability 0."""
     import numpy as np
-    bad = np.flatnonzero(np.isposinf(scores))
+    bad = np.flatnonzero(realized <= 0.0)
     return _zero_probability_at(int(bad[0]), games) if bad.size else None
 
 
@@ -172,14 +179,12 @@ def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
     raise ValueError(f"window must be 'second-half' or 'full', got {window!r}")
 
 
-def evaluate_cells(per_game_ls: np.ndarray, window: str = "second-half") -> list[EvalReport]:
-    """``evaluate_scores`` of each row of a (cells, games) log-score array."""
-    start, end = _window_bounds(per_game_ls.shape[-1], window)
-    scored = per_game_ls[:, start:end]
+def evaluate_cells(scored: np.ndarray, window: tuple[int, int]) -> list[EvalReport]:
+    """``evaluate_scores`` of each row of (cells, games) log scores, given over ``window`` only."""
     low, high = min_length_intervals(scored)
     return [
         EvalReport(mean_ls=sum(row) / len(row), interval_low=lo, interval_high=hi,
-                   per_game_ls=row, window=(start, end))
+                   per_game_ls=row, window=window)
         for lo, hi, row in zip(low.tolist(), high.tolist(), scored.tolist())
     ]
 
@@ -213,13 +218,15 @@ def evaluate_configs(
             return [exc]
     if not configs:
         return []
-    run = run_online(compile_season(games), configs)
-    scores = cell_log_scores(run.probs, games)
     try:
-        reports = evaluate_cells(scores, window)
+        start, end = _window_bounds(len(games), window)
     except ValueError as exc:  # no games to score
         return [exc] * len(configs)
-    return [run.error(c) or zero_probability(scores[c], games) or report
+    run = run_online(compile_season(games), configs)
+    # logs only inside the window; a zero probability anywhere is the cell's error
+    realized = realized_probs(run.probs, games)
+    reports = evaluate_cells(cell_log_scores(realized[:, start:end]), (start, end))
+    return [run.error(c) or zero_probability(realized[c], games) or report
             for c, report in enumerate(reports)]
 
 

@@ -1,7 +1,10 @@
+import contextlib
 import datetime as dt
+import io
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,32 @@ def run_cli(args, env=None, driver="from drawelo.cli import main; main(sys.argv[
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", f"import sys; {driver}", *args], env=env,
                           capture_output=True, timeout=120)
+
+
+@dataclass
+class Invocation:
+    """What one ``main(argv)`` call did: its exit code and what it wrote."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(argv):
+    """``drawelo`` ARGV in this process, its output captured."""
+    from drawelo.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+    return Invocation(code, out.getvalue(), err.getvalue())
 
 
 def game(home, away, outcome, day=0, odds=None):

@@ -6,18 +6,18 @@ import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BOTH_PATHS, KAPPAS, check_report, online_cases, run_cli
-from drawelo import engine
-from drawelo.cli import RunConfig, _csv_cell, _round6, main, run_rate, run_sweep
+from conftest import BOTH_PATHS, KAPPAS, check_report, invoke, online_cases, run_cli
+from drawelo import cli, engine
+from drawelo.cli import RunConfig, _csv_cell, _round6, run_fit, run_rate, run_sweep
 from drawelo.data import Dataset, load_matches, serialize_matches
-from drawelo.engine import EngineConfig, UpdateMode, run_season
+from drawelo.engine import EngineConfig, FitResult, RatingState, UpdateMode, run_season
 from drawelo.evaluation import evaluate_configs
 from drawelo.models import ModelParams
 
@@ -25,17 +25,10 @@ HEADER = "Date,HomeTeam,AwayTeam,FTR"
 
 
 @pytest.fixture
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture
-def season_file(tmp_path, runner):
+def season_file(tmp_path):
     """A reproducible synthetic 20-team season in football-data layout."""
     path = tmp_path / "season.csv"
-    result = runner.invoke(
-        main, ["simulate", "--teams", "20", "--seed", "11", "-o", str(path)]
-    )
+    result = invoke(["simulate", "--teams", "20", "--seed", "11", "-o", str(path)])
     assert result.exit_code == 0, result.output
     return path
 
@@ -75,11 +68,9 @@ def parse_csv(text):
 # ---------------------------------------------------------------------------
 
 
-def test_rate_emits_a_full_table_and_trajectory(runner, season_file, tmp_path):
+def test_rate_emits_a_full_table_and_trajectory(season_file, tmp_path):
     traj = tmp_path / "trajectory.csv"
-    result = runner.invoke(
-        main, ["rate", str(season_file), "-f", "csv", "--trajectory", str(traj)]
-    )
+    result = invoke(["rate", str(season_file), "-f", "csv", "--trajectory", str(traj)])
     assert result.exit_code == 0, result.output
     rows = parse_csv(result.stdout)
     assert len(rows) == 20
@@ -136,20 +127,20 @@ def test_rate_writes_utf8_under_an_ascii_locale(tmp_path):
     assert b"1,Caf\xc3\xa9," in traj.read_bytes()
 
 
-def test_rate_empty_input_warns_and_succeeds(runner, tmp_path):
+def test_rate_empty_input_warns_and_succeeds(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(HEADER + "\n")
     traj = tmp_path / "trajectory.csv"
-    result = runner.invoke(main, ["rate", str(empty), "--trajectory", str(traj)])
+    result = invoke(["rate", str(empty), "--trajectory", str(traj)])
     assert result.exit_code == 0
     assert "no games" in result.stderr
     assert json.loads(result.stdout)["ratings"] == []
     assert traj.read_bytes() == b"game_index,team,rating\n"
 
 
-def test_rate_json_and_csv_agree(runner, season_file):
-    as_json = runner.invoke(main, ["rate", str(season_file)])
-    as_csv = runner.invoke(main, ["rate", str(season_file), "-f", "csv"])
+def test_rate_json_and_csv_agree(season_file):
+    as_json = invoke(["rate", str(season_file)])
+    as_csv = invoke(["rate", str(season_file), "-f", "csv"])
     payload = json.loads(as_json.stdout)
     rows = parse_csv(as_csv.stdout)
     assert [r["team"] for r in rows] == [e["team"] for e in payload["ratings"]]
@@ -157,15 +148,30 @@ def test_rate_json_and_csv_agree(runner, season_file):
         assert float(row["rating"]) == entry["rating"]
 
 
+def test_ratings_that_print_alike_are_listed_by_team(monkeypatch, toy_file):
+    # one bit apart: both print as -430.513, so rounding noise must not order them
+    low = -430.5133669052602
+    ratings = {"B": math.nextafter(low, 0.0), "A": low, "C": 1.0}
+    fitted = FitResult(theta=ratings, nll=0.0, grad_max_norm=0.0, iterations=1,
+                       converged=True, stop_reason="gradient")
+    monkeypatch.setattr(cli, "batch_ml_fit", lambda *args, **kwargs: fitted)
+    monkeypatch.setattr(cli, "run_season",
+                        lambda *args, **kwargs: SimpleNamespace(state=RatingState(ratings)))
+    cfg = RunConfig("fit", input_path=str(toy_file))
+    fit, rate = run_fit(cfg, None, 5000, 1e-6, 0.0), run_rate(replace(cfg, command="rate"), None)
+    for payload in fit, rate:
+        assert payload["ratings"] == [{"team": "C", "rating": 1.0}, {"team": "A", "rating": low},
+                                      {"team": "B", "rating": math.nextafter(low, 0.0)}]
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
 
 
-def test_evaluate_uniform_degenerate_config_scores_ln3(runner, season_file):
-    result = runner.invoke(
-        main,
-        ["evaluate", str(season_file), "--kappa", "1", "--k-step", "0", "--eta", "0"],
+def test_evaluate_uniform_degenerate_config_scores_ln3(season_file):
+    result = invoke(
+        ["evaluate", str(season_file), "--kappa", "1", "--k-step", "0", "--eta", "0"]
     )
     assert result.exit_code == 0, result.output
     payload = json.loads(result.stdout)
@@ -174,8 +180,8 @@ def test_evaluate_uniform_degenerate_config_scores_ln3(runner, season_file):
     assert payload["interval_low"] == payload["interval_high"] == payload["mean_ls"]
 
 
-def test_evaluate_defaults_are_the_headline_config(runner, season_file):
-    result = runner.invoke(main, ["evaluate", str(season_file)])
+def test_evaluate_defaults_are_the_headline_config(season_file):
+    result = invoke(["evaluate", str(season_file)])
     payload = json.loads(result.stdout)
     cfg = payload["config"]
     assert cfg["sigma"] == 600.0
@@ -185,53 +191,53 @@ def test_evaluate_defaults_are_the_headline_config(runner, season_file):
     assert payload["eval_window"] == "second-half"
 
 
-def test_evaluate_json_csv_parity(runner, season_file):
-    as_json = json.loads(runner.invoke(main, ["evaluate", str(season_file)]).stdout)
-    row = parse_csv(runner.invoke(main, ["evaluate", str(season_file), "-f", "csv"]).stdout)[0]
+def test_evaluate_json_csv_parity(season_file):
+    as_json = json.loads(invoke(["evaluate", str(season_file)]).stdout)
+    row = parse_csv(invoke(["evaluate", str(season_file), "-f", "csv"]).stdout)[0]
     for key in ("mean_ls", "interval_low", "interval_high"):
         assert float(row[key]) == as_json[key]
 
 
-def test_evaluate_full_window(runner, season_file):
-    result = runner.invoke(main, ["evaluate", str(season_file), "--eval-window", "full"])
+def test_evaluate_full_window(season_file):
+    result = invoke(["evaluate", str(season_file), "--eval-window", "full"])
     payload = json.loads(result.stdout)
     assert payload["window_start"] == 0 and payload["window_end"] == 380
 
 
-def test_evaluate_zero_probability_is_a_numeric_error(runner, draws_file):
-    result = runner.invoke(main, ["evaluate", str(draws_file), "--kappa", "0"])
+def test_evaluate_zero_probability_is_a_numeric_error(draws_file):
+    result = invoke(["evaluate", str(draws_file), "--kappa", "0"])
     assert result.exit_code == 4
     assert "probability 0" in result.stderr
 
 
-def test_evaluate_baseline_from_odds(runner, tmp_path):
+def test_evaluate_baseline_from_odds(tmp_path):
     path = tmp_path / "odds.csv"
     rows = [f"{day:02d}/09/2021,A,B,H,2.0,4.0,4.0" for day in range(1, 5)]
     path.write_text("Date,HomeTeam,AwayTeam,FTR,B365H,B365D,B365A\n" + "\n".join(rows) + "\n")
-    result = runner.invoke(main, ["evaluate", str(path), "--baseline"])
+    result = invoke(["evaluate", str(path), "--baseline"])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.stdout)
     # every evaluated game: home win at implied probability one half
     assert payload["baseline"]["mean_ls"] == pytest.approx(math.log(2), abs=1e-5)
 
 
-def test_evaluate_baseline_missing_odds_is_a_data_error(runner, toy_file, season_file):
-    result = runner.invoke(main, ["evaluate", str(toy_file), "--baseline"])
+def test_evaluate_baseline_missing_odds_is_a_data_error(toy_file, season_file):
+    result = invoke(["evaluate", str(toy_file), "--baseline"])
     assert result.exit_code == 3
     assert "odds" in result.stderr
     assert "2 game(s), first game 1 (A vs B, 2021-08-02)" in result.stderr
     # a count and one game, not every index of the window
-    result = runner.invoke(main, ["evaluate", str(season_file), "--baseline"])
+    result = invoke(["evaluate", str(season_file), "--baseline"])
     assert result.exit_code == 3
     assert "odds are missing on 190 game(s)" in result.stderr
     assert len(result.stderr) < 200
 
 
-def test_evaluate_baseline_non_finite_odds_name_their_line(runner, tmp_path):
+def test_evaluate_baseline_non_finite_odds_name_their_line(tmp_path):
     path = tmp_path / "odds.csv"
     path.write_text("Date,HomeTeam,AwayTeam,FTR,B365H,B365D,B365A\n"
                     "01/09/2021,A,B,H,2.0,4.0,4.0\n02/09/2021,B,A,D,2.0,nan,4.0\n")
-    result = runner.invoke(main, ["evaluate", str(path), "--baseline"])
+    result = invoke(["evaluate", str(path), "--baseline"])
     assert result.exit_code == 3
     assert "line 3" in result.stderr and "odds" in result.stderr
 
@@ -241,13 +247,10 @@ def test_evaluate_baseline_non_finite_odds_name_their_line(runner, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_single_cell_matches_evaluate(runner, season_file):
-    evaluated = json.loads(runner.invoke(main, ["evaluate", str(season_file)]).stdout)
+def test_sweep_single_cell_matches_evaluate(season_file):
+    evaluated = json.loads(invoke(["evaluate", str(season_file)]).stdout)
     swept = json.loads(
-        runner.invoke(
-            main,
-            ["sweep", str(season_file), "--eta-grid", "0.3", "--kappa-grid", "0.7"],
-        ).stdout
+        invoke(["sweep", str(season_file), "--eta-grid", "0.3", "--kappa-grid", "0.7"]).stdout
     )
     cell = swept["cells"][0]
     assert cell["mean_ls"] == evaluated["mean_ls"]
@@ -256,17 +259,15 @@ def test_sweep_single_cell_matches_evaluate(runner, season_file):
     assert cell["error"] is None
 
 
-def test_sweep_cells_match_evaluate(runner, season_file):
+def test_sweep_cells_match_evaluate(season_file):
     # one pass over the grid prints for each cell what evaluate prints for it
-    swept = json.loads(runner.invoke(
-        main,
+    swept = json.loads(invoke(
         ["sweep", str(season_file), "--eta-grid", "0,0.3", "--kappa-grid", "0.4,1",
          "--modes", "kappa-elo,elo,elo-check"],
     ).stdout)["cells"]
     assert len(swept) == 12
     for cell in swept:
-        evaluated = json.loads(runner.invoke(
-            main,
+        evaluated = json.loads(invoke(
             ["evaluate", str(season_file), "--mode", cell["mode"], "--eta", str(cell["eta"]),
              "--kappa", str(cell["kappa"])],
         ).stdout)
@@ -275,10 +276,10 @@ def test_sweep_cells_match_evaluate(runner, season_file):
 
 
 @pytest.mark.parametrize("kappa", [0.4, 1.0])
-def test_elo_check_forecasts_with_kappa(runner, season_file, kappa):
+def test_elo_check_forecasts_with_kappa(season_file, kappa):
     # --kappa is the library's check kappa in elo-check; the update never reads it
-    evaluated = json.loads(runner.invoke(
-        main, ["evaluate", str(season_file), "--mode", "elo-check", "--kappa", str(kappa)],
+    evaluated = json.loads(invoke(
+        ["evaluate", str(season_file), "--mode", "elo-check", "--kappa", str(kappa)],
     ).stdout)
     config = EngineConfig(model=ModelParams(sigma=600.0, kappa=0.7, eta=0.3), k_tilde=0.125,
                           mode=UpdateMode.ELO_CHECK_KAPPA, check_kappa=kappa)
@@ -323,9 +324,8 @@ def test_sweep_matches_the_scalar_oracle(vectorize, case, kappas, etas, modes):
             check_report(row["mean_ls"], row["interval_low"], row["interval_high"], scores)
 
 
-def test_sweep_grid_shape_and_csv(runner, season_file):
-    result = runner.invoke(
-        main,
+def test_sweep_grid_shape_and_csv(season_file):
+    result = invoke(
         ["sweep", str(season_file), "-f", "csv",
          "--eta-grid", "0,0.3", "--kappa-grid", "0.4,0.7,1", "--modes", "kappa-elo,elo-check"],
     )
@@ -336,11 +336,10 @@ def test_sweep_grid_shape_and_csv(runner, season_file):
     assert all(r["error"] == "" for r in rows)
 
 
-def test_sweep_kappa_grid_drives_check_kappa_for_elo_check(runner, season_file):
+def test_sweep_kappa_grid_drives_check_kappa_for_elo_check(season_file):
     # an elo-check cell predicting with the grid's kappa: kappa-elo and
     # elo-check at kappa=1 should land close but not identical
-    result = runner.invoke(
-        main,
+    result = invoke(
         ["sweep", str(season_file),
          "--kappa-grid", "1", "--modes", "kappa-elo,elo-check"],
     )
@@ -351,10 +350,8 @@ def test_sweep_kappa_grid_drives_check_kappa_for_elo_check(runner, season_file):
     assert abs(a - b) < 0.02
 
 
-def test_sweep_records_cell_errors_and_continues(runner, draws_file):
-    result = runner.invoke(
-        main, ["sweep", str(draws_file), "--kappa-grid", "0,1", "--eta-grid", "0"]
-    )
+def test_sweep_records_cell_errors_and_continues(draws_file):
+    result = invoke(["sweep", str(draws_file), "--kappa-grid", "0,1", "--eta-grid", "0"])
     assert result.exit_code == 0, result.output
     cells = json.loads(result.stdout)["cells"]
     assert "probability 0" in cells[0]["error"]
@@ -362,43 +359,43 @@ def test_sweep_records_cell_errors_and_continues(runner, draws_file):
     assert cells[1]["error"] is None
 
 
-def test_sweep_invalid_grid_value_is_a_cell_error(runner, season_file):
-    result = runner.invoke(main, ["sweep", str(season_file), "--kappa-grid", "-1,0.7"])
+def test_sweep_invalid_grid_value_is_a_cell_error(season_file):
+    result = invoke(["sweep", str(season_file), "--kappa-grid", "-1,0.7"])
     assert result.exit_code == 0, result.output
     bad, good = json.loads(result.stdout)["cells"]
     assert bad["error"].startswith("kappa must be") and bad["mean_ls"] is None
     assert good["error"] is None and good["mean_ls"] > 0
 
 
-def test_sweep_overflowing_eta_is_a_cell_error(runner, season_file):
-    result = runner.invoke(main, ["sweep", str(season_file), "--sigma", "1e300",
-                                  "--eta-grid", "1e10,0.3"])
+def test_sweep_overflowing_eta_is_a_cell_error(season_file):
+    result = invoke(["sweep", str(season_file), "--sigma", "1e300",
+                     "--eta-grid", "1e10,0.3"])
     assert result.exit_code == 0, result.output
     bad, good = json.loads(result.stdout)["cells"]
     assert bad["error"].startswith("eta * sigma must be finite") and bad["mean_ls"] is None
     assert good["error"] is None and good["mean_ls"] > 0
 
 
-def test_sweep_grid_kappa_is_each_cells_kappa_in_every_mode(runner, season_file):
+def test_sweep_grid_kappa_is_each_cells_kappa_in_every_mode(season_file):
     # elo ignores the grid kappa and elo-check predicts with it, but in every
     # mode it is the cell's kappa, checked as kappa
-    result = runner.invoke(main, ["sweep", str(season_file), "--kappa-grid", "-1,nan",
-                                  "--modes", "elo,elo-check"])
+    result = invoke(["sweep", str(season_file), "--kappa-grid", "-1,nan",
+                     "--modes", "elo,elo-check"])
     assert result.exit_code == 0, result.output
     cells = json.loads(result.stdout)["cells"]
     assert len(cells) == 4
     assert all(c["error"].startswith("kappa must be") for c in cells)
 
 
-def test_sweep_steps_each_distinct_elo_row_once(runner, season_file, monkeypatch):
+def test_sweep_steps_each_distinct_elo_row_once(season_file, monkeypatch):
     # elo reads no kappa: three grid kappas print three identical rows from
     # one row of the vector kernel
     widths = []
     expected_score = engine.expected_score
     monkeypatch.setattr(engine, "expected_score",
                         lambda v, *args: widths.append(len(v)) or expected_score(v, *args))
-    result = runner.invoke(main, ["sweep", str(season_file), "--modes", "elo",
-                                  "--kappa-grid", "0.4,1,2"])
+    result = invoke(["sweep", str(season_file), "--modes", "elo",
+                     "--kappa-grid", "0.4,1,2"])
     assert result.exit_code == 0, result.output
     cells = json.loads(result.stdout)["cells"]
     assert [c["kappa"] for c in cells] == [0.4, 1.0, 2.0]
@@ -407,20 +404,20 @@ def test_sweep_steps_each_distinct_elo_row_once(runner, season_file, monkeypatch
     assert widths and set(widths) == {1}
 
 
-def test_sweep_empty_season_gives_error_rows(runner, tmp_path):
+def test_sweep_empty_season_gives_error_rows(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(HEADER + "\n")
-    result = runner.invoke(main, ["sweep", str(empty), "--kappa-grid", "-1,0.7"])
+    result = invoke(["sweep", str(empty), "--kappa-grid", "-1,0.7"])
     assert result.exit_code == 0, result.output
     bad, good = json.loads(result.stdout)["cells"]
     assert bad["error"].startswith("kappa must be")
     assert good["error"] == "empty score list"
 
 
-def test_sweep_jobs_do_not_change_results(runner, season_file):
+def test_sweep_jobs_do_not_change_results(season_file):
     args = ["sweep", str(season_file), "--kappa-grid", "0.4,1", "--eta-grid", "0,0.3"]
-    serial = runner.invoke(main, args + ["--jobs", "1"]).stdout
-    threaded = runner.invoke(main, args + ["--jobs", "4"]).stdout
+    serial = invoke(args + ["--jobs", "1"]).stdout
+    threaded = invoke(args + ["--jobs", "4"]).stdout
     assert serial == threaded
 
 
@@ -429,9 +426,9 @@ def test_sweep_jobs_do_not_change_results(runner, season_file):
 # ---------------------------------------------------------------------------
 
 
-def test_fit_two_team_toy_recovers_the_closed_form(runner, toy_file):
+def test_fit_two_team_toy_recovers_the_closed_form(toy_file):
     # the closed form assumes no home advantage in the fitted model
-    result = runner.invoke(main, ["fit", str(toy_file), "--family", "binary", "--eta", "0"])
+    result = invoke(["fit", str(toy_file), "--family", "binary", "--eta", "0"])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.stdout)
     assert payload["converged"] is True
@@ -439,27 +436,27 @@ def test_fit_two_team_toy_recovers_the_closed_form(runner, toy_file):
     assert ratings["A"] - ratings["B"] == pytest.approx(600 * math.log10(2), abs=0.6)
 
 
-def test_fit_all_draws_is_the_zero_vector(runner, draws_file):
-    result = runner.invoke(main, ["fit", str(draws_file), "--kappa", "1", "--eta", "0"])
+def test_fit_all_draws_is_the_zero_vector(draws_file):
+    result = invoke(["fit", str(draws_file), "--kappa", "1", "--eta", "0"])
     payload = json.loads(result.stdout)
     assert all(abs(r["rating"]) < 1e-4 for r in payload["ratings"])
 
 
-def test_fit_non_convergence_exits_4(runner, season_file):
-    result = runner.invoke(main, ["fit", str(season_file), "--max-iters", "1"])
+def test_fit_non_convergence_exits_4(season_file):
+    result = invoke(["fit", str(season_file), "--max-iters", "1"])
     assert result.exit_code == 4
     assert "did not converge" in result.stderr
 
 
-def test_fit_has_no_step_option(runner, toy_file):
-    result = runner.invoke(main, ["fit", str(toy_file), "--step", "1"])
+def test_fit_has_no_step_option(toy_file):
+    result = invoke(["fit", str(toy_file), "--step", "1"])
     assert result.exit_code == 2
 
 
-def test_fit_separable_data_is_a_numeric_error(runner, tmp_path):
+def test_fit_separable_data_is_a_numeric_error(tmp_path):
     path = tmp_path / "sep.csv"
     path.write_text(f"{HEADER}\n01/08/2021,A,B,H\n02/08/2021,A,B,H\n")
-    result = runner.invoke(main, ["fit", str(path), "--family", "binary"])
+    result = invoke(["fit", str(path), "--family", "binary"])
     assert result.exit_code == 4
     assert "ridge" in result.stderr
 
@@ -469,12 +466,10 @@ def test_fit_separable_data_is_a_numeric_error(runner, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_simulate_is_reproducible(runner, tmp_path):
+def test_simulate_is_reproducible(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        result = runner.invoke(
-            main, ["simulate", "--teams", "6", "--seed", "3", "-o", str(path)]
-        )
+        result = invoke(["simulate", "--teams", "6", "--seed", "3", "-o", str(path)])
         assert result.exit_code == 0, result.output
     assert a.read_text() == b.read_text()
     assert (tmp_path / "a.csv.truth.csv").exists()
@@ -483,18 +478,17 @@ def test_simulate_is_reproducible(runner, tmp_path):
     assert sum(float(r["rating"]) for r in truth_rows) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_simulate_kappa_zero_produces_no_draws(runner, tmp_path):
+def test_simulate_kappa_zero_produces_no_draws(tmp_path):
     path = tmp_path / "nodraw.csv"
-    runner.invoke(main, ["simulate", "--teams", "8", "--kappa", "0", "-o", str(path)])
+    invoke(["simulate", "--teams", "8", "--kappa", "0", "-o", str(path)])
     rows = parse_csv(path.read_text())
     assert len(rows) == 56
     assert all(r["FTR"] != "D" for r in rows)
 
 
-def test_simulate_equal_ratings_kappa2_draw_rate(runner, tmp_path):
+def test_simulate_equal_ratings_kappa2_draw_rate(tmp_path):
     path = tmp_path / "half.csv"
-    runner.invoke(
-        main,
+    invoke(
         ["simulate", "--teams", "20", "--spacing", "0", "--kappa", "2", "--eta", "0",
          "--seed", "5", "-o", str(path)],
     )
@@ -503,13 +497,13 @@ def test_simulate_equal_ratings_kappa2_draw_rate(runner, tmp_path):
     assert abs(draw_rate - 0.5) < 0.05
 
 
-def test_stats_counts(runner, tmp_path):
+def test_stats_counts(tmp_path):
     path = tmp_path / "mini.csv"
     path.write_text(
         f"{HEADER}\n"
         "01/08/2021,A,B,H\n02/08/2021,B,A,D\n03/08/2021,A,C,A\n04/08/2021,C,B,A\n"
     )
-    result = runner.invoke(main, ["stats", str(path)])
+    result = invoke(["stats", str(path)])
     payload = json.loads(result.stdout)
     assert payload["n_games"] == 4
     assert payload["p_home_bar"] == 0.25
@@ -519,24 +513,24 @@ def test_stats_counts(runner, tmp_path):
     assert payload["kappa_bar"] == pytest.approx(2 / 3, abs=1e-6)
 
 
-def test_stats_synthetic_kappa_zero_season(runner, tmp_path):
+def test_stats_synthetic_kappa_zero_season(tmp_path):
     path = tmp_path / "nodraw.csv"
-    runner.invoke(main, ["simulate", "--teams", "6", "--kappa", "0", "-o", str(path)])
-    payload = json.loads(runner.invoke(main, ["stats", str(path)]).stdout)
+    invoke(["simulate", "--teams", "6", "--kappa", "0", "-o", str(path)])
+    payload = json.loads(invoke(["stats", str(path)]).stdout)
     assert payload["p_draw_bar"] == 0.0
     assert payload["kappa_bar"] == 0.0
 
 
-def test_stats_all_draws_reports_infinite_kappa(runner, draws_file):
-    payload = json.loads(runner.invoke(main, ["stats", str(draws_file)]).stdout)
+def test_stats_all_draws_reports_infinite_kappa(draws_file):
+    payload = json.loads(invoke(["stats", str(draws_file)]).stdout)
     assert payload["kappa_bar"] == "inf"
 
 
-def test_stats_reads_a_file_with_a_byte_order_mark(runner, season_file, tmp_path):
+def test_stats_reads_a_file_with_a_byte_order_mark(season_file, tmp_path):
     # as a spreadsheet saves a CSV in UTF-8: the mark would hide the Date column
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + season_file.read_bytes())
-    results = [runner.invoke(main, ["stats", str(path)]) for path in (season_file, bom)]
+    results = [invoke(["stats", str(path)]) for path in (season_file, bom)]
     assert [r.exit_code for r in results] == [0, 0], results[1].output
     plain, marked = (json.loads(r.stdout) for r in results)
     assert marked.pop("input") == str(bom)
@@ -544,10 +538,10 @@ def test_stats_reads_a_file_with_a_byte_order_mark(runner, season_file, tmp_path
     assert marked == plain
 
 
-def test_stats_empty_file_is_a_data_error(runner, tmp_path):
+def test_stats_empty_file_is_a_data_error(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(HEADER + "\n")
-    result = runner.invoke(main, ["stats", str(empty)])
+    result = invoke(["stats", str(empty)])
     assert result.exit_code == 3
 
 
@@ -556,26 +550,26 @@ def test_stats_empty_file_is_a_data_error(runner, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_missing_file_is_a_data_error(runner):
-    result = runner.invoke(main, ["evaluate", "no-such-file.csv"])
+def test_missing_file_is_a_data_error():
+    result = invoke(["evaluate", "no-such-file.csv"])
     assert result.exit_code == 3
 
 
-def test_missing_column_is_a_data_error(runner, tmp_path):
+def test_missing_column_is_a_data_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("Date,HomeTeam,AwayTeam\n01/08/2021,A,B\n")
-    result = runner.invoke(main, ["rate", str(path)])
+    result = invoke(["rate", str(path)])
     assert result.exit_code == 3
     assert "FTR" in result.stderr
 
 
-def test_unknown_flag_is_a_usage_error(runner, season_file):
-    result = runner.invoke(main, ["evaluate", str(season_file), "--nope"])
+def test_unknown_flag_is_a_usage_error(season_file):
+    result = invoke(["evaluate", str(season_file), "--nope"])
     assert result.exit_code == 2
 
 
-def test_bad_grid_is_a_usage_error(runner, season_file):
-    result = runner.invoke(main, ["sweep", str(season_file), "--kappa-grid", "a,b"])
+def test_bad_grid_is_a_usage_error(season_file):
+    result = invoke(["sweep", str(season_file), "--kappa-grid", "a,b"])
     assert result.exit_code == 2
 
 
@@ -583,8 +577,8 @@ def test_bad_grid_is_a_usage_error(runner, season_file):
     "option,value",
     [("--kappa", "nan"), ("--kappa", "-1"), ("--eta", "inf"), ("--k-step", "-1")],
 )
-def test_invalid_parameter_is_a_usage_error_naming_the_option(runner, season_file, option, value):
-    result = runner.invoke(main, ["evaluate", str(season_file), option, value])
+def test_invalid_parameter_is_a_usage_error_naming_the_option(season_file, option, value):
+    result = invoke(["evaluate", str(season_file), option, value])
     assert result.exit_code == 2
     assert option in result.stderr
     assert "rating difference" not in result.stderr
@@ -612,11 +606,11 @@ def test_nan_is_printed_as_null_or_empty():
      (["simulate", "--teams", "1", "-o", "out.csv"], "--teams"),
      (["simulate", "--rounds", "0", "-o", "out.csv"], "--rounds")],
 )
-def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args, option):
+def test_invalid_fit_or_simulate_option_is_a_usage_error(tmp_path, monkeypatch, args, option):
     # the input does not exist: reading it first would be a data error, exit 3
-    with runner.isolated_filesystem(temp_dir=tmp_path):
-        result = runner.invoke(main, args)
-        assert not Path("out.csv").exists()
+    monkeypatch.chdir(tmp_path)
+    result = invoke(args)
+    assert not Path("out.csv").exists()
     assert result.exit_code == 2, result.output
     assert option in result.stderr
 
@@ -630,14 +624,14 @@ def test_invalid_fit_or_simulate_option_is_a_usage_error(runner, tmp_path, args,
      (["simulate", "--sigma", "1e300", "--eta", "1e10", "-o", "out.csv"], "--eta"),
      (["rate", "one.csv", "--mode", "elo", "--sigma", "5e-324"], "--sigma")],
 )
-def test_overflowing_shift_or_step_is_a_usage_error(runner, tmp_path, args, option):
+def test_overflowing_shift_or_step_is_a_usage_error(tmp_path, monkeypatch, args, option):
     # an infinite shift eta * sigma, or an infinite step k-step * sigma,
     # whose inf * 0 on a draw between equals would print null ratings; or
     # a subnormal sigma, whose half (elo's prediction scale) rounds to 0
-    with runner.isolated_filesystem(temp_dir=tmp_path):
-        Path("one.csv").write_text(f"{HEADER}\n01/08/2021,A,B,D\n")
-        result = runner.invoke(main, args)
-        assert not Path("out.csv").exists()
+    monkeypatch.chdir(tmp_path)
+    Path("one.csv").write_text(f"{HEADER}\n01/08/2021,A,B,D\n")
+    result = invoke(args)
+    assert not Path("out.csv").exists()
     assert result.exit_code == 2, result.output
     assert option in result.stderr and "rating difference" not in result.stderr
 
@@ -672,8 +666,8 @@ def test_version_reads_the_package_not_installed_metadata():
 
 
 @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
-def test_help_lists_exactly_the_options_a_command_reads(runner, command):
-    result = runner.invoke(main, [command, "--help"])
+def test_help_lists_exactly_the_options_a_command_reads(command):
+    result = invoke([command, "--help"])
     assert result.exit_code == 0, result.output
     listed = re.findall(r"^  (?:-\w, )?(--[\w-]+)", result.stdout, flags=re.MULTILINE)
     assert listed == COMMAND_OPTIONS[command] + ["--help"]
@@ -683,11 +677,11 @@ def test_help_lists_exactly_the_options_a_command_reads(runner, command):
     (command, option) for command, options in COMMAND_OPTIONS.items()
     for option in FIELD_VALUES if option not in options
 ])
-def test_options_a_command_does_not_read_are_usage_errors(runner, tmp_path, command, option):
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch, command, option):
     args = ["-o", "out.csv"] if command == "simulate" else ["missing.csv"]
-    with runner.isolated_filesystem(temp_dir=tmp_path):
-        result = runner.invoke(main, [command, *args, option, FIELD_VALUES[option]])
-        assert not Path("out.csv").exists()
+    monkeypatch.chdir(tmp_path)
+    result = invoke([command, *args, option, FIELD_VALUES[option]])
+    assert not Path("out.csv").exists()
     assert result.exit_code == 2, result.output
     assert "No such option" in result.stderr and option in result.stderr
 
@@ -701,10 +695,10 @@ def test_options_a_command_does_not_read_are_usage_errors(runner, tmp_path, comm
      {"sigma": 600.0, "kappa": 0.7, "eta": 0.3, "v0": 100.0, "family": "threshold"}),
 ])
 def test_config_echoes_exactly_the_fields_a_command_reads(
-    runner, season_file, tmp_path, command, extra, config
+    season_file, tmp_path, command, extra, config
 ):
     args = ["-o", str(tmp_path / "sim.csv")] if command == "simulate" else [str(season_file)]
-    result = runner.invoke(main, [command, *args, *extra])
+    result = invoke([command, *args, *extra])
     assert result.exit_code == 0, result.output
     echoed = json.loads(result.stdout)["config"]
     assert list(echoed.items()) == list(config.items())
@@ -719,7 +713,7 @@ def test_config_echoes_exactly_the_fields_a_command_reads(
 def season_with_odds(tmp_path_factory):
     """``simulate --rounds 1`` of 20 teams (380 games, runs of 10), with odds added."""
     path = tmp_path_factory.mktemp("numpy_free") / "season.csv"
-    result = CliRunner().invoke(main, ["simulate", "--rounds", "1", "-o", str(path)])
+    result = invoke(["simulate", "--rounds", "1", "-o", str(path)])
     assert result.exit_code == 0, result.output
     dataset = load_matches(path)
     dataset.games[:] = [replace(g, odds=(2.5, 3.2, 2.9)) for g in dataset.games]
@@ -731,7 +725,7 @@ def season_with_odds(tmp_path_factory):
 def league_100(tmp_path_factory):
     """``simulate --teams 100`` (9,900 games, runs of 50)."""
     path = tmp_path_factory.mktemp("numpy_free") / "league.csv"
-    result = CliRunner().invoke(main, ["simulate", "--teams", "100", "-o", str(path)])
+    result = invoke(["simulate", "--teams", "100", "-o", str(path)])
     assert result.exit_code == 0, result.output
     return path
 
@@ -816,3 +810,85 @@ def test_season_report_runs_without_the_cli(season_with_odds):
     assert header.split()[:3] == ["season", "p_draw", "kappa_bar"]
     assert set(rule) == {"-"}
     assert row.split()[0] == "season" and row.count(" in (") == 4
+
+
+# ---------------------------------------------------------------------------
+# the command line in a process of its own
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args,error", [
+    (["evaluate", "{season}", "--v0", "1"], "No such option '--v0'."),
+    (["evaluate", "{season}", "--nope"], "No such option '--nope'. Did you mean '--mode'?"),
+    (["evaluate", "{season}", "--sigma", "-1"], "Invalid value for '--sigma': sigma must be a "
+                                                "finite real >= 2.2250738585072014e-308, got -1.0"),
+    (["evaluate", "{season}", "--sigma", "abc"], "Invalid value for '--sigma': 'abc' is not a "
+                                                 "valid float."),
+    (["evaluate", "{season}", "--mode", "bad"], "Invalid value for '--mode': 'bad' is not one of "
+                                                "'elo', 'kappa-elo', 'elo-check'."),
+    (["evaluate", "{season}", "-f", "xml"], "Invalid value for '--output-format' / '-f': 'xml' "
+                                            "is not one of 'json', 'csv'."),
+    (["evaluate", "{season}", "extra"], "Got unexpected extra argument (extra)"),
+    (["evaluate", "{season}", "--sigma", "abc", "--nope"], "No such option '--nope'. Did you "
+                                                           "mean '--mode'?"),
+    (["evaluate", "{season}", "--baseline=1"], "Option '--baseline' does not take a value."),
+    (["stats", "{season}", "-f=csv"], "Invalid value for '--output-format' / '-f': '=csv' is "
+                                      "not one of 'json', 'csv'."),
+    (["rate", "-1"], "No such option '-1'."),
+    (["simulate", "--teams", "1", "-o", "{tmp}/out.csv"], "Invalid value for '--teams': 1 is not "
+                                                          "in the range x>=2."),
+    (["simulate", "--rounds", "x", "-o", "{tmp}/out.csv"], "Invalid value for '--rounds': 'x' is "
+                                                           "not a valid integer range."),
+    (["simulate"], "Missing option '--output' / '-o'."),
+    (["simulate", "-o"], "Option '-o' requires an argument."),
+    (["fit", "{season}", "--max-iters", "1.5"], "Invalid value for '--max-iters': '1.5' is not a "
+                                                "valid integer."),
+    (["fit", "{season}", "--ridge", "-1"], "Invalid value for '--ridge': ridge must be a finite "
+                                           "real >= 0, got -1.0"),
+    (["sweep", "{season}", "--kappa-grid", "a,b"], "bad grid value: could not convert string to "
+                                                   "float: 'a'"),
+    (["sweep", "{season}", "--modes", ","], "grids must be non-empty"),
+    (["rate"], "Missing argument 'INPUT_PATH'."),
+    (["bogus"], "No such command 'bogus'."),
+    (["--nope"], "No such option '--nope'."),
+])
+def test_usage_errors_exit_2_with_their_message(tmp_path, season_with_odds, args, error):
+    result = run_cli([a.format(season=season_with_odds, tmp=tmp_path) for a in args])
+    assert result.returncode == 2
+    assert result.stderr.decode().splitlines()[-1] == f"Error: {error}"
+    assert result.stdout == b"" and not (tmp_path / "out.csv").exists()
+
+
+def test_no_command_lists_the_commands_and_exits_2():
+    result = run_cli([])
+    assert result.returncode == 2 and result.stdout == b""
+    commands = result.stderr.decode().split("Commands:\n")[1].splitlines()
+    assert [line.split()[0] for line in commands] == [
+        "evaluate", "fit", "rate", "simulate", "stats", "sweep"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--version"], ["rate", "--help"], ["stats", "{season}"], ["simulate", "-o", "{tmp}/s.csv"],
+    ["rate", "{season}"], ["fit", "{season}"], ["evaluate", "{season}"],
+    ["sweep", "{season}", "--modes", "kappa-elo,elo"],
+], ids=["version", "help", "stats", "simulate", "rate", "fit", "evaluate", "sweep"])
+def test_no_command_loads_click(tmp_path, season_with_odds, args):
+    result = run_cli(
+        [a.format(season=season_with_odds, tmp=tmp_path) for a in args],
+        driver="from drawelo.cli import main\n"
+               "try:\n    main(sys.argv[1:])\n"
+               "finally:\n    print('click' in sys.modules, file=sys.stderr)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.decode().splitlines()[-1] == "False"
+
+
+def test_csv_output_is_utf8_under_an_ascii_locale(tmp_path):
+    # as the stdout stream's ASCII encoding cannot hold the name
+    path = tmp_path / "accents.csv"
+    path.write_bytes(f"{HEADER}\n01/08/2021,Café,B,H\n02/08/2021,B,Café,D\n".encode())
+    result = run_cli(["rate", str(path), "-f", "csv"],
+                     env={"LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == invoke(["rate", str(path), "-f", "csv"]).stdout.encode()
+    assert result.stdout.startswith(b"team,rating\nCaf\xc3\xa9,")

@@ -19,6 +19,7 @@ from drawelo.evaluation import (
     implied_draw_freq,
     log_score,
     min_length_intervals,
+    realized_probs,
     score_games,
     second_half_window,
     zero_probability,
@@ -61,17 +62,21 @@ def test_cell_log_scores_pick_the_realized_column():
     probs = np.array([[[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]],
                       [[0.5, 0.5, 0.0], [0.1, 0.6, 0.3]]])
     games = [game("A", "B", "A", 0), game("C", "D", "D", 1)]
-    scores = cell_log_scores(probs, games)
+    realized = realized_probs(probs, games)
+    assert realized.tolist() == [[0.25, 0.5], [0.5, 0.3]]
+    scores = cell_log_scores(realized)
     assert scores.shape == (2, 2)
     assert scores[0].tolist() == [-math.log(0.25), -math.log(0.5)]
     assert scores[1].tolist() == [-math.log(0.5), -math.log(0.3)]
-    assert zero_probability(scores[0], games) is None
+    assert zero_probability(realized[0], games) is None
 
 
 def test_zero_probability_names_the_first_game():
     probs = np.array([[[1 / 3] * 3, [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]])
     games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "B", "D", 2)]
-    error = zero_probability(cell_log_scores(probs, games)[0], games)
+    realized = realized_probs(probs, games)
+    assert cell_log_scores(realized).tolist() == [[math.log(3), math.inf, math.inf]]
+    error = zero_probability(realized[0], games)
     assert isinstance(error, ZeroProbabilityError)
     assert str(error) == (
         "game 1 (C vs D, 2021-08-02): prediction assigns probability 0 to realized outcome 'D'"
@@ -84,7 +89,7 @@ def test_cell_log_scores_use_the_same_log_as_score_games():
     p = 0.9973612717493856
     rows = [[(0.0, 0.0, p)] * 8 + [(p, 0.0, 0.0)]]
     games = [game("A", "B", "D", i) for i in range(8)] + [game("A", "B", "H", 8)]
-    scores = cell_log_scores(np.array(rows), games)
+    scores = cell_log_scores(realized_probs(np.array(rows), games))
     assert scores[0].tolist() == score_games(rows[0], games) == [-math.log(p)] * 9
 
 
@@ -99,9 +104,9 @@ def test_score_rows_match_cell_log_scores(data):
                  min_size=n, max_size=n),
         min_size=1, max_size=3))
     games = [game("A", "B", data.draw(st.sampled_from("HDA")), i) for i in range(n)]
-    table = cell_log_scores(np.array(rows, dtype=float), games)
-    for row, scores in zip(rows, table):
-        error = zero_probability(scores, games)
+    realized = realized_probs(np.array(rows, dtype=float), games)
+    for row, probs, scores in zip(rows, realized, cell_log_scores(realized)):
+        error = zero_probability(probs, games)
         if error is None:
             assert score_games(row, games) == scores.tolist()
         else:
@@ -175,9 +180,10 @@ def test_evaluate_cells_rows_match_evaluate_scores(data, window):
     n = data.draw(st.integers(1, 80))
     rows = data.draw(st.lists(st.lists(TIED_SCORES, min_size=n, max_size=n),
                               min_size=1, max_size=4))
-    for row, report in zip(rows, evaluate_cells(np.array(rows), window)):
+    start, end = second_half_window(n) if window == "second-half" else (0, n)
+    for row, report in zip(rows, evaluate_cells(np.array(rows)[:, start:end], (start, end))):
         assert report == evaluate_scores(row, window)
-        start, end = report.window
+        assert report.window == (start, end)
         assert report.per_game_ls == row[start:end]
         assert (report.interval_low, report.interval_high) == brute_min_interval(row[start:end])
 
