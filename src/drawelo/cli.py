@@ -504,7 +504,7 @@ def cmd_sweep(cfg: RunConfig, eta_grid, kappa_grid, modes, jobs):
 def cmd_fit(cfg: RunConfig, max_iters, tol, ridge):
     """Batch maximum-likelihood fit of the ratings on a full game list."""
     with _usage_errors():
-        _lib.check_fit_options(max_iters, tol, ridge)
+        _lib.check_fit_options(cfg.model_params(), max_iters, tol, ridge)
     payload = run_fit(cfg, None, max_iters, tol, ridge)
     _emit(payload, payload["ratings"], ["team", "rating"], cfg.output_format)
     if not payload["converged"]:

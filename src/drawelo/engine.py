@@ -434,7 +434,7 @@ def _check_separable(players: list[str], beats: np.ndarray, linked: np.ndarray):
         )
 
 
-def check_fit_options(max_iters: int, tol: float, ridge: float):
+def check_fit_options(model: ModelParams, max_iters: int, tol: float, ridge: float):
     """Raise ValueError, starting with the argument's name, unless ``batch_ml_fit`` takes these."""
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -442,6 +442,9 @@ def check_fit_options(max_iters: int, tol: float, ridge: float):
         raise ValueError(f"tol must be a positive finite real, got {tol}")
     if not (math.isfinite(ridge) and ridge >= 0):
         raise ValueError(f"ridge must be a finite real >= 0, got {ridge}")
+    sp = model.sigma_prime  # the fit penalizes theta / sigma' by ridge * sigma'^2
+    if ridge and not 0.0 < ridge * sp * sp < math.inf:  # else the ridge is lost or nan
+        raise ValueError(f"ridge * sigma'^2 must be positive and finite, got {ridge} * {sp}^2")
 
 
 def batch_ml_fit(
@@ -475,14 +478,9 @@ def batch_ml_fit(
     or with ``"stalled"`` when 60 halvings find no acceptable step.
     """
     import numpy as np
-    check_fit_options(max_iters, tol, ridge)
+    check_fit_options(model, max_iters, tol, ridge)
     if not games:
         raise ValueError("cannot fit an empty game list")
-    if model.family is ModelFamily.BINARY and any(g.outcome == "D" for g in games):
-        raise ValueError(
-            "binary family assigns probability 0 to draws; "
-            "fit drawn games with a draw-capable family"
-        )
 
     season = compile_season(games)
     players, n = season.players, len(season.players)
@@ -498,8 +496,6 @@ def batch_ml_fit(
     pair_index = home * n + away
     sp = model.sigma_prime
     unit = replace(model, sigma=model.sigma / sp, v0=model.v0 / sp)  # sigma' = 1
-    if ridge and not 0.0 < ridge * sp * sp < math.inf:  # else the ridge is lost or nan
-        raise ValueError(f"ridge * sigma'^2 must be positive and finite, got {ridge} * {sp}^2")
     ridge = ridge * sp * sp  # the same penalty on y
 
     def objective(x: np.ndarray):

@@ -18,9 +18,10 @@ any thread.  Each family's curve is written once: ``davidson_triple`` with
 its expected score ``expected_score``, and ``threshold_triple``.  They take
 a float or a numpy array, so the float and the grid engines call the same
 code, and they never import numpy.  ``predict_probs`` is the one
-per-family entry point for a single difference.  The log-likelihood
-kernels of the batch fit take their slope and curvature from the same
-curves; they import numpy on their first call.
+per-family entry point for a single difference.  The batch fit's
+log-likelihood is one kernel, ``davidson_logp``, which takes its slope and
+curvature from the same curves; ``threshold_logp`` sums its binary terms.
+They import numpy on their first call.
 """
 
 from __future__ import annotations
@@ -234,10 +235,12 @@ def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
 # s (1 home win, 0.5 draw, 0 away win) as arrays, with the scale and the
 # family's parameter as floats in the triples' units, and returns
 # log P(observed outcome) with its first and second derivatives in v.
-# log p is written in t = v / sigma' (10^(v/sigma) = e^t) through log1p and
-# logaddexp, so it stays finite where the probabilities themselves
-# underflow; the derivatives are read off the family's triple.  An outcome
-# the model cannot produce gets log-probability -inf.
+# ``davidson_logp`` is the one formula: binary and elo-implicit are points of
+# it, and ``threshold_logp`` sums its binary (kappa = 0) terms.  log p is
+# written in t = v / sigma' (10^(v/sigma) = e^t) through log1p, so it stays
+# finite where the probabilities themselves underflow; the derivatives are
+# read off the davidson triple.  An outcome the model cannot produce gets
+# log-probability -inf.
 
 
 def davidson_logp(
@@ -270,33 +273,22 @@ def threshold_logp(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Threshold-model log P(outcome | v) and its v-derivatives.
 
-    With w = v0 / sigma' and F the logistic cdf, log p is log F(t - w) for a
-    home win, log F(-t - w) for an away win and
-    log(1 - e^(-2w)) + log F(t + w) + log F(w - t) for a draw, the product
-    form of ``threshold_triple``.  Each log F(x) term contributes
-    F(-x) / sigma' to the slope and -F(x) F(-x) / sigma'^2 to the
-    curvature; F(v0 - v) = p_away + p_draw and F(v + v0) = p_home + p_draw
-    are sums, so they keep their digits where p_home or p_away is near 1.
+    The two cdfs of ``threshold_triple`` as binary terms of ``davidson_logp``
+    at kappa = 0: a home win is the win term at v - v0, an away win the loss
+    term at v + v0, and a draw the loss term at v - v0 plus the win term at
+    v + v0 plus log(1 - 10^(-2 v0 / sigma)), the product form of the draw.
+    log p, slope and curvature are each the sum of the outcome's terms.
     """
     import numpy as np
-    sigma_prime = sigma * LOG10_E
-    t = v / sigma_prime
-    w = v0 / sigma_prime
-    lo, hi = t - w, t + w
     is_home, is_away = s == 1.0, s == 0.0
-    log_band = math.log(-math.expm1(-2.0 * w)) if w > 0 else -math.inf
-    logp = np.where(
-        is_home, -np.logaddexp(0.0, -lo),
-        np.where(is_away, -np.logaddexp(0.0, hi),
-                 log_band - np.logaddexp(0.0, -hi) - np.logaddexp(0.0, lo)),
-    )
-    home, away, draw = threshold_triple(v, sigma, v0)
-    not_home, not_away = away + draw, home + draw
-    slope = np.where(is_home, not_home, np.where(is_away, -not_away, away - home)) / sigma_prime
-    curvature = -(
-        np.where(is_away, 0.0, home * not_home) + np.where(is_home, 0.0, away * not_away)
-    ) / sigma_prime**2
-    return logp, slope, curvature
+    # at v - v0 a home win wins and a draw loses; at v + v0 a draw wins and an away win loses
+    below = davidson_logp(v - v0, 1.0 * is_home, sigma, 0.0)
+    above = davidson_logp(v + v0, 1.0 * ~is_away, sigma, 0.0)
+    logp, slope, curvature = (np.where(is_away, 0.0, low) + np.where(is_home, 0.0, high)
+                              for low, high in zip(below, above))
+    band = -math.expm1(-2.0 * v0 / (sigma * LOG10_E))
+    log_band = math.log(band) if band > 0 else -math.inf
+    return logp + np.where(is_home | is_away, 0.0, log_band), slope, curvature
 
 
 def outcome_logp(

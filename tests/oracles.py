@@ -61,6 +61,53 @@ def threshold(v, sigma, v0):
 # ---------------------------------------------------------------------------
 
 
+def log_logistic(x):
+    """log F(x) = -log(1 + e^(-x)) in natural units, through log1p on either side of 0."""
+    if x >= 0.0:
+        return -math.log1p(math.exp(-x))
+    return x - math.log1p(math.exp(x))
+
+
+def log_sum_exp(*xs):
+    """log(sum e^x): the largest term plus log1p of the others relative to it."""
+    rest = sorted(xs)
+    top = rest.pop()
+    return top + math.log1p(sum(math.exp(x - top) for x in rest))
+
+
+def log_prob(v, outcome, model):
+    """log P(outcome | v) per family from the textbook forms, in t = v / sigma'.
+
+    Nothing is formed as a probability, so it stays finite far past where
+    the probabilities underflow.
+    """
+    t, family = v / model.sigma_prime, model.family
+    if family is ModelFamily.DAVIDSON:
+        # e^(t/2), e^(-t/2) and kappa, each over their sum
+        log_kappa = math.log(model.kappa) if model.kappa > 0 else -math.inf
+        numerators = {"H": 0.5 * t, "A": -0.5 * t, "D": log_kappa}
+        own = numerators[outcome]
+        if own == -math.inf:
+            return own
+        # each term relative to the outcome's own, so no large t cancels
+        return -log_sum_exp(*(x - own for x in numerators.values()))
+    if family is ModelFamily.BINARY:
+        return {"H": log_logistic(t), "A": log_logistic(-t), "D": -math.inf}[outcome]
+    if family is ModelFamily.ELO_IMPLICIT:
+        win, loss = log_logistic(t), log_logistic(-t)
+        return {"H": 2.0 * win, "A": 2.0 * loss, "D": math.log(2.0) + win + loss}[outcome]
+    w = model.v0 / model.sigma_prime
+    if outcome == "H":
+        return log_logistic(t - w)
+    if outcome == "A":
+        return log_logistic(-t - w)
+    # F(t + w) - F(t - w) = (1 - e^(-2w)) F(t + w) F(w - t)
+    band = -math.expm1(-2.0 * w)
+    if band <= 0.0:
+        return -math.inf
+    return math.log(band) + log_logistic(t + w) + log_logistic(w - t)
+
+
 def nll(theta, games, model):
     """Negative log likelihood, one scalar probability triple per game."""
     total = 0.0

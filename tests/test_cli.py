@@ -453,6 +453,12 @@ def test_fit_has_no_step_option(toy_file):
     assert result.exit_code == 2
 
 
+def test_fit_binary_on_draws_is_a_numeric_error_naming_the_game(draws_file):
+    result = invoke(["fit", str(draws_file), "--family", "binary"])
+    assert result.exit_code == 4
+    assert "game 0 (A vs B)" in result.stderr
+
+
 def test_fit_separable_data_is_a_numeric_error(tmp_path):
     path = tmp_path / "sep.csv"
     path.write_text(f"{HEADER}\n01/08/2021,A,B,H\n02/08/2021,A,B,H\n")
@@ -604,7 +610,8 @@ def test_nan_is_printed_as_null_or_empty():
      (["fit", "missing.csv", "--sigma", "1e300", "--eta", "1e10"], "--eta"),
      (["fit", "missing.csv", "--sigma", "5e-324"], "--sigma"),
      (["simulate", "--teams", "1", "-o", "out.csv"], "--teams"),
-     (["simulate", "--rounds", "0", "-o", "out.csv"], "--rounds")],
+     (["simulate", "--rounds", "0", "-o", "out.csv"], "--rounds"),
+     (["fit", "missing.csv", "--sigma", "1e160", "--ridge", "1e-4"], "--ridge")],
 )
 def test_invalid_fit_or_simulate_option_is_a_usage_error(tmp_path, monkeypatch, args, option):
     # the input does not exist: reading it first would be a data error, exit 3
@@ -851,6 +858,9 @@ def test_season_report_runs_without_the_cli(season_with_odds):
     (["rate"], "Missing argument 'INPUT_PATH'."),
     (["bogus"], "No such command 'bogus'."),
     (["--nope"], "No such option '--nope'."),
+    (["fit", "{season}", "--sigma", "1e160", "--ridge", "1e-4"],
+     "Invalid value for '--ridge': ridge * sigma'^2 must be positive and finite, got 0.0001 * "
+     "4.342944819032518e+159^2"),
 ])
 def test_usage_errors_exit_2_with_their_message(tmp_path, season_with_odds, args, error):
     result = run_cli([a.format(season=season_with_odds, tmp=tmp_path) for a in args])

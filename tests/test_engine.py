@@ -761,8 +761,25 @@ def test_batch_fit_ridge_rescues_separable_data():
 
 def test_batch_fit_rejects_draws_under_binary():
     games = [game("A", "B", "D")]
-    with pytest.raises(ValueError, match="draw"):
+    with pytest.raises(ZeroProbabilityError, match=r"game 0 \(A vs B\)"):
         batch_ml_fit(games, fit_model(family=ModelFamily.BINARY))
+
+
+def test_batch_fit_threshold_at_zero_band_is_binary_bit_for_bit():
+    # on decisive games a zero-width draw band leaves the two binary terms
+    # of the threshold likelihood, each the binary kernel at v itself
+    from drawelo.sim import SimSpec, generate_season
+
+    truth = {f"T{i + 1:02d}": (9.5 - i) * 0.1 * SIGMA for i in range(20)}
+    spec = SimSpec(theta_true=truth, model=fit_model(ModelFamily.BINARY, eta=0.3), rounds=2,
+                   seed=4)
+    games = generate_season(spec).games
+    binary = batch_ml_fit(games, fit_model(ModelFamily.BINARY, eta=0.3))
+    threshold = batch_ml_fit(games, fit_model(ModelFamily.THRESHOLD, eta=0.3, v0=0.0))
+    assert binary.converged
+    assert threshold.theta == binary.theta
+    assert threshold.nll == binary.nll
+    assert threshold.iterations == binary.iterations
 
 
 def test_batch_fit_rejects_empty_input():

@@ -418,13 +418,13 @@ def test_sigma_prime_is_natural_log_scale():
     assert params().sigma_prime == pytest.approx(600 * math.log10(math.e), rel=1e-15)
 
 
-@pytest.mark.parametrize(
-    "family,kw",
-    [(ModelFamily.DAVIDSON, {"kappa": 0.7}),
-     (ModelFamily.ELO_IMPLICIT, {}),
-     (ModelFamily.BINARY, {}),
-     (ModelFamily.THRESHOLD, {"v0": 150.0})],
-)
+LOGP_FAMILIES = [(ModelFamily.DAVIDSON, {"kappa": 0.7}),
+                 (ModelFamily.ELO_IMPLICIT, {}),
+                 (ModelFamily.BINARY, {}),
+                 (ModelFamily.THRESHOLD, {"v0": 150.0})]
+
+
+@pytest.mark.parametrize("family,kw", LOGP_FAMILIES)
 def test_logp_kernel_slope_and_curvature_match_the_scalar_derivative(family, kw):
     p = params(family=family, **kw)
     v = np.array(GRID_V[10:-10])  # -4 sigma .. 4 sigma
@@ -441,6 +441,25 @@ def test_logp_kernel_slope_and_curvature_match_the_scalar_derivative(family, kw)
             up, down = oracles.dlogp_dv(x + h, outcome, p), oracles.dlogp_dv(x - h, outcome, p)
             fd = (up - down) / (2 * h)
             assert d2 == pytest.approx(fd, rel=1e-5, abs=1e-12 / SIGMA**2)
+
+
+TAIL_V = [i * SIGMA for i in range(-400, 401, 5)]  # -400 sigma .. 400 sigma
+
+
+@pytest.mark.parametrize("family,kw", LOGP_FAMILIES)
+def test_logp_kernel_stays_finite_and_exact_where_probabilities_underflow(family, kw):
+    p = params(family=family, **kw)
+    v = np.array(TAIL_V)
+    for outcome, score in (("H", 1.0), ("D", 0.5), ("A", 0.0)):
+        if family is ModelFamily.BINARY and outcome == "D":
+            continue
+        logp, slope, curvature = outcome_logp(v, np.full(v.shape, score), p)
+        assert np.isfinite(logp).all() and np.isfinite(slope).all()
+        assert np.isfinite(curvature).all()
+        for x, lp in zip(TAIL_V, logp):
+            assert lp == pytest.approx(oracles.log_prob(x, outcome, p), rel=1e-12, abs=0)
+    # the far end is beyond the floats: the underdog's probability is 0
+    assert predict_probs(TAIL_V[-1], p).p_away == 0.0
 
 
 # ---------------------------------------------------------------------------
