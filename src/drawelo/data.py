@@ -17,7 +17,6 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
 
 from .errors import RowError, SchemaError
 from .models import OutcomeProbs
@@ -42,6 +41,9 @@ class GameRecord:
     odds: tuple[float, float, float] | None = None
 
     def __post_init__(self):
+        for name in ("home_id", "away_id"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be a non-empty team name")
         if self.home_id == self.away_id:
             raise ValueError(f"home and away must differ, got {self.home_id!r} twice")
         if self.outcome not in OUTCOMES:
@@ -106,8 +108,8 @@ def _parse_odds(cells: list[str], line: int) -> tuple[float, float, float] | Non
     return odds  # GameRecord checks the values; parse_matches names the line
 
 
-def parse_matches(source: str | TextIO) -> Dataset:
-    """Parse a football-data CSV stream into a Dataset.
+def parse_matches(text: str) -> Dataset:
+    """Parse football-data CSV text into a Dataset.
 
     Games are sorted by date, preserving file order within a date (the
     files themselves do not record kick-off order).  Duplicate fixtures on
@@ -115,7 +117,6 @@ def parse_matches(source: str | TextIO) -> Dataset:
     last of a repeated column wins and a row's cells past the header are
     ignored, missing ones empty.
     """
-    text = source if isinstance(source, str) else source.read()
     # a spreadsheet's UTF-8 byte-order mark would hide the first column's name
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     header = next(reader, [])

@@ -159,15 +159,15 @@ def score_of(outcome: str) -> float:
     return _HOME_SCORE[outcome]
 
 
-def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, float]:
-    """shift, step, update kappa, prediction sigma and prediction kappa of a mode.
+def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, float, float]:
+    """shift, step, update (sigma, kappa) and prediction (sigma, kappa) of a mode.
 
     Every mode updates by step * (s - f_kappa(v + shift)) at the update
-    kappa and predicts with davidson at the prediction (sigma, kappa).
-    kappa-elo uses the model's kappa for both.  elo and elo-check update
-    with the logistic expected score, f_0; elo predicts with the draw model
-    that update implies, davidson at kappa = 2 and half the scale, and
-    elo-check with check_kappa.
+    (sigma, kappa) and predicts with davidson at the prediction (sigma,
+    kappa).  kappa-elo uses the model's kappa for both.  elo and elo-check
+    update with the logistic expected score, f_0; elo predicts with the
+    draw model that update implies, davidson at kappa = 2 and half the
+    scale, and elo-check with check_kappa.
     """
     model = config.model
     sigma = model.sigma
@@ -177,12 +177,13 @@ def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, f
         update_kappa, predict_sigma, predict_kappa = 0.0, 0.5 * sigma, 2.0
     else:
         update_kappa, predict_sigma, predict_kappa = 0.0, sigma, config.check_kappa
-    return model.eta * sigma, config.k_tilde * sigma, update_kappa, predict_sigma, predict_kappa
+    return (model.eta * sigma, config.k_tilde * sigma, sigma, update_kappa,
+            predict_sigma, predict_kappa)
 
 
 def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> OutcomeProbs:
     """Outcome probabilities for a fixture under the state's ratings; unseen players rate 0."""
-    shift, _, _, sigma, kappa = mode_parameters(config)
+    shift, _, _, _, sigma, kappa = mode_parameters(config)
     ratings = state.ratings
     v = (ratings.get(home, 0.0) - ratings.get(away, 0.0)) + shift
     if not math.isfinite(v):
@@ -274,18 +275,14 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     ``expected_score`` and ``davidson_triple`` on arrays, so each cell
     matches a ``run_season`` of its configuration bit for bit.  A
     configuration whose ratings stop being finite is not raised here:
-    ``OnlineRun.error`` reports it.  Configurations with equal parameters
-    (elo reads no kappa) are stepped once and share their rows.
+    ``OnlineRun.error`` reports it.
     """
     import numpy as np
-    # per distinct configuration: the mode's five parameters and the scale
-    row_of: dict[tuple, int] = {}
-    rows = [row_of.setdefault((*mode_parameters(c), c.model.sigma), len(row_of)) for c in configs]
-    table = np.array(list(row_of), dtype=float).reshape(len(row_of), 6)
-    shift, step, kappa, predict_sigma, predict_kappa, sigma = table.T[:, :, None]
+    table = np.array([mode_parameters(c) for c in configs], dtype=float).reshape(len(configs), 6)
+    shift, step, sigma, kappa, predict_sigma, predict_kappa = table.T[:, :, None]
     home_index, away_index, score = season.arrays()
-    ratings = np.zeros((len(row_of), len(season.players)))
-    diffs = np.empty((len(row_of), len(score)))
+    ratings = np.zeros((len(configs), len(season.players)))
+    diffs = np.empty((len(configs), len(score)))
     runs = season.runs
     with np.errstate(invalid="ignore", over="ignore"):
         for start, end in zip(runs[:-1], runs[1:]):
@@ -296,8 +293,6 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
             ratings[:, away] -= delta
             diffs[:, start:end] = v
         probs = np.stack(davidson_triple(diffs, predict_sigma, predict_kappa), axis=-1)
-    if len(row_of) < len(rows):  # one row per configuration again
-        diffs, probs, ratings = diffs[rows], probs[rows], ratings[rows]
     return OnlineRun(diffs, probs, ratings)
 
 
@@ -313,8 +308,7 @@ def run_season(
     first non-finite rating difference raises.
     """
     season = compile_season(games, players)
-    shift, step, kappa, predict_sigma, predict_kappa = mode_parameters(config)
-    sigma = config.model.sigma
+    shift, step, sigma, kappa, predict_sigma, predict_kappa = mode_parameters(config)
     ratings = [0.0] * len(season.players)
     predictions, deltas = [], []
     for h, a, s in zip(season.home, season.away, season.score):
@@ -475,7 +469,8 @@ def batch_ml_fit(
     under the model at unit sigma', so no curvature overflows or underflows
     at any scale.  ``iterations`` counts Newton steps taken.
     The fit stops unconverged with ``"max-iters"`` after max_iters steps,
-    or with ``"stalled"`` when 60 halvings find no acceptable step.
+    or with ``"stalled"`` when 60 halvings find no acceptable step.  A
+    singular Newton system raises ``ConvergenceError``.
     """
     import numpy as np
     check_fit_options(model, max_iters, tol, ridge)
@@ -528,7 +523,11 @@ def batch_ml_fit(
         pair += pair.T
         hess = np.diag(pair.sum(axis=1) + 2.0 * ridge) - pair
         hess += hess.diagonal().mean() * pin
-        step = np.linalg.solve(hess, -grad)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                "the Newton system became singular - enable ridge regularization") from None
         decrease = 1e-4 * float(grad @ step)  # Armijo fraction of the predicted change
         alpha = 1.0
         for _ in range(60):

@@ -88,15 +88,13 @@ def cell_log_scores(realized: np.ndarray) -> np.ndarray:
     """Log scores of a (cells, games) array of realized probabilities; 0 scores inf.
 
     Positive probabilities go through ``math.log``, as in ``score_games``:
-    numpy's vectorised log can differ from it in the last bit.  One row at
-    a time keeps the Python floats few.
+    numpy's vectorised log can differ from it in the last bit.
     """
     import numpy as np
     with np.errstate(divide="ignore"):
         logs = np.log(realized)
-    for out, row in zip(logs, realized):
-        positive = row > 0.0
-        out[positive] = np.fromiter(map(math.log, row[positive].tolist()), dtype=float)
+    positive = realized > 0.0
+    logs[positive] = np.fromiter(map(math.log, realized[positive].tolist()), dtype=float)
     return np.negative(logs, out=logs)
 
 

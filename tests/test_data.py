@@ -168,6 +168,14 @@ def test_parse_bad_ftr_is_row_error_with_line():
     assert exc_info.value.line == 3
 
 
+def test_parse_empty_team_cell_is_row_error_with_line():
+    # only a fully blank row is skipped; an empty or blank team is no team
+    text = f"{HEADER}\n12/08/2017,A,B,H,,,\n13/08/2017,C,  ,A,,,\n"
+    with pytest.raises(RowError, match="line 3: away_id") as exc_info:
+        parse_matches(text)
+    assert exc_info.value.line == 3
+
+
 def test_load_undecodable_byte_is_row_error_with_line(tmp_path):
     # latin-1 "Cafe" with an acute e: replacing the byte would merge it with
     # any other team whose name differs only there
@@ -269,6 +277,10 @@ def test_simulated_season_flows_through_the_parser():
 def test_game_record_validation():
     with pytest.raises(ValueError, match="differ"):
         game("A", "A", "H")
+    with pytest.raises(ValueError, match="^home_id"):
+        game("", "B", "H")
+    with pytest.raises(ValueError, match="^away_id"):
+        game("A", "", "H")
     with pytest.raises(ValueError, match="outcome"):
         game("A", "B", "W")
     with pytest.raises(ValueError, match="odds"):

@@ -326,18 +326,13 @@ def test_run_online_cells_do_not_interact(vectorize, cases):
             assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
 
 
-def test_run_online_steps_equal_configurations_once(monkeypatch):
-    # elo reads no kappa, so the three elo cells are one row of the kernel;
+def test_run_online_equal_configurations_match_alone():
+    # elo reads no kappa, so the three elo cells have equal parameters;
     # each comes back bit for bit as it does alone
     games = random_games(np.random.default_rng(3), list("ABCDEF"), 60)
     season = compile_season(games)
     cells = [config(mode=UpdateMode.ELO, kappa=k) for k in (0.4, 1.0, 2.0)] + [config()]
-    widths = []
-    expected_score = engine.expected_score
-    monkeypatch.setattr(engine, "expected_score",
-                        lambda v, *args: widths.append(len(v)) or expected_score(v, *args))
     together = run_online(season, cells)
-    assert widths and set(widths) == {2}
     for c, cell in enumerate(cells):
         one = run_online(season, [cell])
         for field in ("diffs", "probs", "ratings"):
@@ -780,6 +775,31 @@ def test_batch_fit_threshold_at_zero_band_is_binary_bit_for_bit():
     assert threshold.theta == binary.theta
     assert threshold.nll == binary.nll
     assert threshold.iterations == binary.iterations
+
+
+def test_batch_fit_halves_a_step_that_overshoots(monkeypatch):
+    # A beat B, then A drew B: under a threshold band of v0 = 2 sigma the full
+    # Newton step overshoots, so the Armijo test halves it before it is taken
+    calls = []
+    game_terms = engine._game_terms
+    monkeypatch.setattr(engine, "_game_terms",
+                        lambda *args: calls.append(1) or game_terms(*args))
+    games = [game("A", "B", "H", 0), game("A", "B", "D", 1)]
+    result = batch_ml_fit(games, fit_model(family=ModelFamily.THRESHOLD, v0=1200.0))
+    assert result.converged and result.stop_reason == "gradient"
+    assert len(calls) > result.iterations + 1  # one evaluation per step and the flat start
+
+
+def test_batch_fit_names_a_singular_newton_system():
+    # under a band of v0 = 5000 the curvature vanishes and the Newton solve
+    # fails; a ridge keeps the system regular
+    results = [("T0", "T2", "A"), ("T0", "T1", "A"), ("T2", "T1", "D"),
+               ("T1", "T0", "D"), ("T0", "T1", "A"), ("T1", "T0", "H")]
+    games = [game(h, a, o, day) for day, (h, a, o) in enumerate(results)]
+    model = fit_model(family=ModelFamily.THRESHOLD, v0=5000.0)
+    with pytest.raises(ConvergenceError, match="singular.*ridge"):
+        batch_ml_fit(games, model)
+    assert batch_ml_fit(games, model, ridge=1e-9).converged
 
 
 def test_batch_fit_rejects_empty_input():
