@@ -304,7 +304,7 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
         # writes "idx," before every cell.
         names = [_rows_to_csv([], [team, ""])[:-1] for team in result.trajectory.players]
         cells = [f"{name}0\n" for name in names]  # every team starts at rating 0
-        with open(trajectory_path, "w", newline="", encoding="utf-8") as fh:
+        with open(trajectory_path, "w", newline="", encoding="utf-8", buffering=1 << 20) as fh:
             fh.write("game_index,team,rating\n")
             for idx, (h, home, a, away) in enumerate(result.trajectory.moves(), start=1):
                 cells[h] = f"{names[h]}{home:.6g}\n"

@@ -16,6 +16,7 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import RowError, SchemaError
@@ -26,7 +27,7 @@ ODDS_COLUMNS = ("B365H", "B365D", "B365A")
 OUTCOMES = ("H", "D", "A")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GameRecord:
     """One fixture: identities, categorical outcome, optional decimal odds.
 
@@ -41,9 +42,10 @@ class GameRecord:
     odds: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        for name in ("home_id", "away_id"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be a non-empty team name")
+        if not self.home_id:
+            raise ValueError("home_id must be a non-empty team name")
+        if not self.away_id:
+            raise ValueError("away_id must be a non-empty team name")
         if self.home_id == self.away_id:
             raise ValueError(f"home and away must differ, got {self.home_id!r} twice")
         if self.outcome not in OUTCOMES:
@@ -83,7 +85,7 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _parse_date(text: str, line: int) -> dt.date:
+def _parse_date(text: str) -> dt.date:
     parts = text.split("/")
     if len(parts) == 3 and text.isascii():
         d, m, y = parts
@@ -95,17 +97,16 @@ def _parse_date(text: str, line: int) -> dt.date:
                 return dt.date(year, int(m), int(d))
             except ValueError:
                 pass  # no such date
-    raise RowError(f"unparseable date {text!r}", line)
+    raise ValueError(f"unparseable date {text!r}")
 
 
-def _parse_odds(cells: list[str], line: int) -> tuple[float, float, float] | None:
+def _parse_odds(cells: list[str]) -> tuple[float, float, float] | None:
     if any(c == "" for c in cells):
         return None
     try:
-        odds = tuple(float(c) for c in cells)
+        return tuple(float(c) for c in cells)  # GameRecord checks the values
     except ValueError:
-        raise RowError(f"unparseable odds {cells}", line) from None
-    return odds  # GameRecord checks the values; parse_matches names the line
+        raise ValueError(f"unparseable odds {cells}") from None
 
 
 def parse_matches(text: str) -> Dataset:
@@ -130,7 +131,6 @@ def parse_matches(text: str) -> Dataset:
 
     games: list[GameRecord] = []
     for row in reader:
-        line = reader.line_num
         if len(row) < width:
             row += [""] * (width - len(row))
         date_cell = row[date_i].strip()
@@ -139,17 +139,16 @@ def parse_matches(text: str) -> Dataset:
         outcome = row[ftr_i].strip()
         if not (date_cell or home or away or outcome):
             continue  # blank line
-        if outcome not in OUTCOMES:
-            raise RowError(f"FTR must be one of {OUTCOMES}, got {outcome!r}", line)
-        date = _parse_date(date_cell, line)
-        odds = _parse_odds([row[i].strip() for i in odds_i], line) if odds_i else None
-        try:
-            record = GameRecord(date=date, home_id=home, away_id=away, outcome=outcome, odds=odds)
+        try:  # the line is read only for a row at fault
+            if outcome not in OUTCOMES:
+                raise ValueError(f"FTR must be one of {OUTCOMES}, got {outcome!r}")
+            date = _parse_date(date_cell)
+            odds = _parse_odds([row[i].strip() for i in odds_i]) if odds_i else None
+            games.append(GameRecord(date, home, away, outcome, odds))
         except ValueError as exc:
-            raise RowError(str(exc), line) from None
-        games.append(record)
+            raise RowError(str(exc), reader.line_num) from None
 
-    games.sort(key=lambda g: g.date)  # stable: file order kept within a date
+    games.sort(key=attrgetter("date"))  # stable: file order kept within a date
     return Dataset(games=games)
 
 

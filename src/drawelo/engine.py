@@ -20,8 +20,8 @@ game on floats without numpy; ``run_online`` advances a grid of them on
 numpy arrays, one vector step per run of games in which no team appears
 twice.  Both paths call the one ``expected_score`` and ``davidson_triple``
 of ``models``.  Every player starts at rating 0.  ``predict`` forecasts a
-fixture from a ``RatingState``; ``run_season``'s trajectory is iterated,
-not indexed.
+fixture from a ``RatingState``; ``run_season``'s forecasts are built when
+read, and its trajectory is iterated, not indexed.
 
 The batch side minimizes the negative log likelihood of a fixed game list
 by damped Newton steps on game arrays, pinning each connected group's
@@ -34,6 +34,7 @@ import math
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .data import GameRecord
@@ -134,18 +135,39 @@ class Trajectory:
             yield dict(zip(self.players[:known], ratings))
 
 
+class Forecasts(Sequence):
+    """Read-only forecasts, each built from its game's difference when read; equal to their list."""
+
+    def __init__(self, diffs: list[float], sigma: float, kappa: float):
+        self._diffs, self._sigma, self._kappa = diffs, sigma, kappa
+
+    def __len__(self) -> int:
+        return len(self._diffs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Forecasts(self._diffs[i], self._sigma, self._kappa)
+        return OutcomeProbs(*davidson_triple(self._diffs[i], self._sigma, self._kappa))
+
+    def __iter__(self) -> Iterator[OutcomeProbs]:
+        return (OutcomeProbs(*davidson_triple(v, self._sigma, self._kappa)) for v in self._diffs)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, Forecasts) else other)
+
+
 @dataclass
 class SeasonResult:
     """Output of a sequential season run.
 
-    ``predictions[i]`` is the forecast made *before* game i was processed.
-    Iterating ``trajectory`` yields the ratings just after each game in
-    turn, rebuilt lazily from one rating change per game (see
-    ``Trajectory``).
+    ``predictions[i]`` is the forecast made *before* game i was processed,
+    computed when it is read (see ``Forecasts``).  Iterating ``trajectory``
+    yields the ratings just after each game in turn, rebuilt lazily from
+    one rating change per game (see ``Trajectory``).
     """
 
     state: RatingState
-    predictions: list[OutcomeProbs]
+    predictions: Sequence[OutcomeProbs]
     trajectory: Trajectory
 
 
@@ -203,18 +225,28 @@ class CompiledSeason:
     ``players`` is the rating index order: the players given up front, then
     teams by first appearance (home before away).  ``home`` and ``away``
     hold each game's rating indices and ``score`` its home score, in stdlib
-    arrays; ``arrays()`` reads them as numpy arrays.  ``runs`` holds the first
-    game of each maximal run of consecutive games in which no player
-    appears twice, then the game count.  ``known[i]`` counts the players
-    rated after game i.
+    arrays; ``arrays()`` reads them as numpy arrays.  ``runs``, computed on
+    first read, holds the first game of each maximal run of consecutive games
+    in which no player appears twice, then the game count.  ``known[i]``
+    counts the players rated after game i.
     """
 
     players: list[str]
     home: array
     away: array
     score: array
-    runs: list[int]
     known: list[int]
+
+    @cached_property
+    def runs(self) -> list[int]:
+        runs, in_run = [], set()
+        for i, (h, a) in enumerate(zip(self.home, self.away)):
+            if not runs or h in in_run or a in in_run:
+                runs.append(i)
+                in_run = set()
+            in_run.update((h, a))
+        runs.append(len(self.home))
+        return runs
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``home``, ``away`` and ``score`` as numpy arrays, for the vector side."""
@@ -226,26 +258,18 @@ class CompiledSeason:
 def compile_season(
     games: Sequence[GameRecord], players: Iterable[str] | None = None
 ) -> CompiledSeason:
-    """Rating indices, home scores and disjoint runs of a game list."""
+    """Rating indices and home scores of a game list."""
     index: dict[str, int] = {}
     for player in players or ():
         index.setdefault(player, len(index))
     home, away = array("q"), array("q")
-    runs: list[int] = []
     known: list[int] = []
-    in_run: set[int] = set()
-    for i, g in enumerate(games):
-        h, a = index.setdefault(g.home_id, len(index)), index.setdefault(g.away_id, len(index))
-        if not runs or h in in_run or a in in_run:
-            runs.append(i)
-            in_run = set()
-        in_run.update((h, a))
-        home.append(h)
-        away.append(a)
+    for g in games:
+        home.append(index.setdefault(g.home_id, len(index)))
+        away.append(index.setdefault(g.away_id, len(index)))
         known.append(len(index))
-    runs.append(len(games))
     score = array("d", [score_of(g.outcome) for g in games])
-    return CompiledSeason(list(index), home, away, score, runs, known)
+    return CompiledSeason(list(index), home, away, score, known)
 
 
 @dataclass(frozen=True)
@@ -303,14 +327,14 @@ def run_season(
 ) -> SeasonResult:
     """Process games in order, predicting each one before updating on it.
 
-    One configuration steps game by game on plain floats and forecasts each
-    game with ``davidson_triple`` on floats; numpy is never imported.  The
-    first non-finite rating difference raises.
+    One configuration steps game by game on plain floats and keeps each
+    game's difference; ``Forecasts`` applies ``davidson_triple`` to it when
+    read.  numpy is never imported.  The first non-finite difference raises.
     """
     season = compile_season(games, players)
     shift, step, sigma, kappa, predict_sigma, predict_kappa = mode_parameters(config)
     ratings = [0.0] * len(season.players)
-    predictions, deltas = [], []
+    diffs, deltas = [], []
     for h, a, s in zip(season.home, season.away, season.score):
         v = (ratings[h] - ratings[a]) + shift
         if not math.isfinite(v):
@@ -318,11 +342,11 @@ def run_season(
         delta = step * (s - expected_score(v, sigma, kappa))
         ratings[h] += delta
         ratings[a] -= delta
+        diffs.append(v)
         deltas.append(delta)
-        predictions.append(OutcomeProbs(*davidson_triple(v, predict_sigma, predict_kappa)))
     return SeasonResult(
         state=RatingState(ratings=dict(zip(season.players, ratings))),
-        predictions=predictions,
+        predictions=Forecasts(diffs, predict_sigma, predict_kappa),
         trajectory=Trajectory(season, deltas),
     )
 

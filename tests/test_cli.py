@@ -20,6 +20,7 @@ from drawelo.data import Dataset, load_matches, serialize_matches
 from drawelo.engine import EngineConfig, FitResult, RatingState, UpdateMode, run_season
 from drawelo.evaluation import evaluate_configs
 from drawelo.models import ModelParams
+from drawelo.sim import SimSpec, generate_season
 
 HEADER = "Date,HomeTeam,AwayTeam,FTR"
 
@@ -112,6 +113,25 @@ def test_rate_trajectory_quotes_names_as_csv_writer_does(tmp_path):
     assert dataset.team_names == ["Team, United", 'B "b"', "Plain", "Line\nBreak"]
     result = run_season(dataset.games, cfg.engine_config(), players=dataset.team_names)
     assert traj.read_bytes() == oracles.trajectory_csv(result.trajectory).encode()
+
+
+def test_rate_trajectory_past_the_write_buffer_matches_csv_writer(tmp_path):
+    # 50 teams write about 1.7 MB, more than the writer's 1 MiB buffer
+    season = generate_season(SimSpec({f"T{i:02d}": 12.0 * i for i in range(50)}, seed=4))
+    names = {"T07": 'Club "Q", FC', "T31": "Ferencváros"}
+    games = [replace(g, home_id=names.get(g.home_id, g.home_id),
+                     away_id=names.get(g.away_id, g.away_id)) for g in season.games]
+    path = tmp_path / "season.csv"
+    path.write_text(serialize_matches(Dataset(games)), encoding="utf-8")
+    traj = tmp_path / "trajectory.csv"
+    cfg = RunConfig(command="rate", input_path=str(path))
+    run_rate(cfg, str(traj))
+    dataset = load_matches(path)
+    assert set(names.values()) <= set(dataset.team_names)
+    result = run_season(dataset.games, cfg.engine_config(), players=dataset.team_names)
+    want = oracles.trajectory_csv(result.trajectory).encode("utf-8")
+    assert len(want) > 1 << 20
+    assert traj.read_bytes() == want
 
 
 def test_rate_writes_utf8_under_an_ascii_locale(tmp_path):

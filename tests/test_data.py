@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import datetime as dt
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,12 +74,12 @@ _DATE_PART = st.text("0123456789", min_size=1, max_size=5) | st.text(
 def test_parse_date_agrees_with_strptime(text):
     want = oracles.parse_date(text)
     if want is None:
-        with pytest.raises(RowError) as exc_info:
-            _parse_date(text, 7)
-        assert str(exc_info.value) == f"line 7: unparseable date {text!r}"
-        assert exc_info.value.line == 7
+        # parse_matches adds the line (test_parse_bad_date_is_row_error)
+        with pytest.raises(ValueError) as exc_info:
+            _parse_date(text)
+        assert str(exc_info.value) == f"unparseable date {text!r}"
     else:
-        assert _parse_date(text, 7) == want
+        assert _parse_date(text) == want
 
 
 def test_parse_header_only():
@@ -191,6 +194,12 @@ def test_load_undecodable_byte_is_row_error_with_line(tmp_path):
 def test_parse_bad_date_is_row_error():
     with pytest.raises(RowError, match="date"):
         parse_matches("Date,HomeTeam,AwayTeam,FTR\n2017-08-12,A,B,H\n")
+    # the line is the file's, past a quoted cell that spans two
+    text = 'Date,HomeTeam,AwayTeam,FTR\n12/08/2017,"A\nA",B,H\n31/02/2017,C,D,A\n'
+    with pytest.raises(RowError) as exc_info:
+        parse_matches(text)
+    assert str(exc_info.value) == "line 4: unparseable date '31/02/2017'"
+    assert exc_info.value.line == 4
 
 
 def test_parse_bad_odds_are_row_errors():
@@ -285,6 +294,36 @@ def test_game_record_validation():
         game("A", "B", "W")
     with pytest.raises(ValueError, match="odds"):
         game("A", "B", "H", odds=(0.9, 2.0, 3.0))
+
+
+def test_game_record_is_a_slotted_frozen_value():
+    record = game("A", "B", "H", 3, odds=(1.5, 4.0, 6.0))
+    assert not hasattr(record, "__dict__")
+    for same in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+                 dataclasses.replace(record)):
+        assert same == record and hash(same) == hash(record)
+    assert dataclasses.replace(record, odds=None) == game("A", "B", "H", 3)
+    assert len({record, game("A", "B", "H", 3, odds=(1.5, 4.0, 6.0)), game("B", "A", "H", 3)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.outcome = "D"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del record.odds
+    # CPython's slotted frozen dataclasses raise TypeError for a name that is no field
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = "D"
+    assert record == game("A", "B", "H", 3, odds=(1.5, 4.0, 6.0))
+    # replace runs the same checks, with the same messages
+    for change, message in [
+        ({"away_id": "A"}, "home and away must differ, got 'A' twice"),
+        ({"home_id": ""}, "home_id must be a non-empty team name"),
+        ({"away_id": ""}, "away_id must be a non-empty team name"),
+        ({"outcome": "W"}, "outcome must be one of ('H', 'D', 'A'), got 'W'"),
+        ({"odds": (0.9, 2.0, 3.0)},
+         "decimal odds must all be finite and exceed 1, got (0.9, 2.0, 3.0)"),
+    ]:
+        with pytest.raises(ValueError) as exc_info:
+            dataclasses.replace(record, **change)
+        assert str(exc_info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from drawelo.engine import (
 )
 from drawelo.evaluation import evaluate_configs, evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
-from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, predict_probs
+from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, davidson_triple, predict_probs
 from oracles import finite_diff_gradient
 
 SIGMA = 600.0
@@ -297,6 +298,54 @@ def test_run_season_matches_the_scalar_oracle(vectorize, case, players_kind):
         return
     report = evaluate_scores(score_games(result.predictions, games))
     check_report(report.mean_ls, report.interval_low, report.interval_high, scores)
+
+
+@pytest.mark.parametrize("mode", list(UpdateMode))
+@settings(max_examples=100, deadline=None)
+@given(case=online_cases())
+def test_forecasts_read_like_the_list_they_stand_for(mode, case):
+    # the vector kernel's list is the forecasts bit for bit; the scalar
+    # oracle, which rounds differently, agrees to 1e-12
+    config, _, games = case
+    config = replace(config, mode=mode)
+    got = run_season(games, config).predictions
+    eager = one_cell_run(games, config).predictions
+    _, oracle, _ = oracles.run_season(games, config)
+    n = len(eager)
+    assert len(got) == len(oracle) == n
+    assert got == eager and eager == got and not got != eager
+    assert list(got) == eager
+    assert [got[i] for i in range(-n, n)] == eager + eager
+    assert got[1:] == eager[1:] and got[::-2] == eager[::-2]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            got[i]
+    for lazy, want in zip(got, oracle):
+        assert all(abs(a - b) <= 1e-12 * b for a, b in zip(lazy, want))
+    if n:
+        assert got != eager[:-1] and got != eager[:-1] + [OutcomeProbs(0.0, 0.0, 1.0)]
+
+
+def test_rate_builds_no_forecast(tmp_path, monkeypatch):
+    from drawelo.cli import RunConfig, run_rate
+    from drawelo.data import serialize_matches
+    from drawelo.sim import SimSpec, generate_season
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return davidson_triple(*args)
+
+    monkeypatch.setattr(engine, "davidson_triple", counted)
+    season = generate_season(SimSpec({f"T{i}": 60.0 * i for i in range(6)}, seed=2))
+    path = tmp_path / "season.csv"
+    path.write_text(serialize_matches(season))
+    cfg = RunConfig(command="rate", input_path=str(path))
+    run_rate(cfg, str(tmp_path / "trajectory.csv"))
+    assert calls == []
+    # reading the forecasts, as evaluate does, calls it once per game
+    assert len(list(run_season(season.games, cfg.engine_config()).predictions)) == 30
+    assert len(calls) == 30
 
 
 @BOTH_PATHS
