@@ -6,10 +6,10 @@ configuration: sigma=600, normalized step 0.125, home advantage 0.3,
 draw parameter 0.7, scored over the second half of the season.
 
 ``main(argv)`` reads the command line with the standard library's
-argparse.  A usage error prints the command's usage line and one
-``Error:`` line in click's format.  Exit codes: 0 success, 2 usage
-error, 3 data error, 4 numeric error (zero-probability outcome or
-non-convergence).
+argparse, and usage errors are argparse's: the command's usage, then one
+``PROG COMMAND: error:`` line naming the option or argument, exit 2.
+Other exit codes: 0 success, 3 data error, 4 numeric error
+(zero-probability outcome or non-convergence).
 """
 
 from __future__ import annotations
@@ -159,19 +159,6 @@ def _emit(payload: dict, rows: list[dict], columns: list[str], output_format: st
         sys.stdout.write(_rows_to_csv(rows, columns))
 
 
-@contextlib.contextmanager
-def _handle_errors():
-    """Exit 4 after a numeric error's message, 3 after a data error's."""
-    try:
-        yield
-    except (ZeroProbabilityError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(4)
-    except (SchemaError, RowError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(3)
-
-
 # ---------------------------------------------------------------------------
 # Options
 # ---------------------------------------------------------------------------
@@ -181,55 +168,54 @@ class UsageError(Exception):
     """A command-line mistake: exit 2 after the command's usage line."""
 
 
-def _kind(name: str, convert=str, low=None, choices=()) -> dict:
-    """argparse keywords of a value: ``convert``ed, at least ``low``, one of ``choices``.
-
-    ``name`` names the value in a conversion error and, without choices, in the help.
-    """
-    def parse(text):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {name}.") from None
-        if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}.")
-        if choices and value not in choices:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def integer(text: str) -> int:  # argparse reports its ValueError as an invalid integer
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
+    return integer
 
-    return {"type": parse, "metavar": f"[{'|'.join(choices)}]" if choices else name.upper()}
+
+def _grid(convert):
+    """An argparse type: one or more comma-separated values, each ``convert``ed."""
+    def grid(text: str) -> list:  # argparse reports convert's ValueError as an invalid grid
+        values = [convert(x.strip()) for x in text.split(",") if x.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("grids must be non-empty")
+        return values
+    return grid
 
 
-_FLOAT, _INT = _kind("float", float), _kind("integer", int)
-_TEXT, _PATH = {"metavar": "TEXT"}, {"metavar": "PATH"}
+_FLOAT, _INT, _PATH = {"type": float}, {"type": int}, {"metavar": "PATH"}
 # Every option by its dest, a RunConfig field or a command's keyword: its
 # flags, argparse keywords and help.  input_path is the INPUT_PATH argument.
 _OPTIONS = {
-    "input_path": ("", {"nargs": "?"}, argparse.SUPPRESS),
+    "input_path": ("", {"metavar": "INPUT_PATH"}, "Season CSV in the football-data layout."),
     "sigma": ("--sigma", _FLOAT, "Rating scale."),
     "k_tilde": ("--k-step", _FLOAT, "Normalized update step; the absolute step is k-step * sigma."),
     "kappa": ("--kappa", _FLOAT, "Draw parameter.  Of the online modes, kappa-elo updates and "
               "predicts with it, elo-check only predicts with it, and elo does not use it."),
     "eta": ("--eta", _FLOAT, "Home advantage; the difference is shifted by eta * sigma."),
     "v0": ("--v0", _FLOAT, "Draw-band half width of the threshold family."),
-    "mode": ("--mode", _kind("mode", choices=[m.value for m in UpdateMode]),
+    "mode": ("--mode", {"choices": [m.value for m in UpdateMode]},
              "Online update / prediction mode."),
-    "family": ("--family", _kind("family", choices=[f.value for f in ModelFamily]),
+    "family": ("--family", {"choices": [f.value for f in ModelFamily]},
                "Probability model family."),
-    "output_format": ("--output-format -f", _kind("format", choices=("json", "csv")),
-                      "Output format."),
-    "eval_window": ("--eval-window", _kind("window", choices=("second-half", "full")),
+    "output_format": ("--output-format -f", {"choices": ("json", "csv")}, "Output format."),
+    "eval_window": ("--eval-window", {"choices": ("second-half", "full")},
                     "Games scored: the second half of the season, or all of it."),
     "trajectory_path": ("--trajectory", _PATH, "Write the per-game rating trajectory CSV here."),
     "baseline": ("--baseline", {"action": "store_true", "default": False},
                  "Also score the bookmaker probabilities over the same window."),
-    "eta_grid": ("--eta-grid", dict(_TEXT, default=str(_DEFAULTS["eta"])),
+    "eta_grid": ("--eta-grid", {"type": _grid(float), "default": str(_DEFAULTS["eta"])},
                  "Comma-separated home-advantage values."),
-    "kappa_grid": ("--kappa-grid", dict(_TEXT, default=str(_DEFAULTS["kappa"])),
+    "kappa_grid": ("--kappa-grid", {"type": _grid(float), "default": str(_DEFAULTS["kappa"])},
                    "Comma-separated draw-parameter values: each cell's kappa, used to update "
                    "and predict in kappa-elo, to predict in elo-check, and not at all in elo."),
-    "modes": ("--modes", dict(_TEXT, default=_DEFAULTS["mode"]), "Comma-separated update modes."),
+    "modes": ("--modes", {"type": _grid(UpdateMode), "default": _DEFAULTS["mode"]},
+              "Comma-separated update modes."),
     "jobs": ("--jobs", dict(_INT, default=1),
              "Accepted and ignored: one pass over the season evaluates every cell."),
     "max_iters": ("--max-iters", dict(_INT, default=5000), "Most Newton steps to take."),
@@ -238,21 +224,16 @@ _OPTIONS = {
     "ridge": ("--ridge", dict(_FLOAT, default=0.0), "Ridge penalty weight (0 disables).  On "
               "separable data a ridge near 0 stops where --tol says, not at the penalized "
               "optimum."),
-    "teams": ("--teams", dict(_kind("integer range", int, 2), default=20),
+    "teams": ("--teams", {"type": _at_least(2), "default": 20},
               "Number of teams; at least 2."),
     "spacing": ("--spacing", dict(_FLOAT, default=0.1),
                 "True-rating gap between adjacent teams, in units of sigma."),
-    "rounds": ("--rounds", dict(_kind("integer range", int, 1), default=1),
+    "rounds": ("--rounds", {"type": _at_least(1), "default": 1},
                "Double round-robins to play; at least 1."),
-    "seed": ("--seed", dict(_kind("integer range", int, 0), default=0), "Random seed; at least 0."),
-    "output": ("--output -o", _PATH, "Season CSV destination.  [required]"),
+    "seed": ("--seed", {"type": _at_least(0), "default": 0}, "Random seed; at least 0."),
+    "output": ("--output -o", dict(_PATH, required=True), "Season CSV destination.  [required]"),
     "truth": ("--truth", _PATH, "Ground-truth ratings CSV (default: OUTPUT.truth.csv)."),
 }
-
-
-def _invalid(flags: list[str], message: str) -> UsageError:
-    names = " / ".join(map(repr, flags))
-    return UsageError(f"Invalid value{' for ' * bool(flags)}{names}: {message}")
 
 
 @contextlib.contextmanager
@@ -260,26 +241,13 @@ def _usage_errors():
     """Turn a parameter check's ValueError into a usage error naming its option.
 
     Each check's message starts with the parameter's name, which is also
-    the dest of its option in ``_OPTIONS``.
+    the dest of its option in ``_OPTIONS``; the error reads as argparse's do.
     """
     try:
         yield
     except ValueError as exc:
         flags = _OPTIONS.get(str(exc).split(" ", 1)[0], ("",))[0].split()
-        raise _invalid(flags, str(exc)) from None
-
-
-def _make_config(command: str, input_path: str | None = None, **options) -> RunConfig:
-    """The run's configuration; an invalid parameter is a usage error naming its option."""
-    with _usage_errors():
-        cfg = RunConfig(command=command, input_path=input_path, **options)
-        # building what the command runs checks its parameters; only the online
-        # commands, which read k_tilde or mode, need the engine's EngineConfig
-        if {"k_tilde", "mode"}.isdisjoint(_COMMAND_FIELDS[command]):
-            cfg.model_params()
-        else:
-            cfg.engine_config()
-    return cfg
+        raise UsageError(f"argument {'/'.join(flags)}: {exc}" if flags else str(exc)) from None
 
 
 def _config_payload(cfg: RunConfig) -> dict:
@@ -322,6 +290,9 @@ def run_rate(cfg: RunConfig, trajectory_path: str | None) -> dict:
     }
 
 
+_SCORES = ("mean_ls", "interval_low", "interval_high")  # an EvalReport's printed fields
+
+
 def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
     dataset = load_matches(cfg.input_path)
     report, = _lib.evaluate_configs(dataset.games, [cfg.engine_config()], cfg.eval_window)
@@ -335,18 +306,12 @@ def run_evaluate(cfg: RunConfig, baseline: bool) -> dict:
         "n_games": dataset.n_games,
         "window_start": report.window[0],
         "window_end": report.window[1],
-        "mean_ls": report.mean_ls,
-        "interval_low": report.interval_low,
-        "interval_high": report.interval_high,
+        **{k: getattr(report, k) for k in _SCORES},
         "baseline": None,
     }
     if baseline:
         bk = _lib.baseline_report(dataset.games, report.window)
-        payload["baseline"] = {
-            "mean_ls": bk.mean_ls,
-            "interval_low": bk.interval_low,
-            "interval_high": bk.interval_high,
-        }
+        payload["baseline"] = {k: getattr(bk, k) for k in _SCORES}
     return payload
 
 
@@ -365,8 +330,7 @@ def run_sweep(
         for kappa in kappas:
             for eta in etas:
                 row = {"season": cfg.input_path, "mode": mode.value, "kappa": kappa,
-                       "eta": eta, "mean_ls": None, "interval_low": None,
-                       "interval_high": None, "error": None}
+                       "eta": eta, **dict.fromkeys(_SCORES), "error": None}
                 try:
                     cell = replace(cfg, mode=mode, eta=eta, kappa=kappa)
                     configs[len(rows)] = cell.engine_config()
@@ -378,8 +342,7 @@ def run_sweep(
         if isinstance(outcome, Exception):
             rows[i]["error"] = str(outcome)
         else:
-            rows[i].update(mean_ls=outcome.mean_ls, interval_low=outcome.interval_low,
-                           interval_high=outcome.interval_high)
+            rows[i].update((k, getattr(outcome, k)) for k in _SCORES)
     return {"command": "sweep", "input": cfg.input_path, "cells": rows}
 
 
@@ -461,8 +424,18 @@ def run_stats(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file, written yet or not."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_rate(cfg: RunConfig, trajectory_path):
     """Run the online ratings over a season and print the final table."""
+    if trajectory_path and _same_file(trajectory_path, cfg.input_path):
+        raise UsageError(f"argument --trajectory: {trajectory_path!r} is the input file")
     payload = run_rate(cfg, trajectory_path)
     if payload["n_games"] == 0:
         print("warning: no games parsed from input", file=sys.stderr)
@@ -477,9 +450,7 @@ def cmd_evaluate(cfg: RunConfig, baseline):
         "mode": payload["config"]["mode"],
         "kappa": payload["config"]["kappa"],
         "eta": payload["config"]["eta"],
-        "mean_ls": payload["mean_ls"],
-        "interval_low": payload["interval_low"],
-        "interval_high": payload["interval_high"],
+        **{k: payload[k] for k in _SCORES},
         "baseline_mean_ls": payload["baseline"]["mean_ls"] if payload["baseline"] else None,
     }
     _emit(payload, [row], list(row), cfg.output_format)
@@ -487,17 +458,8 @@ def cmd_evaluate(cfg: RunConfig, baseline):
 
 def cmd_sweep(cfg: RunConfig, eta_grid, kappa_grid, modes, jobs):
     """Evaluate a grid of (mode, kappa, eta) cells over one season."""
-    try:
-        etas = [float(x) for x in eta_grid.split(",") if x.strip() != ""]
-        kappas = [float(x) for x in kappa_grid.split(",") if x.strip() != ""]
-        mode_list = [UpdateMode(m.strip()) for m in modes.split(",") if m.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad grid value: {exc}") from None
-    if not (etas and kappas and mode_list):
-        raise UsageError("grids must be non-empty")
-    payload = run_sweep(cfg, etas, kappas, mode_list, jobs)
-    columns = ["season", "mode", "kappa", "eta", "mean_ls",
-               "interval_low", "interval_high", "error"]
+    payload = run_sweep(cfg, eta_grid, kappa_grid, modes, jobs)
+    columns = ["season", "mode", "kappa", "eta", *_SCORES, "error"]
     _emit(payload, payload["cells"], columns, cfg.output_format)
 
 
@@ -519,6 +481,8 @@ def cmd_fit(cfg: RunConfig, max_iters, tol, ridge):
 
 def cmd_simulate(cfg: RunConfig, teams, spacing, rounds, seed, output, truth):
     """Generate a synthetic season from evenly spaced true ratings."""
+    if truth and _same_file(truth, output):
+        raise UsageError(f"argument --truth: {truth!r} is the --output file")
     ratings = list(_true_ratings(teams, spacing, cfg.sigma).values())
     # the first and last teams give the widest difference; eta only widens it
     widest = apply_home_advantage(abs(ratings[0] - ratings[-1]), cfg.model_params())
@@ -548,76 +512,57 @@ _COMMANDS = {
 }
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    def _get_help_string(self, action):  # each option's help ends in its default
-        shown = action.nargs != 0 and action.default is not None
-        return action.help + "  [default: %(default)s]" * shown
+def _parser(name: str, prog: str) -> tuple[argparse.ArgumentParser, dict[str, bool]]:
+    """Command ``name``'s parser, and whether each of its flags takes a value.
 
-
-def _flag(arg: str) -> str:
-    """The option an argument names: --eta of --eta=0.3, -f of -fcsv."""
-    return arg.split("=", 1)[0] if arg.startswith("--") else arg[:2]
-
-
-def _no_such_option(flag: str, known: list[str]) -> str:
-    """An unknown option's message; a long one suggests its close matches in ``known``."""
-    import difflib
-    close = sorted(difflib.get_close_matches(flag, [k for k in known if k[1] == "-"])
-                   if flag.startswith("--") else [])
-    names = ", ".join(map(repr, close))
-    hint = f" Did you mean {names}?" if len(close) == 1 else f" (Did you mean one of: {names}?)"
-    return f"No such option {flag!r}." + hint * bool(close)
-
-
-def _parse(name: str, usage: str, args: list[str]) -> tuple[RunConfig, dict]:
-    """Command ``name``'s configuration and its own options, from the arguments after it."""
+    An option without a default is left out of the parsed values when not given.
+    """
     parser = argparse.ArgumentParser(
-        usage=usage, description=_COMMANDS[name][0].__doc__, formatter_class=_HelpFormatter,
-        add_help=False, allow_abbrev=False, exit_on_error=False)
-    known, takes_value = ["--help"], set()
+        prog=f"{prog} {name}", description=_COMMANDS[name][0].__doc__,
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter, add_help=False)
+    takes_value = {"--help": False}
     for dest in _COMMAND_FIELDS[name] + ("output_format",) + _COMMANDS[name][1]:
         flags, kind, text = _OPTIONS[dest]
         parser.add_argument(*flags.split(), dest=dest, help=text,
-                            **{"default": _DEFAULTS.get(dest), **kind})
-        known += flags.split()
-        takes_value.update(() if "action" in kind else flags.split())
+                            **{"default": _DEFAULTS.get(dest, argparse.SUPPRESS), **kind})
+        takes_value.update(dict.fromkeys(flags.split(), "action" not in kind))
     parser.add_argument("--help", action="help", help="Show this message and exit.")
-    # Options are read left to right before any value is checked.  An
-    # option's value is the next argument, even one that starts with "-"
-    # (--kappa-grid -1,0.7), which argparse would take for an option, and
-    # any other argument that starts with "-" (-1 too) is an option.
+    return parser, takes_value
+
+
+def _parse(name: str, parser: argparse.ArgumentParser, takes_value: dict[str, bool],
+           args: list[str]) -> tuple[RunConfig, dict]:
+    """Command ``name``'s configuration and its own options, from the arguments after it."""
+    # Options are read left to right before any value is checked, alike on
+    # every Python version.  An option's value is the next argument, even one
+    # that starts with "-" (--kappa-grid -1,0.7), which argparse would take
+    # for an option; -fVALUE reads VALUE as written; any other argument that
+    # starts with "-" (-1 too) is an option; and "--" ends the options.
     joined, rest = [], iter(args)
     for arg in rest:
-        flag = _flag(arg)
+        flag = arg.split("=", 1)[0] if arg.startswith("--") else arg[:2]
         if arg == "--":  # the rest are arguments
             joined += [arg, *rest]
-        elif arg in takes_value:
+        elif takes_value.get(arg):
             value = next(rest, None)
-            if value is None:
-                raise UsageError(f"Option {arg!r} requires an argument.")
-            joined.append(f"{arg}={value}")
-        elif flag in takes_value and arg[1] != "-":  # -fcsv: the rest is the value
+            joined.append(arg if value is None else f"{arg}={value}")
+        elif takes_value.get(flag) and arg[1] != "-":  # -fcsv: the rest is the value
             joined.append(f"{flag}={arg[2:]}")
-        elif arg.startswith("-") and arg != "-" and flag not in known:
-            raise UsageError(_no_such_option(flag, known))
-        elif flag in known and flag not in takes_value and "=" in arg:
-            raise UsageError(f"Option {flag!r} does not take a value.")
+        elif arg.startswith("-") and arg != "-" and flag not in takes_value:
+            raise UsageError(f"unrecognized arguments: {arg}")
         else:
             joined.append(arg)
-    try:
-        namespace, extra = parser.parse_known_args(joined)
-    except argparse.ArgumentError as exc:  # a value of the wrong type
-        raise _invalid(exc.argument_name.split("/"), exc.message) from None
-    if extra:
-        s = "s" * (len(extra) > 1)
-        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
-    values = vars(namespace)
-    if values.get("input_path", "") is None:
-        raise UsageError("Missing argument 'INPUT_PATH'.")
-    if values.get("output", "") is None:
-        raise UsageError("Missing option '--output' / '-o'.")
-    own = {dest: values.pop(dest) for dest in _COMMANDS[name][1] if dest != "input_path"}
-    return _make_config(name, **values), own
+    values = vars(parser.parse_args(joined))
+    own = {dest: values.pop(dest, None) for dest in _COMMANDS[name][1] if dest != "input_path"}
+    with _usage_errors():
+        cfg = RunConfig(command=name, **values)
+        # building what the command runs checks its parameters; only the online
+        # commands, which read k_tilde or mode, need the engine's EngineConfig
+        if {"k_tilde", "mode"}.isdisjoint(_COMMAND_FIELDS[name]):
+            cfg.model_params()
+        else:
+            cfg.engine_config()
+    return cfg, own
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -630,33 +575,33 @@ def main(argv: list[str] | None = None) -> None:
     for stream in (sys.stdout, sys.stderr):  # team names may not be ASCII, whatever the locale
         if codecs.lookup(getattr(stream, "encoding", None) or "utf-8").name == "ascii":
             stream.reconfigure(encoding="utf-8")
-    name = args[0] if args else ""
-    command, own = _COMMANDS.get(name, (None, ()))
-    path = f"{prog} {name}" if command else prog
-    usage = path + (" [OPTIONS]" + " INPUT_PATH" * ("input_path" in own) if command
-                    else " [OPTIONS] COMMAND [ARGS]...")
-    try:
-        if command:
-            cfg, options = _parse(name, usage, args[1:])
-            with _handle_errors():
-                command(cfg, **options)
-        elif name in ("", "--help"):
-            commands = "".join(f"\n  {c:<8}  {f.__doc__.splitlines()[0]}"
-                               for c, (f, _) in _COMMANDS.items())
-            print(f"Usage: {usage}\n\n  Rating engine for win/draw/loss competitions.\n\n"
-                  "Options:\n  --version  Show the version and exit.\n"
-                  f"  --help     Show this message and exit.\n\nCommands:{commands}",
-                  file=sys.stdout if name else sys.stderr)
-            sys.exit(0 if name else 2)
-        elif name == "--version":
-            print(f"{prog}, version {__version__}")
-        elif name.startswith("-"):
-            raise UsageError(_no_such_option(_flag(name), ["--version", "--help"]))
-        else:
-            raise UsageError(f"No such command {name!r}.")
-    except UsageError as exc:
-        print(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {exc}", file=sys.stderr)
+    name = args[0] if args else None
+    if name not in _COMMANDS:
+        commands = "".join(f"\n  {c:<8}  {f.__doc__}" for c, (f, _) in _COMMANDS.items())
+        top = argparse.ArgumentParser(
+            prog=prog, description="Rating engine for win/draw/loss competitions.",
+            epilog=f"commands:{commands}", formatter_class=argparse.RawDescriptionHelpFormatter,
+            add_help=False, allow_abbrev=False)
+        top.add_argument("command", nargs="?", choices=_COMMANDS, metavar="COMMAND",
+                         help="The command to run; COMMAND --help lists its options.")
+        top.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}",
+                         help="Show the version and exit.")
+        top.add_argument("--help", action="help", help="Show this message and exit.")
+        top.parse_args(args)  # --version, --help and a usage error exit here
+        top.print_help(sys.stderr)  # no command
         sys.exit(2)
+    parser, takes_value = _parser(name, prog)
+    try:
+        cfg, options = _parse(name, parser, takes_value, args[1:])
+        _COMMANDS[name][0](cfg, **options)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except (ZeroProbabilityError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(4)
+    except (SchemaError, RowError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

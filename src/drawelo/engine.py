@@ -129,9 +129,11 @@ class Trajectory:
 
     def __iter__(self) -> Iterator[dict[str, float]]:
         ratings = [0.0] * len(self.players)
-        for (h, home, a, away), known in zip(self.moves(), self._season.known):
+        known = self._season.given  # players are indexed by first appearance
+        for h, home, a, away in self.moves():
             ratings[h] = home
             ratings[a] = away
+            known = max(known, h + 1, a + 1)
             yield dict(zip(self.players[:known], ratings))
 
 
@@ -227,15 +229,15 @@ class CompiledSeason:
     hold each game's rating indices and ``score`` its home score, in stdlib
     arrays; ``arrays()`` reads them as numpy arrays.  ``runs``, computed on
     first read, holds the first game of each maximal run of consecutive games
-    in which no player appears twice, then the game count.  ``known[i]``
-    counts the players rated after game i.
+    in which no player appears twice, then the game count.  ``given``
+    counts the players given up front.
     """
 
     players: list[str]
     home: array
     away: array
     score: array
-    known: list[int]
+    given: int
 
     @cached_property
     def runs(self) -> list[int]:
@@ -262,14 +264,13 @@ def compile_season(
     index: dict[str, int] = {}
     for player in players or ():
         index.setdefault(player, len(index))
+    given = len(index)
     home, away = array("q"), array("q")
-    known: list[int] = []
     for g in games:
         home.append(index.setdefault(g.home_id, len(index)))
         away.append(index.setdefault(g.away_id, len(index)))
-        known.append(len(index))
     score = array("d", [score_of(g.outcome) for g in games])
-    return CompiledSeason(list(index), home, away, score, known)
+    return CompiledSeason(list(index), home, away, score, given)
 
 
 @dataclass(frozen=True)

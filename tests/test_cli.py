@@ -388,8 +388,11 @@ def test_sweep_records_cell_errors_and_continues(draws_file):
     assert cells[1]["error"] is None
 
 
-def test_sweep_invalid_grid_value_is_a_cell_error(season_file):
-    result = invoke(["sweep", str(season_file), "--kappa-grid", "-1,0.7"])
+@pytest.mark.parametrize("grid", [["--kappa-grid", "-1,0.7"], ["--kappa-grid=-1,0.7"]],
+                         ids=["separate", "joined"])
+def test_sweep_invalid_grid_value_is_a_cell_error(season_file, grid):
+    # a value that starts with "-" is read as the option's value, however it is passed
+    result = invoke(["sweep", str(season_file), *grid])
     assert result.exit_code == 0, result.output
     bad, good = json.loads(result.stdout)["cells"]
     assert bad["error"].startswith("kappa must be") and bad["mean_ls"] is None
@@ -604,6 +607,39 @@ def test_missing_column_is_a_data_error(tmp_path):
     assert "FTR" in result.stderr
 
 
+def test_double_dash_ends_the_options(toy_file, tmp_path, monkeypatch):
+    # a file whose name starts with "-" is read as INPUT_PATH after "--"
+    monkeypatch.chdir(tmp_path)
+    Path("-toy.csv").write_bytes(toy_file.read_bytes())
+    result = invoke(["rate", "-f", "csv", "--", "-toy.csv"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == invoke(["rate", str(toy_file), "-f", "csv"]).stdout
+
+
+def test_a_short_option_reads_a_joined_value(toy_file):
+    joined = invoke(["stats", str(toy_file), "-fcsv"])
+    assert joined.exit_code == 0, joined.output
+    assert joined.stdout.startswith("n_games,")
+    assert joined.stdout == invoke(["stats", str(toy_file), "-f", "csv"]).stdout
+
+
+@pytest.mark.parametrize("args,error", [
+    (["rate", "{season}", "--trajectory", "{same}"],
+     "argument --trajectory: '{same}' is the input file"),
+    (["simulate", "-o", "{season}", "--truth", "{same}"],
+     "argument --truth: '{same}' is the --output file"),
+], ids=["rate", "simulate"])
+def test_an_output_path_naming_another_file_of_the_run_is_a_usage_error(season_file, args, error):
+    # the season's path spelt another way; checked before anything is read or written
+    files = sorted(season_file.parent.iterdir())
+    before = season_file.read_bytes()
+    paths = {"season": season_file, "same": f"{season_file.parent}/./{season_file.name}"}
+    result = invoke([a.format(**paths) for a in args])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.splitlines()[-1].endswith(f"error: {error.format(**paths)}")
+    assert season_file.read_bytes() == before and sorted(season_file.parent.iterdir()) == files
+
+
 def test_unknown_flag_is_a_usage_error(season_file):
     result = invoke(["evaluate", str(season_file), "--nope"])
     assert result.exit_code == 2
@@ -725,7 +761,7 @@ def test_options_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch,
     result = invoke([command, *args, option, FIELD_VALUES[option]])
     assert not Path("out.csv").exists()
     assert result.exit_code == 2, result.output
-    assert "No such option" in result.stderr and option in result.stderr
+    assert "unrecognized arguments" in result.stderr and option in result.stderr
 
 
 @pytest.mark.parametrize("command,extra,config", [
@@ -859,55 +895,84 @@ def test_season_report_runs_without_the_cli(season_with_odds):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("args,error", [
-    (["evaluate", "{season}", "--v0", "1"], "No such option '--v0'."),
-    (["evaluate", "{season}", "--nope"], "No such option '--nope'. Did you mean '--mode'?"),
+# (arguments, the message the case first pinned, argparse's error today).  A
+# case's id is its first message, so each case keeps its name.
+USAGE_ERRORS = [
+    (["evaluate", "{season}", "--v0", "1"], "No such option '--v0'.",
+     "unrecognized arguments: --v0"),
+    (["evaluate", "{season}", "--nope"], "No such option '--nope'. Did you mean '--mode'?",
+     "unrecognized arguments: --nope"),
     (["evaluate", "{season}", "--sigma", "-1"], "Invalid value for '--sigma': sigma must be a "
-                                                "finite real >= 2.2250738585072014e-308, got -1.0"),
+     "finite real >= 2.2250738585072014e-308, got -1.0",
+     "argument --sigma: sigma must be a finite real >= 2.2250738585072014e-308, got -1.0"),
     (["evaluate", "{season}", "--sigma", "abc"], "Invalid value for '--sigma': 'abc' is not a "
-                                                 "valid float."),
+     "valid float.", "argument --sigma: invalid float value: 'abc'"),
     (["evaluate", "{season}", "--mode", "bad"], "Invalid value for '--mode': 'bad' is not one of "
-                                                "'elo', 'kappa-elo', 'elo-check'."),
+     "'elo', 'kappa-elo', 'elo-check'.",
+     "argument --mode: invalid choice: 'bad' (choose from 'elo', 'kappa-elo', 'elo-check')"),
     (["evaluate", "{season}", "-f", "xml"], "Invalid value for '--output-format' / '-f': 'xml' "
-                                            "is not one of 'json', 'csv'."),
-    (["evaluate", "{season}", "extra"], "Got unexpected extra argument (extra)"),
+     "is not one of 'json', 'csv'.",
+     "argument --output-format/-f: invalid choice: 'xml' (choose from 'json', 'csv')"),
+    (["evaluate", "{season}", "extra"], "Got unexpected extra argument (extra)",
+     "unrecognized arguments: extra"),
     (["evaluate", "{season}", "--sigma", "abc", "--nope"], "No such option '--nope'. Did you "
-                                                           "mean '--mode'?"),
-    (["evaluate", "{season}", "--baseline=1"], "Option '--baseline' does not take a value."),
+     "mean '--mode'?", "unrecognized arguments: --nope"),
+    (["evaluate", "{season}", "--baseline=1"], "Option '--baseline' does not take a value.",
+     "argument --baseline: ignored explicit argument '1'"),
     (["stats", "{season}", "-f=csv"], "Invalid value for '--output-format' / '-f': '=csv' is "
-                                      "not one of 'json', 'csv'."),
-    (["rate", "-1"], "No such option '-1'."),
+     "not one of 'json', 'csv'.",
+     "argument --output-format/-f: invalid choice: '=csv' (choose from 'json', 'csv')"),
+    (["rate", "-1"], "No such option '-1'.", "unrecognized arguments: -1"),
     (["simulate", "--teams", "1", "-o", "{tmp}/out.csv"], "Invalid value for '--teams': 1 is not "
-                                                          "in the range x>=2."),
+     "in the range x>=2.", "argument --teams: must be at least 2, got 1"),
     (["simulate", "--rounds", "x", "-o", "{tmp}/out.csv"], "Invalid value for '--rounds': 'x' is "
-                                                           "not a valid integer range."),
-    (["simulate"], "Missing option '--output' / '-o'."),
-    (["simulate", "-o"], "Option '-o' requires an argument."),
+     "not a valid integer range.", "argument --rounds: invalid integer value: 'x'"),
+    (["simulate"], "Missing option '--output' / '-o'.",
+     "the following arguments are required: --output/-o"),
+    (["simulate", "-o"], "Option '-o' requires an argument.",
+     "argument --output/-o: expected one argument"),
     (["fit", "{season}", "--max-iters", "1.5"], "Invalid value for '--max-iters': '1.5' is not a "
-                                                "valid integer."),
+     "valid integer.", "argument --max-iters: invalid int value: '1.5'"),
     (["fit", "{season}", "--ridge", "-1"], "Invalid value for '--ridge': ridge must be a finite "
-                                           "real >= 0, got -1.0"),
+     "real >= 0, got -1.0", "argument --ridge: ridge must be a finite real >= 0, got -1.0"),
     (["sweep", "{season}", "--kappa-grid", "a,b"], "bad grid value: could not convert string to "
-                                                   "float: 'a'"),
-    (["sweep", "{season}", "--modes", ","], "grids must be non-empty"),
-    (["rate"], "Missing argument 'INPUT_PATH'."),
-    (["bogus"], "No such command 'bogus'."),
-    (["--nope"], "No such option '--nope'."),
+     "float: 'a'", "argument --kappa-grid: invalid grid value: 'a,b'"),
+    (["sweep", "{season}", "--modes", ","], "grids must be non-empty",
+     "argument --modes: grids must be non-empty"),
+    (["rate"], "Missing argument 'INPUT_PATH'.",
+     "the following arguments are required: INPUT_PATH"),
+    (["bogus"], "No such command 'bogus'.", "argument COMMAND: invalid choice: 'bogus' (choose "
+     "from 'evaluate', 'fit', 'rate', 'simulate', 'stats', 'sweep')"),
+    (["--nope"], "No such option '--nope'.", "unrecognized arguments: --nope"),
     (["fit", "{season}", "--sigma", "1e160", "--ridge", "1e-4"],
      "Invalid value for '--ridge': ridge * sigma'^2 must be positive and finite, got 0.0001 * "
+     "4.342944819032518e+159^2",
+     "argument --ridge: ridge * sigma'^2 must be positive and finite, got 0.0001 * "
      "4.342944819032518e+159^2"),
-])
+]
+
+
+def unquoted_choices(line):
+    """``line`` with its argparse choice list unquoted, as newer Pythons print it."""
+    return re.sub(r"\(choose from .*\)$", lambda m: m[0].replace("'", ""), line)
+
+
+@pytest.mark.parametrize("args,error", [(args, error) for args, _, error in USAGE_ERRORS],
+                         ids=[f"args{i}-{was}" for i, (_, was, _) in enumerate(USAGE_ERRORS)])
 def test_usage_errors_exit_2_with_their_message(tmp_path, season_with_odds, args, error):
     result = run_cli([a.format(season=season_with_odds, tmp=tmp_path) for a in args])
     assert result.returncode == 2
-    assert result.stderr.decode().splitlines()[-1] == f"Error: {error}"
+    # run_cli's program name is "-c"; a command's parser adds the command
+    prog = f"-c {args[0]}" if args[0] in COMMAND_OPTIONS else "-c"
+    last = result.stderr.decode().splitlines()[-1]
+    assert unquoted_choices(last) == unquoted_choices(f"{prog}: error: {error}")
     assert result.stdout == b"" and not (tmp_path / "out.csv").exists()
 
 
 def test_no_command_lists_the_commands_and_exits_2():
     result = run_cli([])
     assert result.returncode == 2 and result.stdout == b""
-    commands = result.stderr.decode().split("Commands:\n")[1].splitlines()
+    commands = result.stderr.decode().split("commands:\n")[1].splitlines()
     assert [line.split()[0] for line in commands] == [
         "evaluate", "fit", "rate", "simulate", "stats", "sweep"]
 

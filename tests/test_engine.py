@@ -241,12 +241,15 @@ def test_compile_season_splits_runs_of_disjoint_games():
     assert season.away.tolist() == [3, 4, 1, 4, 4, 2]
     assert season.score.tolist() == [1.0, 0.5, 0.0, 1.0, 0.5, 1.0]
     assert season.runs == [0, 2, 4, 6]
-    assert season.known == [4, 5, 5, 5, 6, 6]
+    # each snapshot holds the players given up front and every team seen so far
+    trajectory = run_season(games, EngineConfig(), players=["Z", "C"]).trajectory
+    assert [len(s) for s in trajectory] == [4, 5, 5, 5, 6, 6]
 
 
 def test_compile_season_empty():
     season = compile_season([], players=["A"])
-    assert season.runs == [0] and season.known == [] and season.players == ["A"]
+    assert season.runs == [0] and season.players == ["A"]
+    assert [len(s) for s in run_season([], EngineConfig(), players=["A"]).trajectory] == []
 
 
 def one_cell_run(games, config, players=None) -> SeasonResult:
