@@ -15,7 +15,7 @@ import argparse
 
 from drawelo.engine import EngineConfig, UpdateMode, run_season
 from drawelo.models import ModelParams
-from drawelo.sim import SimSpec, generate_season, recovery_metrics
+from drawelo.sim import SimSpec, generate_season, recovery_metrics, true_ratings
 
 
 def run_once(theta_true, model, config, seed):
@@ -39,10 +39,7 @@ def main():
 
     model = ModelParams(sigma=args.sigma, kappa=args.kappa, eta=args.eta)
     config = EngineConfig(model=model, k_tilde=args.k_tilde, mode=UpdateMode.KAPPA_ELO)
-    mid = (args.teams - 1) / 2.0
-    ladder = {
-        f"T{i + 1:02d}": (mid - i) * args.spacing * args.sigma for i in range(args.teams)
-    }
+    ladder = true_ratings(args.teams, args.spacing, args.sigma)  # named as simulate names them
 
     print(f"{'seed':>4} {'rank_corr':>9} {'centered_rmse':>13}")
     correlations, rmses = [], []

@@ -8,8 +8,9 @@ draw parameter 0.7, scored over the second half of the season.
 ``main(argv)`` reads the command line with the standard library's
 argparse, and usage errors are argparse's: the command's usage, then one
 ``PROG COMMAND: error:`` line naming the option or argument, exit 2.
-Other exit codes: 0 success, 3 data error, 4 numeric error
-(zero-probability outcome or non-convergence).
+Other exit codes: 0 success, 3 data error (a rating difference that
+overflows included), 4 numeric error (zero-probability outcome or
+non-convergence); ``main`` alone maps a fault to its code.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from enum import Enum
 
 from . import __version__
 from .data import load_matches, serialize_matches
-from .errors import ConvergenceError, RowError, SchemaError, ZeroProbabilityError
+from .errors import ConvergenceError, ZeroProbabilityError
 from .models import ModelFamily, ModelParams, UpdateMode, apply_home_advantage, enum_field
-from .sim import SimSpec, generate_season
+from .sim import SimSpec, generate_season, true_ratings
 
 # engine's and evaluation's names load on first use (stats needs no engine,
 # simulate neither), and commands call them through this module, _lib, so a
@@ -372,29 +373,29 @@ def run_fit(cfg: RunConfig, step: None, max_iters: int, tol: float, ridge: float
     }
 
 
-def _true_ratings(teams: int, spacing: float, sigma: float) -> dict[str, float]:
-    """Evenly spaced true ratings, strongest first, ``spacing`` sigmas apart."""
-    width = len(str(teams))
-    return {
-        f"T{i + 1:0{width}d}": ((teams - 1) / 2.0 - i) * spacing * sigma
-        for i in range(teams)
-    }
-
-
 def run_simulate(
     cfg: RunConfig, teams: int, spacing: float, rounds: int, seed: int,
     output: str, truth: str | None,
 ) -> dict:
-    theta_true = _true_ratings(teams, spacing, cfg.sigma)
+    """Write a season and its true ratings; if either cannot be opened, remove what this made."""
+    theta_true = true_ratings(teams, spacing, cfg.sigma)
     spec = SimSpec(
         theta_true=theta_true, model=cfg.model_params(), rounds=rounds, seed=seed
     )
     dataset = generate_season(spec)
-    with open(output, "w", newline="", encoding="utf-8") as fh:
-        fh.write(serialize_matches(dataset))
     truth_path = truth or output + ".truth.csv"
-    with open(truth_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    created = not os.path.exists(output)
+    fh = open(output, "w", newline="", encoding="utf-8")
+    try:
+        truth_fh = open(truth_path, "w", newline="", encoding="utf-8")
+    except OSError:
+        fh.close()
+        if created:
+            os.remove(output)
+        raise
+    with fh, truth_fh:
+        fh.write(serialize_matches(dataset))
+        writer = csv.writer(truth_fh, lineterminator="\n")
         writer.writerow(["team", "rating"])
         for name, value in theta_true.items():
             writer.writerow([name, f"{value:.6g}"])
@@ -470,20 +471,18 @@ def cmd_fit(cfg: RunConfig, max_iters, tol, ridge):
     payload = run_fit(cfg, None, max_iters, tol, ridge)
     _emit(payload, payload["ratings"], ["team", "rating"], cfg.output_format)
     if not payload["converged"]:
-        print(
-            f"error: fit did not converge ({payload['stop_reason']}; "
+        raise ConvergenceError(
+            f"fit did not converge ({payload['stop_reason']}; "
             f"gradient max-norm {payload['grad_max_norm']:.3g} "
-            f"after {payload['iterations']} iterations)",
-            file=sys.stderr,
+            f"after {payload['iterations']} iterations)"
         )
-        sys.exit(4)
 
 
 def cmd_simulate(cfg: RunConfig, teams, spacing, rounds, seed, output, truth):
     """Generate a synthetic season from evenly spaced true ratings."""
     if truth and _same_file(truth, output):
         raise UsageError(f"argument --truth: {truth!r} is the --output file")
-    ratings = list(_true_ratings(teams, spacing, cfg.sigma).values())
+    ratings = list(true_ratings(teams, spacing, cfg.sigma).values())
     # the first and last teams give the widest difference; eta only widens it
     widest = apply_home_advantage(abs(ratings[0] - ratings[-1]), cfg.model_params())
     if not math.isfinite(widest):
@@ -596,12 +595,10 @@ def main(argv: list[str] | None = None) -> None:
         _COMMANDS[name][0](cfg, **options)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ZeroProbabilityError, ConvergenceError) as exc:
+    except (ConvergenceError, OSError, ValueError) as exc:
+        # numeric faults exit 4, the rest (data faults, an overflowing difference) 3
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(4)
-    except (SchemaError, RowError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(3)
+        sys.exit(4 if isinstance(exc, (ZeroProbabilityError, ConvergenceError)) else 3)
 
 
 if __name__ == "__main__":

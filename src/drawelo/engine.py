@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .data import GameRecord
-from .errors import ConvergenceError, ZeroProbabilityError
+from .errors import ConvergenceError, non_finite_difference, zero_probability
 from .models import (
     ModelFamily,
     ModelParams,
@@ -48,7 +48,6 @@ from .models import (
     davidson_triple,
     enum_field,
     expected_score,
-    non_finite_difference,
     outcome_logp,
 )
 
@@ -281,13 +280,6 @@ class OnlineRun:
     probs: np.ndarray    # (C, G, 3) forecast (p_home, p_away, p_draw) before each game
     ratings: np.ndarray  # (C, T) final ratings
 
-    def error(self, cell: int) -> ValueError | None:
-        """The error a cell's first non-finite rating difference raises, if any."""
-        import numpy as np
-        diffs = self.diffs[cell]
-        bad = diffs[~np.isfinite(diffs)]
-        return non_finite_difference(float(bad[0])) if bad.size else None
-
 
 def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> OnlineRun:
     """Every configuration's sequential ratings and forecasts in one pass, on numpy.
@@ -299,8 +291,8 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     the pass.  The update and the forecast call ``run_season``'s own
     ``expected_score`` and ``davidson_triple`` on arrays, so each cell
     matches a ``run_season`` of its configuration bit for bit.  A
-    configuration whose ratings stop being finite is not raised here:
-    ``OnlineRun.error`` reports it.
+    configuration whose ratings stop being finite is not raised here: its
+    ``diffs`` row shows it.
     """
     import numpy as np
     table = np.array([mode_parameters(c) for c in configs], dtype=float).reshape(len(configs), 6)
@@ -330,7 +322,7 @@ def run_season(
 
     One configuration steps game by game on plain floats and keeps each
     game's difference; ``Forecasts`` applies ``davidson_triple`` to it when
-    read.  numpy is never imported.  The first non-finite difference raises.
+    read.  numpy is never imported.  The first non-finite difference raises, naming its game.
     """
     season = compile_season(games, players)
     shift, step, sigma, kappa, predict_sigma, predict_kappa = mode_parameters(config)
@@ -339,7 +331,7 @@ def run_season(
     for h, a, s in zip(season.home, season.away, season.score):
         v = (ratings[h] - ratings[a]) + shift
         if not math.isfinite(v):
-            raise non_finite_difference(v)
+            raise non_finite_difference(v, games, len(diffs))
         delta = step * (s - expected_score(v, sigma, kappa))
         ratings[h] += delta
         ratings[a] -= delta
@@ -358,24 +350,20 @@ def run_season(
 
 
 def _game_terms(
-    x: np.ndarray, home: np.ndarray, away: np.ndarray, score: np.ndarray, model: ModelParams
+    x: np.ndarray, home: np.ndarray, away: np.ndarray, score: np.ndarray, model: ModelParams,
+    games: Sequence[GameRecord],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-game log P(observed outcome), slope and curvature at ratings x."""
+    """Per-game log P(observed outcome), slope and curvature; a game's fault raises."""
     import numpy as np
     v = apply_home_advantage(x[home] - x[away], model)
-    finite = np.isfinite(v)
-    if not finite.all():
-        raise non_finite_difference(v[~finite][0])
-    return outcome_logp(v, score, model)
-
-
-def _zero_probability(games: Sequence[GameRecord], logp: np.ndarray) -> ZeroProbabilityError:
-    i = int(logp.argmin())  # the first game whose outcome has log-probability -inf
-    g = games[i]
-    return ZeroProbabilityError(
-        f"game {i} ({g.home_id} vs {g.away_id}): model assigns "
-        f"probability 0 to observed outcome {g.outcome!r}"
-    )
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise non_finite_difference(float(v[bad[0]]), games, int(bad[0]))
+    logp, slope, curvature = outcome_logp(v, score, model)
+    bad = np.flatnonzero(np.isneginf(logp))
+    if bad.size:
+        raise zero_probability(games[bad[0]].outcome, games, int(bad[0]))
+    return logp, slope, curvature
 
 
 def _theta_terms(theta: Mapping[str, float], games: Sequence[GameRecord], model: ModelParams):
@@ -386,16 +374,13 @@ def _theta_terms(theta: Mapping[str, float], games: Sequence[GameRecord], model:
         raise ValueError(f"theta has no rating for player {season.players[len(theta)]!r}")
     home, away, score = season.arrays()
     x = np.fromiter(theta.values(), dtype=float, count=len(theta))
-    return home, away, _game_terms(x, home, away, score, model)
+    return home, away, _game_terms(x, home, away, score, model, games)
 
 
 def nll(theta: Mapping[str, float], games: Sequence[GameRecord], model: ModelParams) -> float:
     """Negative log likelihood (natural log) of the games under ``model``."""
     _, _, (logp, _, _) = _theta_terms(theta, games, model)
-    total = float(-logp.sum())
-    if math.isinf(total):
-        raise _zero_probability(games, logp)
-    return total
+    return float(-logp.sum())
 
 
 def nll_gradient(
@@ -403,9 +388,7 @@ def nll_gradient(
 ) -> dict[str, float]:
     """Gradient of ``nll``; only a game's two participants get contributions."""
     import numpy as np
-    home, away, (logp, slope, _) = _theta_terms(theta, games, model)
-    if np.isneginf(logp).any():
-        raise _zero_probability(games, logp)
+    home, away, (_, slope, _) = _theta_terms(theta, games, model)
     n = len(theta)
     grad = np.bincount(away, slope, n) - np.bincount(home, slope, n)
     return dict(zip(theta, grad.tolist()))
@@ -519,14 +502,12 @@ def batch_ml_fit(
     ridge = ridge * sp * sp  # the same penalty on y
 
     def objective(x: np.ndarray):
-        logp, slope, curvature = _game_terms(x, home, away, score, unit)
-        return float(ridge * (x @ x) - logp.sum()), logp, slope, curvature
+        logp, slope, curvature = _game_terms(x, home, away, score, unit, games)
+        return float(ridge * (x @ x) - logp.sum()), slope, curvature
 
     x = np.zeros(n)
-    current, logp, slope, curvature = objective(x)
     # an outcome the model cannot produce is a fault no ridge mends, so it is named first
-    if math.isinf(current):
-        raise _zero_probability(games, logp)
+    current, slope, curvature = objective(x)
     if ridge == 0.0:
         _check_separable(players, beats, linked)
     g_max = math.inf
@@ -557,7 +538,7 @@ def batch_ml_fit(
         alpha = 1.0
         for _ in range(60):
             trial = x + alpha * step
-            trial_value, logp, trial_slope, trial_curvature = objective(trial)
+            trial_value, trial_slope, trial_curvature = objective(trial)
             if not math.isfinite(trial_value):
                 raise ConvergenceError("objective became non-finite during descent")
             if trial_value <= current + alpha * decrease + 1e-12 * max(1.0, abs(current)):

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the wording of per-game failures."""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from .data import GameRecord
 
 
 class ZeroProbabilityError(ValueError):
@@ -23,3 +30,21 @@ class RowError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def game_label(games: Sequence[GameRecord], i: int) -> str:
+    """How every message names game i of ``games``: ``game i (HOME vs AWAY, DATE)``."""
+    g = games[i]
+    return f"game {i} ({g.home_id} vs {g.away_id}, {g.date})"
+
+
+def zero_probability(outcome: str, games=None, i: int = 0) -> ZeroProbabilityError:
+    """The error for an observed ``outcome`` given probability 0, at game i of ``games``."""
+    message = f"model assigns probability 0 to observed outcome {outcome!r}"
+    return ZeroProbabilityError(message if games is None else f"{game_label(games, i)}: {message}")
+
+
+def non_finite_difference(v: float, games=None, i: int = 0) -> ValueError:
+    """The error for a non-finite rating difference v, at game i of ``games``."""
+    message = f"rating difference must be finite, got {v}"
+    return ValueError(message if games is None else f"{game_label(games, i)}: {message}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .data import GameRecord, odds_to_probs
-from .errors import ZeroProbabilityError
+from .errors import game_label, non_finite_difference, zero_probability
 from .models import OUTCOME_COLUMN, OutcomeProbs
 
 if TYPE_CHECKING:
@@ -52,23 +52,11 @@ class EvalReport:
     window: tuple[int, int]  # half-open [start, end) into the scored list
 
 
-def _zero_probability_message(outcome: str) -> str:
-    return f"prediction assigns probability 0 to realized outcome {outcome!r}"
-
-
-def _zero_probability_at(i: int, games: Sequence[GameRecord]) -> ZeroProbabilityError:
-    game = games[i]
-    return ZeroProbabilityError(
-        f"game {i} ({game.home_id} vs {game.away_id}, {game.date}): "
-        f"{_zero_probability_message(game.outcome)}"
-    )
-
-
 def log_score(prediction: OutcomeProbs, outcome: str) -> float:
     """-ln of the probability assigned to the realized outcome (lower is better)."""
     p = prediction.prob_of(outcome)
     if p <= 0.0:
-        raise ZeroProbabilityError(_zero_probability_message(outcome))
+        raise zero_probability(outcome)
     return -math.log(p)
 
 
@@ -98,13 +86,19 @@ def cell_log_scores(realized: np.ndarray) -> np.ndarray:
     return np.negative(logs, out=logs)
 
 
-def zero_probability(
-    realized: np.ndarray, games: Sequence[GameRecord]
-) -> ZeroProbabilityError | None:
-    """The error naming the first game a row of realized probabilities gives probability 0."""
+def cell_error(
+    diffs: np.ndarray, realized: np.ndarray, games: Sequence[GameRecord]
+) -> ValueError | None:
+    """A grid cell's error, as ``run_season`` then ``score_games`` raise it for its config alone.
+
+    That is the first non-finite difference, else the first zero probability.
+    """
     import numpy as np
+    bad = np.flatnonzero(~np.isfinite(diffs))
+    if bad.size:
+        return non_finite_difference(float(diffs[bad[0]]), games, int(bad[0]))
     bad = np.flatnonzero(realized <= 0.0)
-    return _zero_probability_at(int(bad[0]), games) if bad.size else None
+    return zero_probability(games[bad[0]].outcome, games, int(bad[0])) if bad.size else None
 
 
 def score_games(
@@ -112,8 +106,7 @@ def score_games(
 ) -> list[float]:
     """Per-game log scores of (p_home, p_away, p_draw) rows such as ``OutcomeProbs``.
 
-    Scored in plain Python; a zero probability raises the error
-    ``zero_probability`` gives, naming the game.
+    Scored in plain Python; a zero probability raises, naming the first such game.
     """
     if len(predictions) != len(games):
         raise ValueError(
@@ -124,7 +117,7 @@ def score_games(
         return [-x for x in map(math.log, realized)]
     except ValueError:  # math.log of a probability <= 0
         first = next(i for i, p in enumerate(realized) if p <= 0.0)
-        raise _zero_probability_at(first, games) from None
+        raise zero_probability(games[first].outcome, games, first) from None
 
 
 def second_half_window(n_total: int) -> tuple[int, int]:
@@ -170,10 +163,8 @@ def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[
 def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
     if window == "second-half":
         return second_half_window(n_total)
-    if window == "full":
-        if n_total <= 0:
-            raise ValueError("empty score list")
-        return 0, n_total
+    if window == "full":  # no games raise as they do for the second half
+        return 0, second_half_window(n_total)[1]
     raise ValueError(f"window must be 'second-half' or 'full', got {window!r}")
 
 
@@ -204,8 +195,9 @@ def evaluate_configs(
     One configuration steps on plain floats (``run_season``) and is scored
     in plain Python, without numpy; two or more run in one pass of the
     vector kernel (``run_online``) and are scored on arrays.  A cell's error
-    is a non-finite rating difference, a zero probability or no games to
-    score; the other cells are still scored.
+    is a non-finite rating difference or a zero probability, each naming its
+    game (``cell_error``), or no games to score; the other cells are still
+    scored.
     """
     from .engine import compile_season, run_online, run_season
     if len(configs) == 1:
@@ -224,7 +216,7 @@ def evaluate_configs(
     # logs only inside the window; a zero probability anywhere is the cell's error
     realized = realized_probs(run.probs, games)
     reports = evaluate_cells(cell_log_scores(realized[:, start:end]), (start, end))
-    return [run.error(c) or zero_probability(realized[c], games) or report
+    return [cell_error(run.diffs[c], realized[c], games) or report
             for c, report in enumerate(reports)]
 
 
@@ -233,11 +225,8 @@ def baseline_report(games: Sequence[GameRecord], window: tuple[int, int]) -> Eva
     start, end = window
     missing = [i for i in range(start, end) if games[i].odds is None]
     if missing:
-        g = games[missing[0]]
-        raise ValueError(
-            f"baseline requested but odds are missing on {len(missing)} game(s), "
-            f"first game {missing[0]} ({g.home_id} vs {g.away_id}, {g.date})"
-        )
+        raise ValueError(f"baseline requested but odds are missing on {len(missing)} game(s), "
+                         f"first {game_label(games, missing[0])}")
     scores = [log_score(odds_to_probs(*g.odds), g.outcome) for g in games[start:end]]
     return evaluate_scores(scores, window="full")
 

@@ -19,8 +19,8 @@ its expected score ``expected_score``, and ``threshold_triple``.  They take
 a float or a numpy array, so the float and the grid engines call the same
 code, and they never import numpy.  ``predict_probs`` is the one
 per-family entry point for a single difference.  The batch fit's
-log-likelihood is one kernel, ``davidson_logp``, which takes its slope and
-curvature from the same curves; ``threshold_logp`` sums its binary terms.
+log-likelihood is one kernel, ``davidson_logp``, which reads its slope and
+curvature off the davidson triple; ``threshold_logp`` sums its binary terms.
 They import numpy on their first call.
 """
 
@@ -32,6 +32,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
+
+from .errors import non_finite_difference
 
 if TYPE_CHECKING:
     import numpy as np
@@ -141,11 +143,6 @@ OUTCOME_COLUMN = {"H": 0, "A": 1, "D": 2}
 # ---------------------------------------------------------------------------
 
 
-def non_finite_difference(v: float) -> ValueError:
-    """The error every rating computation raises for a non-finite difference v."""
-    return ValueError(f"rating difference must be finite, got {v}")
-
-
 def exp10(x: float | np.ndarray) -> float | np.ndarray:
     """10^x by the C library's pow, on a float or on each element of an array.
 
@@ -250,8 +247,9 @@ def davidson_logp(
 
     With D = e^(t/2) + e^(-t/2) + kappa, log p is t/2 - log D for a home
     win, -t/2 - log D for an away win and log kappa - log D for a draw.
-    The slope is (s - f_kappa(v)) / sigma', the online update's score.  The
-    curvature is minus the score's variance,
+    The slope is (s - f_kappa(v)) / sigma', the online update's score, with
+    f_kappa = p_home + p_draw / 2 read off the triple.  The curvature is
+    minus the score's variance,
     -(p_home p_away + p_draw (p_home + p_away) / 4) / sigma'^2, which is
     never positive: the likelihood is concave in the ratings.
     """
@@ -263,7 +261,7 @@ def davidson_logp(
     log_kappa = math.log(kappa) if kappa > 0 else -math.inf
     logp = (s - 0.5) * t - half - np.log1p(u * u + kappa * u) + np.where(s == 0.5, log_kappa, 0.0)
     home, away, draw = davidson_triple(v, sigma, kappa)
-    slope = (s - expected_score(v, sigma, kappa)) / sigma_prime
+    slope = (s - (home + 0.5 * draw)) / sigma_prime
     curvature = -(home * away + 0.25 * draw * (home + away)) / sigma_prime**2
     return logp, slope, curvature
 

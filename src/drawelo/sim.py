@@ -117,6 +117,15 @@ class Uniforms(Protocol):
     def random(self) -> float: ...
 
 
+def true_ratings(teams: int, spacing: float, sigma: float) -> dict[str, float]:
+    """Evenly spaced true ratings of teams T1..Tn, zero-padded, strongest first."""
+    width = len(str(teams))
+    return {
+        f"T{i + 1:0{width}d}": ((teams - 1) / 2.0 - i) * spacing * sigma
+        for i in range(teams)
+    }
+
+
 def generate_schedule(n_teams: int, rounds: int = 1) -> list[tuple[int, int]]:
     """Double round-robin pairings: every ordered (home, away) pair once per round.
 

@@ -479,10 +479,19 @@ def test_fit_has_no_step_option(toy_file):
     assert result.exit_code == 2
 
 
-def test_fit_binary_on_draws_is_a_numeric_error_naming_the_game(draws_file):
-    result = invoke(["fit", str(draws_file), "--family", "binary"])
-    assert result.exit_code == 4
-    assert "game 0 (A vs B)" in result.stderr
+@pytest.mark.parametrize("args", [["fit", "--family", "binary"], ["evaluate", "--kappa", "0"],
+                                  ["sweep", "--kappa-grid", "0,0.7"]],
+                         ids=["fit", "evaluate", "sweep"])
+def test_fit_binary_on_draws_is_a_numeric_error_naming_the_game(draws_file, args):
+    # one impossible draw is worded alike by the fit, by evaluate and in a sweep's error cell
+    message = "game 0 (A vs B, 2021-08-01): model assigns probability 0 to observed outcome 'D'"
+    result = invoke([args[0], str(draws_file), *args[1:]])
+    if args[0] == "sweep":
+        assert result.exit_code == 0, result.output
+        assert [c["error"] for c in json.loads(result.stdout)["cells"]] == [message, None]
+    else:
+        assert result.exit_code == 4 and result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
 
 def test_fit_separable_data_is_a_numeric_error(tmp_path):
@@ -520,6 +529,17 @@ def test_simulate_is_reproducible(tmp_path):
     truth_rows = parse_csv((tmp_path / "a.csv.truth.csv").read_text())
     assert len(truth_rows) == 6
     assert sum(float(r["rating"]) for r in truth_rows) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", ["output", "truth"])
+def test_simulate_that_cannot_open_an_output_leaves_no_file(tmp_path, bad):
+    paths = {"output": tmp_path / "part.csv", "truth": tmp_path / "t.csv"}
+    paths[bad] = tmp_path / "nodir" / paths[bad].name
+    result = invoke(["simulate", "--teams", "4", "-o", str(paths["output"]),
+                     "--truth", str(paths["truth"])])
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "nodir" in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_kappa_zero_produces_no_draws(tmp_path):

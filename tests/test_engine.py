@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from drawelo.engine import (
     score_of,
 )
 from drawelo.evaluation import evaluate_configs, evaluate_scores, score_games
-from drawelo.errors import ConvergenceError, ZeroProbabilityError
+from drawelo.errors import ConvergenceError, ZeroProbabilityError, non_finite_difference
 from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, davidson_triple, predict_probs
 from oracles import finite_diff_gradient
 
@@ -259,9 +260,9 @@ def one_cell_run(games, config, players=None) -> SeasonResult:
     """
     season = compile_season(games, players)
     run = run_online(season, [config])
-    error = run.error(0)
-    if error is not None:
-        raise error
+    bad = np.flatnonzero(~np.isfinite(run.diffs[0]))  # as run_season raises, naming the game
+    if bad.size:
+        raise non_finite_difference(float(run.diffs[0, bad[0]]), games, int(bad[0]))
     return SeasonResult(
         state=RatingState(ratings=dict(zip(season.players, run.ratings[0].tolist()))),
         predictions=[OutcomeProbs(*p) for p in run.probs[0].tolist()],
@@ -397,14 +398,16 @@ def test_run_season_non_finite_difference_is_an_error(vectorize):
     # are -1e308 and 1e308, so the return game's shifted difference overflows
     games = [game("A", "B", "A", 0), game("B", "A", "H", 1)]
     huge = config(sigma=1e307, eta=10.0, k_tilde=10.0)
-    message = "rating difference must be finite, got inf"
+    message = "game 1 (B vs A, 2021-08-02): rating difference must be finite, got inf"
     if not vectorize:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as raised:
             run_season(games, huge)
+        assert str(raised.value) == message
         return
-    # on the vector side only the failing cell of a grid reports it
-    run = run_online(compile_season(games), [huge, config()])
-    assert str(run.error(0)) == message and run.error(1) is None
+    # on the vector side only the failing cell of a grid reports it, naming the same game
+    cells = evaluate_configs(games, [huge, config()], window="full")
+    assert str(cells[0]) == message and not isinstance(cells[1], ValueError)
+    assert np.isinf(run_online(compile_season(games), [huge]).diffs[0, 1])
 
 
 def test_predict_rejects_a_non_finite_difference():
@@ -550,7 +553,8 @@ def test_a_valid_config_never_yields_nan(vectorize, sigma, k_tilde, eta, kappa, 
     try:
         result = (one_cell_run if vectorize else run_season)(games, cfg)
     except ValueError as exc:
-        assert str(exc).startswith("rating difference must be finite")
+        assert re.match(r"game \d+ \(T\d vs T\d, [-\d]+\): rating difference must be finite",
+                        str(exc))
         return
     assert not any(math.isnan(r) for r in result.state.ratings.values())
     if not vectorize:
@@ -584,6 +588,15 @@ def test_nll_is_additive():
     assert nll(theta, first + second, model) == pytest.approx(
         nll(theta, first, model) + nll(theta, second, model), rel=1e-12
     )
+
+
+def test_nll_non_finite_difference_names_the_game():
+    games = [game("A", "B", "H", 0), game("B", "C", "D", 1)]
+    message = "game 1 (B vs C, 2021-08-02): rating difference must be finite, got -inf"
+    for function in (nll, nll_gradient):
+        with pytest.raises(ValueError) as raised:
+            function({"A": 0.0, "B": 0.0, "C": math.inf}, games, fit_model())
+        assert str(raised.value) == message
 
 
 def test_nll_zero_probability_names_the_game():
@@ -795,7 +808,7 @@ def test_batch_fit_names_an_impossible_outcome_before_separable_data():
     games = [game("A", "B", "H", 0), game("A", "B", "H", 1), game("C", "D", "D", 2)]
     model = fit_model(family=ModelFamily.THRESHOLD, v0=0.0)
     for ridge in (0.0, 1e-4):
-        with pytest.raises(ZeroProbabilityError, match="game 2 \\(C vs D\\)"):
+        with pytest.raises(ZeroProbabilityError, match="game 2 \\(C vs D, 2021-08-03\\)"):
             batch_ml_fit(games, model, ridge=ridge)
 
 
@@ -808,7 +821,7 @@ def test_batch_fit_ridge_rescues_separable_data():
 
 def test_batch_fit_rejects_draws_under_binary():
     games = [game("A", "B", "D")]
-    with pytest.raises(ZeroProbabilityError, match=r"game 0 \(A vs B\)"):
+    with pytest.raises(ZeroProbabilityError, match=r"game 0 \(A vs B, 2021-08-01\)"):
         batch_ml_fit(games, fit_model(family=ModelFamily.BINARY))
 
 
@@ -921,7 +934,8 @@ def test_nll_gradient_zero_probability_message_is_nll_s():
     with pytest.raises(ZeroProbabilityError) as from_gradient:
         nll_gradient(theta, games, model)
     assert str(from_gradient.value) == str(from_nll.value)
-    assert "game 1 (A vs B)" in str(from_gradient.value)
+    assert str(from_gradient.value) == (
+        "game 1 (A vs B, 2021-08-01): model assigns probability 0 to observed outcome 'D'")
 
 
 @pytest.mark.parametrize(

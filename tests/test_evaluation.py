@@ -10,6 +10,7 @@ from drawelo.engine import EngineConfig, UpdateMode, run_season
 from drawelo.errors import ZeroProbabilityError
 from drawelo.evaluation import (
     baseline_report,
+    cell_error,
     cell_log_scores,
     credibility_interval,
     empirical_stats,
@@ -22,7 +23,6 @@ from drawelo.evaluation import (
     realized_probs,
     score_games,
     second_half_window,
-    zero_probability,
 )
 from drawelo.models import ModelParams, OutcomeProbs, predict_probs
 from drawelo.sim import SimSpec, generate_season
@@ -68,7 +68,7 @@ def test_cell_log_scores_pick_the_realized_column():
     assert scores.shape == (2, 2)
     assert scores[0].tolist() == [-math.log(0.25), -math.log(0.5)]
     assert scores[1].tolist() == [-math.log(0.5), -math.log(0.3)]
-    assert zero_probability(realized[0], games) is None
+    assert cell_error(np.zeros(2), realized[0], games) is None
 
 
 def test_zero_probability_names_the_first_game():
@@ -76,11 +76,14 @@ def test_zero_probability_names_the_first_game():
     games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "B", "D", 2)]
     realized = realized_probs(probs, games)
     assert cell_log_scores(realized).tolist() == [[math.log(3), math.inf, math.inf]]
-    error = zero_probability(realized[0], games)
+    error = cell_error(np.zeros(3), realized[0], games)
     assert isinstance(error, ZeroProbabilityError)
     assert str(error) == (
-        "game 1 (C vs D, 2021-08-02): prediction assigns probability 0 to realized outcome 'D'"
+        "game 1 (C vs D, 2021-08-02): model assigns probability 0 to observed outcome 'D'"
     )
+    # a non-finite difference comes first, as run_season raises it before any game is scored
+    error = cell_error(np.array([0.0, 0.0, -np.inf]), realized[0], games)
+    assert str(error) == "game 2 (A vs B, 2021-08-03): rating difference must be finite, got -inf"
 
 
 def test_cell_log_scores_use_the_same_log_as_score_games():
@@ -106,7 +109,7 @@ def test_score_rows_match_cell_log_scores(data):
     games = [game("A", "B", data.draw(st.sampled_from("HDA")), i) for i in range(n)]
     realized = realized_probs(np.array(rows, dtype=float), games)
     for row, probs, scores in zip(rows, realized, cell_log_scores(realized)):
-        error = zero_probability(probs, games)
+        error = cell_error(np.zeros(n), probs, games)
         if error is None:
             assert score_games(row, games) == scores.tolist()
         else:
@@ -259,7 +262,7 @@ def test_failing_cells_leave_the_rest_of_the_grid_alone():
     cells = evaluate_configs(games, configs)
     assert isinstance(cells[1], ZeroProbabilityError)
     assert str(cells[1]).startswith("game 2 (A vs B, ")
-    assert str(cells[2]) == "rating difference must be finite, got inf"
+    assert str(cells[2]) == "game 1 (B vs A, 2021-08-02): rating difference must be finite, got inf"
     assert not isinstance(cells[0], ValueError) and not isinstance(cells[3], ValueError)
     assert_cells_match_each_configuration_alone(games, configs, cells)
 
