@@ -377,7 +377,11 @@ def run_simulate(
     cfg: RunConfig, teams: int, spacing: float, rounds: int, seed: int,
     output: str, truth: str | None,
 ) -> dict:
-    """Write a season and its true ratings; if either cannot be opened, remove what this made."""
+    """Write a season and its true ratings.
+
+    Neither file is emptied before both open; if either cannot be opened,
+    what this made is removed.
+    """
     theta_true = true_ratings(teams, spacing, cfg.sigma)
     spec = SimSpec(
         theta_true=theta_true, model=cfg.model_params(), rounds=rounds, seed=seed
@@ -385,15 +389,14 @@ def run_simulate(
     dataset = generate_season(spec)
     truth_path = truth or output + ".truth.csv"
     created = not os.path.exists(output)
-    fh = open(output, "w", newline="", encoding="utf-8")
+    open(output, "a", encoding="utf-8").close()  # opens it, emptying nothing yet
     try:
         truth_fh = open(truth_path, "w", newline="", encoding="utf-8")
     except OSError:
-        fh.close()
         if created:
             os.remove(output)
         raise
-    with fh, truth_fh:
+    with truth_fh, open(output, "w", newline="", encoding="utf-8") as fh:
         fh.write(serialize_matches(dataset))
         writer = csv.writer(truth_fh, lineterminator="\n")
         writer.writerow(["team", "rating"])

@@ -18,8 +18,9 @@ A season is compiled once into index lists.  Each entry point has one
 path: ``run_season``, the rating update, steps one configuration game by
 game on floats without numpy; ``run_online`` advances a grid of them on
 numpy arrays, one vector step per run of games in which no team appears
-twice.  Both paths call the one ``expected_score`` and ``davidson_triple``
-of ``models``.  Every player starts at rating 0.  ``predict`` forecasts a
+twice.  Both paths keep each game's difference, stepped by the one
+``expected_score`` of ``models``, and a forecast is ``davidson_triple`` of
+a difference.  Every player starts at rating 0.  ``predict`` forecasts a
 fixture from a ``RatingState``; ``run_season``'s forecasts are built when
 read, and its trajectory is iterated, not indexed.
 
@@ -277,26 +278,25 @@ class OnlineRun:
     """``run_online`` output for C configurations, G games and T players, as numpy arrays."""
 
     diffs: np.ndarray    # (C, G) shifted rating difference before each game
-    probs: np.ndarray    # (C, G, 3) forecast (p_home, p_away, p_draw) before each game
     ratings: np.ndarray  # (C, T) final ratings
 
 
 def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> OnlineRun:
-    """Every configuration's sequential ratings and forecasts in one pass, on numpy.
+    """Every configuration's sequential ratings and differences in one pass, on numpy.
 
     Ratings are held as a (configs, players) array, and each run of
     disjoint games advances in one vector step for every configuration;
     that is exact, because no game of a run reads a rating another game of
-    the same run writes.  Forecasts are computed from the differences after
-    the pass.  The update and the forecast call ``run_season``'s own
-    ``expected_score`` and ``davidson_triple`` on arrays, so each cell
-    matches a ``run_season`` of its configuration bit for bit.  A
+    the same run writes.  The update calls ``run_season``'s own
+    ``expected_score`` on arrays, so each cell's differences match a
+    ``run_season`` of its configuration bit for bit, and a forecast is
+    ``davidson_triple`` of a difference, as ``Forecasts`` builds it.  A
     configuration whose ratings stop being finite is not raised here: its
     ``diffs`` row shows it.
     """
     import numpy as np
     table = np.array([mode_parameters(c) for c in configs], dtype=float).reshape(len(configs), 6)
-    shift, step, sigma, kappa, predict_sigma, predict_kappa = table.T[:, :, None]
+    shift, step, sigma, kappa = table.T[:4, :, None]
     home_index, away_index, score = season.arrays()
     ratings = np.zeros((len(configs), len(season.players)))
     diffs = np.empty((len(configs), len(score)))
@@ -309,8 +309,7 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
             ratings[:, home] += delta
             ratings[:, away] -= delta
             diffs[:, start:end] = v
-        probs = np.stack(davidson_triple(diffs, predict_sigma, predict_kappa), axis=-1)
-    return OnlineRun(diffs, probs, ratings)
+    return OnlineRun(diffs, ratings)
 
 
 def run_season(

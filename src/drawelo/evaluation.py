@@ -4,12 +4,13 @@ The headline metric is the negative logarithmic score, -ln p(realized
 outcome), averaged over the second half of a season so the warm-up phase of
 the online algorithms is excluded.  Alongside the mean we report the
 minimum-length interval containing at least 95% of the per-game scores.
-One season's scores are plain Python lists; many configurations are scored
-at once on (cells, games) numpy arrays, by the same rules: the interval is
-the first shortest window of order statistics, a window whose ends are
-equal (inf included) has length 0, and a mean is ``sum(row) / len(row)``.
-numpy is imported only by the array functions.  ``evaluate_configs`` scores
-the online forecasts of a list of configurations; it is the one place that
+One season's scores are plain Python lists.  A grid cell is scored from
+its row of rating differences by ``cell_report``, with ``math.log`` as
+``score_games`` takes it, and its interval is found on a numpy array by
+the same rule: the first shortest window of order statistics, where a
+window whose ends are equal (inf included) has length 0.  numpy is
+imported only by the grid functions.  ``evaluate_configs`` scores the
+online forecasts of a list of configurations; it is the one place that
 picks between the float and the vector online path.
 """
 
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .data import GameRecord, odds_to_probs
 from .errors import game_label, non_finite_difference, zero_probability
-from .models import OUTCOME_COLUMN, OutcomeProbs
+from .models import OUTCOME_COLUMN, OutcomeProbs, davidson_triple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,47 +61,6 @@ def log_score(prediction: OutcomeProbs, outcome: str) -> float:
     return -math.log(p)
 
 
-def realized_probs(probs: np.ndarray, games: Sequence[GameRecord]) -> np.ndarray:
-    """(cells, games) probability of each realized outcome in a (cells, games, 3) forecast table.
-
-    Columns are (p_home, p_away, p_draw).
-    """
-    import numpy as np
-    column = np.fromiter(
-        (OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp, count=len(games)
-    )
-    return np.take_along_axis(probs, column[None, :, None], axis=-1)[..., 0]
-
-
-def cell_log_scores(realized: np.ndarray) -> np.ndarray:
-    """Log scores of a (cells, games) array of realized probabilities; 0 scores inf.
-
-    Positive probabilities go through ``math.log``, as in ``score_games``:
-    numpy's vectorised log can differ from it in the last bit.
-    """
-    import numpy as np
-    with np.errstate(divide="ignore"):
-        logs = np.log(realized)
-    positive = realized > 0.0
-    logs[positive] = np.fromiter(map(math.log, realized[positive].tolist()), dtype=float)
-    return np.negative(logs, out=logs)
-
-
-def cell_error(
-    diffs: np.ndarray, realized: np.ndarray, games: Sequence[GameRecord]
-) -> ValueError | None:
-    """A grid cell's error, as ``run_season`` then ``score_games`` raise it for its config alone.
-
-    That is the first non-finite difference, else the first zero probability.
-    """
-    import numpy as np
-    bad = np.flatnonzero(~np.isfinite(diffs))
-    if bad.size:
-        return non_finite_difference(float(diffs[bad[0]]), games, int(bad[0]))
-    bad = np.flatnonzero(realized <= 0.0)
-    return zero_probability(games[bad[0]].outcome, games, int(bad[0])) if bad.size else None
-
-
 def score_games(
     predictions: Sequence[Sequence[float]], games: Sequence[GameRecord]
 ) -> list[float]:
@@ -127,18 +87,16 @@ def second_half_window(n_total: int) -> tuple[int, int]:
     return n_total - (n_total + 1) // 2, n_total
 
 
-def min_length_intervals(values: np.ndarray, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
-    """``credibility_interval`` of each row of a (rows, n) array, n >= 1."""
+def min_length_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
+    """``credibility_interval`` of n >= 1 values, on a numpy array."""
     import numpy as np
-    ordered = np.sort(values, axis=-1)
-    n = ordered.shape[-1]
-    k = math.ceil(level * n)
-    low, high = ordered[:, : n - k + 1], ordered[:, k - 1:]
+    ordered = np.sort(values)
+    k = math.ceil(level * len(ordered))
+    low, high = ordered[: len(ordered) - k + 1], ordered[k - 1:]
     with np.errstate(invalid="ignore"):  # inf - inf; such a window has length 0
         widths = np.where(high == low, 0.0, high - low)
-    first = np.argmin(widths, axis=-1)  # the first minimum has the smallest lower bound
-    rows = np.arange(len(ordered))
-    return ordered[rows, first], ordered[rows, first + k - 1]
+    first = int(np.argmin(widths))  # the first minimum has the smallest lower bound
+    return float(ordered[first]), float(ordered[first + k - 1])
 
 
 def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
@@ -156,7 +114,7 @@ def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[
     ordered = sorted(map(float, values))
     k = math.ceil(level * len(ordered))
     widths = [0.0 if high == low else high - low for low, high in zip(ordered, ordered[k - 1:])]
-    first = widths.index(min(widths))  # as in min_length_intervals
+    first = widths.index(min(widths))  # as in min_length_interval
     return ordered[first], ordered[first + k - 1]
 
 
@@ -168,16 +126,6 @@ def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
     raise ValueError(f"window must be 'second-half' or 'full', got {window!r}")
 
 
-def evaluate_cells(scored: np.ndarray, window: tuple[int, int]) -> list[EvalReport]:
-    """``evaluate_scores`` of each row of (cells, games) log scores, given over ``window`` only."""
-    low, high = min_length_intervals(scored)
-    return [
-        EvalReport(mean_ls=sum(row) / len(row), interval_low=lo, interval_high=hi,
-                   per_game_ls=row, window=window)
-        for lo, hi, row in zip(low.tolist(), high.tolist(), scored.tolist())
-    ]
-
-
 def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -> EvalReport:
     """Bundle mean and interval over the chosen window into a report, in plain Python."""
     start, end = _window_bounds(len(per_game_ls), window)
@@ -187,6 +135,34 @@ def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -
                       per_game_ls=scored, window=(start, end))
 
 
+def cell_report(
+    games: Sequence[GameRecord], column: np.ndarray, diffs: np.ndarray, config: EngineConfig,
+    window: tuple[int, int],
+) -> EvalReport | ValueError:
+    """A grid cell's report over ``window`` from its row of ``run_online`` differences, or its error.
+
+    ``column`` holds each game's ``OUTCOME_COLUMN``.  The checks run in
+    ``run_season`` then ``score_games``'s order, so the error is the one its
+    configuration alone raises: the first non-finite difference, else the
+    first zero probability.  A cell at fault takes no log.
+    """
+    import numpy as np
+    from .engine import mode_parameters
+    bad = np.flatnonzero(~np.isfinite(diffs))
+    if bad.size:
+        return non_finite_difference(float(diffs[bad[0]]), games, int(bad[0]))
+    with np.errstate(over="ignore"):  # v / sigma may overflow, to the limit floats give
+        realized = np.choose(column, davidson_triple(diffs, *mode_parameters(config)[4:]))
+    bad = np.flatnonzero(realized <= 0.0)
+    if bad.size:
+        return zero_probability(games[bad[0]].outcome, games, int(bad[0]))
+    start, end = window
+    scored = [-x for x in map(math.log, realized[start:end].tolist())]
+    low, high = min_length_interval(scored)
+    return EvalReport(mean_ls=sum(scored) / len(scored), interval_low=low, interval_high=high,
+                      per_game_ls=scored, window=window)
+
+
 def evaluate_configs(
     games: Sequence[GameRecord], configs: Sequence[EngineConfig], window: str = "second-half"
 ) -> list[EvalReport | ValueError]:
@@ -194,10 +170,10 @@ def evaluate_configs(
 
     One configuration steps on plain floats (``run_season``) and is scored
     in plain Python, without numpy; two or more run in one pass of the
-    vector kernel (``run_online``) and are scored on arrays.  A cell's error
-    is a non-finite rating difference or a zero probability, each naming its
-    game (``cell_error``), or no games to score; the other cells are still
-    scored.
+    vector kernel (``run_online``), and each cell is scored from its own
+    differences (``cell_report``).  A cell's error is a non-finite rating
+    difference or a zero probability, each naming its game, or no games to
+    score; the other cells are still scored.
     """
     from .engine import compile_season, run_online, run_season
     if len(configs) == 1:
@@ -212,12 +188,12 @@ def evaluate_configs(
         start, end = _window_bounds(len(games), window)
     except ValueError as exc:  # no games to score
         return [exc] * len(configs)
+    import numpy as np
     run = run_online(compile_season(games), configs)
-    # logs only inside the window; a zero probability anywhere is the cell's error
-    realized = realized_probs(run.probs, games)
-    reports = evaluate_cells(cell_log_scores(realized[:, start:end]), (start, end))
-    return [cell_error(run.diffs[c], realized[c], games) or report
-            for c, report in enumerate(reports)]
+    column = np.fromiter((OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp,
+                         count=len(games))
+    return [cell_report(games, column, diffs, config, (start, end))
+            for diffs, config in zip(run.diffs, configs)]
 
 
 def baseline_report(games: Sequence[GameRecord], window: tuple[int, int]) -> EvalReport:

@@ -514,6 +514,25 @@ def test_fit_singular_newton_system_is_a_numeric_error(tmp_path):
     assert "singular" in result.stderr and "ridge" in result.stderr
     assert invoke(args + ["--ridge", "1e-9"]).exit_code == 0
 
+
+def test_fit_stalled_descent_is_a_numeric_error(tmp_path):
+    # under a band of v0 = 5000, after two steps no halving of the third
+    # lowers the objective; a ridge lets the fit converge
+    path = tmp_path / "stall.csv"
+    results = ["T1,T0,D"] + ["T0,T1,A"] * 4
+    path.write_text(HEADER + "\n" + "".join(f"0{day + 1}/08/2021,{r}\n"
+                                             for day, r in enumerate(results)))
+    args = ["fit", str(path), "--family", "threshold", "--v0", "5000", "--eta", "0"]
+    result = invoke(args)
+    assert result.exit_code == 4
+    payload = json.loads(result.stdout)
+    assert payload["stop_reason"] == "stalled" and payload["converged"] is False
+    assert result.stderr == ("error: fit did not converge "
+                             "(stalled; gradient max-norm 0.00384 after 2 iterations)\n")
+    ridged = invoke(args + ["--ridge", "1e-9"])
+    assert ridged.exit_code == 0
+    assert json.loads(ridged.stdout)["converged"] is True
+
 # ---------------------------------------------------------------------------
 # simulate / stats
 # ---------------------------------------------------------------------------
@@ -531,15 +550,21 @@ def test_simulate_is_reproducible(tmp_path):
     assert sum(float(r["rating"]) for r in truth_rows) == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("bad", ["output", "truth"])
+@pytest.mark.parametrize("bad", ["output", "truth", "truth-of-an-existing-output"])
 def test_simulate_that_cannot_open_an_output_leaves_no_file(tmp_path, bad):
+    # nor empties one: an --output that exists keeps its bytes
     paths = {"output": tmp_path / "part.csv", "truth": tmp_path / "t.csv"}
-    paths[bad] = tmp_path / "nodir" / paths[bad].name
+    unopenable = bad.split("-")[0]
+    paths[unopenable] = tmp_path / "nodir" / paths[unopenable].name
+    kept = [paths["output"]] if bad.endswith("existing-output") else []
+    for path in kept:
+        path.write_text("old season\n")
     result = invoke(["simulate", "--teams", "4", "-o", str(paths["output"]),
                      "--truth", str(paths["truth"])])
     assert result.exit_code == 3 and result.stdout == ""
     assert result.stderr.startswith("error: ") and "nodir" in result.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == kept
+    assert [path.read_text() for path in kept] == ["old season\n"] * len(kept)
 
 
 def test_simulate_kappa_zero_produces_no_draws(tmp_path):

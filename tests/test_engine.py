@@ -18,6 +18,7 @@ from drawelo.engine import (
     UpdateMode,
     batch_ml_fit,
     compile_season,
+    mode_parameters,
     nll,
     nll_gradient,
     predict,
@@ -253,6 +254,12 @@ def test_compile_season_empty():
     assert [len(s) for s in run_season([], EngineConfig(), players=["A"]).trajectory] == []
 
 
+def vector_forecasts(diffs, config) -> list[OutcomeProbs]:
+    """``davidson_triple`` of a row of ``run_online`` differences, taken on the array."""
+    return [OutcomeProbs(*p) for p in zip(*(
+        column.tolist() for column in davidson_triple(diffs, *mode_parameters(config)[4:])))]
+
+
 def one_cell_run(games, config, players=None) -> SeasonResult:
     """``run_season``'s ratings and forecasts, built from a one-cell ``run_online``.
 
@@ -265,7 +272,7 @@ def one_cell_run(games, config, players=None) -> SeasonResult:
         raise non_finite_difference(float(run.diffs[0, bad[0]]), games, int(bad[0]))
     return SeasonResult(
         state=RatingState(ratings=dict(zip(season.players, run.ratings[0].tolist()))),
-        predictions=[OutcomeProbs(*p) for p in run.probs[0].tolist()],
+        predictions=vector_forecasts(run.diffs[0], config),
         trajectory=None,
     )
 
@@ -365,7 +372,7 @@ def test_run_online_cells_do_not_interact(vectorize, cases):
     for c, config in enumerate(configs):
         if vectorize:
             one = run_online(season, [config])
-            for field in ("diffs", "probs", "ratings"):
+            for field in ("diffs", "ratings"):
                 assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
             continue
         alone = run_season(games, config)
@@ -375,7 +382,7 @@ def test_run_online_cells_do_not_interact(vectorize, cases):
         for got, want in zip(ratings, alone.state.ratings.values()):
             assert abs(got - want) <= 1e-12 * scale
         assert len(alone.predictions) == len(games)
-        for got, want in zip(together.probs[c].tolist(), alone.predictions):
+        for got, want in zip(vector_forecasts(together.diffs[c], config), alone.predictions):
             assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
 
 
@@ -388,7 +395,7 @@ def test_run_online_equal_configurations_match_alone():
     together = run_online(season, cells)
     for c, cell in enumerate(cells):
         one = run_online(season, [cell])
-        for field in ("diffs", "probs", "ratings"):
+        for field in ("diffs", "ratings"):
             assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
 
 

@@ -5,26 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_report, game, online_cases
-from drawelo.engine import EngineConfig, UpdateMode, run_season
-from drawelo.errors import ZeroProbabilityError
+from conftest import KAPPAS, check_report, game, online_cases
+from drawelo.engine import EngineConfig, UpdateMode, mode_parameters, run_season
+from drawelo.errors import ZeroProbabilityError, non_finite_difference
 from drawelo.evaluation import (
     baseline_report,
-    cell_error,
-    cell_log_scores,
+    cell_report,
     credibility_interval,
     empirical_stats,
-    evaluate_cells,
     evaluate_configs,
     evaluate_scores,
     implied_draw_freq,
     log_score,
-    min_length_intervals,
-    realized_probs,
+    min_length_interval,
     score_games,
     second_half_window,
 )
-from drawelo.models import ModelParams, OutcomeProbs, predict_probs
+from drawelo.models import OUTCOME_COLUMN, ModelParams, OutcomeProbs, davidson_triple, predict_probs
 from drawelo.sim import SimSpec, generate_season
 from oracles import brute_min_interval
 
@@ -58,64 +55,96 @@ def test_score_games_names_the_offending_game():
         score_games(predictions, games[:1])
 
 
+def one_cell(games, diffs, config, window=None):
+    """``cell_report`` of one row of differences, over every game unless a window is given."""
+    column = np.array([OUTCOME_COLUMN[g.outcome] for g in games], dtype=np.intp)
+    return cell_report(games, column, np.array(diffs, dtype=float), config,
+                       window or (0, len(games)))
+
+
+def forecasts(diffs, config):
+    """The float path's forecasts of a row of differences, as ``Forecasts`` builds them."""
+    return [OutcomeProbs(*davidson_triple(v, *mode_parameters(config)[4:])) for v in diffs]
+
+
 def test_cell_log_scores_pick_the_realized_column():
-    probs = np.array([[[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]],
-                      [[0.5, 0.5, 0.0], [0.1, 0.6, 0.3]]])
-    games = [game("A", "B", "A", 0), game("C", "D", "D", 1)]
-    realized = realized_probs(probs, games)
-    assert realized.tolist() == [[0.25, 0.5], [0.5, 0.3]]
-    scores = cell_log_scores(realized)
-    assert scores.shape == (2, 2)
-    assert scores[0].tolist() == [-math.log(0.25), -math.log(0.5)]
-    assert scores[1].tolist() == [-math.log(0.5), -math.log(0.3)]
-    assert cell_error(np.zeros(2), realized[0], games) is None
+    # at v = 2 sigma, 10^(v/2sigma) = 10, so each outcome has its own probability
+    games = [game("A", "B", "H", 0), game("C", "D", "A", 1), game("A", "B", "D", 2)]
+    kappa_one = EngineConfig(ModelParams(sigma=600.0, kappa=1.0))
+    p_home, p_away, p_draw = davidson_triple(1200.0, 600.0, 1.0)
+    assert (p_home, p_away, p_draw) == pytest.approx((1 / 1.11, 0.01 / 1.11, 0.1 / 1.11), rel=1e-15)
+    report = one_cell(games, [1200.0] * 3, kappa_one)
+    assert report.per_game_ls == [-math.log(p_home), -math.log(p_away), -math.log(p_draw)]
+    assert report.window == (0, 3)
+    # elo predicts with davidson at kappa 2 and half the scale: (1/4, 1/4, 1/2) at v = 0
+    elo = EngineConfig(ModelParams(sigma=600.0, kappa=1.0), mode=UpdateMode.ELO)
+    report = one_cell(games, [0.0] * 3, elo, window=(1, 3))
+    assert report.per_game_ls == [-math.log(0.25), -math.log(0.5)]
+    assert report.window == (1, 3)
+    assert report.mean_ls == (-math.log(0.25) - math.log(0.5)) / 2
 
 
 def test_zero_probability_names_the_first_game():
-    probs = np.array([[[1 / 3] * 3, [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]])
     games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "B", "D", 2)]
-    realized = realized_probs(probs, games)
-    assert cell_log_scores(realized).tolist() == [[math.log(3), math.inf, math.inf]]
-    error = cell_error(np.zeros(3), realized[0], games)
-    assert isinstance(error, ZeroProbabilityError)
-    assert str(error) == (
-        "game 1 (C vs D, 2021-08-02): model assigns probability 0 to observed outcome 'D'"
-    )
+    never_draws = EngineConfig(ModelParams(kappa=0.0))
+    # outside the window too, as score_games raises it for the whole season
+    for window in ((0, 3), (2, 3)):
+        error = one_cell(games, [0.0] * 3, never_draws, window)
+        assert isinstance(error, ZeroProbabilityError)
+        assert str(error) == (
+            "game 1 (C vs D, 2021-08-02): model assigns probability 0 to observed outcome 'D'"
+        )
     # a non-finite difference comes first, as run_season raises it before any game is scored
-    error = cell_error(np.array([0.0, 0.0, -np.inf]), realized[0], games)
+    error = one_cell(games, [0.0, 0.0, -math.inf], never_draws)
     assert str(error) == "game 2 (A vs B, 2021-08-03): rating difference must be finite, got -inf"
 
 
 def test_cell_log_scores_use_the_same_log_as_score_games():
-    # numpy's vectorised log gives -0.0026422158305394673 here on some CPUs,
-    # math.log -0.0026422158305394678
-    p = 0.9973612717493856
-    rows = [[(0.0, 0.0, p)] * 8 + [(p, 0.0, 0.0)]]
-    games = [game("A", "B", "D", i) for i in range(8)] + [game("A", "B", "H", 8)]
-    scores = cell_log_scores(realized_probs(np.array(rows), games))
-    assert scores[0].tolist() == score_games(rows[0], games) == [-math.log(p)] * 9
+    # numpy's vectorised log differs from math.log in the last bit on some
+    # CPUs, e.g. -0.0026422158305394673 against -0.0026422158305394678 at
+    # 0.9973612717493856; 1,803 probabilities make such a value likely
+    diffs = np.linspace(-3000.0, 3000.0, 601).tolist() * 3
+    games = [game("A", "B", outcome, i) for i, outcome in enumerate("HAD" * 601)]
+    config = EngineConfig(ModelParams(sigma=600.0, kappa=0.7))
+    realized = [p.prob_of(g.outcome) for p, g in zip(forecasts(diffs, config), games)]
+    report = one_cell(games, diffs, config)
+    assert report.per_game_ls == score_games(forecasts(diffs, config), games)
+    assert report.per_game_ls == [-math.log(p) for p in realized]
 
 
-@settings(max_examples=100)
-@given(st.data())
-def test_score_rows_match_cell_log_scores(data):
-    # the plain-Python scorer of one row of (p_home, p_away, p_draw) tuples
-    # and the array scorer of many
-    n = data.draw(st.integers(1, 30))
-    rows = data.draw(st.lists(
-        st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)] * 3),
-                 min_size=n, max_size=n),
-        min_size=1, max_size=3))
+# differences with ties, an outcome underflowing to probability 0, and non-finite values
+DIFFS = (st.sampled_from([0.0, 300.0, -300.0, 1e6, -1e6, math.inf, -math.inf, math.nan])
+         | st.floats(-5000.0, 5000.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), window=st.sampled_from(["second-half", "full"]))
+def test_score_rows_match_cell_log_scores(data, window):
+    # the plain-Python scorer of one configuration's forecasts and a grid
+    # cell's scorer of its differences: the same report, or the same error
+    n = data.draw(st.integers(1, 40))
+    diffs = data.draw(st.lists(DIFFS, min_size=n, max_size=n))
+    config = EngineConfig(ModelParams(sigma=data.draw(st.floats(100.0, 1500.0)),
+                                      kappa=data.draw(KAPPAS)),
+                          mode=data.draw(st.sampled_from(list(UpdateMode))),
+                          check_kappa=data.draw(KAPPAS))
     games = [game("A", "B", data.draw(st.sampled_from("HDA")), i) for i in range(n)]
-    realized = realized_probs(np.array(rows, dtype=float), games)
-    for row, probs, scores in zip(rows, realized, cell_log_scores(realized)):
-        error = cell_error(np.zeros(n), probs, games)
-        if error is None:
-            assert score_games(row, games) == scores.tolist()
-        else:
-            with pytest.raises(ZeroProbabilityError) as raised:
-                score_games(row, games)
-            assert str(raised.value) == str(error)
+    start, end = second_half_window(n) if window == "second-half" else (0, n)
+    report = one_cell(games, diffs, config, (start, end))
+    bad = [i for i, v in enumerate(diffs) if not math.isfinite(v)]
+    if bad:
+        expected = non_finite_difference(diffs[bad[0]], games, bad[0])
+        assert (type(report), str(report)) == (type(expected), str(expected))
+        return
+    try:
+        scores = score_games(forecasts(diffs, config), games)
+    except ZeroProbabilityError as raised:
+        assert (type(report), str(report)) == (ZeroProbabilityError, str(raised))
+        return
+    assert report == evaluate_scores(scores, window)
+    assert report.window == (start, end)
+    assert report.per_game_ls == scores[start:end]
+    assert (report.interval_low, report.interval_high) == brute_min_interval(scores[start:end])
 
 
 # ---------------------------------------------------------------------------
@@ -177,30 +206,13 @@ TIED_SCORES = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.0, 1
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), window=st.sampled_from(["second-half", "full"]))
-def test_evaluate_cells_rows_match_evaluate_scores(data, window):
-    # evaluate_scores runs in plain Python, evaluate_cells on arrays: one rule
-    n = data.draw(st.integers(1, 80))
-    rows = data.draw(st.lists(st.lists(TIED_SCORES, min_size=n, max_size=n),
-                              min_size=1, max_size=4))
-    start, end = second_half_window(n) if window == "second-half" else (0, n)
-    for row, report in zip(rows, evaluate_cells(np.array(rows)[:, start:end], (start, end))):
-        assert report == evaluate_scores(row, window)
-        assert report.window == (start, end)
-        assert report.per_game_ls == row[start:end]
-        assert (report.interval_low, report.interval_high) == brute_min_interval(row[start:end])
-
-
-@settings(max_examples=100, deadline=None)
 @given(data=st.data(), level=st.sampled_from([0.5, 0.95, 1.0]) | st.floats(0.01, 1.0))
-def test_min_length_intervals_rows_match_credibility_interval(data, level):
+def test_min_length_interval_matches_credibility_interval(data, level):
     # at any level, ties and infinite ends included, both scans pick one window
-    n = data.draw(st.integers(1, 40))
-    rows = data.draw(st.lists(st.lists(TIED_SCORES, min_size=n, max_size=n),
-                              min_size=1, max_size=4))
-    low, high = min_length_intervals(np.array(rows), level)
-    for row, interval in zip(rows, zip(low.tolist(), high.tolist())):
-        assert interval == credibility_interval(row, level) == brute_min_interval(row, level)
+    values = data.draw(st.lists(TIED_SCORES, min_size=1, max_size=80))
+    interval = min_length_interval(values, level)
+    assert interval == credibility_interval(values, level) == brute_min_interval(values, level)
+    assert all(type(end) is float for end in interval)
 
 
 def test_evaluate_scores_bundles_window_and_interval():
@@ -222,17 +234,16 @@ def test_evaluate_scores_bundles_window_and_interval():
 
 
 def assert_cells_match_each_configuration_alone(games, configs, cells):
-    """Each cell's report is the one-configuration report to 1e-12, or the same error."""
+    """Each cell's report is the one-configuration report exactly, or the same error."""
     assert len(cells) == len(configs)
     for config, cell in zip(configs, cells):
         alone, = evaluate_configs(games, [config])
         if isinstance(alone, ValueError):
             assert (type(cell), str(cell)) == (type(alone), str(alone))
             continue
-        assert cell.window == alone.window
+        assert cell == alone
         scores = score_games(run_season(games, config).predictions, games)
         check_report(alone.mean_ls, alone.interval_low, alone.interval_high, scores)
-        check_report(cell.mean_ls, cell.interval_low, cell.interval_high, scores)
 
 
 @settings(max_examples=50, deadline=None)
@@ -251,18 +262,24 @@ def test_evaluate_configs_of_no_games_is_an_error_in_every_cell(n_configs):
     assert evaluate_configs([], []) == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_failing_cells_leave_the_rest_of_the_grid_alone():
     games = [game("A", "B", "A", 0), game("B", "A", "H", 1), game("A", "B", "D", 2),
              game("C", "D", "H", 3), game("D", "C", "A", 4), game("C", "A", "D", 5)]
     never_draws = EngineConfig(ModelParams(kappa=0.0))
     # a finite step and shift, but after game 0 the return game's difference is inf
     overflows = EngineConfig(ModelParams(sigma=1e307, eta=10.0), k_tilde=10.0)
+    # finite differences, but 0.5 * v / sigma overflows at elo's half scale,
+    # to the limit floats reach without a warning
+    forecast_overflows = EngineConfig(ModelParams(sigma=0.5, eta=1.79e308), k_tilde=1e306,
+                                      mode=UpdateMode.ELO)
     configs = [EngineConfig(ModelParams(eta=0.3)), never_draws, overflows,
-               EngineConfig(mode=UpdateMode.ELO)]
+               EngineConfig(mode=UpdateMode.ELO), forecast_overflows]
     cells = evaluate_configs(games, configs)
     assert isinstance(cells[1], ZeroProbabilityError)
     assert str(cells[1]).startswith("game 2 (A vs B, ")
     assert str(cells[2]) == "game 1 (B vs A, 2021-08-02): rating difference must be finite, got inf"
+    assert str(cells[4]).startswith("game 0 (A vs B, ")
     assert not isinstance(cells[0], ValueError) and not isinstance(cells[3], ValueError)
     assert_cells_match_each_configuration_alone(games, configs, cells)
 
