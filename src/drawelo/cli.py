@@ -52,7 +52,7 @@ class RunConfig:
     """One command invocation's parameters.
 
     Every field after ``input_path`` is a command-line option of the same
-    name on the commands that read it (``_COMMAND_FIELDS``), and its default
+    name on the commands that read it (``_COMMANDS``), and its default
     is the option's default.  ``mode`` and ``family`` also accept their enum
     values as strings.
     """
@@ -91,17 +91,6 @@ def _plain(value):
 _DEFAULTS = {f.name: _plain(f.default) for f in fields(RunConfig)}
 _RATE_FIELDS = ("sigma", "k_tilde", "kappa", "eta", "mode")
 _BATCH_FIELDS = ("sigma", "kappa", "eta", "v0", "family")
-# The RunConfig fields each command reads, in RunConfig order.  Each is an
-# option of the command, and "config" echoes them; evaluate reports
-# eval_window beside it.  Every command also takes --output-format.
-_COMMAND_FIELDS = {
-    "rate": _RATE_FIELDS,
-    "evaluate": _RATE_FIELDS + ("eval_window",),
-    "sweep": ("sigma", "k_tilde", "eval_window"),
-    "fit": _BATCH_FIELDS,
-    "simulate": _BATCH_FIELDS,
-    "stats": (),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +243,7 @@ def _usage_errors():
 def _config_payload(cfg: RunConfig) -> dict:
     return {
         name: _plain(getattr(cfg, name))
-        for name in _COMMAND_FIELDS[cfg.command] if name != "eval_window"
+        for name in _COMMANDS[cfg.command][1] if name != "eval_window"
     }
 
 
@@ -398,10 +387,8 @@ def run_simulate(
         raise
     with truth_fh, open(output, "w", newline="", encoding="utf-8") as fh:
         fh.write(serialize_matches(dataset))
-        writer = csv.writer(truth_fh, lineterminator="\n")
-        writer.writerow(["team", "rating"])
-        for name, value in theta_true.items():
-            writer.writerow([name, f"{value:.6g}"])
+        rows = [{"team": name, "rating": value} for name, value in theta_true.items()]
+        truth_fh.write(_rows_to_csv(rows, ["team", "rating"]))
     return {
         "command": "simulate",
         "output": output,
@@ -502,15 +489,19 @@ def cmd_stats(cfg: RunConfig):
     _emit(payload, [{k: payload[k] for k in _STATS_COLUMNS}], _STATS_COLUMNS, cfg.output_format)
 
 
-# Each command's function and the dests of its own options, which follow
-# its fields' (_COMMAND_FIELDS) and --output-format in its help.
+# Each command's function, the RunConfig fields it reads (in RunConfig order)
+# and the dests of its own options.  Its help lists the fields, which "config"
+# echoes (evaluate reports eval_window beside it), then --output-format, which
+# every command takes, then its own options.
 _COMMANDS = {
-    "evaluate": (cmd_evaluate, ("input_path", "baseline")),
-    "fit": (cmd_fit, ("input_path", "max_iters", "tol", "ridge")),
-    "rate": (cmd_rate, ("input_path", "trajectory_path")),
-    "simulate": (cmd_simulate, ("teams", "spacing", "rounds", "seed", "output", "truth")),
-    "stats": (cmd_stats, ("input_path",)),
-    "sweep": (cmd_sweep, ("input_path", "eta_grid", "kappa_grid", "modes", "jobs")),
+    "evaluate": (cmd_evaluate, _RATE_FIELDS + ("eval_window",), ("input_path", "baseline")),
+    "fit": (cmd_fit, _BATCH_FIELDS, ("input_path", "max_iters", "tol", "ridge")),
+    "rate": (cmd_rate, _RATE_FIELDS, ("input_path", "trajectory_path")),
+    "simulate": (cmd_simulate, _BATCH_FIELDS,
+                 ("teams", "spacing", "rounds", "seed", "output", "truth")),
+    "stats": (cmd_stats, (), ("input_path",)),
+    "sweep": (cmd_sweep, ("sigma", "k_tilde", "eval_window"),
+              ("input_path", "eta_grid", "kappa_grid", "modes", "jobs")),
 }
 
 
@@ -523,7 +514,7 @@ def _parser(name: str, prog: str) -> tuple[argparse.ArgumentParser, dict[str, bo
         prog=f"{prog} {name}", description=_COMMANDS[name][0].__doc__,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter, add_help=False)
     takes_value = {"--help": False}
-    for dest in _COMMAND_FIELDS[name] + ("output_format",) + _COMMANDS[name][1]:
+    for dest in _COMMANDS[name][1] + ("output_format",) + _COMMANDS[name][2]:
         flags, kind, text = _OPTIONS[dest]
         parser.add_argument(*flags.split(), dest=dest, help=text,
                             **{"default": _DEFAULTS.get(dest, argparse.SUPPRESS), **kind})
@@ -555,12 +546,12 @@ def _parse(name: str, parser: argparse.ArgumentParser, takes_value: dict[str, bo
         else:
             joined.append(arg)
     values = vars(parser.parse_args(joined))
-    own = {dest: values.pop(dest, None) for dest in _COMMANDS[name][1] if dest != "input_path"}
+    own = {dest: values.pop(dest, None) for dest in _COMMANDS[name][2] if dest != "input_path"}
     with _usage_errors():
         cfg = RunConfig(command=name, **values)
         # building what the command runs checks its parameters; only the online
         # commands, which read k_tilde or mode, need the engine's EngineConfig
-        if {"k_tilde", "mode"}.isdisjoint(_COMMAND_FIELDS[name]):
+        if {"k_tilde", "mode"}.isdisjoint(_COMMANDS[name][1]):
             cfg.model_params()
         else:
             cfg.engine_config()
@@ -579,7 +570,7 @@ def main(argv: list[str] | None = None) -> None:
             stream.reconfigure(encoding="utf-8")
     name = args[0] if args else None
     if name not in _COMMANDS:
-        commands = "".join(f"\n  {c:<8}  {f.__doc__}" for c, (f, _) in _COMMANDS.items())
+        commands = "".join(f"\n  {c:<8}  {f.__doc__}" for c, (f, *_) in _COMMANDS.items())
         top = argparse.ArgumentParser(
             prog=prog, description="Rating engine for win/draw/loss competitions.",
             epilog=f"commands:{commands}", formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -80,13 +80,6 @@ def score_games(
         raise zero_probability(games[first].outcome, games, first) from None
 
 
-def second_half_window(n_total: int) -> tuple[int, int]:
-    """Evaluation window: the last ceil(N/2) games, as [start, end)."""
-    if n_total <= 0:
-        raise ValueError("empty score list")
-    return n_total - (n_total + 1) // 2, n_total
-
-
 def min_length_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
     """``credibility_interval`` of n >= 1 values, on a numpy array."""
     import numpy as np
@@ -119,11 +112,12 @@ def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[
 
 
 def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
-    if window == "second-half":
-        return second_half_window(n_total)
-    if window == "full":  # no games raise as they do for the second half
-        return 0, second_half_window(n_total)[1]
-    raise ValueError(f"window must be 'second-half' or 'full', got {window!r}")
+    """The games scored, as [start, end): the last ceil(N/2) of N, or all of them."""
+    if window not in ("second-half", "full"):
+        raise ValueError(f"window must be 'second-half' or 'full', got {window!r}")
+    if n_total <= 0:
+        raise ValueError("empty score list")
+    return (n_total - (n_total + 1) // 2 if window == "second-half" else 0), n_total
 
 
 def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -> EvalReport:

@@ -4,23 +4,22 @@ Seasons are double round-robins (every ordered home/away pair once per
 round) built with the circle method, with outcomes sampled from any of the
 probability families.  Randomness is numpy's seeded PCG64 stream, drawn
 bit for bit in plain Python (``_PCG64``), so a SimSpec pins the
-generated season byte for byte without importing numpy; only
-``recovery_metrics`` imports it, on first call.
+generated season byte for byte without importing numpy.  Nothing in
+``sim`` imports numpy: ``recovery_metrics`` ranks by a sort and sums with
+``math.fsum``.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 from .data import Dataset, GameRecord
 from .models import ModelParams, predict_probs
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _EPOCH = dt.date(2000, 1, 1)  # synthetic calendar: one game per day
 
@@ -71,7 +70,7 @@ def _mix(x: int, y: int) -> int:
 
 
 def _seed_words(seed: int) -> list[int]:
-    """numpy's ``SeedSequence(seed).generate_state(8, np.uint32)``."""
+    """numpy's ``SeedSequence(seed).generate_state(8, numpy.uint32)``."""
     # the seed's little-endian 32-bit words (0 is one word) go into a pool of 4
     entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
@@ -97,7 +96,7 @@ class _PCG64:
     __slots__ = ("state", "inc")
 
     def __init__(self, seed: int):
-        w = _seed_words(seed)  # generate_state(4, np.uint64): low word first
+        w = _seed_words(seed)  # generate_state(4, numpy.uint64): low word first
         w0, w1, w2, w3 = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
         self.inc = ((w2 << 64 | w3) << 1 | 1) & _M128
         # srandom: step from 0, add the initial state, step again
@@ -186,25 +185,10 @@ def generate_season(spec: SimSpec) -> Dataset:
     return Dataset(games=games, team_index={name: i for i, name in enumerate(names)})
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they span."""
-    import numpy as np
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    end = np.r_[first[1:], x.size]  # one past each group of ties
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((first + end + 1) / 2.0, end - first)
-    return ranks
-
-
-def _spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation: the Pearson correlation of average-tie ranks."""
-    import numpy as np
-    ra, rb = _average_ranks(a), _average_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
-    return float(np.clip(ra @ rb / math.sqrt((ra @ ra) * (rb @ rb)), -1.0, 1.0))
+def _average_ranks(x: list[float]) -> list[float]:
+    """1-based ranks, 1 + #smaller + (#equal - 1) / 2: ties share the mean of their ranks."""
+    ordered = sorted(x)
+    return [(bisect.bisect_left(ordered, v) + bisect.bisect_right(ordered, v) + 1) / 2.0 for v in x]
 
 
 def recovery_metrics(
@@ -213,33 +197,40 @@ def recovery_metrics(
 ) -> dict[str, float]:
     """How well an estimate recovers the truth, ignoring the arbitrary origin.
 
-    Returns Spearman rank correlation and the RMSE after centering both
-    vectors (only differences are identifiable).
+    Returns Spearman rank correlation (the Pearson correlation of the
+    average-tie ranks) and the RMSE after centering both vectors (only
+    differences are identifiable).  Every rating must be finite.
     """
-    import numpy as np
     if isinstance(theta_true, Mapping) != isinstance(theta_est, Mapping):
         raise ValueError("pass two mappings or two sequences, not a mix")
+    keys = None
     if isinstance(theta_true, Mapping):
         if set(theta_true) != set(theta_est):
             raise ValueError("mappings must cover the same players")
         keys = list(theta_true)
-        true_vec = np.array([theta_true[k] for k in keys])
-        est_vec = np.array([theta_est[k] for k in keys])
-    else:
-        true_vec = np.asarray(theta_true, dtype=float)
-        est_vec = np.asarray(theta_est, dtype=float)
-    if true_vec.shape != est_vec.shape:
-        raise ValueError(
-            f"length mismatch: {true_vec.shape[0]} true vs {est_vec.shape[0]} estimated"
-        )
-    if true_vec.size < 2:
+        theta_true, theta_est = [theta_true[k] for k in keys], [theta_est[k] for k in keys]
+    true_vec, est_vec = list(map(float, theta_true)), list(map(float, theta_est))
+    n = len(true_vec)
+    if n != len(est_vec):
+        raise ValueError(f"length mismatch: {n} true vs {len(est_vec)} estimated")
+    if n < 2:
         raise ValueError("need at least two entries")
-    if np.ptp(true_vec) == 0.0 or np.ptp(est_vec) == 0.0:
+    for side, vec in (("true", true_vec), ("estimated", est_vec)):
+        for i, x in enumerate(vec):
+            if not math.isfinite(x):
+                place = f"player {keys[i]!r}" if keys else f"position {i}"
+                raise ValueError(f"{side} rating of {place} is {x}, not finite")
+    if min(true_vec) == max(true_vec) or min(est_vec) == max(est_vec):
         rank_corr = math.nan  # ranks of a constant vector are undefined
     else:
-        rank_corr = _spearman(true_vec, est_vec)
-    centered = (est_vec - est_vec.mean()) - (true_vec - true_vec.mean())
+        mid = (n + 1) / 2.0  # the mean of any n average ranks
+        ra = [r - mid for r in _average_ranks(true_vec)]
+        rb = [r - mid for r in _average_ranks(est_vec)]
+        scale = math.sqrt(math.fsum(a * a for a in ra) * math.fsum(b * b for b in rb))
+        rank_corr = min(max(math.fsum(map(operator.mul, ra, rb)) / scale, -1.0), 1.0)
+    true_mean, est_mean = math.fsum(true_vec) / n, math.fsum(est_vec) / n
+    centered = [(e - est_mean) - (t - true_mean) for t, e in zip(true_vec, est_vec)]
     return {
         "rank_correlation": rank_corr,
-        "centered_rmse": float(np.sqrt(np.mean(centered**2))),
+        "centered_rmse": math.sqrt(math.fsum(c * c for c in centered) / n),
     }

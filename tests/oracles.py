@@ -190,6 +190,38 @@ def brute_min_interval(values, level=0.95):
 
 
 # ---------------------------------------------------------------------------
+# Recovery metrics: Spearman's rho and the centred RMSE from their formulas
+# ---------------------------------------------------------------------------
+
+
+def average_rank(value, values):
+    """1 + #smaller + (#equal - 1) / 2: the mean of the ranks a group of ties spans."""
+    smaller = sum(1 for x in values if x < value)
+    equal = sum(1 for x in values if x == value)
+    return 1 + smaller + (equal - 1) / 2
+
+
+def pearson(a, b):
+    """The textbook Pearson correlation of two lists; nan if either is constant."""
+    mean_a, mean_b = sum(a) / len(a), sum(b) / len(b)
+    da, db = [x - mean_a for x in a], [y - mean_b for y in b]
+    saa, sbb = sum(x * x for x in da), sum(y * y for y in db)
+    if saa == 0 or sbb == 0:
+        return math.nan
+    return sum(x * y for x, y in zip(da, db)) / math.sqrt(saa * sbb)
+
+
+def recovery_metrics(theta_true, theta_est):
+    """Spearman's rho of two equal-length lists and the RMSE of their centred difference."""
+    n = len(theta_true)
+    rho = pearson([average_rank(x, theta_true) for x in theta_true],
+                  [average_rank(y, theta_est) for y in theta_est])
+    mean_true, mean_est = sum(theta_true) / n, sum(theta_est) / n
+    squares = [((y - mean_est) - (x - mean_true)) ** 2 for x, y in zip(theta_true, theta_est)]
+    return {"rank_correlation": rho, "centered_rmse": math.sqrt(sum(squares) / n)}
+
+
+# ---------------------------------------------------------------------------
 # Online ratings: the per-game scalar loop the compiled kernel replaced
 # ---------------------------------------------------------------------------
 

@@ -550,6 +550,15 @@ def test_simulate_is_reproducible(tmp_path):
     assert sum(float(r["rating"]) for r in truth_rows) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_simulate_truth_file_bytes(tmp_path):
+    # strongest first, six significant digits, the middle team at exactly 0
+    result = invoke(["simulate", "--teams", "3", "--spacing", "0.123456789",
+                     "-o", str(tmp_path / "a.csv")])
+    assert result.exit_code == 0, result.output
+    truth = (tmp_path / "a.csv.truth.csv").read_bytes()
+    assert truth == b"team,rating\nT1,74.0741\nT2,0\nT3,-74.0741\n"
+
+
 @pytest.mark.parametrize("bad", ["output", "truth", "truth-of-an-existing-output"])
 def test_simulate_that_cannot_open_an_output_leaves_no_file(tmp_path, bad):
     # nor empties one: an --output that exists keeps its bytes

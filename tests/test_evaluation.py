@@ -9,6 +9,7 @@ from conftest import KAPPAS, check_report, game, online_cases
 from drawelo.engine import EngineConfig, UpdateMode, mode_parameters, run_season
 from drawelo.errors import ZeroProbabilityError, non_finite_difference
 from drawelo.evaluation import (
+    _window_bounds,
     baseline_report,
     cell_report,
     credibility_interval,
@@ -19,7 +20,6 @@ from drawelo.evaluation import (
     log_score,
     min_length_interval,
     score_games,
-    second_half_window,
 )
 from drawelo.models import OUTCOME_COLUMN, ModelParams, OutcomeProbs, davidson_triple, predict_probs
 from drawelo.sim import SimSpec, generate_season
@@ -129,7 +129,7 @@ def test_score_rows_match_cell_log_scores(data, window):
                           mode=data.draw(st.sampled_from(list(UpdateMode))),
                           check_kappa=data.draw(KAPPAS))
     games = [game("A", "B", data.draw(st.sampled_from("HDA")), i) for i in range(n)]
-    start, end = second_half_window(n) if window == "second-half" else (0, n)
+    start, end = _window_bounds(n, window)
     report = one_cell(games, diffs, config, (start, end))
     bad = [i for i, v in enumerate(diffs) if not math.isfinite(v)]
     if bad:
@@ -158,8 +158,31 @@ def test_mean_second_half_examples():
 
 
 def test_mean_second_half_odd_length_uses_last_ceil_half():
-    assert second_half_window(5) == (2, 5)
+    assert _window_bounds(5, "second-half") == (2, 5)
     assert evaluate_scores([100.0, 100.0, 1.0, 2.0, 3.0]).mean_ls == 2.0
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_window_bounds_take_the_last_ceil_half_or_all(n):
+    # the windows of N = 0..6 games: none of N = 0, else [N - ceil(N/2), N) and [0, N)
+    if n == 0:
+        for window in ("second-half", "full"):
+            with pytest.raises(ValueError, match="^empty score list$"):
+                _window_bounds(n, window)
+        return
+    assert _window_bounds(n, "second-half") == ([0, 0, 1, 1, 2, 2, 3][n], n)
+    assert _window_bounds(n, "full") == (0, n)
+    scores = [float(i) for i in range(n)]
+    assert evaluate_scores(scores).per_game_ls == scores[n // 2:]
+    assert evaluate_scores(scores, "full").per_game_ls == scores
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_a_bad_window_is_reported_before_an_empty_list(n):
+    with pytest.raises(ValueError, match="^window must be 'second-half' or 'full', got 'last'$"):
+        _window_bounds(n, "last")
+    with pytest.raises(ValueError, match="^window must be 'second-half' or 'full', got 'last'$"):
+        evaluate_scores([0.5] * n, "last")
 
 
 def test_mean_second_half_matches_direct_summation():

@@ -246,13 +246,21 @@ def test_recovery_rank_correlation_averages_ties():
 
 
 def test_cli_import_does_not_load_scipy():
+    # nor the statistics module and what it imports; recovery_metrics loads no numpy
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, drawelo.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "False"
+    code = ("import sys, drawelo.cli\n"
+            "print(sorted({'scipy', 'statistics', 'fractions', 'decimal'} & set(sys.modules)))\n"
+            "from drawelo.sim import recovery_metrics\n"
+            "print(recovery_metrics([1.0, 2.0, 2.0], [0.0, 5.0, 3.0]))\n"
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines() == [
+        "[]",
+        "{'rank_correlation': 0.8660254037844387, 'centered_rmse': 1.632993161855452}",
+        "[]",
+    ]
 
 
 def test_recovery_constant_vector_has_undefined_ranks():
@@ -270,3 +278,34 @@ def test_recovery_metrics_rejects_mismatches():
         recovery_metrics({"A": 1.0, "B": 2.0}, [1.0, 2.0])
     with pytest.raises(ValueError):
         recovery_metrics([1.0], [2.0])
+    # a non-finite rating is named before any ranking: by player, or by position
+    with pytest.raises(ValueError, match=r"^estimated rating of position 2 is nan, not finite$"):
+        recovery_metrics([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.nan, 3.0])
+    with pytest.raises(ValueError, match=r"^true rating of position 1 is nan, not finite$"):
+        recovery_metrics([1.0, math.nan, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"^true rating of player 'C' is -inf, not finite$"):
+        recovery_metrics({"A": 1.0, "B": 2.0, "C": -math.inf}, {"A": 1.0, "B": 2.0, "C": 3.0})
+    with pytest.raises(ValueError, match=r"^estimated rating of player 'B' is inf, not finite$"):
+        recovery_metrics({"A": 1.0, "B": 2.0}, {"B": math.inf, "A": 1.0})
+
+
+RATINGS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-1000.0, 1000.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), as_mapping=st.booleans())
+def test_recovery_metrics_match_the_textbook_oracle(data, as_mapping):
+    # ties (a few repeated values) and constant vectors (nan rank correlation) included
+    n = data.draw(st.integers(2, 30))
+    pair = [data.draw(st.lists(RATINGS, min_size=n, max_size=n) | RATINGS.map(lambda x: [x] * n))
+            for _ in range(2)]
+    expected = oracles.recovery_metrics(*pair)
+    if as_mapping:  # the estimate's keys in the reverse order
+        pair = [{f"P{i}": pair[0][i] for i in range(n)},
+                {f"P{i}": pair[1][i] for i in reversed(range(n))}]
+    got = recovery_metrics(*pair)
+    for key in ("rank_correlation", "centered_rmse"):
+        if math.isnan(expected[key]):
+            assert math.isnan(got[key])
+        else:
+            assert got[key] == pytest.approx(expected[key], rel=1e-12, abs=1e-12)
