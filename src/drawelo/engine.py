@@ -32,6 +32,7 @@ rating sum to zero to remove the origin ambiguity.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -437,6 +438,10 @@ def _check_separable(players: list[str], beats: np.ndarray, linked: np.ndarray):
 
 def check_fit_options(model: ModelParams, max_iters: int, tol: float, ridge: float):
     """Raise ValueError, starting with the argument's name, unless ``batch_ml_fit`` takes these."""
+    try:
+        operator.index(max_iters)
+    except TypeError:
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not (math.isfinite(tol) and tol > 0):
@@ -471,13 +476,14 @@ def batch_ml_fit(
     near 0 stops where ``tol`` says, not at the penalized optimum: the
     likelihood's slope falls below tol/sigma' far short of it.
 
-    Convergence means the gradient, projected onto the pinned plane, has
-    max-norm below tol/sigma'.  The steps are taken in y = theta / sigma'
-    under the model at unit sigma', so no curvature overflows or underflows
-    at any scale.  ``iterations`` counts Newton steps taken.
-    The fit stops unconverged with ``"max-iters"`` after max_iters steps,
-    or with ``"stalled"`` when 60 halvings find no acceptable step.  A
-    singular Newton system raises ``ConvergenceError``.
+    Convergence means the objective's gradient, projected onto the pinned
+    plane, has max-norm (``grad_max_norm``) below tol/sigma'; ``nll`` is the
+    likelihood's term alone.  Steps are taken in y = theta / sigma' under the
+    model at unit sigma', so no curvature overflows or underflows at any
+    scale.  ``iterations`` counts Newton steps taken.  The fit stops
+    unconverged with ``"max-iters"`` after max_iters steps, or with
+    ``"stalled"`` when 60 halvings find no acceptable step.  A singular
+    Newton system raises ``ConvergenceError``.
     """
     import numpy as np
     check_fit_options(model, max_iters, tol, ridge)
@@ -550,7 +556,7 @@ def batch_ml_fit(
 
     return FitResult(
         theta=dict(zip(players, (sp * x).tolist())),
-        nll=current,
+        nll=current - ridge * float(x @ x),
         grad_max_norm=g_max / sp,
         iterations=iterations,
         converged=converged,

@@ -131,14 +131,15 @@ def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -
 
 def cell_report(
     games: Sequence[GameRecord], column: np.ndarray, diffs: np.ndarray, config: EngineConfig,
-    window: tuple[int, int],
+    window: str,
 ) -> EvalReport | ValueError:
     """A grid cell's report over ``window`` from its row of ``run_online`` differences, or its error.
 
     ``column`` holds each game's ``OUTCOME_COLUMN``.  The checks run in
-    ``run_season`` then ``score_games``'s order, so the error is the one its
-    configuration alone raises: the first non-finite difference, else the
-    first zero probability.  A cell at fault takes no log.
+    ``run_season``, ``score_games`` then ``evaluate_scores``'s order, so the
+    error is the one its configuration alone raises: the first non-finite
+    difference, else the first zero probability, else the window's.  A cell
+    at fault takes no log.
     """
     import numpy as np
     from .engine import mode_parameters
@@ -150,11 +151,14 @@ def cell_report(
     bad = np.flatnonzero(realized <= 0.0)
     if bad.size:
         return zero_probability(games[bad[0]].outcome, games, int(bad[0]))
-    start, end = window
+    try:
+        start, end = _window_bounds(len(games), window)
+    except ValueError as exc:  # a bad window name, or no games to score
+        return exc
     scored = [-x for x in map(math.log, realized[start:end].tolist())]
     low, high = min_length_interval(scored)
     return EvalReport(mean_ls=sum(scored) / len(scored), interval_low=low, interval_high=high,
-                      per_game_ls=scored, window=window)
+                      per_game_ls=scored, window=(start, end))
 
 
 def evaluate_configs(
@@ -178,15 +182,11 @@ def evaluate_configs(
             return [exc]
     if not configs:
         return []
-    try:
-        start, end = _window_bounds(len(games), window)
-    except ValueError as exc:  # no games to score
-        return [exc] * len(configs)
     import numpy as np
     run = run_online(compile_season(games), configs)
     column = np.fromiter((OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp,
                          count=len(games))
-    return [cell_report(games, column, diffs, config, (start, end))
+    return [cell_report(games, column, diffs, config, window)
             for diffs, config in zip(run.diffs, configs)]
 
 

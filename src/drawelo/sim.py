@@ -228,9 +228,18 @@ def recovery_metrics(
         rb = [r - mid for r in _average_ranks(est_vec)]
         scale = math.sqrt(math.fsum(a * a for a in ra) * math.fsum(b * b for b in rb))
         rank_corr = min(max(math.fsum(map(operator.mul, ra, rb)) / scale, -1.0), 1.0)
-    true_mean, est_mean = math.fsum(true_vec) / n, math.fsum(est_vec) / n
-    centered = [(e - est_mean) - (t - true_mean) for t, e in zip(true_vec, est_vec)]
-    return {
-        "rank_correlation": rank_corr,
-        "centered_rmse": math.sqrt(math.fsum(c * c for c in centered) / n),
-    }
+
+    def centered_rmse(exp: int) -> float:  # on the ratings scaled exactly by 2**-exp
+        t_vec, e_vec = ([math.ldexp(x, -exp) for x in vec] for vec in (true_vec, est_vec))
+        true_mean, est_mean = math.fsum(t_vec) / n, math.fsum(e_vec) / n
+        centered = [(e - est_mean) - (t - true_mean) for t, e in zip(t_vec, e_vec)]
+        rmse = math.sqrt(math.fsum(c * c for c in centered) / n)
+        return rmse * 2.0 ** (exp // 2) * 2.0 ** (exp - exp // 2)  # inf past the float range
+
+    try:
+        rmse = centered_rmse(0)
+    except OverflowError:  # a sum of the ratings left the float range
+        rmse = math.inf
+    if not math.isfinite(rmse):  # an overflow: scale the largest rating into [0.5, 1)
+        rmse = centered_rmse(math.frexp(max(map(abs, true_vec + est_vec)))[1])
+    return {"rank_correlation": rank_corr, "centered_rmse": rmse}

@@ -20,12 +20,18 @@ EPOCH = dt.date(2021, 8, 1)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, env=None, driver="from drawelo.cli import main; main(sys.argv[1:])"):
-    """``drawelo`` ARGS in a fresh interpreter on this checkout's sources."""
-    env = {**os.environ, **(env or {})}
+def child_env(env=None):
+    """The environment of a child process: this checkout's sources first on
+    PYTHONPATH, and every warning an error, as in the tests themselves."""
+    env = {**os.environ, **(env or {}), "PYTHONWARNINGS": "error"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", f"import sys; {driver}", *args], env=env,
-                          capture_output=True, timeout=120)
+    return env
+
+
+def run_cli(args, env=None, driver="from drawelo.cli import main; main(sys.argv[1:])", cwd=None):
+    """``drawelo`` ARGS in a fresh interpreter on this checkout's sources."""
+    return subprocess.run([sys.executable, "-c", f"import sys; {driver}", *args],
+                          env=child_env(env), cwd=cwd, capture_output=True, timeout=120)
 
 
 @dataclass

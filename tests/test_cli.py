@@ -83,6 +83,16 @@ def test_rate_emits_a_full_table_and_trajectory(season_file, tmp_path):
     assert traj_rows[-1]["game_index"] == "380"
 
 
+def test_rate_trajectory_of_100_teams_has_a_row_per_team_per_game(league_100, tmp_path):
+    # 9,900 games: the header, then 100 rows per game
+    traj = tmp_path / "trajectory.csv"
+    result = invoke(["rate", str(league_100), "--trajectory", str(traj)])
+    assert result.exit_code == 0, result.output
+    lines = traj.read_bytes().splitlines()
+    assert len(lines) == 9900 * 100 + 1
+    assert lines[1].startswith(b"1,") and lines[-1].startswith(b"9900,")
+
+
 def test_rate_trajectory_file_matches_the_snapshots(season_file, tmp_path):
     traj = tmp_path / "trajectory.csv"
     cfg = RunConfig(command="rate", input_path=str(season_file))
@@ -460,6 +470,21 @@ def test_fit_two_team_toy_recovers_the_closed_form(toy_file):
     assert payload["converged"] is True
     ratings = {r["team"]: r["rating"] for r in payload["ratings"]}
     assert ratings["A"] - ratings["B"] == pytest.approx(600 * math.log10(2), abs=0.6)
+
+
+@pytest.mark.parametrize("family,options", [
+    ("davidson", []), ("elo-implicit", []), ("threshold", ["--v0", "150"]), ("binary", []),
+], ids=["davidson", "elo-implicit", "threshold", "binary"])
+def test_fit_converges_on_a_season_simulated_from_its_family(tmp_path, family, options):
+    # a binary season has no draws, so the binary fit takes it
+    season = tmp_path / "season.csv"
+    simulated = invoke(["simulate", "--family", family, *options, "--seed", "1",
+                        "-o", str(season)])
+    assert simulated.exit_code == 0, simulated.output
+    result = invoke(["fit", str(season), "--family", family, *options])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["converged"] is True and len(payload["ratings"]) == 20
 
 
 def test_fit_all_draws_is_the_zero_vector(draws_file):
@@ -876,9 +901,10 @@ GRID_32 = ["--kappa-grid", "0.4,0.7,1,2", "--eta-grid", "0,0.15,0.3,0.45",
     ("season_with_odds", ["fit"], True),
     ("league_100", ["evaluate"], False),
     ("league_100", ["rate", "--trajectory", "{tmp}/trajectory.csv"], False),
+    ("league_100", ["sweep", "--modes", "kappa-elo,elo", "-f", "csv"], True),
     (None, ["simulate", "-o", "{tmp}/season.csv"], False),
 ], ids=["stats", "evaluate", "rate", "sweep-1-cell", "sweep-2-cells", "sweep-32-cells", "fit",
-        "evaluate-100-teams", "rate-100-teams", "simulate"])
+        "evaluate-100-teams", "rate-100-teams", "sweep-2-cells-100-teams", "simulate"])
 def test_one_season_commands_run_without_numpy(request, tmp_path, season, args, loads_numpy):
     # one configuration runs on floats whatever the season's length; a grid
     # of two or more cells takes the vector kernel; the simulator draws

@@ -29,6 +29,7 @@ from drawelo.engine import (
 from drawelo.evaluation import evaluate_configs, evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError, non_finite_difference
 from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, davidson_triple, predict_probs
+from drawelo.sim import SimSpec, generate_season, true_ratings
 from oracles import finite_diff_gradient
 
 SIGMA = 600.0
@@ -826,6 +827,17 @@ def test_batch_fit_ridge_rescues_separable_data():
     assert result.theta["A"] > 0 > result.theta["B"]
 
 
+def test_batch_fit_reports_the_likelihood_without_the_ridge():
+    # the descent minimizes nll + ridge * |theta|^2, but nll is the likelihood's alone
+    spec = SimSpec(theta_true=true_ratings(6, 0.1, SIGMA), model=fit_model(eta=0.3), rounds=2,
+                   seed=3)
+    games, model = generate_season(spec).games, fit_model(eta=0.3)
+    result = batch_ml_fit(games, model, ridge=1e-4)
+    assert result.converged
+    assert result.nll == pytest.approx(nll(result.theta, games, model), rel=1e-12)
+    assert batch_ml_fit(games, model).nll < result.nll  # the unpenalized fit minimizes nll
+
+
 def test_batch_fit_rejects_draws_under_binary():
     games = [game("A", "B", "D")]
     with pytest.raises(ZeroProbabilityError, match=r"game 0 \(A vs B, 2021-08-01\)"):
@@ -949,7 +961,8 @@ def test_nll_gradient_zero_probability_message_is_nll_s():
     "kw,name",
     [({"ridge": math.nan}, "ridge"), ({"ridge": -1.0}, "ridge"),
      ({"tol": math.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
-     ({"max_iters": 0}, "max_iters")],
+     ({"max_iters": 0}, "max_iters"), ({"max_iters": 1.5}, "max_iters"),
+     ({"max_iters": math.nan}, "max_iters")],
 )
 def test_batch_ml_fit_rejects_bad_options_by_name(kw, name):
     games = [game("A", "B", "H"), game("B", "A", "H")]

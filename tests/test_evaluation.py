@@ -22,7 +22,7 @@ from drawelo.evaluation import (
     score_games,
 )
 from drawelo.models import OUTCOME_COLUMN, ModelParams, OutcomeProbs, davidson_triple, predict_probs
-from drawelo.sim import SimSpec, generate_season
+from drawelo.sim import SimSpec, generate_season, true_ratings
 from oracles import brute_min_interval
 
 UNIFORM = OutcomeProbs(p_home=1 / 3, p_away=1 / 3, p_draw=1 / 3)
@@ -55,11 +55,10 @@ def test_score_games_names_the_offending_game():
         score_games(predictions, games[:1])
 
 
-def one_cell(games, diffs, config, window=None):
-    """``cell_report`` of one row of differences, over every game unless a window is given."""
+def one_cell(games, diffs, config, window="full"):
+    """``cell_report`` of one row of differences over the named window."""
     column = np.array([OUTCOME_COLUMN[g.outcome] for g in games], dtype=np.intp)
-    return cell_report(games, column, np.array(diffs, dtype=float), config,
-                       window or (0, len(games)))
+    return cell_report(games, column, np.array(diffs, dtype=float), config, window)
 
 
 def forecasts(diffs, config):
@@ -78,24 +77,25 @@ def test_cell_log_scores_pick_the_realized_column():
     assert report.window == (0, 3)
     # elo predicts with davidson at kappa 2 and half the scale: (1/4, 1/4, 1/2) at v = 0
     elo = EngineConfig(ModelParams(sigma=600.0, kappa=1.0), mode=UpdateMode.ELO)
-    report = one_cell(games, [0.0] * 3, elo, window=(1, 3))
+    report = one_cell(games, [0.0] * 3, elo, window="second-half")
     assert report.per_game_ls == [-math.log(0.25), -math.log(0.5)]
     assert report.window == (1, 3)
     assert report.mean_ls == (-math.log(0.25) - math.log(0.5)) / 2
 
 
 def test_zero_probability_names_the_first_game():
-    games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "B", "D", 2)]
+    games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "B", "D", 2),
+             game("C", "D", "H", 3)]
     never_draws = EngineConfig(ModelParams(kappa=0.0))
     # outside the window too, as score_games raises it for the whole season
-    for window in ((0, 3), (2, 3)):
-        error = one_cell(games, [0.0] * 3, never_draws, window)
+    for window in ("full", "second-half"):
+        error = one_cell(games, [0.0] * 4, never_draws, window)
         assert isinstance(error, ZeroProbabilityError)
         assert str(error) == (
             "game 1 (C vs D, 2021-08-02): model assigns probability 0 to observed outcome 'D'"
         )
     # a non-finite difference comes first, as run_season raises it before any game is scored
-    error = one_cell(games, [0.0, 0.0, -math.inf], never_draws)
+    error = one_cell(games, [0.0, 0.0, -math.inf, 0.0], never_draws)
     assert str(error) == "game 2 (A vs B, 2021-08-03): rating difference must be finite, got -inf"
 
 
@@ -130,7 +130,7 @@ def test_score_rows_match_cell_log_scores(data, window):
                           check_kappa=data.draw(KAPPAS))
     games = [game("A", "B", data.draw(st.sampled_from("HDA")), i) for i in range(n)]
     start, end = _window_bounds(n, window)
-    report = one_cell(games, diffs, config, (start, end))
+    report = one_cell(games, diffs, config, window)
     bad = [i for i, v in enumerate(diffs) if not math.isfinite(v)]
     if bad:
         expected = non_finite_difference(diffs[bad[0]], games, bad[0])
@@ -305,6 +305,19 @@ def test_failing_cells_leave_the_rest_of_the_grid_alone():
     assert str(cells[4]).startswith("game 0 (A vs B, ")
     assert not isinstance(cells[0], ValueError) and not isinstance(cells[3], ValueError)
     assert_cells_match_each_configuration_alone(games, configs, cells)
+
+
+def test_a_cell_reports_its_own_fault_before_the_window():
+    # as run_season raises before evaluate_scores reads the window name
+    # simulate --teams 6 --rounds 2 --seed 3
+    games = generate_season(SimSpec(theta_true=true_ratings(6, 0.1, 600.0),
+                                    model=ModelParams(kappa=0.7, eta=0.3), rounds=2, seed=3)).games
+    bad = EngineConfig(model=ModelParams(sigma=1e308, eta=1.7), k_tilde=1.0)
+    alone, = evaluate_configs(games, [bad], "bogus")
+    cells = evaluate_configs(games, [bad, EngineConfig()], "bogus")
+    assert str(alone).startswith("game 8 (") and "must be finite" in str(alone)
+    assert [str(cell) for cell in cells] == [
+        str(alone), "window must be 'second-half' or 'full', got 'bogus'"]
 
 
 def test_baseline_report_scores_the_odds_over_the_window():

@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import KAPPAS
+from conftest import KAPPAS, run_cli
 from drawelo.data import serialize_matches
 from drawelo.models import ModelFamily, ModelParams, predict_probs
 from drawelo.sim import (
@@ -247,16 +243,14 @@ def test_recovery_rank_correlation_averages_ties():
 
 def test_cli_import_does_not_load_scipy():
     # nor the statistics module and what it imports; recovery_metrics loads no numpy
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, drawelo.cli\n"
-            "print(sorted({'scipy', 'statistics', 'fractions', 'decimal'} & set(sys.modules)))\n"
-            "from drawelo.sim import recovery_metrics\n"
-            "print(recovery_metrics([1.0, 2.0, 2.0], [0.0, 5.0, 3.0]))\n"
-            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out.splitlines() == [
+    result = run_cli([], driver=(
+        "import drawelo.cli\n"
+        "print(sorted({'scipy', 'statistics', 'fractions', 'decimal'} & set(sys.modules)))\n"
+        "from drawelo.sim import recovery_metrics\n"
+        "print(recovery_metrics([1.0, 2.0, 2.0], [0.0, 5.0, 3.0]))\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode().splitlines() == [
         "[]",
         "{'rank_correlation': 0.8660254037844387, 'centered_rmse': 1.632993161855452}",
         "[]",
@@ -287,6 +281,20 @@ def test_recovery_metrics_rejects_mismatches():
         recovery_metrics({"A": 1.0, "B": 2.0, "C": -math.inf}, {"A": 1.0, "B": 2.0, "C": 3.0})
     with pytest.raises(ValueError, match=r"^estimated rating of player 'B' is inf, not finite$"):
         recovery_metrics({"A": 1.0, "B": 2.0}, {"B": math.inf, "A": 1.0})
+
+
+@pytest.mark.parametrize("theta_true", [[1e308, 1e308, -1e308], [1e200, 0.0, -1e200]],
+                         ids=["sum-overflows", "square-overflows"])
+def test_recovery_metrics_of_large_finite_ratings(theta_true):
+    # the sum of the ratings, or the squares of their differences, leave the
+    # float range; the oracle on the same ratings scaled exactly by 2**-600 does not
+    theta_est = [0.0, 1.0, 2.0]
+    scaled = oracles.recovery_metrics(*([math.ldexp(x, -600) for x in vec]
+                                        for vec in (theta_true, theta_est)))
+    got = recovery_metrics(theta_true, theta_est)
+    assert got["rank_correlation"] == pytest.approx(scaled["rank_correlation"], rel=1e-12)
+    assert got["centered_rmse"] == pytest.approx(math.ldexp(scaled["centered_rmse"], 600),
+                                                 rel=1e-12)
 
 
 RATINGS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-1000.0, 1000.0)
