@@ -8,9 +8,10 @@ draw parameter 0.7, scored over the second half of the season.
 ``main(argv)`` reads the command line with the standard library's
 argparse, and usage errors are argparse's: the command's usage, then one
 ``PROG COMMAND: error:`` line naming the option or argument, exit 2.
-Other exit codes: 0 success, 3 data error (a rating difference that
-overflows included), 4 numeric error (zero-probability outcome or
-non-convergence); ``main`` alone maps a fault to its code.
+Other exit codes: 0 success, 1 when stdout's reader has closed it (``| head``),
+3 data error (a rating difference that overflows included), 4 numeric error
+(zero-probability outcome or non-convergence); ``main`` alone maps a fault to
+its code.
 """
 
 from __future__ import annotations
@@ -144,9 +145,15 @@ def _ranked(ratings: dict[str, float]) -> list[dict]:
 
 def _emit(payload: dict, rows: list[dict], columns: list[str], output_format: str):
     if output_format == "json":
-        print(json.dumps(_round6(payload), indent=2))
+        text = json.dumps(_round6(payload), indent=2) + "\n"
     else:
-        sys.stdout.write(_rows_to_csv(rows, columns))
+        text = _rows_to_csv(rows, columns)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone (| head): exit 1 quietly, as Python's docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +568,7 @@ def _parse(name: str, parser: argparse.ArgumentParser, takes_value: dict[str, bo
 def main(argv: list[str] | None = None) -> None:
     """Run the command line ``argv`` (default: ``sys.argv[1:]``).
 
-    Exits 2 on a usage error, 3 on a data error and 4 on a numeric one.
+    Exits 2 on a usage error, 3 on a data error and 4 on a numeric one; 1 on a closed stdout.
     """
     args = sys.argv[1:] if argv is None else list(argv)
     prog = os.path.basename(sys.argv[0]).replace("__main__.py", "python -m drawelo")

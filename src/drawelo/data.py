@@ -4,9 +4,11 @@ Required columns: Date, HomeTeam, AwayTeam, FTR (H/D/A).  The Bet365 odds
 columns B365H, B365D, B365A are picked up when present; everything else is
 ignored.  Dates are day first, d/m/y: 1- or 2-digit day and month, 2- or
 4-digit year (both occur in the source files), 2-digit years 69-99 read as
-19xx and 00-68 as 20xx.  ``rate --trajectory`` writes ``game_index,team,rating``
-rows, one per team per game, ratings to 6 significant digits, team names
-quoted only where CSV needs it.
+19xx and 00-68 as 20xx: a cell's day and month are zero-padded, a 2-digit
+year gets its century, and ``date.fromisoformat`` reads the YYYY-MM-DD
+result, ASCII digits only.  Odds are ASCII decimals.  ``rate --trajectory``
+writes ``game_index,team,rating`` rows, one per team per game, ratings to 6
+significant digits, team names quoted only where CSV needs it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ ODDS_COLUMNS = ("B365H", "B365D", "B365A")
 OUTCOMES = ("H", "D", "A")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GameRecord:
     """One fixture: identities, categorical outcome, optional decimal odds.
 
@@ -41,6 +43,18 @@ class GameRecord:
     outcome: str
     odds: tuple[float, float, float] | None = None
 
+    def __init__(self, date, home_id, away_id, outcome, odds=None):
+        # The generated frozen __init__ sets each field by object.__setattr__,
+        # which looks the slot up again; a parse builds one record per row, so
+        # this one sets the slots' descriptors directly.  replace() calls it
+        # too, so every record still passes __post_init__'s checks.
+        _set_date(self, date)
+        _set_home_id(self, home_id)
+        _set_away_id(self, away_id)
+        _set_outcome(self, outcome)
+        _set_odds(self, odds)
+        self.__post_init__()
+
     def __post_init__(self):
         if not self.home_id:
             raise ValueError("home_id must be a non-empty team name")
@@ -52,6 +66,10 @@ class GameRecord:
             raise ValueError(f"outcome must be one of {OUTCOMES}, got {self.outcome!r}")
         if self.odds is not None and not all(math.isfinite(o) and o > 1.0 for o in self.odds):
             raise ValueError(f"decimal odds must all be finite and exceed 1, got {self.odds}")
+
+
+_set_date, _set_home_id, _set_away_id, _set_outcome, _set_odds = (
+    vars(GameRecord)[name].__set__ for name in GameRecord.__slots__)
 
 
 @dataclass
@@ -86,24 +104,24 @@ class Dataset:
 
 
 def _parse_date(text: str) -> dt.date:
-    parts = text.split("/")
-    if len(parts) == 3 and text.isascii():
-        d, m, y = parts
-        if 0 < len(d) <= 2 and 0 < len(m) <= 2 and len(y) in (2, 4) and (d + m + y).isdigit():
-            year = int(y)
-            if len(y) == 2:
-                year += 1900 if year >= 69 else 2000  # strptime's %y pivot
-            try:
-                return dt.date(year, int(m), int(d))
-            except ValueError:
-                pass  # no such date
+    try:
+        d, m, y = text.split("/")
+        if len(y) == 2:
+            y = ("19" if y >= "69" else "20") + y  # strptime's %y pivot
+        if 0 < len(d) <= 2 and 0 < len(m) <= 2 and len(y) == 4:
+            # fromisoformat reads ASCII digits only and checks that the day exists
+            return dt.date.fromisoformat(f"{y}-{m.zfill(2)}-{d.zfill(2)}")
+    except ValueError:
+        pass  # not three parts, not digits or no such date
     raise ValueError(f"unparseable date {text!r}")
 
 
 def _parse_odds(cells: list[str]) -> tuple[float, float, float] | None:
     if any(c == "" for c in cells):
         return None
-    try:
+    try:  # float() would also read "2_10" and non-ASCII digits
+        if not all(c.isascii() and "_" not in c for c in cells):
+            raise ValueError
         return tuple(float(c) for c in cells)  # GameRecord checks the values
     except ValueError:
         raise ValueError(f"unparseable odds {cells}") from None

@@ -37,6 +37,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .data import GameRecord
@@ -153,7 +154,9 @@ class Forecasts(Sequence):
         return OutcomeProbs(*davidson_triple(self._diffs[i], self._sigma, self._kappa))
 
     def __iter__(self) -> Iterator[OutcomeProbs]:
-        return (OutcomeProbs(*davidson_triple(v, self._sigma, self._kappa)) for v in self._diffs)
+        # OutcomeProbs(*triple) without a Python frame per game
+        triples = map(davidson_triple, self._diffs, repeat(self._sigma), repeat(self._kappa))
+        return map(tuple.__new__, repeat(OutcomeProbs), triples)
 
     def __eq__(self, other) -> bool:
         return list(self) == (list(other) if isinstance(other, Forecasts) else other)

@@ -13,13 +13,14 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 
 from drawelo.data import Dataset, GameRecord
 from drawelo.engine import UpdateMode
-from drawelo.errors import ZeroProbabilityError
+from drawelo.errors import RowError, SchemaError, ZeroProbabilityError
 from drawelo.models import (
     ModelFamily,
     apply_home_advantage,
@@ -304,6 +305,51 @@ def parse_date(text):
         except ValueError:
             continue
     return None
+
+
+# float()'s grammar in ASCII, without the "_" that float() also takes between digits
+_DECIMAL = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)",
+                      re.IGNORECASE | re.ASCII)
+
+
+def parse_matches(text):
+    """A football-data CSV by csv.DictReader, one row at a time: (games, team names).
+
+    Each row's Date, HomeTeam, AwayTeam, FTR and odds cells are stripped; a
+    row with the four blank is skipped.  Odds count when all three columns
+    exist and none of the row's three odds cells is blank.  A row at fault raises
+    RowError naming its line.  Games are stably sorted by date, and teams
+    listed by first appearance in that order, home before away.
+    """
+    reader = csv.DictReader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    if not {"Date", "HomeTeam", "AwayTeam", "FTR"} <= set(reader.fieldnames or ()):
+        raise SchemaError("missing required column(s)")
+    odds_columns = ["B365H", "B365D", "B365A"]
+    if not set(odds_columns) <= set(reader.fieldnames):
+        odds_columns = []
+    games = []
+    for row in reader:
+        cell = {name: (value or "").strip() for name, value in row.items() if name is not None}
+        date, home, away, outcome = (cell[c] for c in ("Date", "HomeTeam", "AwayTeam", "FTR"))
+        if not (date or home or away or outcome):
+            continue
+        day = parse_date(date)
+        texts = [cell[c] for c in odds_columns]
+        odds = None
+        if texts and all(texts):
+            if not all(_DECIMAL.fullmatch(t) for t in texts):
+                raise RowError("unparseable odds", reader.line_num)
+            odds = tuple(float(t) for t in texts)
+        if (outcome not in ("H", "D", "A") or day is None or not home or not away
+                or home == away
+                or (odds is not None and not all(math.isfinite(o) and o > 1 for o in odds))):
+            raise RowError("bad row", reader.line_num)
+        games.append(GameRecord(day, home, away, outcome, odds))
+    games.sort(key=lambda g: g.date)
+    teams = []
+    for g in games:
+        teams += [name for name in (g.home_id, g.away_id) if name not in teams]
+    return games, teams
 
 
 def trajectory_csv(trajectory):

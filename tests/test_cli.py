@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BOTH_PATHS, KAPPAS, check_report, invoke, online_cases, run_cli
+from conftest import (BOTH_PATHS, KAPPAS, check_report, child_env, invoke, online_cases,
+                      run_cli)
 from drawelo import cli
 from drawelo.cli import RunConfig, _csv_cell, _round6, run_fit, run_rate, run_sweep
 from drawelo.data import Dataset, load_matches, serialize_matches
@@ -684,6 +688,20 @@ def test_missing_column_is_a_data_error(tmp_path):
     result = invoke(["rate", str(path)])
     assert result.exit_code == 3
     assert "FTR" in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_stdout_exits_1_quietly(season_file, fmt):
+    # as `drawelo rate season.csv | head -c 1` once the reader has gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "drawelo", "rate", str(season_file), "-f", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_double_dash_ends_the_options(toy_file, tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 import copy
+import csv
 import dataclasses
 import datetime as dt
+import io
 import pickle
 
 import pytest
@@ -71,6 +73,12 @@ _DATE_PART = st.text("0123456789", min_size=1, max_size=5) | st.text(
 @example("1/1/+001")
 @example("\u0661/1/2001")
 @example("1\u0661/1/2001")
+# int() or Python 3.11's wider fromisoformat grammar would read these
+@example("1/1/2_01")
+@example("1_/1/2001")
+@example("1/W1/2001")
+@example("1/1/-001")
+@example("01/01/20010101")
 def test_parse_date_agrees_with_strptime(text):
     want = oracles.parse_date(text)
     if want is None:
@@ -80,6 +88,64 @@ def test_parse_date_agrees_with_strptime(text):
         assert str(exc_info.value) == f"unparseable date {text!r}"
     else:
         assert _parse_date(text) == want
+
+
+_EXTRA_COLUMNS = ["Div", "FTHG", "Referee", "BWH"]
+_TEAMS = ["Arsenal", "Team, United", 'B "b"', " Spaced ", "New\nport", "\u00c9vian"]
+_ODDS = ["1.53", "4.5", "10", "2e0", ""]
+# one cell that faults a row; float() would read the odds "2_10" and "\u0663.5"
+_FAULTS = [("FTR", "X"), ("HomeTeam", ""), ("AwayTeam", " "), ("Date", "31/02/2001"),
+           ("Date", "1/1/2_01"), ("B365H", "x"), ("B365H", "2_10"), ("B365H", "\u0663.5"),
+           ("B365H", "0.9"), ("B365H", "inf")]
+
+
+@st.composite
+def _date_cells(draw):
+    """A day-first date cell: 1- or 2-digit day and month, 2- or 4-digit year."""
+    day = draw(st.dates(dt.date(1950, 1, 1), dt.date(2080, 12, 31)))
+    d, m = (draw(st.sampled_from([str(x), f"{x:02d}"])) for x in (day.day, day.month))
+    two_digit = 1969 <= day.year <= 2068 and draw(st.booleans())
+    return f"{d}/{m}/{day.year % 100:02d}" if two_digit else f"{d}/{m}/{day.year}"
+
+
+@st.composite
+def _season_files(draw):
+    """football-data CSV text: shuffled, extra and repeated columns, blank and short rows."""
+    odds = draw(st.sampled_from([["B365H", "B365D", "B365A"], ["B365H", "B365D"], []]))
+    columns = draw(st.permutations(
+        ["Date", "HomeTeam", "AwayTeam", "FTR", *odds,
+         *draw(st.lists(st.sampled_from(_EXTRA_COLUMNS), max_size=3, unique=True))]))
+    columns += draw(st.lists(st.sampled_from(columns), max_size=2))  # the last copy is read
+    last = {name: i for i, name in enumerate(columns)}
+    dates = draw(st.lists(_date_cells(), min_size=1, max_size=4))  # shared, so dates repeat
+    rows = [columns]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["game"] * 3 + ["blank", "short"]))
+        home, away = draw(st.lists(st.sampled_from(_TEAMS), min_size=2, max_size=2, unique=True))
+        cell = {"Date": draw(st.sampled_from(dates)), "HomeTeam": home, "AwayTeam": away,
+                "FTR": draw(st.sampled_from(["H", "D", "A", " D "])),
+                **{c: draw(st.sampled_from(_ODDS)) for c in ("B365H", "B365D", "B365A")}}
+        cell.update([draw(st.sampled_from(_FAULTS))] if draw(st.integers(0, 9)) == 0 else [])
+        row = [cell.get(name, "E0") if last[name] == i else "junk"
+               for i, name in enumerate(columns)]
+        rows.append({"game": row, "blank": [], "short": row[:draw(st.integers(1, 4))]}[kind])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    return draw(st.sampled_from(["", "\ufeff"])) + buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_season_files())
+def test_parse_matches_agrees_with_the_dict_reader_oracle(text):
+    try:
+        want = oracles.parse_matches(text)
+    except RowError as exc:
+        with pytest.raises(RowError) as exc_info:
+            parse_matches(text)
+        assert exc_info.value.line == exc.line
+    else:
+        dataset = parse_matches(text)
+        assert (dataset.games, dataset.team_names) == want
 
 
 def test_parse_header_only():
@@ -207,6 +273,11 @@ def test_parse_bad_odds_are_row_errors():
         parse_matches(f"{HEADER}\n12/08/2017,A,B,H,1.0,4.5,6.5\n")
     with pytest.raises(RowError, match="odds"):
         parse_matches(f"{HEADER}\n12/08/2017,A,B,H,x,4.5,6.5\n")
+    # float() reads both, a decimal odds cell neither: only ASCII, no "_"
+    for cell in ("2_10", "\u0663.5"):
+        with pytest.raises(RowError) as exc_info:
+            parse_matches(f"{HEADER}\n12/08/2017,A,B,H,2.0,3.4,3.9\n13/08/2017,B,A,D,{cell},3.4,3.5\n")
+        assert str(exc_info.value) == f"line 3: unparseable odds {[cell, '3.4', '3.5']}"
 
 
 
