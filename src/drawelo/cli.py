@@ -31,7 +31,7 @@ from enum import Enum
 from . import __version__
 from .data import load_matches, serialize_matches
 from .errors import ConvergenceError, ZeroProbabilityError
-from .models import ModelFamily, ModelParams, UpdateMode, apply_home_advantage, enum_field
+from .models import ModelFamily, ModelParams, UpdateMode, apply_home_advantage
 from .sim import SimSpec, generate_season, true_ratings
 
 # engine's and evaluation's names load on first use (stats needs no engine,
@@ -55,7 +55,7 @@ class RunConfig:
     Every field after ``input_path`` is a command-line option of the same
     name on the commands that read it (``_COMMANDS``), and its default
     is the option's default.  ``mode`` and ``family`` also accept their enum
-    values as strings.
+    values as strings; ``EngineConfig`` and ``ModelParams`` coerce and check them.
     """
 
     command: str
@@ -69,10 +69,6 @@ class RunConfig:
     family: ModelFamily = ModelFamily.DAVIDSON
     output_format: str = "json"
     eval_window: str = "second-half"
-
-    def __post_init__(self):
-        self.mode = enum_field(UpdateMode, "mode", self.mode)
-        self.family = enum_field(ModelFamily, "family", self.family)
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -358,7 +354,7 @@ def run_fit(cfg: RunConfig, step: None, max_iters: int, tol: float, ridge: float
     return {
         "command": "fit",
         "input": cfg.input_path,
-        "family": cfg.family.value,
+        "family": _plain(cfg.family),
         "n_games": dataset.n_games,
         "nll": result.nll,
         "grad_max_norm": result.grad_max_norm,

@@ -6,12 +6,13 @@ the online algorithms is excluded.  Alongside the mean we report the
 minimum-length interval containing at least 95% of the per-game scores.
 One season's scores are plain Python lists.  A grid cell is scored from
 its row of rating differences by ``cell_report``, with ``math.log`` as
-``score_games`` takes it, and its interval is found on a numpy array by
-the same rule: the first shortest window of order statistics, where a
-window whose ends are equal (inf included) has length 0.  numpy is
-imported only by the grid functions.  ``evaluate_configs`` scores the
-online forecasts of a list of configurations; it is the one place that
-picks between the float and the vector online path.
+``score_games`` takes it.  Both find the interval by one scan: the first
+shortest window of order statistics, where a window whose ends are equal
+(inf included) has length 0; a grid cell only sorts its scores with
+numpy.  numpy is imported only by the grid functions.
+``evaluate_configs`` scores the online forecasts of a list of
+configurations; it is the one place that picks between the float and the
+vector online path.
 """
 
 from __future__ import annotations
@@ -80,15 +81,11 @@ def score_games(
         raise zero_probability(games[first].outcome, games, first) from None
 
 
-def min_length_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """``credibility_interval`` of n >= 1 values, on a numpy array."""
-    import numpy as np
-    ordered = np.sort(values)
+def _shortest_window(ordered: Sequence[float], level: float) -> tuple[float, float]:
+    """``credibility_interval``'s scan of ascending values, a list or a numpy array, as floats."""
     k = math.ceil(level * len(ordered))
-    low, high = ordered[: len(ordered) - k + 1], ordered[k - 1:]
-    with np.errstate(invalid="ignore"):  # inf - inf; such a window has length 0
-        widths = np.where(high == low, 0.0, high - low)
-    first = int(np.argmin(widths))  # the first minimum has the smallest lower bound
+    widths = [0.0 if high == low else high - low for low, high in zip(ordered, ordered[k - 1:])]
+    first = widths.index(min(widths))
     return float(ordered[first]), float(ordered[first + k - 1])
 
 
@@ -104,11 +101,7 @@ def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[
         raise ValueError("empty value list")
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must be in (0, 1], got {level}")
-    ordered = sorted(map(float, values))
-    k = math.ceil(level * len(ordered))
-    widths = [0.0 if high == low else high - low for low, high in zip(ordered, ordered[k - 1:])]
-    first = widths.index(min(widths))  # as in min_length_interval
-    return ordered[first], ordered[first + k - 1]
+    return _shortest_window(sorted(map(float, values)), level)
 
 
 def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
@@ -124,9 +117,14 @@ def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -
     """Bundle mean and interval over the chosen window into a report, in plain Python."""
     start, end = _window_bounds(len(per_game_ls), window)
     scored = list(map(float, per_game_ls[start:end]))
-    low, high = credibility_interval(scored)
+    return _report(scored, sorted(scored), (start, end))
+
+
+def _report(scored: list[float], ordered: Sequence[float], window: tuple[int, int]) -> EvalReport:
+    """The report of the scores over ``window``, given them in ascending order too."""
+    low, high = _shortest_window(ordered, 0.95)
     return EvalReport(mean_ls=sum(scored) / len(scored), interval_low=low, interval_high=high,
-                      per_game_ls=scored, window=(start, end))
+                      per_game_ls=scored, window=window)
 
 
 def cell_report(
@@ -156,9 +154,7 @@ def cell_report(
     except ValueError as exc:  # a bad window name, or no games to score
         return exc
     scored = [-x for x in map(math.log, realized[start:end].tolist())]
-    low, high = min_length_interval(scored)
-    return EvalReport(mean_ls=sum(scored) / len(scored), interval_low=low, interval_high=high,
-                      per_game_ls=scored, window=(start, end))
+    return _report(scored, np.sort(scored), (start, end))
 
 
 def evaluate_configs(

@@ -229,17 +229,13 @@ def recovery_metrics(
         scale = math.sqrt(math.fsum(a * a for a in ra) * math.fsum(b * b for b in rb))
         rank_corr = min(max(math.fsum(map(operator.mul, ra, rb)) / scale, -1.0), 1.0)
 
-    def centered_rmse(exp: int) -> float:  # on the ratings scaled exactly by 2**-exp
-        t_vec, e_vec = ([math.ldexp(x, -exp) for x in vec] for vec in (true_vec, est_vec))
-        true_mean, est_mean = math.fsum(t_vec) / n, math.fsum(e_vec) / n
-        centered = [(e - est_mean) - (t - true_mean) for t, e in zip(t_vec, e_vec)]
-        rmse = math.sqrt(math.fsum(c * c for c in centered) / n)
-        return rmse * 2.0 ** (exp // 2) * 2.0 ** (exp - exp // 2)  # inf past the float range
-
-    try:
-        rmse = centered_rmse(0)
-    except OverflowError:  # a sum of the ratings left the float range
-        rmse = math.inf
-    if not math.isfinite(rmse):  # an overflow: scale the largest rating into [0.5, 1)
-        rmse = centered_rmse(math.frexp(max(map(abs, true_vec + est_vec)))[1])
+    # On the ratings scaled exactly by 2**-exp, the largest into [0.5, 1), no sum
+    # or square overflows.  fsum, / n, subtraction, squaring and sqrt round
+    # correctly, so the scale changes no bit of the RMSE unless a value underflows.
+    exp = math.frexp(max(map(abs, true_vec + est_vec)))[1]
+    t_vec, e_vec = ([math.ldexp(x, -exp) for x in vec] for vec in (true_vec, est_vec))
+    true_mean, est_mean = math.fsum(t_vec) / n, math.fsum(e_vec) / n
+    centered = [(e - est_mean) - (t - true_mean) for t, e in zip(t_vec, e_vec)]
+    rmse = math.sqrt(math.fsum(c * c for c in centered) / n)
+    rmse = rmse * 2.0 ** (exp // 2) * 2.0 ** (exp - exp // 2)  # inf past the float range
     return {"rank_correlation": rank_corr, "centered_rmse": rmse}

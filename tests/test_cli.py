@@ -23,7 +23,7 @@ from drawelo.cli import RunConfig, _csv_cell, _round6, run_fit, run_rate, run_sw
 from drawelo.data import Dataset, load_matches, serialize_matches
 from drawelo.engine import EngineConfig, FitResult, RatingState, UpdateMode, run_season
 from drawelo.evaluation import evaluate_configs
-from drawelo.models import ModelParams
+from drawelo.models import ModelFamily, ModelParams
 from drawelo.sim import SimSpec, generate_season
 
 HEADER = "Date,HomeTeam,AwayTeam,FTR"
@@ -877,6 +877,21 @@ def test_config_echoes_exactly_the_fields_a_command_reads(
     assert result.exit_code == 0, result.output
     echoed = json.loads(result.stdout)["config"]
     assert list(echoed.items()) == list(config.items())
+
+
+def test_enum_fields_are_checked_by_the_types_that_own_them(toy_file):
+    # RunConfig keeps mode and family as given; EngineConfig and ModelParams
+    # coerce them, and a bad value raises when the command builds its config
+    assert RunConfig("rate", mode="elo").engine_config().mode is UpdateMode.ELO
+    cfg = RunConfig("fit", input_path=str(toy_file), family="threshold")
+    assert cfg.model_params().family is ModelFamily.THRESHOLD
+    assert run_fit(cfg, None, 5000, 1e-6, 0.0)["family"] == "threshold"
+    with pytest.raises(ValueError, match="^mode must be one of elo, kappa-elo, elo-check, "
+                                         "got 'nope'$"):
+        RunConfig("rate", mode="nope").engine_config()
+    with pytest.raises(ValueError, match="^family must be one of binary, elo-implicit, "
+                                         "threshold, davidson, got 'nope'$"):
+        RunConfig("fit", family="nope").model_params()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from conftest import KAPPAS, check_report, game, online_cases
 from drawelo.engine import EngineConfig, UpdateMode, mode_parameters, run_season
 from drawelo.errors import ZeroProbabilityError, non_finite_difference
 from drawelo.evaluation import (
+    _shortest_window,
     _window_bounds,
     baseline_report,
     cell_report,
@@ -18,7 +19,6 @@ from drawelo.evaluation import (
     evaluate_scores,
     implied_draw_freq,
     log_score,
-    min_length_interval,
     score_games,
 )
 from drawelo.models import OUTCOME_COLUMN, ModelParams, OutcomeProbs, davidson_triple, predict_probs
@@ -230,10 +230,11 @@ TIED_SCORES = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.0, 1
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), level=st.sampled_from([0.5, 0.95, 1.0]) | st.floats(0.01, 1.0))
-def test_min_length_interval_matches_credibility_interval(data, level):
-    # at any level, ties and infinite ends included, both scans pick one window
+def test_shortest_window_matches_credibility_interval(data, level):
+    # at any level, ties and infinite ends included, the scan picks one window
+    # on a numpy sort, as a grid cell passes it, and on a list
     values = data.draw(st.lists(TIED_SCORES, min_size=1, max_size=80))
-    interval = min_length_interval(values, level)
+    interval = _shortest_window(np.sort(values), level)
     assert interval == credibility_interval(values, level) == brute_min_interval(values, level)
     assert all(type(end) is float for end in interval)
 

@@ -1,7 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import drawelo
-from conftest import run_cli
+from conftest import child_env, run_cli
 from drawelo import cli, engine, models
 
 
@@ -41,3 +45,29 @@ def test_importing_a_module_loads_no_unrelated_module():
     assert result.returncode == 0, result.stderr
     assert result.stdout.decode().split() == [
         "drawelo", "drawelo.data", "drawelo.errors", "drawelo.models"]
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_below_ten(x):
+    assert x < 10
+"""
+
+
+def test_a_failing_property_reports_its_counterexample(tmp_path):
+    # under this project's pytest settings, where warnings are errors, a failing
+    # Hypothesis test is one failure with its example, not an INTERNALERROR
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_property.py"],
+        env=child_env(), cwd=tmp_path, capture_output=True, timeout=120)
+    output = (result.stdout + result.stderr).decode()
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output

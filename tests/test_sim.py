@@ -297,6 +297,22 @@ def test_recovery_metrics_of_large_finite_ratings(theta_true):
                                                  rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), j=st.integers(-900, 900))
+def test_recovery_metrics_scale_exactly_by_powers_of_two(data, j):
+    # the RMSE is computed on the ratings scaled by a power of two, which
+    # commutes with every operation in it: scaling the ratings by 2**j scales
+    # the RMSE by exactly 2**j and leaves the ranks as they are
+    magnitudes = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+    n = data.draw(st.integers(2, 30))
+    pair = [data.draw(st.lists(magnitudes, min_size=n, max_size=n)) for _ in range(2)]
+    got = recovery_metrics(*pair)
+    scaled = recovery_metrics(*([math.ldexp(x, j) for x in vec] for vec in pair))
+    assert scaled["centered_rmse"] == math.ldexp(got["centered_rmse"], j)
+    assert scaled["rank_correlation"] == got["rank_correlation"] or (
+        math.isnan(scaled["rank_correlation"]) and math.isnan(got["rank_correlation"]))
+
+
 RATINGS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-1000.0, 1000.0)
 
 
