@@ -64,8 +64,13 @@ class GameRecord:
             raise ValueError(f"home and away must differ, got {self.home_id!r} twice")
         if self.outcome not in OUTCOMES:
             raise ValueError(f"outcome must be one of {OUTCOMES}, got {self.outcome!r}")
-        if self.odds is not None and not all(math.isfinite(o) and o > 1.0 for o in self.odds):
-            raise ValueError(f"decimal odds must all be finite and exceed 1, got {self.odds}")
+        if self.odds is not None:
+            _check_odds(self.odds)
+
+
+def _check_odds(odds: tuple[float, float, float]) -> None:
+    if not all(math.isfinite(o) and o > 1.0 for o in odds):
+        raise ValueError(f"decimal odds must all be finite and exceed 1, got {odds}")
 
 
 _set_date, _set_home_id, _set_away_id, _set_outcome, _set_odds = (
@@ -148,12 +153,15 @@ def parse_matches(text: str) -> Dataset:
     width = max(column.values()) + 1
 
     games: list[GameRecord] = []
+    names: dict[str, str] = {}  # one string per team, shared by all of its records
     for row in reader:
         if len(row) < width:
             row += [""] * (width - len(row))
         date_cell = row[date_i].strip()
         home = row[home_i].strip()
+        home = names.setdefault(home, home)
         away = row[away_i].strip()
+        away = names.setdefault(away, away)
         outcome = row[ftr_i].strip()
         if not (date_cell or home or away or outcome):
             continue  # blank line
@@ -215,11 +223,9 @@ def odds_to_probs(o_home: float, o_draw: float, o_away: float) -> OutcomeProbs:
     """Bookmaker decimal odds -> probabilities, margin removed.
 
     Reciprocal odds sum above 1 by the bookmaker's margin; normalizing the
-    reciprocals removes it.
+    reciprocals removes it.  Odds are checked as ``GameRecord`` checks them.
     """
-    for o in (o_home, o_draw, o_away):
-        if not o > 1.0:
-            raise ValueError(f"decimal odds must exceed 1, got {o}")
+    _check_odds((o_home, o_draw, o_away))
     w_home, w_draw, w_away = 1.0 / o_home, 1.0 / o_draw, 1.0 / o_away
     total = w_home + w_draw + w_away
     return OutcomeProbs(p_home=w_home / total, p_away=w_away / total, p_draw=w_draw / total)

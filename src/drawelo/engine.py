@@ -399,6 +399,11 @@ def nll_gradient(
 
 @dataclass
 class FitResult:
+    """``batch_ml_fit``'s ratings, its likelihood term and how its descent stopped.
+
+    ``stop_reason`` is ``"gradient"`` (converged), ``"max-iters"`` or ``"stalled"``.
+    """
+
     theta: dict[str, float]
     nll: float
     grad_max_norm: float

@@ -4,20 +4,24 @@ The headline metric is the negative logarithmic score, -ln p(realized
 outcome), averaged over the second half of a season so the warm-up phase of
 the online algorithms is excluded.  Alongside the mean we report the
 minimum-length interval containing at least 95% of the per-game scores.
-One season's scores are plain Python lists.  A grid cell is scored from
-its row of rating differences by ``cell_report``, with ``math.log`` as
-``score_games`` takes it.  Both find the interval by one scan: the first
-shortest window of order statistics, where a window whose ends are equal
-(inf included) has length 0; a grid cell only sorts its scores with
-numpy.  numpy is imported only by the grid functions.
-``evaluate_configs`` scores the online forecasts of a list of
+``EvalReport.per_game_ls`` holds the window's scores as an ``array("d")``,
+8 bytes a game, on both paths; ``list()`` or ``numpy.frombuffer`` converts
+it.  A grid cell is scored from its row of rating differences by
+``cell_report``, with ``math.log`` as ``score_games`` takes it.  Both find
+the interval by one scan: the first shortest window of order statistics,
+where a window whose ends are equal (inf included) has length 0; a grid
+cell only sorts its scores with numpy.  numpy is imported only by the
+grid functions.  ``evaluate_configs`` scores the online forecasts of a list of
 configurations; it is the one place that picks between the float and the
-vector online path.
+vector online path, and the vector path runs one kernel row per distinct
+update.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -50,7 +54,7 @@ class EvalReport:
     mean_ls: float
     interval_low: float
     interval_high: float
-    per_game_ls: list[float]
+    per_game_ls: array  # array("d") of the window's scores
     window: tuple[int, int]  # half-open [start, end) into the scored list
 
 
@@ -116,11 +120,11 @@ def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
 def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -> EvalReport:
     """Bundle mean and interval over the chosen window into a report, in plain Python."""
     start, end = _window_bounds(len(per_game_ls), window)
-    scored = list(map(float, per_game_ls[start:end]))
+    scored = array("d", map(float, per_game_ls[start:end]))
     return _report(scored, sorted(scored), (start, end))
 
 
-def _report(scored: list[float], ordered: Sequence[float], window: tuple[int, int]) -> EvalReport:
+def _report(scored: array, ordered: Sequence[float], window: tuple[int, int]) -> EvalReport:
     """The report of the scores over ``window``, given them in ascending order too."""
     low, high = _shortest_window(ordered, 0.95)
     return EvalReport(mean_ls=sum(scored) / len(scored), interval_low=low, interval_high=high,
@@ -153,7 +157,7 @@ def cell_report(
         start, end = _window_bounds(len(games), window)
     except ValueError as exc:  # a bad window name, or no games to score
         return exc
-    scored = [-x for x in map(math.log, realized[start:end].tolist())]
+    scored = array("d", map(operator.neg, map(math.log, realized[start:end].tolist())))
     return _report(scored, np.sort(scored), (start, end))
 
 
@@ -165,11 +169,14 @@ def evaluate_configs(
     One configuration steps on plain floats (``run_season``) and is scored
     in plain Python, without numpy; two or more run in one pass of the
     vector kernel (``run_online``), and each cell is scored from its own
-    differences (``cell_report``).  A cell's error is a non-finite rating
+    differences (``cell_report``).  Configurations with the same shift,
+    step and update (sigma, kappa) step alike, whatever they predict with,
+    so the kernel runs one row for each such group and every cell of the
+    group reads that row.  A cell's error is a non-finite rating
     difference or a zero probability, each naming its game, or no games to
     score; the other cells are still scored.
     """
-    from .engine import compile_season, run_online, run_season
+    from .engine import compile_season, mode_parameters, run_online, run_season
     if len(configs) == 1:
         try:
             result = run_season(games, configs[0])
@@ -179,11 +186,14 @@ def evaluate_configs(
     if not configs:
         return []
     import numpy as np
-    run = run_online(compile_season(games), configs)
+    updates = [mode_parameters(c)[:4] for c in configs]  # what run_online steps on
+    groups = dict(zip(updates, configs))  # any configuration of a group steps as the group
+    row = {update: i for i, update in enumerate(groups)}
+    run = run_online(compile_season(games), list(groups.values()))
     column = np.fromiter((OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp,
                          count=len(games))
-    return [cell_report(games, column, diffs, config, window)
-            for diffs, config in zip(run.diffs, configs)]
+    return [cell_report(games, column, run.diffs[row[update]], config, window)
+            for update, config in zip(updates, configs)]
 
 
 def baseline_report(games: Sequence[GameRecord], window: tuple[int, int]) -> EvalReport:

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import datetime as dt
 import io
+import math
 import pickle
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -151,6 +153,14 @@ def test_parse_matches_agrees_with_the_dict_reader_oracle(text):
 def test_parse_header_only():
     dataset = parse_matches(HEADER + "\n")
     assert dataset.n_games == 0 and dataset.n_teams == 0
+
+
+def test_parse_keeps_one_string_per_team():
+    dataset = parse_matches(f"{HEADER}\n12/08/2017,Arsenal,Spurs,H,,,\n"
+                            f"19/08/2017, Spurs ,Arsenal,D,,,\n")
+    first, second = dataset.games
+    assert first.home_id is second.away_id == "Arsenal"
+    assert first.away_id is second.home_id == "Spurs"
 
 
 def test_parse_missing_odds_cells_yield_none():
@@ -420,10 +430,15 @@ def test_odds_to_probs_symmetric_book():
     assert probs.p_home == pytest.approx(1 / 3, abs=1e-15)
 
 
-@pytest.mark.parametrize("odds", [(1.0, 3.0, 3.0), (2.0, 0.5, 3.0), (2.0, 3.0, -4.0)])
+@pytest.mark.parametrize("odds", [(1.0, 3.0, 3.0), (2.0, 0.5, 3.0), (2.0, 3.0, -4.0),
+                                  (math.inf, math.inf, math.inf), (math.inf, 2.0, 3.0)])
 def test_odds_to_probs_rejects_degenerate_odds(odds):
-    with pytest.raises(ValueError):
+    # GameRecord's check and words; infinite odds would divide 0 by 0 or price a side at 0
+    message = f"^{re.escape(f'decimal odds must all be finite and exceed 1, got {odds}')}$"
+    with pytest.raises(ValueError, match=message):
         odds_to_probs(*odds)
+    with pytest.raises(ValueError, match=message):
+        game("A", "B", "H", odds=odds)
 
 
 @given(

@@ -1,4 +1,8 @@
+import gc
 import math
+import tracemalloc
+from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,12 +77,12 @@ def test_cell_log_scores_pick_the_realized_column():
     p_home, p_away, p_draw = davidson_triple(1200.0, 600.0, 1.0)
     assert (p_home, p_away, p_draw) == pytest.approx((1 / 1.11, 0.01 / 1.11, 0.1 / 1.11), rel=1e-15)
     report = one_cell(games, [1200.0] * 3, kappa_one)
-    assert report.per_game_ls == [-math.log(p_home), -math.log(p_away), -math.log(p_draw)]
+    assert list(report.per_game_ls) == [-math.log(p_home), -math.log(p_away), -math.log(p_draw)]
     assert report.window == (0, 3)
     # elo predicts with davidson at kappa 2 and half the scale: (1/4, 1/4, 1/2) at v = 0
     elo = EngineConfig(ModelParams(sigma=600.0, kappa=1.0), mode=UpdateMode.ELO)
     report = one_cell(games, [0.0] * 3, elo, window="second-half")
-    assert report.per_game_ls == [-math.log(0.25), -math.log(0.5)]
+    assert list(report.per_game_ls) == [-math.log(0.25), -math.log(0.5)]
     assert report.window == (1, 3)
     assert report.mean_ls == (-math.log(0.25) - math.log(0.5)) / 2
 
@@ -108,8 +112,8 @@ def test_cell_log_scores_use_the_same_log_as_score_games():
     config = EngineConfig(ModelParams(sigma=600.0, kappa=0.7))
     realized = [p.prob_of(g.outcome) for p, g in zip(forecasts(diffs, config), games)]
     report = one_cell(games, diffs, config)
-    assert report.per_game_ls == score_games(forecasts(diffs, config), games)
-    assert report.per_game_ls == [-math.log(p) for p in realized]
+    assert list(report.per_game_ls) == score_games(forecasts(diffs, config), games)
+    assert list(report.per_game_ls) == [-math.log(p) for p in realized]
 
 
 # differences with ties, an outcome underflowing to probability 0, and non-finite values
@@ -143,7 +147,7 @@ def test_score_rows_match_cell_log_scores(data, window):
         return
     assert report == evaluate_scores(scores, window)
     assert report.window == (start, end)
-    assert report.per_game_ls == scores[start:end]
+    assert list(report.per_game_ls) == scores[start:end]
     assert (report.interval_low, report.interval_high) == brute_min_interval(scores[start:end])
 
 
@@ -173,8 +177,8 @@ def test_window_bounds_take_the_last_ceil_half_or_all(n):
     assert _window_bounds(n, "second-half") == ([0, 0, 1, 1, 2, 2, 3][n], n)
     assert _window_bounds(n, "full") == (0, n)
     scores = [float(i) for i in range(n)]
-    assert evaluate_scores(scores).per_game_ls == scores[n // 2:]
-    assert evaluate_scores(scores, "full").per_game_ls == scores
+    assert list(evaluate_scores(scores).per_game_ls) == scores[n // 2:]
+    assert list(evaluate_scores(scores, "full").per_game_ls) == scores
 
 
 @pytest.mark.parametrize("n", [0, 3])
@@ -266,16 +270,82 @@ def assert_cells_match_each_configuration_alone(games, configs, cells):
             assert (type(cell), str(cell)) == (type(alone), str(alone))
             continue
         assert cell == alone
+        for report in (cell, alone):
+            assert type(report.per_game_ls) is array and report.per_game_ls.typecode == "d"
         scores = score_games(run_season(games, config).predictions, games)
         check_report(alone.mean_ls, alone.interval_low, alone.interval_high, scores)
 
 
+@st.composite
+def update_twins(draw, config):
+    """A configuration that updates as ``config`` does but may predict otherwise.
+
+    Another check_kappa, in any mode; or, in elo or elo-check, either of the
+    two modes at another model kappa, since both update at kappa 0.
+    """
+    twin = replace(config, check_kappa=draw(KAPPAS))
+    if config.mode is not UpdateMode.KAPPA_ELO and draw(st.booleans()):
+        mode = draw(st.sampled_from([UpdateMode.ELO, UpdateMode.ELO_CHECK_KAPPA]))
+        twin = replace(twin, mode=mode, model=replace(config.model, kappa=draw(KAPPAS)))
+    assert mode_parameters(twin)[:4] == mode_parameters(config)[:4]
+    return twin
+
+
 @settings(max_examples=50, deadline=None)
-@given(cases=st.lists(online_cases(max_teams=6), min_size=2, max_size=4))
-def test_evaluate_configs_grid_cells_match_each_configuration_alone(cases):
+@given(cases=st.lists(online_cases(max_teams=6), min_size=2, max_size=4), data=st.data())
+def test_evaluate_configs_grid_cells_match_each_configuration_alone(cases, data):
+    # twins share their configuration's kernel row, and must still report as
+    # their own configuration alone
     games = cases[0][2]
     configs = [config for config, _, _ in cases]
+    twins = [data.draw(update_twins(config)) for config in configs[:data.draw(st.integers(1, 4))]]
+    configs = data.draw(st.permutations(configs + twins))
     assert_cells_match_each_configuration_alone(games, configs, evaluate_configs(games, configs))
+
+
+def test_configurations_that_update_alike_share_a_kernel_row(monkeypatch):
+    # sweep's 32-cell grid: the 16 elo-check cells step at kappa 0 whatever
+    # their kappa, so the kernel runs 16 kappa-elo rows and 4 elo-check rows
+    import drawelo.engine
+    games = generate_season(SimSpec(theta_true=true_ratings(6, 0.1, 600.0),
+                                    model=ModelParams(kappa=0.7, eta=0.3), rounds=2, seed=3)).games
+    configs = sweep_grid()
+    rows = []
+    run_online = drawelo.engine.run_online
+    monkeypatch.setattr(drawelo.engine, "run_online",
+                        lambda season, cs: rows.append(len(cs)) or run_online(season, cs))
+    cells = evaluate_configs(games, configs)
+    assert rows == [20]
+    assert_cells_match_each_configuration_alone(games, configs, cells)
+
+
+def sweep_grid():
+    """The configurations of ``sweep --kappa-grid 0.4,0.7,1,2 --eta-grid 0,0.15,0.3,0.45
+    --modes kappa-elo,elo-check``, in its cell order."""
+    return [EngineConfig(ModelParams(sigma=600.0, kappa=kappa, eta=eta), mode=mode,
+                         check_kappa=kappa)
+            for mode in (UpdateMode.KAPPA_ELO, UpdateMode.ELO_CHECK_KAPPA)
+            for kappa in (0.4, 0.7, 1.0, 2.0) for eta in (0.0, 0.15, 0.3, 0.45)]
+
+
+def test_a_grids_reports_hold_eight_bytes_a_scored_game():
+    # 32 cells x 3,800 scored games: 0.93 MiB of array("d"), against 3.8 MiB
+    # as lists of float objects
+    games = generate_season(SimSpec(theta_true=true_ratings(20, 0.1, 600.0),
+                                    model=ModelParams(kappa=0.7, eta=0.3), rounds=20, seed=1)).games
+    assert len(games) == 7600
+    configs = sweep_grid()
+    evaluate_configs(games[:4], configs)  # first-call imports and caches are not the reports'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reports = evaluate_configs(games, configs)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(len(report.per_game_ls) == 3800 for report in reports)
+    assert held < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("n_configs", [1, 3])
