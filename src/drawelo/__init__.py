@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "data": "Dataset GameRecord load_matches odds_to_probs parse_matches serialize_matches",
     "engine": "EngineConfig FitResult RatingState SeasonResult batch_ml_fit check_fit_options "
-              "nll nll_gradient predict run_season score_of",
+              "nll nll_gradient predict run_season",
     "errors": "ConvergenceError RowError SchemaError ZeroProbabilityError",
-    "evaluation": "EmpiricalStats EvalReport baseline_report credibility_interval empirical_stats "
-                  "evaluate_configs evaluate_scores implied_draw_freq log_score score_games",
+    "evaluation": "EmpiricalStats EvalReport baseline_report empirical_stats evaluate_configs "
+                  "evaluate_scores implied_draw_freq log_score score_games",
     "models": "ModelFamily ModelParams OutcomeProbs UpdateMode apply_home_advantage predict_probs",
     "sim": "SimSpec generate_schedule generate_season recovery_metrics sample_outcome",
 }

@@ -98,8 +98,8 @@ _BATCH_FIELDS = ("sigma", "kappa", "eta", "v0", "family")
 def _round6(value):
     """Round floats to 6 significant digits, recursively.
 
-    inf becomes 'inf' and NaN becomes None (JSON null), so the output stays
-    valid JSON.
+    inf and -inf become 'inf' and '-inf', and NaN becomes None (JSON null),
+    so the output stays valid JSON.
     """
     if isinstance(value, bool) or not isinstance(value, float):
         if isinstance(value, dict):
@@ -108,7 +108,7 @@ def _round6(value):
             return [_round6(v) for v in value]
         return value
     if math.isinf(value):
-        return "inf"
+        return str(value)
     if math.isnan(value):
         return None
     return float(f"{value:.6g}")
@@ -120,7 +120,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return "inf" if math.isinf(value) else f"{value:.6g}"
+        return f"{value:.6g}"  # inf and -inf as 'inf' and '-inf'
     return str(value)
 
 

@@ -22,11 +22,11 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import RowError, SchemaError
-from .models import OutcomeProbs
+from .models import HOME_SCORE, OutcomeProbs
 
 REQUIRED_COLUMNS = ("Date", "HomeTeam", "AwayTeam", "FTR")
 ODDS_COLUMNS = ("B365H", "B365D", "B365A")
-OUTCOMES = ("H", "D", "A")
+OUTCOMES = tuple(HOME_SCORE)
 
 
 @dataclass(frozen=True, slots=True, init=False)

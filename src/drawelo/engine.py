@@ -10,10 +10,10 @@ The online side covers three modes:
 * ``elo-check``  -- ratings driven by the classic update, predictions made
                     with a separate draw parameter (deliberate mismatch).
 
-The classic update's logistic expected score is f_kappa at kappa = 0, and
-its implicit draw model is davidson at kappa = 2 and half the scale, so
-every mode is one update kappa plus one davidson prediction (kappa, sigma);
-``mode_parameters`` is the one place that maps a mode to them.
+Every mode is one update curve and one forecast curve, ``EngineConfig``'s
+``update`` and ``forecast``, read off ``ModelParams.davidson_point``: the
+classic update is the binary point and its implicit draw model the
+elo-implicit one.
 A season is compiled once into index lists.  Each entry point has one
 path: ``run_season``, the rating update, steps one configuration game by
 game on floats without numpy; ``run_online`` advances a grid of them on
@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING
 from .data import GameRecord
 from .errors import ConvergenceError, non_finite_difference, zero_probability
 from .models import (
+    HOME_SCORE,
     ModelFamily,
     ModelParams,
     OutcomeProbs,
@@ -89,12 +90,40 @@ class EngineConfig:
             raise ValueError(
                 f"k_tilde * sigma must be finite, got {self.k_tilde} * {self.model.sigma}")
         object.__setattr__(self, "mode", enum_field(UpdateMode, "mode", self.mode))
-        # every mode steps and predicts with a davidson curve (mode_parameters)
+        # every mode steps and forecasts with a davidson curve (update, forecast)
         if self.model.family is not ModelFamily.DAVIDSON:
             raise ValueError(
                 f"family must be davidson in the online engine, got {self.model.family.value}")
         if not (math.isfinite(self.check_kappa) and self.check_kappa >= 0):
             raise ValueError(f"check_kappa must be a finite real >= 0, got {self.check_kappa}")
+
+    @cached_property  # read on every predict call; the instance is frozen
+    def update(self) -> tuple[float, float, float, float]:
+        """(shift, step, sigma, kappa) of the update step * (s - f_kappa(v + shift)).
+
+        kappa-elo steps with its model's curve; elo and elo-check with the
+        logistic expected score, the model's binary point.
+        """
+        model = self.model
+        shift, step = model.eta * model.sigma, self.k_tilde * model.sigma
+        if self.mode is not UpdateMode.KAPPA_ELO:
+            model = replace(model, family=ModelFamily.BINARY)
+        return (shift, step, *model.davidson_point)
+
+    @cached_property
+    def forecast(self) -> tuple[float, float]:
+        """The davidson (sigma, kappa) of every forecast.
+
+        kappa-elo forecasts with its model, elo with the draw model its
+        update implies (the model's elo-implicit point), and elo-check with
+        the model at ``check_kappa``.
+        """
+        model = self.model
+        if self.mode is UpdateMode.ELO:
+            model = replace(model, family=ModelFamily.ELO_IMPLICIT)
+        elif self.mode is UpdateMode.ELO_CHECK_KAPPA:
+            model = replace(model, kappa=self.check_kappa)
+        return model.davidson_point
 
 
 class Trajectory:
@@ -177,46 +206,14 @@ class SeasonResult:
     trajectory: Trajectory
 
 
-_HOME_SCORE = {"H": 1.0, "D": 0.5, "A": 0.0}
-
-
-def score_of(outcome: str) -> float:
-    """The home side's score for an outcome code: 'H' 1, 'D' 0.5, 'A' 0."""
-    if outcome not in _HOME_SCORE:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    return _HOME_SCORE[outcome]
-
-
-def mode_parameters(config: EngineConfig) -> tuple[float, float, float, float, float, float]:
-    """shift, step, update (sigma, kappa) and prediction (sigma, kappa) of a mode.
-
-    Every mode updates by step * (s - f_kappa(v + shift)) at the update
-    (sigma, kappa) and predicts with davidson at the prediction (sigma,
-    kappa).  kappa-elo uses the model's kappa for both.  elo and elo-check
-    update with the logistic expected score, f_0; elo predicts with the
-    draw model that update implies, davidson at kappa = 2 and half the
-    scale, and elo-check with check_kappa.
-    """
-    model = config.model
-    sigma = model.sigma
-    if config.mode is UpdateMode.KAPPA_ELO:
-        update_kappa, predict_sigma, predict_kappa = model.kappa, sigma, model.kappa
-    elif config.mode is UpdateMode.ELO:
-        update_kappa, predict_sigma, predict_kappa = 0.0, 0.5 * sigma, 2.0
-    else:
-        update_kappa, predict_sigma, predict_kappa = 0.0, sigma, config.check_kappa
-    return (model.eta * sigma, config.k_tilde * sigma, sigma, update_kappa,
-            predict_sigma, predict_kappa)
-
-
 def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> OutcomeProbs:
     """Outcome probabilities for a fixture under the state's ratings; unseen players rate 0."""
-    shift, _, _, _, sigma, kappa = mode_parameters(config)
+    shift, _, _, _ = config.update
     ratings = state.ratings
     v = (ratings.get(home, 0.0) - ratings.get(away, 0.0)) + shift
     if not math.isfinite(v):
         raise non_finite_difference(v)
-    return OutcomeProbs(*davidson_triple(v, sigma, kappa))
+    return OutcomeProbs(*davidson_triple(v, *config.forecast))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +270,7 @@ def compile_season(
     for g in games:
         home.append(index.setdefault(g.home_id, len(index)))
         away.append(index.setdefault(g.away_id, len(index)))
-    score = array("d", [score_of(g.outcome) for g in games])
+    score = array("d", [HOME_SCORE[g.outcome] for g in games])
     return CompiledSeason(list(index), home, away, score, given)
 
 
@@ -299,8 +296,8 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     ``diffs`` row shows it.
     """
     import numpy as np
-    table = np.array([mode_parameters(c) for c in configs], dtype=float).reshape(len(configs), 6)
-    shift, step, sigma, kappa = table.T[:4, :, None]
+    table = np.array([c.update for c in configs], dtype=float).reshape(len(configs), 4)
+    shift, step, sigma, kappa = table.T[:, :, None]
     home_index, away_index, score = season.arrays()
     ratings = np.zeros((len(configs), len(season.players)))
     diffs = np.empty((len(configs), len(score)))
@@ -328,7 +325,7 @@ def run_season(
     read.  numpy is never imported.  The first non-finite difference raises, naming its game.
     """
     season = compile_season(games, players)
-    shift, step, sigma, kappa, predict_sigma, predict_kappa = mode_parameters(config)
+    shift, step, sigma, kappa = config.update
     ratings = [0.0] * len(season.players)
     diffs, deltas = [], []
     for h, a, s in zip(season.home, season.away, season.score):
@@ -342,7 +339,7 @@ def run_season(
         deltas.append(delta)
     return SeasonResult(
         state=RatingState(ratings=dict(zip(season.players, ratings))),
-        predictions=Forecasts(diffs, predict_sigma, predict_kappa),
+        predictions=Forecasts(diffs, *config.forecast),
         trajectory=Trajectory(season, deltas),
     )
 

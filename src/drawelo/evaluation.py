@@ -85,27 +85,18 @@ def score_games(
         raise zero_probability(games[first].outcome, games, first) from None
 
 
-def _shortest_window(ordered: Sequence[float], level: float) -> tuple[float, float]:
-    """``credibility_interval``'s scan of ascending values, a list or a numpy array, as floats."""
-    k = math.ceil(level * len(ordered))
+def _shortest_window(ordered: Sequence[float]) -> tuple[float, float]:
+    """Minimum-length interval covering at least 95% of ascending values, as floats.
+
+    ``ordered`` is a non-empty list or numpy array.  Scans windows of k =
+    ceil(0.95*n) consecutive order statistics; a window whose ends are
+    equal, inf included, has length 0.  Ties in length are broken toward
+    the smallest lower bound, so the result is deterministic.
+    """
+    k = math.ceil(0.95 * len(ordered))
     widths = [0.0 if high == low else high - low for low, high in zip(ordered, ordered[k - 1:])]
     first = widths.index(min(widths))
     return float(ordered[first]), float(ordered[first + k - 1])
-
-
-def credibility_interval(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """Minimum-length interval covering at least ``level`` of the values.
-
-    Scans windows of k = ceil(level*n) consecutive order statistics; a
-    window whose ends are equal, inf included, has length 0.  Ties in
-    length are broken toward the smallest lower bound, so the result is
-    deterministic.
-    """
-    if len(values) == 0:
-        raise ValueError("empty value list")
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"level must be in (0, 1], got {level}")
-    return _shortest_window(sorted(map(float, values)), level)
 
 
 def _window_bounds(n_total: int, window: str) -> tuple[int, int]:
@@ -126,30 +117,30 @@ def evaluate_scores(per_game_ls: Sequence[float], window: str = "second-half") -
 
 def _report(scored: array, ordered: Sequence[float], window: tuple[int, int]) -> EvalReport:
     """The report of the scores over ``window``, given them in ascending order too."""
-    low, high = _shortest_window(ordered, 0.95)
+    low, high = _shortest_window(ordered)
     return EvalReport(mean_ls=sum(scored) / len(scored), interval_low=low, interval_high=high,
                       per_game_ls=scored, window=window)
 
 
 def cell_report(
-    games: Sequence[GameRecord], column: np.ndarray, diffs: np.ndarray, config: EngineConfig,
-    window: str,
+    games: Sequence[GameRecord], column: np.ndarray, diffs: np.ndarray,
+    forecast: tuple[float, float], window: str,
 ) -> EvalReport | ValueError:
     """A grid cell's report over ``window`` from its row of ``run_online`` differences, or its error.
 
-    ``column`` holds each game's ``OUTCOME_COLUMN``.  The checks run in
-    ``run_season``, ``score_games`` then ``evaluate_scores``'s order, so the
-    error is the one its configuration alone raises: the first non-finite
-    difference, else the first zero probability, else the window's.  A cell
-    at fault takes no log.
+    ``column`` holds each game's ``OUTCOME_COLUMN`` and ``forecast`` the
+    cell's ``EngineConfig.forecast``.  The checks run in ``run_season``,
+    ``score_games`` then ``evaluate_scores``'s order, so the error is the
+    one its configuration alone raises: the first non-finite difference,
+    else the first zero probability, else the window's.  A cell at fault
+    takes no log.
     """
     import numpy as np
-    from .engine import mode_parameters
     bad = np.flatnonzero(~np.isfinite(diffs))
     if bad.size:
         return non_finite_difference(float(diffs[bad[0]]), games, int(bad[0]))
     with np.errstate(over="ignore"):  # v / sigma may overflow, to the limit floats give
-        realized = np.choose(column, davidson_triple(diffs, *mode_parameters(config)[4:]))
+        realized = np.choose(column, davidson_triple(diffs, *forecast))
     bad = np.flatnonzero(realized <= 0.0)
     if bad.size:
         return zero_probability(games[bad[0]].outcome, games, int(bad[0]))
@@ -169,14 +160,14 @@ def evaluate_configs(
     One configuration steps on plain floats (``run_season``) and is scored
     in plain Python, without numpy; two or more run in one pass of the
     vector kernel (``run_online``), and each cell is scored from its own
-    differences (``cell_report``).  Configurations with the same shift,
-    step and update (sigma, kappa) step alike, whatever they predict with,
-    so the kernel runs one row for each such group and every cell of the
-    group reads that row.  A cell's error is a non-finite rating
-    difference or a zero probability, each naming its game, or no games to
-    score; the other cells are still scored.
+    differences (``cell_report``).  Configurations with the same
+    ``update`` step alike, whatever they forecast with, so the kernel runs
+    one row for each such group and every cell of the group reads that
+    row.  A cell's error is a non-finite rating difference or a zero
+    probability, each naming its game, or no games to score; the other
+    cells are still scored.
     """
-    from .engine import compile_season, mode_parameters, run_online, run_season
+    from .engine import compile_season, run_online, run_season
     if len(configs) == 1:
         try:
             result = run_season(games, configs[0])
@@ -186,14 +177,13 @@ def evaluate_configs(
     if not configs:
         return []
     import numpy as np
-    updates = [mode_parameters(c)[:4] for c in configs]  # what run_online steps on
-    groups = dict(zip(updates, configs))  # any configuration of a group steps as the group
+    groups = {c.update: c for c in configs}  # any configuration of a group steps as the group
     row = {update: i for i, update in enumerate(groups)}
     run = run_online(compile_season(games), list(groups.values()))
     column = np.fromiter((OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp,
                          count=len(games))
-    return [cell_report(games, column, run.diffs[row[update]], config, window)
-            for update, config in zip(updates, configs)]
+    return [cell_report(games, column, run.diffs[row[c.update]], c.forecast, window)
+            for c in configs]
 
 
 def baseline_report(games: Sequence[GameRecord], window: tuple[int, int]) -> EvalReport:

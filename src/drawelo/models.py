@@ -134,7 +134,9 @@ class OutcomeProbs(NamedTuple):
         return self[OUTCOME_COLUMN[outcome]]
 
 
-# Column of each outcome code in an OutcomeProbs row or a forecast table.
+# Each outcome code's home score, in the order messages list the codes, and
+# its column in an OutcomeProbs row or a forecast table.
+HOME_SCORE = {"H": 1.0, "D": 0.5, "A": 0.0}
 OUTCOME_COLUMN = {"H": 0, "A": 1, "D": 2}
 
 

@@ -172,14 +172,14 @@ def finite_diff_gradient(theta, games, model, step=None):
     return grad
 
 
-def brute_min_interval(values, level=0.95):
-    """Scan every window of ceil(level*n) order statistics; smallest-low tie break.
+def brute_min_interval(values):
+    """Scan every window of ceil(0.95*n) order statistics; smallest-low tie break.
 
     A window whose two ends are equal has length 0, also when both are inf.
     """
     ordered = sorted(values)
     n = len(ordered)
-    k = math.ceil(level * n)
+    k = math.ceil(0.95 * n)
     candidates = []
     for i in range(n - k + 1):
         low, high = ordered[i], ordered[i + k - 1]
@@ -276,15 +276,15 @@ def second_half(values):
     return values[len(values) // 2:]
 
 
-def near_min_intervals(values, rtol, level=0.95):
-    """Every window of ceil(level*n) order statistics within rtol of the shortest.
+def near_min_intervals(values, rtol):
+    """Every window of ceil(0.95*n) order statistics within rtol of the shortest.
 
     Scores computed another way may reorder windows whose lengths differ only
     by rounding, so a computed interval is checked against all of these.
     """
     ordered = sorted(values)
     n = len(ordered)
-    k = math.ceil(level * n)
+    k = math.ceil(0.95 * n)
     windows = [(ordered[i], ordered[i + k - 1]) for i in range(n - k + 1)]
     shortest = min(high - low for low, high in windows)
     slack = rtol * max(1.0, max(abs(v) for v in ordered))

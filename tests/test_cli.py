@@ -761,6 +761,26 @@ def test_invalid_parameter_is_a_usage_error_naming_the_option(season_file, optio
 def test_nan_is_printed_as_null_or_empty():
     assert json.dumps(_round6({"x": math.nan, "y": [math.nan, 1.0]})) == '{"x": null, "y": [null, 1.0]}'
     assert _csv_cell(math.nan) == ""
+    # an infinity keeps its sign
+    assert _round6([math.inf, -math.inf]) == ["inf", "-inf"]
+    assert [_csv_cell(math.inf), _csv_cell(-math.inf)] == ["inf", "-inf"]
+
+
+def test_a_rating_run_to_minus_inf_prints_its_sign(tmp_path):
+    # at sigma 1e308 B's steps overflow its rating to -inf on the last game
+    path = tmp_path / "inf.csv"
+    path.write_text(f"{HEADER}\n" + "".join(
+        f"0{day}/08/2021,{home},{away},{ftr}\n" for day, home, away, ftr in
+        [(1, "A", "B", "H"), (1, "C", "D", "H"), (2, "B", "D", "D"), (3, "E", "B", "H"),
+         (3, "F", "D", "H"), (4, "B", "D", "A")]))
+    traj = tmp_path / "trajectory.csv"
+    options = ["--sigma", "1e308", "--eta", "0", "--k-step", "1.5"]
+    result = invoke(["rate", str(path), *options, "--trajectory", str(traj)])
+    assert result.exit_code == 0, result.output
+    assert {"team": "B", "rating": "-inf"} in json.loads(result.stdout)["ratings"]
+    assert "6,B,-inf" in traj.read_text().splitlines()
+    result = invoke(["rate", str(path), *options, "-f", "csv"])
+    assert "B,-inf" in result.stdout.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -18,13 +18,11 @@ from drawelo.engine import (
     UpdateMode,
     batch_ml_fit,
     compile_season,
-    mode_parameters,
     nll,
     nll_gradient,
     predict,
     run_online,
     run_season,
-    score_of,
 )
 from drawelo.evaluation import evaluate_configs, evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError, non_finite_difference
@@ -49,19 +47,21 @@ def fit_model(family=ModelFamily.DAVIDSON, kappa=0.7, eta=0.0, v0=0.0, sigma=SIG
 
 
 # ---------------------------------------------------------------------------
-# scores and differences
+# update and forecast curves, and differences
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("outcome,expected", [("H", 1.0), ("D", 0.5), ("A", 0.0)])
-def test_score_of(outcome, expected):
-    assert score_of(outcome) == expected
-
-
-def test_score_of_rejects_bad_outcome():
-    for outcome in ("X", "h", "", "HD"):
-        with pytest.raises(ValueError, match="unknown outcome"):
-            score_of(outcome)
+@pytest.mark.parametrize("mode,update_kappa,forecast", [
+    ("kappa-elo", 0.7, (SIGMA, 0.7)),
+    ("elo", 0.0, (0.5 * SIGMA, 2.0)),
+    ("elo-check", 0.0, (SIGMA, 1.3)),
+])
+def test_each_mode_is_an_update_and_a_forecast_curve(mode, update_kappa, forecast):
+    # the README's mode table: every mode steps with the model's shift and
+    # step at update kappa, and forecasts with davidson at (sigma, kappa)
+    cfg = config(mode, kappa=0.7, eta=0.3, k_tilde=0.125, check_kappa=1.3)
+    assert cfg.update == (0.3 * SIGMA, 0.125 * SIGMA, SIGMA, update_kappa)
+    assert cfg.forecast == forecast
 
 
 def test_rating_difference():
@@ -157,9 +157,10 @@ def test_predict_kappa_zero_never_draws():
 # ---------------------------------------------------------------------------
 
 
-def test_run_season_predicts_before_updating():
+@pytest.mark.parametrize("mode", ["kappa-elo", "elo", "elo-check"])
+def test_run_season_predicts_before_updating(mode):
     games = [game("A", "B", "H", 0), game("A", "B", "H", 1)]
-    cfg = config()
+    cfg = config(mode, check_kappa=1.3)
     result = run_season(games, cfg)
     fresh = RatingState(ratings={"A": 0.0, "B": 0.0})
     assert result.predictions[0] == predict(fresh, "A", "B", cfg)
@@ -258,7 +259,7 @@ def test_compile_season_empty():
 def vector_forecasts(diffs, config) -> list[OutcomeProbs]:
     """``davidson_triple`` of a row of ``run_online`` differences, taken on the array."""
     return [OutcomeProbs(*p) for p in zip(*(
-        column.tolist() for column in davidson_triple(diffs, *mode_parameters(config)[4:])))]
+        column.tolist() for column in davidson_triple(diffs, *config.forecast)))]
 
 
 def one_cell_run(games, config, players=None) -> SeasonResult:

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KAPPAS, check_report, game, online_cases
-from drawelo.engine import EngineConfig, UpdateMode, mode_parameters, run_season
+from drawelo.engine import EngineConfig, UpdateMode, run_season
 from drawelo.errors import ZeroProbabilityError, non_finite_difference
 from drawelo.evaluation import (
     _shortest_window,
     _window_bounds,
     baseline_report,
     cell_report,
-    credibility_interval,
     empirical_stats,
     evaluate_configs,
     evaluate_scores,
@@ -62,12 +61,12 @@ def test_score_games_names_the_offending_game():
 def one_cell(games, diffs, config, window="full"):
     """``cell_report`` of one row of differences over the named window."""
     column = np.array([OUTCOME_COLUMN[g.outcome] for g in games], dtype=np.intp)
-    return cell_report(games, column, np.array(diffs, dtype=float), config, window)
+    return cell_report(games, column, np.array(diffs, dtype=float), config.forecast, window)
 
 
 def forecasts(diffs, config):
     """The float path's forecasts of a row of differences, as ``Forecasts`` builds them."""
-    return [OutcomeProbs(*davidson_triple(v, *mode_parameters(config)[4:])) for v in diffs]
+    return [OutcomeProbs(*davidson_triple(v, *config.forecast)) for v in diffs]
 
 
 def test_cell_log_scores_pick_the_realized_column():
@@ -201,28 +200,30 @@ def test_mean_second_half_empty_is_an_error():
 
 
 # ---------------------------------------------------------------------------
-# credibility interval
+# 95% interval
 # ---------------------------------------------------------------------------
 
 
+def interval(values):
+    """The 95% interval ``evaluate_scores`` reports over all of ``values``."""
+    report = evaluate_scores(values, "full")
+    return report.interval_low, report.interval_high
+
+
 def test_interval_examples():
-    assert credibility_interval(list(range(1, 101))) == (1, 95)
-    assert credibility_interval([7.5] * 30) == (7.5, 7.5)
-    assert credibility_interval([0.0] * 99 + [1000.0]) == (0.0, 0.0)
-
-
-def test_interval_rejects_empty_and_bad_level():
-    with pytest.raises(ValueError):
-        credibility_interval([])
-    with pytest.raises(ValueError):
-        credibility_interval([1.0], level=0.0)
+    assert interval(list(range(1, 101))) == (1, 95)
+    assert interval([7.5] * 30) == (7.5, 7.5)
+    assert interval([0.0] * 99 + [1000.0]) == (0.0, 0.0)
+    assert interval([-3.0] * 19 + [math.inf]) == (-3.0, -3.0)
+    with pytest.raises(ValueError, match="empty score list"):
+        interval([])
 
 
 @settings(max_examples=200)
 @given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([-math.inf, math.inf]),
                 min_size=1, max_size=500))
 def test_interval_matches_exhaustive_scan(values):
-    low, high = credibility_interval(values)
+    low, high = interval(values)
     assert (low, high) == brute_min_interval(values)
     k = math.ceil(0.95 * len(values))
     assert sum(1 for v in values if low <= v <= high) >= k
@@ -233,14 +234,13 @@ TIED_SCORES = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.0, 1
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), level=st.sampled_from([0.5, 0.95, 1.0]) | st.floats(0.01, 1.0))
-def test_shortest_window_matches_credibility_interval(data, level):
-    # at any level, ties and infinite ends included, the scan picks one window
-    # on a numpy sort, as a grid cell passes it, and on a list
-    values = data.draw(st.lists(TIED_SCORES, min_size=1, max_size=80))
-    interval = _shortest_window(np.sort(values), level)
-    assert interval == credibility_interval(values, level) == brute_min_interval(values, level)
-    assert all(type(end) is float for end in interval)
+@given(st.lists(TIED_SCORES, min_size=1, max_size=80))
+def test_shortest_window_of_a_numpy_sort_matches_exhaustive_scan(values):
+    # ties and infinite ends included, the scan picks one window on a numpy
+    # sort, as a grid cell passes it, and on a list, as a season does
+    window = _shortest_window(np.sort(values))
+    assert window == _shortest_window(sorted(values)) == brute_min_interval(values)
+    assert all(type(end) is float for end in window)
 
 
 def test_evaluate_scores_bundles_window_and_interval():
@@ -287,7 +287,7 @@ def update_twins(draw, config):
     if config.mode is not UpdateMode.KAPPA_ELO and draw(st.booleans()):
         mode = draw(st.sampled_from([UpdateMode.ELO, UpdateMode.ELO_CHECK_KAPPA]))
         twin = replace(twin, mode=mode, model=replace(config.model, kappa=draw(KAPPAS)))
-    assert mode_parameters(twin)[:4] == mode_parameters(config)[:4]
+    assert twin.update == config.update
     return twin
 
 

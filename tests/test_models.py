@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from drawelo.data import OUTCOMES
 from drawelo.models import (
+    HOME_SCORE,
     OUTCOME_COLUMN,
     ModelFamily,
     ModelParams,
@@ -371,6 +373,15 @@ def test_outcome_probs_prob_of():
     for outcome in ("X", "h", "", "HD", None):
         with pytest.raises(ValueError, match="unknown outcome"):
             probs.prob_of(outcome)
+
+
+def test_outcome_codes_have_one_home_score_and_one_column():
+    # a forecast certain of an outcome expects the home side to score its home score
+    assert list(HOME_SCORE) == list(OUTCOMES) == ["H", "D", "A"]
+    assert set(OUTCOME_COLUMN) == set(HOME_SCORE)
+    for outcome, score in HOME_SCORE.items():
+        certain = OutcomeProbs(*(float(c == OUTCOME_COLUMN[outcome]) for c in range(3)))
+        assert certain.p_home + 0.5 * certain.p_draw == score
 
 
 def test_the_smallest_normal_sigma_is_accepted():
