@@ -9,9 +9,9 @@ draw parameter 0.7, scored over the second half of the season.
 argparse, and usage errors are argparse's: the command's usage, then one
 ``PROG COMMAND: error:`` line naming the option or argument, exit 2.
 Other exit codes: 0 success, 1 when stdout's reader has closed it (``| head``),
-3 data error (a rating difference that overflows included), 4 numeric error
-(zero-probability outcome or non-convergence); ``main`` alone maps a fault to
-its code.
+3 data error (a rating or rating difference that overflows included), 4
+numeric error (zero-probability outcome or non-convergence); ``main`` alone
+maps a fault to its code.
 """
 
 from __future__ import annotations
@@ -593,7 +593,7 @@ def main(argv: list[str] | None = None) -> None:
     except UsageError as exc:
         parser.error(str(exc))
     except (ConvergenceError, OSError, ValueError) as exc:
-        # numeric faults exit 4, the rest (data faults, an overflowing difference) 3
+        # numeric faults exit 4, the rest (data faults, an overflowing rating or difference) 3
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(4 if isinstance(exc, (ZeroProbabilityError, ConvergenceError)) else 3)
 

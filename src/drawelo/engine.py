@@ -41,7 +41,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .data import GameRecord
-from .errors import ConvergenceError, non_finite_difference, zero_probability
+from .errors import ConvergenceError, non_finite_difference, non_finite_rating, zero_probability
 from .models import (
     HOME_SCORE,
     ModelFamily,
@@ -293,7 +293,8 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     ``run_season`` of its configuration bit for bit, and a forecast is
     ``davidson_triple`` of a difference, as ``Forecasts`` builds it.  A
     configuration whose ratings stop being finite is not raised here: its
-    ``diffs`` row shows it.
+    ``diffs`` row or its final ``ratings`` show it, and ``run_season`` of
+    that configuration names the fault.
     """
     import numpy as np
     table = np.array([c.update for c in configs], dtype=float).reshape(len(configs), 4)
@@ -322,7 +323,10 @@ def run_season(
 
     One configuration steps game by game on plain floats and keeps each
     game's difference; ``Forecasts`` applies ``davidson_triple`` to it when
-    read.  numpy is never imported.  The first non-finite difference raises, naming its game.
+    read.  numpy is never imported.  The first non-finite difference raises, naming its
+    game; so does a rating that no later difference reads, left non-finite by its player's
+    last game (the first such game, its home side first).  This is the one code that names
+    a configuration's fault, and ``evaluate_configs`` runs a grid cell at fault through it.
     """
     season = compile_season(games, players)
     shift, step, sigma, kappa = config.update
@@ -337,6 +341,12 @@ def run_season(
         ratings[a] -= delta
         diffs.append(v)
         deltas.append(delta)
+    if not all(map(math.isfinite, ratings)):
+        last = {}
+        for i, (h, a) in enumerate(zip(season.home, season.away)):
+            last[h], last[a] = (i, 0), (i, 1)
+        (i, _), p = min((last[p], p) for p, r in enumerate(ratings) if not math.isfinite(r))
+        raise non_finite_rating(season.players[p], ratings[p], games, i)
     return SeasonResult(
         state=RatingState(ratings=dict(zip(season.players, ratings))),
         predictions=Forecasts(diffs, *config.forecast),

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the wording of per-game failures."""
+"""Exception types shared across the package, and the wording of per-game failures.
+
+In an online run only the one-configuration path raises them; a grid cell at fault runs on it.
+"""
 
 from __future__ import annotations
 
@@ -48,3 +51,8 @@ def non_finite_difference(v: float, games=None, i: int = 0) -> ValueError:
     """The error for a non-finite rating difference v, at game i of ``games``."""
     message = f"rating difference must be finite, got {v}"
     return ValueError(message if games is None else f"{game_label(games, i)}: {message}")
+
+
+def non_finite_rating(player: str, r: float, games: Sequence[GameRecord], i: int) -> ValueError:
+    """The error for ``player``'s rating r, left non-finite by game i of ``games``."""
+    return ValueError(f"{game_label(games, i)}: rating of {player!r} must be finite, got {r}")

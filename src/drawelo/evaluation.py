@@ -14,7 +14,7 @@ cell only sorts its scores with numpy.  numpy is imported only by the
 grid functions.  ``evaluate_configs`` scores the online forecasts of a list of
 configurations; it is the one place that picks between the float and the
 vector online path, and the vector path runs one kernel row per distinct
-update.
+update.  Only the float path names a fault; a grid cell at fault runs on it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .data import GameRecord, odds_to_probs
-from .errors import game_label, non_finite_difference, zero_probability
+from .errors import game_label, zero_probability
 from .models import OUTCOME_COLUMN, OutcomeProbs, davidson_triple
 
 if TYPE_CHECKING:
@@ -122,34 +122,23 @@ def _report(scored: array, ordered: Sequence[float], window: tuple[int, int]) ->
                       per_game_ls=scored, window=window)
 
 
-def cell_report(
-    games: Sequence[GameRecord], column: np.ndarray, diffs: np.ndarray,
-    forecast: tuple[float, float], window: str,
-) -> EvalReport | ValueError:
-    """A grid cell's report over ``window`` from its row of ``run_online`` differences, or its error.
+def cell_report(column: np.ndarray, diffs: np.ndarray, forecast: tuple[float, float],
+                window: tuple[int, int]) -> EvalReport | None:
+    """A grid cell's report over ``window``, a [start, end), from its ``run_online`` differences.
 
     ``column`` holds each game's ``OUTCOME_COLUMN`` and ``forecast`` the
-    cell's ``EngineConfig.forecast``.  The checks run in ``run_season``,
-    ``score_games`` then ``evaluate_scores``'s order, so the error is the
-    one its configuration alone raises: the first non-finite difference,
-    else the first zero probability, else the window's.  A cell at fault
-    takes no log.
+    cell's ``EngineConfig.forecast``.  A cell at fault, with a non-finite
+    difference or a realized outcome of probability 0, takes no log: None.
     """
     import numpy as np
-    bad = np.flatnonzero(~np.isfinite(diffs))
-    if bad.size:
-        return non_finite_difference(float(diffs[bad[0]]), games, int(bad[0]))
+    if not np.isfinite(diffs).all():
+        return None
     with np.errstate(over="ignore"):  # v / sigma may overflow, to the limit floats give
         realized = np.choose(column, davidson_triple(diffs, *forecast))
-    bad = np.flatnonzero(realized <= 0.0)
-    if bad.size:
-        return zero_probability(games[bad[0]].outcome, games, int(bad[0]))
-    try:
-        start, end = _window_bounds(len(games), window)
-    except ValueError as exc:  # a bad window name, or no games to score
-        return exc
-    scored = array("d", map(operator.neg, map(math.log, realized[start:end].tolist())))
-    return _report(scored, np.sort(scored), (start, end))
+    if not (realized > 0.0).all():
+        return None
+    scored = array("d", map(operator.neg, map(math.log, realized[slice(*window)].tolist())))
+    return _report(scored, np.sort(scored), window)
 
 
 def evaluate_configs(
@@ -163,27 +152,34 @@ def evaluate_configs(
     differences (``cell_report``).  Configurations with the same
     ``update`` step alike, whatever they forecast with, so the kernel runs
     one row for each such group and every cell of the group reads that
-    row.  A cell's error is a non-finite rating difference or a zero
-    probability, each naming its game, or no games to score; the other
-    cells are still scored.
+    row.  A cell at fault, and every cell if the window is bad or empty, is
+    run alone on the float path, so its error is the one its configuration
+    alone raises; the other cells are still scored.
     """
     from .engine import compile_season, run_online, run_season
-    if len(configs) == 1:
+
+    def alone(config: EngineConfig) -> EvalReport | ValueError:
         try:
-            result = run_season(games, configs[0])
-            return [evaluate_scores(score_games(result.predictions, games), window)]
+            result = run_season(games, config)
+            return evaluate_scores(score_games(result.predictions, games), window)
         except ValueError as exc:
-            return [exc]
-    if not configs:
-        return []
+            return exc
+
+    try:
+        bounds = _window_bounds(len(games), window)
+    except ValueError:  # each configuration alone raises it, after any fault of its own
+        bounds = None
+    if bounds is None or len(configs) < 2:
+        return [alone(c) for c in configs]
     import numpy as np
     groups = {c.update: c for c in configs}  # any configuration of a group steps as the group
     row = {update: i for i, update in enumerate(groups)}
     run = run_online(compile_season(games), list(groups.values()))
+    finite = np.isfinite(run.ratings).all(axis=1)  # else one overflowed on its last game
     column = np.fromiter((OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp,
                          count=len(games))
-    return [cell_report(games, column, run.diffs[row[c.update]], c.forecast, window)
-            for c in configs]
+    return [(finite[row[c.update]] and cell_report(column, run.diffs[row[c.update]], c.forecast,
+                                                   bounds)) or alone(c) for c in configs]
 
 
 def baseline_report(games: Sequence[GameRecord], window: tuple[int, int]) -> EvalReport:

@@ -766,21 +766,26 @@ def test_nan_is_printed_as_null_or_empty():
     assert [_csv_cell(math.inf), _csv_cell(-math.inf)] == ["inf", "-inf"]
 
 
-def test_a_rating_run_to_minus_inf_prints_its_sign(tmp_path):
-    # at sigma 1e308 B's steps overflow its rating to -inf on the last game
+def test_a_rating_run_to_minus_inf_is_a_data_error_naming_its_last_game(tmp_path):
+    # at sigma 1e308 B's steps overflow its rating to -inf on its last game,
+    # whose difference is finite
     path = tmp_path / "inf.csv"
     path.write_text(f"{HEADER}\n" + "".join(
         f"0{day}/08/2021,{home},{away},{ftr}\n" for day, home, away, ftr in
         [(1, "A", "B", "H"), (1, "C", "D", "H"), (2, "B", "D", "D"), (3, "E", "B", "H"),
          (3, "F", "D", "H"), (4, "B", "D", "A")]))
+    message = "game 5 (B vs D, 2021-08-04): rating of 'B' must be finite, got -inf"
     traj = tmp_path / "trajectory.csv"
-    options = ["--sigma", "1e308", "--eta", "0", "--k-step", "1.5"]
-    result = invoke(["rate", str(path), *options, "--trajectory", str(traj)])
+    options = ["--sigma", "1e308", "--k-step", "1.5"]
+    for command in (["rate", str(path), "--trajectory", str(traj)], ["evaluate", str(path)]):
+        result = invoke([*command, *options, "--eta", "0"])
+        assert (result.exit_code, result.stdout, result.stderr) == (3, "", f"error: {message}\n")
+    assert not traj.exists()
+    result = invoke(["sweep", str(path), *options, "--kappa-grid", "0.7", "--eta-grid", "0",
+                     "--modes", "kappa-elo,elo-check"])
     assert result.exit_code == 0, result.output
-    assert {"team": "B", "rating": "-inf"} in json.loads(result.stdout)["ratings"]
-    assert "6,B,-inf" in traj.read_text().splitlines()
-    result = invoke(["rate", str(path), *options, "-f", "csv"])
-    assert "B,-inf" in result.stdout.splitlines()
+    kappa_elo, elo_check = json.loads(result.stdout)["cells"]
+    assert kappa_elo["error"] == message and elo_check["error"] is None
 
 
 @pytest.mark.parametrize(

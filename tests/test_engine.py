@@ -25,7 +25,7 @@ from drawelo.engine import (
     run_season,
 )
 from drawelo.evaluation import evaluate_configs, evaluate_scores, score_games
-from drawelo.errors import ConvergenceError, ZeroProbabilityError, non_finite_difference
+from drawelo.errors import ConvergenceError, ZeroProbabilityError
 from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, davidson_triple, predict_probs
 from drawelo.sim import SimSpec, generate_season, true_ratings
 from oracles import finite_diff_gradient
@@ -265,13 +265,15 @@ def vector_forecasts(diffs, config) -> list[OutcomeProbs]:
 def one_cell_run(games, config, players=None) -> SeasonResult:
     """``run_season``'s ratings and forecasts, built from a one-cell ``run_online``.
 
-    ``run_online`` keeps no per-game rating changes, so the trajectory is None.
+    ``run_online`` keeps no per-game rating changes, so the trajectory is
+    None.  A row with a non-finite difference or final rating is at fault,
+    and, as in a grid, ``run_season`` must raise its error.
     """
     season = compile_season(games, players)
     run = run_online(season, [config])
-    bad = np.flatnonzero(~np.isfinite(run.diffs[0]))  # as run_season raises, naming the game
-    if bad.size:
-        raise non_finite_difference(float(run.diffs[0, bad[0]]), games, int(bad[0]))
+    if not (np.isfinite(run.diffs[0]).all() and np.isfinite(run.ratings[0]).all()):
+        run_season(games, config, players)
+        raise AssertionError("run_season accepts a run the kernel leaves non-finite")
     return SeasonResult(
         state=RatingState(ratings=dict(zip(season.players, run.ratings[0].tolist()))),
         predictions=vector_forecasts(run.diffs[0], config),
@@ -550,9 +552,12 @@ NEAR_OVERFLOW = st.sampled_from([1e10, 1e300, 1e308]) | st.floats(1.0, 1e300)
          fixtures=[(0, 1, "H"), (1, 2, "D")])
 @example(sigma=sys.float_info.min, k_tilde=0.125, eta=0.3, kappa=0.7, mode=UpdateMode.ELO,
          fixtures=[(0, 1, "H"), (1, 2, "D")])
+# T0's rating overflows to inf on its last game, game 4, whose difference is finite
+@example(sigma=1e308, k_tilde=1.5, eta=0.0, kappa=0.7, mode=UpdateMode.KAPPA_ELO,
+         fixtures=[(3, 2, "H"), (2, 1, "H"), (1, 2, "H"), (0, 1, "H"), (2, 2, "A")])
 def test_a_valid_config_never_yields_nan(vectorize, sigma, k_tilde, eta, kappa, mode, fixtures):
     # the config rejects an infinite step or shift, the run rejects a
-    # non-finite difference, or every rating is a number
+    # non-finite difference or final rating, or every rating is finite
     try:
         cfg = EngineConfig(model=ModelParams(sigma=sigma, kappa=kappa, eta=eta),
                            k_tilde=k_tilde, mode=mode)
@@ -562,10 +567,10 @@ def test_a_valid_config_never_yields_nan(vectorize, sigma, k_tilde, eta, kappa, 
     try:
         result = (one_cell_run if vectorize else run_season)(games, cfg)
     except ValueError as exc:
-        assert re.match(r"game \d+ \(T\d vs T\d, [-\d]+\): rating difference must be finite",
-                        str(exc))
+        assert re.match(r"game \d+ \(T\d vs T\d, [-\d]+\): "
+                        r"(rating difference|rating of 'T\d') must be finite", str(exc))
         return
-    assert not any(math.isnan(r) for r in result.state.ratings.values())
+    assert all(map(math.isfinite, result.state.ratings.values()))
     if not vectorize:
         for snapshot in result.trajectory:
             assert not any(math.isnan(r) for r in snapshot.values())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import KAPPAS, check_report, game, online_cases
 from drawelo.engine import EngineConfig, UpdateMode, run_season
-from drawelo.errors import ZeroProbabilityError, non_finite_difference
+from drawelo.errors import ZeroProbabilityError
 from drawelo.evaluation import (
     _shortest_window,
     _window_bounds,
@@ -59,9 +59,10 @@ def test_score_games_names_the_offending_game():
 
 
 def one_cell(games, diffs, config, window="full"):
-    """``cell_report`` of one row of differences over the named window."""
+    """``cell_report`` of one row of differences over the named window, or None at fault."""
     column = np.array([OUTCOME_COLUMN[g.outcome] for g in games], dtype=np.intp)
-    return cell_report(games, column, np.array(diffs, dtype=float), config.forecast, window)
+    return cell_report(column, np.array(diffs, dtype=float), config.forecast,
+                       _window_bounds(len(games), window))
 
 
 def forecasts(diffs, config):
@@ -90,16 +91,19 @@ def test_zero_probability_names_the_first_game():
     games = [game("A", "B", "H", 0), game("C", "D", "D", 1), game("A", "B", "D", 2),
              game("C", "D", "H", 3)]
     never_draws = EngineConfig(ModelParams(kappa=0.0))
-    # outside the window too, as score_games raises it for the whole season
+    # a row at fault gives no report, outside the window too, as score_games
+    # raises for the whole season; so does a non-finite difference
     for window in ("full", "second-half"):
-        error = one_cell(games, [0.0] * 4, never_draws, window)
-        assert isinstance(error, ZeroProbabilityError)
-        assert str(error) == (
+        assert one_cell(games, [0.0] * 4, never_draws, window) is None
+    assert one_cell(games, [0.0, 0.0, -math.inf, 0.0], EngineConfig()) is None
+    # in a grid, the cell is run alone, and its error names the first such game
+    for window in ("full", "second-half"):
+        cells = evaluate_configs(games, [never_draws, EngineConfig()], window)
+        assert isinstance(cells[0], ZeroProbabilityError)
+        assert str(cells[0]) == (
             "game 1 (C vs D, 2021-08-02): model assigns probability 0 to observed outcome 'D'"
         )
-    # a non-finite difference comes first, as run_season raises it before any game is scored
-    error = one_cell(games, [0.0, 0.0, -math.inf, 0.0], never_draws)
-    assert str(error) == "game 2 (A vs B, 2021-08-03): rating difference must be finite, got -inf"
+        assert cells[1] == evaluate_configs(games, [EngineConfig()], window)[0]
 
 
 def test_cell_log_scores_use_the_same_log_as_score_games():
@@ -124,7 +128,8 @@ DIFFS = (st.sampled_from([0.0, 300.0, -300.0, 1e6, -1e6, math.inf, -math.inf, ma
 @given(data=st.data(), window=st.sampled_from(["second-half", "full"]))
 def test_score_rows_match_cell_log_scores(data, window):
     # the plain-Python scorer of one configuration's forecasts and a grid
-    # cell's scorer of its differences: the same report, or the same error
+    # cell's scorer of its differences: the same report, or None where the
+    # former raises
     n = data.draw(st.integers(1, 40))
     diffs = data.draw(st.lists(DIFFS, min_size=n, max_size=n))
     config = EngineConfig(ModelParams(sigma=data.draw(st.floats(100.0, 1500.0)),
@@ -134,15 +139,13 @@ def test_score_rows_match_cell_log_scores(data, window):
     games = [game("A", "B", data.draw(st.sampled_from("HDA")), i) for i in range(n)]
     start, end = _window_bounds(n, window)
     report = one_cell(games, diffs, config, window)
-    bad = [i for i, v in enumerate(diffs) if not math.isfinite(v)]
-    if bad:
-        expected = non_finite_difference(diffs[bad[0]], games, bad[0])
-        assert (type(report), str(report)) == (type(expected), str(expected))
+    if not all(map(math.isfinite, diffs)):
+        assert report is None
         return
     try:
         scores = score_games(forecasts(diffs, config), games)
-    except ZeroProbabilityError as raised:
-        assert (type(report), str(report)) == (ZeroProbabilityError, str(raised))
+    except ZeroProbabilityError:
+        assert report is None
         return
     assert report == evaluate_scores(scores, window)
     assert report.window == (start, end)
@@ -261,19 +264,20 @@ def test_evaluate_scores_bundles_window_and_interval():
 # ---------------------------------------------------------------------------
 
 
-def assert_cells_match_each_configuration_alone(games, configs, cells):
+def assert_cells_match_each_configuration_alone(games, configs, cells, window="second-half"):
     """Each cell's report is the one-configuration report exactly, or the same error."""
     assert len(cells) == len(configs)
     for config, cell in zip(configs, cells):
-        alone, = evaluate_configs(games, [config])
+        alone, = evaluate_configs(games, [config], window)
         if isinstance(alone, ValueError):
             assert (type(cell), str(cell)) == (type(alone), str(alone))
             continue
         assert cell == alone
         for report in (cell, alone):
             assert type(report.per_game_ls) is array and report.per_game_ls.typecode == "d"
-        scores = score_games(run_season(games, config).predictions, games)
-        check_report(alone.mean_ls, alone.interval_low, alone.interval_high, scores)
+        if window == "second-half":
+            scores = score_games(run_season(games, config).predictions, games)
+            check_report(alone.mean_ls, alone.interval_low, alone.interval_high, scores)
 
 
 @st.composite
@@ -376,6 +380,44 @@ def test_failing_cells_leave_the_rest_of_the_grid_alone():
     assert str(cells[4]).startswith("game 0 (A vs B, ")
     assert not isinstance(cells[0], ValueError) and not isinstance(cells[3], ValueError)
     assert_cells_match_each_configuration_alone(games, configs, cells)
+    # under a bad window every cell runs alone, and reports its own fault first
+    cells = evaluate_configs(games, configs, "bogus")
+    assert [str(cells[i]) for i in (0, 3)] == [
+        "window must be 'second-half' or 'full', got 'bogus'"] * 2
+    assert str(cells[2]) == "game 1 (B vs A, 2021-08-02): rating difference must be finite, got inf"
+    assert_cells_match_each_configuration_alone(games, configs, cells, "bogus")
+    # B's rating overflows to -inf on its last game, whose difference is finite
+    games = [game("A", "B", "H", 0), game("C", "D", "H", 0), game("B", "D", "D", 1),
+             game("E", "B", "H", 2), game("F", "D", "H", 2), game("B", "D", "A", 3)]
+    rating_overflows = EngineConfig(ModelParams(sigma=1e308, eta=0.0), k_tilde=1.5)
+    configs = [EngineConfig(), rating_overflows, never_draws]
+    for window in ("second-half", "full"):
+        cells = evaluate_configs(games, configs, window)
+        assert str(cells[1]) == (
+            "game 5 (B vs D, 2021-08-04): rating of 'B' must be finite, got -inf")
+        assert isinstance(cells[2], ZeroProbabilityError)
+        assert not isinstance(cells[0], ValueError)
+        assert_cells_match_each_configuration_alone(games, configs, cells, window)
+
+
+def test_a_healthy_grid_runs_no_cell_alone(monkeypatch):
+    # only a cell at fault runs on the float path, so sweep's grid pays for
+    # no float run of its own
+    import drawelo.engine
+    games = generate_season(SimSpec(theta_true=true_ratings(6, 0.1, 600.0),
+                                    model=ModelParams(kappa=0.7, eta=0.3), rounds=2, seed=3)).games
+    assert any(g.outcome == "D" for g in games)
+    alone = []
+    run_season = drawelo.engine.run_season
+    monkeypatch.setattr(drawelo.engine, "run_season",
+                        lambda games, config: alone.append(config) or run_season(games, config))
+    configs = sweep_grid()
+    assert not any(isinstance(cell, ValueError) for cell in evaluate_configs(games, configs))
+    assert alone == []
+    never_draws = EngineConfig(ModelParams(sigma=600.0, kappa=0.0))
+    cells = evaluate_configs(games, configs + [never_draws])
+    assert alone == [never_draws]
+    assert isinstance(cells[-1], ZeroProbabilityError)
 
 
 def test_a_cell_reports_its_own_fault_before_the_window():
