@@ -25,13 +25,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from . import __version__
 from .data import load_matches, serialize_matches
 from .errors import ConvergenceError, ZeroProbabilityError
-from .models import ModelFamily, ModelParams, UpdateMode, apply_home_advantage
+from .models import ModelFamily, ModelParams, Record, UpdateMode, apply_home_advantage
 from .sim import SimSpec, generate_season, true_ratings
 
 # engine's and evaluation's names load on first use (stats needs no engine,
@@ -48,8 +47,7 @@ def __getattr__(name):
     return getattr(sys.modules[__package__], name)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """One command invocation's parameters.
 
     Every field after ``input_path`` is a command-line option of the same
@@ -58,17 +56,13 @@ class RunConfig:
     values as strings; ``EngineConfig`` and ``ModelParams`` coerce and check them.
     """
 
-    command: str
-    input_path: str | None = None
-    sigma: float = 600.0
-    k_tilde: float = 0.125
-    kappa: float = 0.7
-    eta: float = 0.3
-    v0: float = 0.0
-    mode: UpdateMode = UpdateMode.KAPPA_ELO
-    family: ModelFamily = ModelFamily.DAVIDSON
-    output_format: str = "json"
-    eval_window: str = "second-half"
+    def __init__(self, command: str, input_path: str | None = None, sigma: float = 600.0,
+                 k_tilde: float = 0.125, kappa: float = 0.7, eta: float = 0.3, v0: float = 0.0,
+                 mode: UpdateMode = UpdateMode.KAPPA_ELO,
+                 family: ModelFamily = ModelFamily.DAVIDSON, output_format: str = "json",
+                 eval_window: str = "second-half"):
+        self._set(command, input_path, sigma, k_tilde, kappa, eta, v0, mode, family,
+                  output_format, eval_window)
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -85,7 +79,8 @@ def _plain(value):
     return value.value if isinstance(value, Enum) else value
 
 
-_DEFAULTS = {f.name: _plain(f.default) for f in fields(RunConfig)}
+# every field's default; command, the first field, has none
+_DEFAULTS = dict(zip(RunConfig._fields[1:], map(_plain, RunConfig.__init__.__defaults__)))
 _RATE_FIELDS = ("sigma", "k_tilde", "kappa", "eta", "mode")
 _BATCH_FIELDS = ("sigma", "kappa", "eta", "v0", "family")
 
@@ -325,7 +320,7 @@ def run_sweep(
                 row = {"season": cfg.input_path, "mode": mode.value, "kappa": kappa,
                        "eta": eta, **dict.fromkeys(_SCORES), "error": None}
                 try:
-                    cell = replace(cfg, mode=mode, eta=eta, kappa=kappa)
+                    cell = cfg.replace(mode=mode, eta=eta, kappa=kappa)
                     configs[len(rows)] = cell.engine_config()
                 except ValueError as exc:
                     row["error"] = str(exc)

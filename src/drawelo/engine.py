@@ -35,7 +35,6 @@ import math
 import operator
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
 from typing import TYPE_CHECKING
@@ -47,6 +46,7 @@ from .models import (
     ModelFamily,
     ModelParams,
     OutcomeProbs,
+    Record,
     UpdateMode,
     apply_home_advantage,
     davidson_triple,
@@ -59,15 +59,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
-class RatingState:
+class RatingState(Record):
     """Rating per player, as ``run_season`` leaves it; ``predict`` rates a missing player 0."""
 
-    ratings: dict[str, float] = field(default_factory=dict)
+    def __init__(self, ratings: dict[str, float] | None = None):
+        self._set({} if ratings is None else ratings)
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record, frozen=True):
     """Online-update configuration.
 
     The step is specified as k_tilde with K = k_tilde * sigma, which makes
@@ -77,25 +76,21 @@ class EngineConfig:
     davidson.  Each check's message starts with the field's name.
     """
 
-    model: ModelParams = ModelParams()
-    k_tilde: float = 0.125
-    mode: UpdateMode = UpdateMode.KAPPA_ELO
-    check_kappa: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k_tilde) and self.k_tilde >= 0):
-            raise ValueError(f"k_tilde must be >= 0, got {self.k_tilde}")
+    def __init__(self, model: ModelParams = ModelParams(), k_tilde: float = 0.125,
+                 mode: UpdateMode = UpdateMode.KAPPA_ELO, check_kappa: float = 1.0):
+        if not (math.isfinite(k_tilde) and k_tilde >= 0):
+            raise ValueError(f"k_tilde must be >= 0, got {k_tilde}")
         # the absolute step K; an infinite one gives inf * 0 = nan on a game scored as expected
-        if not math.isfinite(self.k_tilde * self.model.sigma):
-            raise ValueError(
-                f"k_tilde * sigma must be finite, got {self.k_tilde} * {self.model.sigma}")
-        object.__setattr__(self, "mode", enum_field(UpdateMode, "mode", self.mode))
+        if not math.isfinite(k_tilde * model.sigma):
+            raise ValueError(f"k_tilde * sigma must be finite, got {k_tilde} * {model.sigma}")
+        mode = enum_field(UpdateMode, "mode", mode)
         # every mode steps and forecasts with a davidson curve (update, forecast)
-        if self.model.family is not ModelFamily.DAVIDSON:
+        if model.family is not ModelFamily.DAVIDSON:
             raise ValueError(
-                f"family must be davidson in the online engine, got {self.model.family.value}")
-        if not (math.isfinite(self.check_kappa) and self.check_kappa >= 0):
-            raise ValueError(f"check_kappa must be a finite real >= 0, got {self.check_kappa}")
+                f"family must be davidson in the online engine, got {model.family.value}")
+        if not (math.isfinite(check_kappa) and check_kappa >= 0):
+            raise ValueError(f"check_kappa must be a finite real >= 0, got {check_kappa}")
+        self._set(model, k_tilde, mode, check_kappa)
 
     @cached_property  # read on every predict call; the instance is frozen
     def update(self) -> tuple[float, float, float, float]:
@@ -107,7 +102,7 @@ class EngineConfig:
         model = self.model
         shift, step = model.eta * model.sigma, self.k_tilde * model.sigma
         if self.mode is not UpdateMode.KAPPA_ELO:
-            model = replace(model, family=ModelFamily.BINARY)
+            model = model.replace(family=ModelFamily.BINARY)
         return (shift, step, *model.davidson_point)
 
     @cached_property
@@ -120,9 +115,9 @@ class EngineConfig:
         """
         model = self.model
         if self.mode is UpdateMode.ELO:
-            model = replace(model, family=ModelFamily.ELO_IMPLICIT)
+            model = model.replace(family=ModelFamily.ELO_IMPLICIT)
         elif self.mode is UpdateMode.ELO_CHECK_KAPPA:
-            model = replace(model, kappa=self.check_kappa)
+            model = model.replace(kappa=self.check_kappa)
         return model.davidson_point
 
 
@@ -191,8 +186,7 @@ class Forecasts(Sequence):
         return list(self) == (list(other) if isinstance(other, Forecasts) else other)
 
 
-@dataclass
-class SeasonResult:
+class SeasonResult(Record):
     """Output of a sequential season run.
 
     ``predictions[i]`` is the forecast made *before* game i was processed,
@@ -201,9 +195,9 @@ class SeasonResult:
     one rating change per game (see ``Trajectory``).
     """
 
-    state: RatingState
-    predictions: Sequence[OutcomeProbs]
-    trajectory: Trajectory
+    def __init__(self, state: RatingState, predictions: Sequence[OutcomeProbs],
+                 trajectory: Trajectory):
+        self._set(state, predictions, trajectory)
 
 
 def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> OutcomeProbs:
@@ -221,8 +215,7 @@ def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> O
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompiledSeason:
+class CompiledSeason(Record, frozen=True):
     """A game list as index lists, compiled once for any number of configurations.
 
     ``players`` is the rating index order: the players given up front, then
@@ -234,11 +227,8 @@ class CompiledSeason:
     counts the players given up front.
     """
 
-    players: list[str]
-    home: array
-    away: array
-    score: array
-    given: int
+    def __init__(self, players: list[str], home: array, away: array, score: array, given: int):
+        self._set(players, home, away, score, given)
 
     @cached_property
     def runs(self) -> list[int]:
@@ -274,12 +264,15 @@ def compile_season(
     return CompiledSeason(list(index), home, away, score, given)
 
 
-@dataclass(frozen=True)
-class OnlineRun:
-    """``run_online`` output for C configurations, G games and T players, as numpy arrays."""
+class OnlineRun(Record, frozen=True):
+    """``run_online`` output for C configurations, G games and T players, as numpy arrays.
 
-    diffs: np.ndarray    # (C, G) shifted rating difference before each game
-    ratings: np.ndarray  # (C, T) final ratings
+    ``diffs`` (C, G) holds the shifted rating difference before each game
+    and ``ratings`` (C, T) the final ratings.
+    """
+
+    def __init__(self, diffs: np.ndarray, ratings: np.ndarray):
+        self._set(diffs, ratings)
 
 
 def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> OnlineRun:
@@ -404,19 +397,15 @@ def nll_gradient(
     return dict(zip(theta, grad.tolist()))
 
 
-@dataclass
-class FitResult:
+class FitResult(Record):
     """``batch_ml_fit``'s ratings, its likelihood term and how its descent stopped.
 
     ``stop_reason`` is ``"gradient"`` (converged), ``"max-iters"`` or ``"stalled"``.
     """
 
-    theta: dict[str, float]
-    nll: float
-    grad_max_norm: float
-    iterations: int
-    converged: bool
-    stop_reason: str
+    def __init__(self, theta: dict[str, float], nll: float, grad_max_norm: float,
+                 iterations: int, converged: bool, stop_reason: str):
+        self._set(theta, nll, grad_max_norm, iterations, converged, stop_reason)
 
 
 def _closure(adjacency: np.ndarray) -> np.ndarray:
@@ -518,7 +507,7 @@ def batch_ml_fit(
     pin = linked / linked.sum(axis=1, keepdims=True)
     pair_index = home * n + away
     sp = model.sigma_prime
-    unit = replace(model, sigma=model.sigma / sp, v0=model.v0 / sp)  # sigma' = 1
+    unit = model.replace(sigma=model.sigma / sp, v0=model.v0 / sp)  # sigma' = 1
     ridge = ridge * sp * sp  # the same penalty on y
 
     def objective(x: np.ndarray):

@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .data import GameRecord, odds_to_probs
 from .errors import game_label, zero_probability
-from .models import OUTCOME_COLUMN, OutcomeProbs, davidson_triple
+from .models import OUTCOME_COLUMN, OutcomeProbs, Record, davidson_triple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,27 +34,24 @@ if TYPE_CHECKING:
     from .engine import EngineConfig
 
 
-@dataclass(frozen=True)
-class EmpiricalStats:
+class EmpiricalStats(Record, frozen=True):
     """Outcome frequencies of a game list and the draw parameter they imply."""
 
-    p_home_bar: float
-    p_away_bar: float
-    p_draw_bar: float
-    delta_bar: float
-    kappa_bar: float
-    n_games: int
+    def __init__(self, p_home_bar: float, p_away_bar: float, p_draw_bar: float,
+                 delta_bar: float, kappa_bar: float, n_games: int):
+        self._set(p_home_bar, p_away_bar, p_draw_bar, delta_bar, kappa_bar, n_games)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Mean log score over a window plus the 95% minimum-length interval."""
+class EvalReport(Record, frozen=True):
+    """Mean log score over a window plus the 95% minimum-length interval.
 
-    mean_ls: float
-    interval_low: float
-    interval_high: float
-    per_game_ls: array  # array("d") of the window's scores
-    window: tuple[int, int]  # half-open [start, end) into the scored list
+    ``per_game_ls`` is an ``array("d")`` of the window's scores, and
+    ``window`` the half-open [start, end) of the window in the scored list.
+    """
+
+    def __init__(self, mean_ls: float, interval_low: float, interval_high: float,
+                 per_game_ls: array, window: tuple[int, int]):
+        self._set(mean_ls, interval_low, interval_high, per_game_ls, window)
 
 
 def log_score(prediction: OutcomeProbs, outcome: str) -> float:

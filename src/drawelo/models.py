@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -63,8 +62,49 @@ def enum_field(enum: type[Enum], name: str, value) -> Enum:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class Record:
+    """Base of the library's record types, in place of ``@dataclass``.
+
+    A record's fields are its ``__init__``'s parameters, in order; ``__init__``
+    checks them and stores them with ``_set``.  Records are equal when their
+    types and field values are, print as ``Type(field=value, ...)``, and
+    ``replace`` builds a changed copy through ``__init__``, so every check
+    runs again.  ``class T(Record, frozen=True)`` refuses assignment and
+    hashes by the field values; any other record is unhashable, as an
+    unfrozen dataclass is.  Defining a record generates no code at import.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
+            cls.__hash__ = lambda self: hash(self._values())
+
+    def _set(self, *values) -> None:
+        vars(self).update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _refuse(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with ``changes`` made, built and checked by ``__init__`` again."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ModelParams(Record, frozen=True):
     """Parameters shared by all model families.
 
     sigma  -- logistic scale (FIFA uses 600, FIDE 400); base-10 exponent
@@ -77,26 +117,19 @@ class ModelParams:
     family -- the model family, a ``ModelFamily`` or its string value.
     """
 
-    sigma: float = 600.0
-    kappa: float = 0.7
-    eta: float = 0.0
-    v0: float = 0.0
-    family: ModelFamily = ModelFamily.DAVIDSON
-
-    def __post_init__(self):
+    def __init__(self, sigma: float = 600.0, kappa: float = 0.7, eta: float = 0.0,
+                 v0: float = 0.0, family: ModelFamily = ModelFamily.DAVIDSON):
         # a subnormal sigma can halve to 0 (elo's prediction scale)
-        if not (math.isfinite(self.sigma) and self.sigma >= sys.float_info.min):
-            raise ValueError(f"sigma must be a finite real >= {sys.float_info.min}, "
-                             f"got {self.sigma}")
+        if not (math.isfinite(sigma) and sigma >= sys.float_info.min):
+            raise ValueError(f"sigma must be a finite real >= {sys.float_info.min}, got {sigma}")
         # every message starts with the field name; the CLI maps it to the option
-        for name in ("kappa", "eta", "v0"):
-            value = getattr(self, name)
+        for name, value in (("kappa", kappa), ("eta", eta), ("v0", v0)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite real >= 0, got {value}")
         # the home-advantage shift of every rating difference
-        if not math.isfinite(self.eta * self.sigma):
-            raise ValueError(f"eta * sigma must be finite, got {self.eta} * {self.sigma}")
-        object.__setattr__(self, "family", enum_field(ModelFamily, "family", self.family))
+        if not math.isfinite(eta * sigma):
+            raise ValueError(f"eta * sigma must be finite, got {eta} * {sigma}")
+        self._set(sigma, kappa, eta, v0, enum_field(ModelFamily, "family", family))
 
     @property
     def sigma_prime(self) -> float:

@@ -15,36 +15,33 @@ import bisect
 import datetime as dt
 import math
 import operator
-from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from .data import Dataset, GameRecord
-from .models import ModelParams, predict_probs
+from .models import ModelParams, Record, predict_probs
 
 _EPOCH = dt.date(2000, 1, 1)  # synthetic calendar: one game per day
 
 
-@dataclass(frozen=True)
-class SimSpec:
-    """Ground-truth ratings, generating model, season length, RNG seed."""
+def _count(name: str, value, low: int) -> int:
+    """``value`` as an int >= ``low``, else a ValueError that starts with ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
-    theta_true: dict[str, float]
-    model: ModelParams = ModelParams()
-    rounds: int = 1
-    seed: int = 0
 
-    def __post_init__(self):
-        if len(self.theta_true) < 2:
+class SimSpec(Record, frozen=True):
+    """Ground-truth ratings (copied), generating model, season length, RNG seed."""
+
+    def __init__(self, theta_true: Mapping[str, float], model: ModelParams = ModelParams(),
+                 rounds: int = 1, seed: int = 0):
+        if len(theta_true) < 2:
             raise ValueError("need at least two teams")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        self._set(dict(theta_true), model, _count("rounds", rounds, 1), _count("seed", seed, 0))
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

@@ -14,7 +14,6 @@ import datetime as dt
 import io
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 
@@ -237,10 +236,10 @@ def _expected_score(v, config):
 
 def _prediction_model(config):
     if config.mode is UpdateMode.KAPPA_ELO:
-        return replace(config.model, family=ModelFamily.DAVIDSON)
+        return config.model.replace(family=ModelFamily.DAVIDSON)
     if config.mode is UpdateMode.ELO:
-        return replace(config.model, family=ModelFamily.ELO_IMPLICIT)
-    return replace(config.model, family=ModelFamily.DAVIDSON, kappa=config.check_kappa)
+        return config.model.replace(family=ModelFamily.ELO_IMPLICIT)
+    return config.model.replace(family=ModelFamily.DAVIDSON, kappa=config.check_kappa)
 
 
 def run_season(games, config, players=None):

@@ -192,7 +192,7 @@ def test_ratings_that_print_alike_are_listed_by_team(monkeypatch, toy_file):
     monkeypatch.setattr(cli, "run_season",
                         lambda *args, **kwargs: SimpleNamespace(state=RatingState(ratings)))
     cfg = RunConfig("fit", input_path=str(toy_file))
-    fit, rate = run_fit(cfg, None, 5000, 1e-6, 0.0), run_rate(replace(cfg, command="rate"), None)
+    fit, rate = run_fit(cfg, None, 5000, 1e-6, 0.0), run_rate(cfg.replace(command="rate"), None)
     for payload in fit, rate:
         assert payload["ratings"] == [{"team": "C", "rating": 1.0}, {"team": "A", "rating": low},
                                       {"team": "B", "rating": math.nextafter(low, 0.0)}]
@@ -356,7 +356,7 @@ def test_sweep_matches_the_scalar_oracle(vectorize, case, kappas, etas, modes):
     cells = [(mode, kappa, eta) for mode in modes for kappa in kappas for eta in etas]
     assert len(rows) == len(cells)
     for row, (mode, kappa, eta) in zip(rows, cells):
-        cell = replace(cfg, mode=mode, eta=eta, kappa=kappa).engine_config()
+        cell = cfg.replace(mode=mode, eta=eta, kappa=kappa).engine_config()
         _, predictions, _ = oracles.run_season(games, cell, dataset.team_names)
         scores = oracles.log_scores(predictions, games) if games else None
         if scores is None:

@@ -1,7 +1,6 @@
 import math
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,7 +321,7 @@ def test_forecasts_read_like_the_list_they_stand_for(mode, case):
     # the vector kernel's list is the forecasts bit for bit; the scalar
     # oracle, which rounds differently, agrees to 1e-12
     config, _, games = case
-    config = replace(config, mode=mode)
+    config = config.replace(mode=mode)
     got = run_season(games, config).predictions
     eager = one_cell_run(games, config).predictions
     _, oracle, _ = oracles.run_season(games, config)

@@ -2,7 +2,6 @@ import gc
 import math
 import tracemalloc
 from array import array
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,10 +286,10 @@ def update_twins(draw, config):
     Another check_kappa, in any mode; or, in elo or elo-check, either of the
     two modes at another model kappa, since both update at kappa 0.
     """
-    twin = replace(config, check_kappa=draw(KAPPAS))
+    twin = config.replace(check_kappa=draw(KAPPAS))
     if config.mode is not UpdateMode.KAPPA_ELO and draw(st.booleans()):
         mode = draw(st.sampled_from([UpdateMode.ELO, UpdateMode.ELO_CHECK_KAPPA]))
-        twin = replace(twin, mode=mode, model=replace(config.model, kappa=draw(KAPPAS)))
+        twin = twin.replace(mode=mode, model=config.model.replace(kappa=draw(KAPPAS)))
     assert twin.update == config.update
     return twin
 

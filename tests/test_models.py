@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,19 +38,19 @@ def triple(p: OutcomeProbs):
 
 # each family's triple through the one public entry point, predict_probs
 def davidson_probs(v, model):
-    return predict_probs(v, replace(model, family=ModelFamily.DAVIDSON))
+    return predict_probs(v, model.replace(family=ModelFamily.DAVIDSON))
 
 
 def binary_probs(v, model):
-    return predict_probs(v, replace(model, family=ModelFamily.BINARY))
+    return predict_probs(v, model.replace(family=ModelFamily.BINARY))
 
 
 def elo_implicit_probs(v, model):
-    return predict_probs(v, replace(model, family=ModelFamily.ELO_IMPLICIT))
+    return predict_probs(v, model.replace(family=ModelFamily.ELO_IMPLICIT))
 
 
 def threshold_probs(v, model):
-    return predict_probs(v, replace(model, family=ModelFamily.THRESHOLD))
+    return predict_probs(v, model.replace(family=ModelFamily.THRESHOLD))
 
 
 # ---------------------------------------------------------------------------

@@ -154,14 +154,26 @@ def test_equal_strength_kappa2_league_draws_about_half():
 def test_sim_spec_validation():
     with pytest.raises(ValueError):
         SimSpec(theta_true={"A": 0.0})
-    with pytest.raises(ValueError):
-        SimSpec(theta_true=ladder(4, 10.0), rounds=0)
+    # rounds is an integer >= 1; 1.5 and "2" once passed and failed in generate_season
+    for rounds in (0, -1, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="^rounds"):
+            SimSpec(theta_true=ladder(4, 10.0), rounds=rounds)
+    assert SimSpec(theta_true=ladder(4, 10.0), rounds=np.int64(2)).rounds == 2
     for seed in (-1, -(2**64), 1.0, 2.5, "3", None):
         with pytest.raises(ValueError, match="^seed"):
             SimSpec(theta_true=ladder(4, 10.0), seed=seed)
     for seed, expected in ((np.int64(7), 7), (np.uint32(2**32 - 1), 2**32 - 1), (2**130, 2**130)):
         spec = SimSpec(theta_true=ladder(4, 10.0), seed=seed)
         assert spec.seed == expected and type(spec.seed) is int
+
+
+def test_sim_spec_pins_its_season_when_the_caller_changes_the_ratings():
+    theta = ladder(3, 10.0)
+    spec = SimSpec(theta_true=theta, seed=1)
+    season = generate_season(spec)
+    theta["D"] = 20.0
+    assert spec.theta_true == ladder(3, 10.0) and spec.theta_true is not theta
+    assert generate_season(spec) == season and season.n_games == 6
 
 
 # ---------------------------------------------------------------------------
