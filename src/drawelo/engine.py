@@ -11,18 +11,18 @@ The online side covers three modes:
                     with a separate draw parameter (deliberate mismatch).
 
 Every mode is one update curve and one forecast curve, ``EngineConfig``'s
-``update`` and ``forecast``, read off ``ModelParams.davidson_point``: the
-classic update is the binary point and its implicit draw model the
+``update`` and ``forecast``, each a ``ModelParams.curve``: the classic
+update is the binary ``Davidson`` and its implicit draw model the
 elo-implicit one.
 A season is compiled once into index lists.  Each entry point has one
 path: ``run_season``, the rating update, steps one configuration game by
 game on floats without numpy; ``run_online`` advances a grid of them on
 numpy arrays, one vector step per run of games in which no team appears
 twice.  Both paths keep each game's difference, stepped by the one
-``expected_score`` of ``models``, and a forecast is ``davidson_triple`` of
-a difference.  Every player starts at rating 0.  ``predict`` forecasts a
-fixture from a ``RatingState``; ``run_season``'s forecasts are built when
-read, and its trajectory is iterated, not indexed.
+``expected_score`` of ``models``, and a forecast is the forecast curve's
+``triple`` of a difference.  Every player starts at rating 0.  ``predict``
+forecasts a fixture from a ``RatingState``; ``run_season``'s forecasts are
+built when read, and its trajectory is iterated, not indexed.
 
 The batch side minimizes the negative log likelihood of a fixed game list
 by damped Newton steps on game arrays, pinning each connected group's
@@ -36,13 +36,14 @@ import operator
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import TYPE_CHECKING
 
 from .data import GameRecord
 from .errors import ConvergenceError, non_finite_difference, non_finite_rating, zero_probability
 from .models import (
     HOME_SCORE,
+    Davidson,
     ModelFamily,
     ModelParams,
     OutcomeProbs,
@@ -52,7 +53,6 @@ from .models import (
     davidson_triple,
     enum_field,
     expected_score,
-    outcome_logp,
 )
 
 if TYPE_CHECKING:
@@ -93,32 +93,32 @@ class EngineConfig(Record, frozen=True):
         self._set(model, k_tilde, mode, check_kappa)
 
     @cached_property  # read on every predict call; the instance is frozen
-    def update(self) -> tuple[float, float, float, float]:
-        """(shift, step, sigma, kappa) of the update step * (s - f_kappa(v + shift)).
+    def update(self) -> tuple[float, float, Davidson]:
+        """(shift, step, curve) of the update step * (s - curve.expected_score(v + shift)).
 
         kappa-elo steps with its model's curve; elo and elo-check with the
-        logistic expected score, the model's binary point.
+        logistic expected score, the model's binary ``Davidson``.
         """
         model = self.model
         shift, step = model.eta * model.sigma, self.k_tilde * model.sigma
         if self.mode is not UpdateMode.KAPPA_ELO:
             model = model.replace(family=ModelFamily.BINARY)
-        return (shift, step, *model.davidson_point)
+        return shift, step, model.curve
 
     @cached_property
-    def forecast(self) -> tuple[float, float]:
-        """The davidson (sigma, kappa) of every forecast.
+    def forecast(self) -> Davidson:
+        """The curve of every forecast.
 
-        kappa-elo forecasts with its model, elo with the draw model its
-        update implies (the model's elo-implicit point), and elo-check with
-        the model at ``check_kappa``.
+        kappa-elo forecasts with its model's curve, elo with the draw model
+        its update implies (the model's elo-implicit ``Davidson``), and
+        elo-check with the model's curve at ``check_kappa``.
         """
         model = self.model
         if self.mode is UpdateMode.ELO:
             model = model.replace(family=ModelFamily.ELO_IMPLICIT)
         elif self.mode is UpdateMode.ELO_CHECK_KAPPA:
             model = model.replace(kappa=self.check_kappa)
-        return model.davidson_point
+        return model.curve
 
 
 class Trajectory:
@@ -166,20 +166,20 @@ class Trajectory:
 class Forecasts(Sequence):
     """Read-only forecasts, each built from its game's difference when read; equal to their list."""
 
-    def __init__(self, diffs: list[float], sigma: float, kappa: float):
-        self._diffs, self._sigma, self._kappa = diffs, sigma, kappa
+    def __init__(self, diffs: list[float], curve: Davidson):
+        self._diffs, self._curve = diffs, curve
 
     def __len__(self) -> int:
         return len(self._diffs)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Forecasts(self._diffs[i], self._sigma, self._kappa)
-        return OutcomeProbs(*davidson_triple(self._diffs[i], self._sigma, self._kappa))
+            return Forecasts(self._diffs[i], self._curve)
+        return OutcomeProbs(*self._curve.triple(self._diffs[i]))
 
     def __iter__(self) -> Iterator[OutcomeProbs]:
-        # OutcomeProbs(*triple) without a Python frame per game
-        triples = map(davidson_triple, self._diffs, repeat(self._sigma), repeat(self._kappa))
+        # the Davidson's triple and OutcomeProbs(*triple) without a Python frame of their own
+        triples = map(davidson_triple, self._diffs, *map(repeat, self._curve))
         return map(tuple.__new__, repeat(OutcomeProbs), triples)
 
     def __eq__(self, other) -> bool:
@@ -202,12 +202,12 @@ class SeasonResult(Record):
 
 def predict(state: RatingState, home: str, away: str, config: EngineConfig) -> OutcomeProbs:
     """Outcome probabilities for a fixture under the state's ratings; unseen players rate 0."""
-    shift, _, _, _ = config.update
+    shift, _, _ = config.update
     ratings = state.ratings
     v = (ratings.get(home, 0.0) - ratings.get(away, 0.0)) + shift
     if not math.isfinite(v):
         raise non_finite_difference(v)
-    return OutcomeProbs(*davidson_triple(v, *config.forecast))
+    return OutcomeProbs(*config.forecast.triple(v))
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +281,34 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     Ratings are held as a (configs, players) array, and each run of
     disjoint games advances in one vector step for every configuration;
     that is exact, because no game of a run reads a rating another game of
-    the same run writes.  The update calls ``run_season``'s own
-    ``expected_score`` on arrays, so each cell's differences match a
-    ``run_season`` of its configuration bit for bit, and a forecast is
-    ``davidson_triple`` of a difference, as ``Forecasts`` builds it.  A
-    configuration whose ratings stop being finite is not raised here: its
-    ``diffs`` row or its final ``ratings`` show it, and ``run_season`` of
-    that configuration names the fault.
+    the same run writes.  Consecutive configurations whose update curves
+    are one kind step as one table of shifts, steps and curve fields; every
+    online mode steps on a ``Davidson``, so a grid is one table.  The
+    update calls ``run_season``'s own ``expected_score`` on arrays, so each
+    cell's differences match a ``run_season`` of its configuration bit for
+    bit, and a forecast is the forecast curve's ``triple`` of a difference,
+    as ``Forecasts`` builds it.  A configuration whose ratings stop being
+    finite is not raised here: its ``diffs`` row or its final ``ratings``
+    show it, and ``run_season`` of that configuration names the fault.
     """
     import numpy as np
-    table = np.array([c.update for c in configs], dtype=float).reshape(len(configs), 4)
-    shift, step, sigma, kappa = table.T[:, :, None]
     home_index, away_index, score = season.arrays()
     ratings = np.zeros((len(configs), len(season.players)))
     diffs = np.empty((len(configs), len(score)))
-    runs = season.runs
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start, end in zip(runs[:-1], runs[1:]):
-            home, away = home_index[start:end], away_index[start:end]
-            v = (ratings[:, home] - ratings[:, away]) + shift
-            delta = step * (score[start:end] - expected_score(v, sigma, kappa))
-            ratings[:, home] += delta
-            ratings[:, away] -= delta
-            diffs[:, start:end] = v
+    runs, first = season.runs, 0
+    for kind, group in groupby((c.update for c in configs), key=lambda update: type(update[2])):
+        table = np.array([(shift, step, *curve) for shift, step, curve in group], dtype=float)
+        shift, step, *fields = table.T[:, :, None]
+        curve, rows = kind(*fields), slice(first, first + len(table))
+        first = rows.stop
+        with np.errstate(invalid="ignore", over="ignore"):
+            for start, end in zip(runs[:-1], runs[1:]):
+                home, away = home_index[start:end], away_index[start:end]
+                v = (ratings[rows, home] - ratings[rows, away]) + shift
+                delta = step * (score[start:end] - curve.expected_score(v))
+                ratings[rows, home] += delta
+                ratings[rows, away] -= delta
+                diffs[rows, start:end] = v
     return OnlineRun(diffs, ratings)
 
 
@@ -315,14 +320,14 @@ def run_season(
     """Process games in order, predicting each one before updating on it.
 
     One configuration steps game by game on plain floats and keeps each
-    game's difference; ``Forecasts`` applies ``davidson_triple`` to it when
+    game's difference; ``Forecasts`` applies the forecast curve to it when
     read.  numpy is never imported.  The first non-finite difference raises, naming its
     game; so does a rating that no later difference reads, left non-finite by its player's
     last game (the first such game, its home side first).  This is the one code that names
     a configuration's fault, and ``evaluate_configs`` runs a grid cell at fault through it.
     """
     season = compile_season(games, players)
-    shift, step, sigma, kappa = config.update
+    shift, step, (sigma, kappa) = config.update
     ratings = [0.0] * len(season.players)
     diffs, deltas = [], []
     for h, a, s in zip(season.home, season.away, season.score):
@@ -342,7 +347,7 @@ def run_season(
         raise non_finite_rating(season.players[p], ratings[p], games, i)
     return SeasonResult(
         state=RatingState(ratings=dict(zip(season.players, ratings))),
-        predictions=Forecasts(diffs, *config.forecast),
+        predictions=Forecasts(diffs, config.forecast),
         trajectory=Trajectory(season, deltas),
     )
 
@@ -362,7 +367,7 @@ def _game_terms(
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise non_finite_difference(float(v[bad[0]]), games, int(bad[0]))
-    logp, slope, curvature = outcome_logp(v, score, model)
+    logp, slope, curvature = model.curve.logp(v, score)
     bad = np.flatnonzero(np.isneginf(logp))
     if bad.size:
         raise zero_probability(games[bad[0]].outcome, games, int(bad[0]))

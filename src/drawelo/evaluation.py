@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .data import GameRecord, odds_to_probs
 from .errors import game_label, zero_probability
-from .models import OUTCOME_COLUMN, OutcomeProbs, Record, davidson_triple
+from .models import OUTCOME_COLUMN, Davidson, OutcomeProbs, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,7 +118,7 @@ def _report(scored: array, ordered: Sequence[float], window: tuple[int, int]) ->
                       per_game_ls=scored, window=window)
 
 
-def cell_report(column: np.ndarray, diffs: np.ndarray, forecast: tuple[float, float],
+def cell_report(column: np.ndarray, diffs: np.ndarray, forecast: Davidson,
                 window: tuple[int, int]) -> EvalReport | None:
     """A grid cell's report over ``window``, a [start, end), from its ``run_online`` differences.
 
@@ -130,7 +130,7 @@ def cell_report(column: np.ndarray, diffs: np.ndarray, forecast: tuple[float, fl
     if not np.isfinite(diffs).all():
         return None
     with np.errstate(over="ignore"):  # v / sigma may overflow, to the limit floats give
-        realized = np.choose(column, davidson_triple(diffs, *forecast))
+        realized = np.choose(column, forecast.triple(diffs))
     if not (realized > 0.0).all():
         return None
     scored = array("d", map(operator.neg, map(math.log, realized[slice(*window)].tolist())))

@@ -14,14 +14,14 @@ three of them points of one davidson kernel:
                       (Rao and Kupper 1967)
 
 Everything here is a pure function of its arguments and safe to call from
-any thread.  Each family's curve is written once: ``davidson_triple`` with
-its expected score ``expected_score``, and ``threshold_triple``.  They take
-a float or a numpy array, so the float and the grid engines call the same
-code, and they never import numpy.  ``predict_probs`` is the one
-per-family entry point for a single difference.  The batch fit's
-log-likelihood is one kernel, ``davidson_logp``, which reads its slope and
-curvature off the davidson triple; ``threshold_logp`` sums its binary terms.
-They import numpy on their first call.
+any thread.  A family is one curve, ``ModelParams.curve``: a frozen
+``Davidson(sigma, kappa)`` or ``Threshold(sigma, v0)`` tuple with
+``triple``, the batch fit's ``logp`` and, for davidson, the online update's
+``expected_score``.  They take a float or a numpy array, so the float and
+the grid engines call the same code.  ``davidson_triple`` and
+``expected_score`` stay module functions for the online loops, which call
+them per game; only ``logp`` imports numpy.  ``predict_probs`` is the
+entry point for a single difference.
 """
 
 from __future__ import annotations
@@ -137,20 +137,20 @@ class ModelParams(Record, frozen=True):
         return self.sigma * LOG10_E
 
     @functools.cached_property  # read on every prediction; the instance is frozen
-    def davidson_point(self) -> tuple[float, float] | None:
-        """The (sigma, kappa) at which the family is the davidson model.
+    def curve(self) -> Davidson | Threshold:
+        """The family's curve.
 
-        binary is davidson at kappa = 0, and elo-implicit at kappa = 2 and
-        half the scale; threshold is no davidson model and gives None.
+        binary is ``Davidson`` at kappa = 0, and elo-implicit at kappa = 2
+        and half the scale; threshold is ``Threshold`` at v0.
         """
         family = self.family
-        if family is ModelFamily.DAVIDSON:
-            return self.sigma, self.kappa
+        if family is ModelFamily.THRESHOLD:
+            return Threshold(self.sigma, self.v0)
         if family is ModelFamily.BINARY:
-            return self.sigma, 0.0
+            return Davidson(self.sigma, 0.0)
         if family is ModelFamily.ELO_IMPLICIT:
-            return 0.5 * self.sigma, 2.0
-        return None
+            return Davidson(0.5 * self.sigma, 2.0)
+        return Davidson(self.sigma, self.kappa)
 
 
 class OutcomeProbs(NamedTuple):
@@ -227,20 +227,94 @@ def expected_score(v: float | np.ndarray, sigma, kappa) -> float | np.ndarray:
     return (home + (1.0 - home) * uu + 0.5 * kappa * u) / (1.0 + uu + kappa * u)
 
 
-def threshold_triple(v: float | np.ndarray, sigma: float, v0: float) -> tuple:
-    """Threshold (p_home, p_away, p_draw) at difference v, scale sigma, band half width v0.
+class Davidson(NamedTuple):
+    """The davidson curve; ``triple`` and ``expected_score`` broadcast array fields against v."""
+
+    sigma: float
+    kappa: float
+
+    def triple(self, v: float | np.ndarray) -> tuple:
+        """``davidson_triple`` at v."""
+        return davidson_triple(v, self.sigma, self.kappa)
+
+    def expected_score(self, v: float | np.ndarray) -> float | np.ndarray:
+        """``expected_score`` at v, the online update's expected home score."""
+        return expected_score(v, self.sigma, self.kappa)
+
+    def logp(self, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log P(outcome | v) at shifted differences v and home scores s, and its v-derivatives.
+
+        s is 1 for a home win, 0.5 for a draw and 0 for an away win.  log p
+        is written in t = v / sigma' (10^(v/sigma) = e^t) through log1p, so
+        it stays finite where the probabilities underflow, and an outcome
+        the curve cannot produce gets -inf.  With D = e^(t/2) + e^(-t/2) +
+        kappa, log p is t/2 - log D for a home win, -t/2 - log D for an away
+        win and log kappa - log D for a draw.  The slope is (s - f_kappa(v))
+        / sigma', the online update's score, with f_kappa = p_home + p_draw
+        / 2 read off the triple.  The curvature is minus the score's
+        variance, -(p_home p_away + p_draw (p_home + p_away) / 4) / sigma'^2,
+        which is never positive: the likelihood is concave in the ratings.
+        """
+        import numpy as np
+        sigma, kappa = self
+        sigma_prime = sigma * LOG10_E
+        t = v / sigma_prime
+        half = 0.5 * np.abs(t)
+        u = np.exp(-half)
+        log_kappa = math.log(kappa) if kappa > 0 else -math.inf
+        logp = ((s - 0.5) * t - half - np.log1p(u * u + kappa * u)
+                + np.where(s == 0.5, log_kappa, 0.0))
+        home, away, draw = davidson_triple(v, sigma, kappa)
+        slope = (s - (home + 0.5 * draw)) / sigma_prime
+        curvature = -(home * away + 0.25 * draw * (home + away)) / sigma_prime**2
+        return logp, slope, curvature
+
+
+class Threshold(NamedTuple):
+    """The threshold curve (Rao and Kupper 1967) at scale sigma and band half width v0.
 
     A draw is a latent difference landing in [-v0, v0]: with F the logistic
     cdf, davidson's p_home at kappa = 0, p_home = F(v - v0), p_away =
-    F(-v - v0) and p_draw = F(v + v0) - F(v - v0).  The draw takes the
-    product form (1 - 10^(-2 v0 / sigma)) F(v + v0) F(v0 - v), which keeps
-    its digits far from v = 0.  v is a float or a numpy array; sigma and v0
-    are floats.  v is not checked, as in ``davidson_triple``.
+    F(-v - v0) and p_draw = F(v + v0) - F(v - v0).  v is a float or a numpy
+    array; sigma and v0 are floats.
     """
-    home, band_low, _ = davidson_triple(v - v0, sigma, 0.0)
-    band_high, away, _ = davidson_triple(v + v0, sigma, 0.0)
-    band = -math.expm1(-2.0 * v0 / (sigma * LOG10_E))
-    return home, away, band * band_high * band_low
+
+    sigma: float
+    v0: float
+
+    def triple(self, v: float | np.ndarray) -> tuple:
+        """(p_home, p_away, p_draw) at v; v is not checked, as in ``davidson_triple``.
+
+        The draw takes the product form (1 - 10^(-2 v0 / sigma)) F(v + v0)
+        F(v0 - v), which keeps its digits far from v = 0.
+        """
+        sigma, v0 = self
+        home, band_low, _ = davidson_triple(v - v0, sigma, 0.0)
+        band_high, away, _ = davidson_triple(v + v0, sigma, 0.0)
+        band = -math.expm1(-2.0 * v0 / (sigma * LOG10_E))
+        return home, away, band * band_high * band_low
+
+    def logp(self, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log P(outcome | v) and its v-derivatives, as in ``Davidson.logp``.
+
+        The two cdfs of ``triple`` as binary terms of ``Davidson.logp`` at
+        kappa = 0: a home win is the win term at v - v0, an away win the loss
+        term at v + v0, and a draw the loss term at v - v0 plus the win term
+        at v + v0 plus log(1 - 10^(-2 v0 / sigma)), the product form of the
+        draw.  log p, slope and curvature are each the sum of the outcome's
+        terms.
+        """
+        import numpy as np
+        sigma, v0 = self
+        is_home, is_away = s == 1.0, s == 0.0
+        # at v - v0 a home win wins and a draw loses; at v + v0 a draw wins and an away win loses
+        below = Davidson(sigma, 0.0).logp(v - v0, 1.0 * is_home)
+        above = Davidson(sigma, 0.0).logp(v + v0, 1.0 * ~is_away)
+        logp, slope, curvature = (np.where(is_away, 0.0, low) + np.where(is_home, 0.0, high)
+                                  for low, high in zip(below, above))
+        band = -math.expm1(-2.0 * v0 / (sigma * LOG10_E))
+        log_band = math.log(band) if band > 0 else -math.inf
+        return logp + np.where(is_home | is_away, 0.0, log_band), slope, curvature
 
 
 def apply_home_advantage(v: float, params: ModelParams) -> float:
@@ -249,86 +323,8 @@ def apply_home_advantage(v: float, params: ModelParams) -> float:
 
 
 def predict_probs(v: float, params: ModelParams) -> OutcomeProbs:
-    """Home-advantage shift followed by the configured family's triple."""
+    """Home-advantage shift followed by the family's curve."""
     v = apply_home_advantage(v, params)
     if not math.isfinite(v):
         raise non_finite_difference(v)
-    point = params.davidson_point
-    if point is None:
-        return OutcomeProbs(*threshold_triple(v, params.sigma, params.v0))
-    return OutcomeProbs(*davidson_triple(v, *point))
-
-
-# ---------------------------------------------------------------------------
-# Log-likelihood kernels on game arrays (batch fitting)
-# ---------------------------------------------------------------------------
-#
-# Each kernel takes the shifted differences v and the observed home scores
-# s (1 home win, 0.5 draw, 0 away win) as arrays, with the scale and the
-# family's parameter as floats in the triples' units, and returns
-# log P(observed outcome) with its first and second derivatives in v.
-# ``davidson_logp`` is the one formula: binary and elo-implicit are points of
-# it, and ``threshold_logp`` sums its binary (kappa = 0) terms.  log p is
-# written in t = v / sigma' (10^(v/sigma) = e^t) through log1p, so it stays
-# finite where the probabilities themselves underflow; the derivatives are
-# read off the davidson triple.  An outcome the model cannot produce gets
-# log-probability -inf.
-
-
-def davidson_logp(
-    v: np.ndarray, s: np.ndarray, sigma: float, kappa: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Davidson log P(outcome | v) and its v-derivatives.
-
-    With D = e^(t/2) + e^(-t/2) + kappa, log p is t/2 - log D for a home
-    win, -t/2 - log D for an away win and log kappa - log D for a draw.
-    The slope is (s - f_kappa(v)) / sigma', the online update's score, with
-    f_kappa = p_home + p_draw / 2 read off the triple.  The curvature is
-    minus the score's variance,
-    -(p_home p_away + p_draw (p_home + p_away) / 4) / sigma'^2, which is
-    never positive: the likelihood is concave in the ratings.
-    """
-    import numpy as np
-    sigma_prime = sigma * LOG10_E
-    t = v / sigma_prime
-    half = 0.5 * np.abs(t)
-    u = np.exp(-half)
-    log_kappa = math.log(kappa) if kappa > 0 else -math.inf
-    logp = (s - 0.5) * t - half - np.log1p(u * u + kappa * u) + np.where(s == 0.5, log_kappa, 0.0)
-    home, away, draw = davidson_triple(v, sigma, kappa)
-    slope = (s - (home + 0.5 * draw)) / sigma_prime
-    curvature = -(home * away + 0.25 * draw * (home + away)) / sigma_prime**2
-    return logp, slope, curvature
-
-
-def threshold_logp(
-    v: np.ndarray, s: np.ndarray, sigma: float, v0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Threshold-model log P(outcome | v) and its v-derivatives.
-
-    The two cdfs of ``threshold_triple`` as binary terms of ``davidson_logp``
-    at kappa = 0: a home win is the win term at v - v0, an away win the loss
-    term at v + v0, and a draw the loss term at v - v0 plus the win term at
-    v + v0 plus log(1 - 10^(-2 v0 / sigma)), the product form of the draw.
-    log p, slope and curvature are each the sum of the outcome's terms.
-    """
-    import numpy as np
-    is_home, is_away = s == 1.0, s == 0.0
-    # at v - v0 a home win wins and a draw loses; at v + v0 a draw wins and an away win loses
-    below = davidson_logp(v - v0, 1.0 * is_home, sigma, 0.0)
-    above = davidson_logp(v + v0, 1.0 * ~is_away, sigma, 0.0)
-    logp, slope, curvature = (np.where(is_away, 0.0, low) + np.where(is_home, 0.0, high)
-                              for low, high in zip(below, above))
-    band = -math.expm1(-2.0 * v0 / (sigma * LOG10_E))
-    log_band = math.log(band) if band > 0 else -math.inf
-    return logp + np.where(is_home | is_away, 0.0, log_band), slope, curvature
-
-
-def outcome_logp(
-    v: np.ndarray, s: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The configured family's kernel at shifted differences v and scores s."""
-    point = params.davidson_point
-    if point is None:
-        return threshold_logp(v, s, params.sigma, params.v0)
-    return davidson_logp(v, s, *point)
+    return OutcomeProbs(*params.curve.triple(v))

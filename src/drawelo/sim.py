@@ -128,10 +128,7 @@ def generate_schedule(n_teams: int, rounds: int = 1) -> list[tuple[int, int]]:
     Circle method: one seat fixed, the rest rotate; the second half-cycle
     replays the first with home and away swapped.  Deterministic.
     """
-    if n_teams < 2:
-        raise ValueError(f"need at least 2 teams, got {n_teams}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    n_teams, rounds = _count("n_teams", n_teams, 2), _count("rounds", rounds, 1)
     seats: list[int | None] = list(range(n_teams))
     if n_teams % 2:
         seats.append(None)  # bye seat

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from drawelo.engine import (
 )
 from drawelo.evaluation import evaluate_configs, evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
-from drawelo.models import ModelFamily, ModelParams, OutcomeProbs, davidson_triple, predict_probs
+from drawelo.models import (Davidson, ModelFamily, ModelParams, OutcomeProbs, davidson_triple,
+                            predict_probs)
 from drawelo.sim import SimSpec, generate_season, true_ratings
 from oracles import finite_diff_gradient
 
@@ -57,10 +59,13 @@ def fit_model(family=ModelFamily.DAVIDSON, kappa=0.7, eta=0.0, v0=0.0, sigma=SIG
 ])
 def test_each_mode_is_an_update_and_a_forecast_curve(mode, update_kappa, forecast):
     # the README's mode table: every mode steps with the model's shift and
-    # step at update kappa, and forecasts with davidson at (sigma, kappa)
+    # step on davidson at (sigma, update kappa), and forecasts with davidson
+    # at (sigma, kappa)
     cfg = config(mode, kappa=0.7, eta=0.3, k_tilde=0.125, check_kappa=1.3)
-    assert cfg.update == (0.3 * SIGMA, 0.125 * SIGMA, SIGMA, update_kappa)
-    assert cfg.forecast == forecast
+    shift, step, curve = cfg.update
+    assert (shift, step) == (0.3 * SIGMA, 0.125 * SIGMA)
+    assert type(curve) is Davidson and curve == (SIGMA, update_kappa)
+    assert type(cfg.forecast) is Davidson and cfg.forecast == forecast
 
 
 def test_rating_difference():
@@ -395,6 +400,23 @@ def test_run_online_equal_configurations_match_alone():
     games = random_games(np.random.default_rng(3), list("ABCDEF"), 60)
     season = compile_season(games)
     cells = [config(mode=UpdateMode.ELO, kappa=k) for k in (0.4, 1.0, 2.0)] + [config()]
+    together = run_online(season, cells)
+    for c, cell in enumerate(cells):
+        one = run_online(season, [cell])
+        for field in ("diffs", "ratings"):
+            assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
+
+
+def test_run_online_steps_each_kind_of_update_curve_as_its_own_table():
+    # cells whose update curves are of another kind (here a Davidson
+    # subclass), between davidson cells, each come back as they do alone
+    class Other(Davidson):
+        pass
+
+    games = random_games(np.random.default_rng(4), list("ABCDEF"), 60)
+    season = compile_season(games)
+    cells = [config(kappa=k, eta=0.1 * k) for k in (0.4, 1.0, 2.0, 0.7)]
+    cells[1:3] = [SimpleNamespace(update=(*c.update[:2], Other(*c.update[2]))) for c in cells[1:3]]
     together = run_online(season, cells)
     for c, cell in enumerate(cells):
         one = run_online(season, [cell])

@@ -10,16 +10,15 @@ from drawelo.data import OUTCOMES
 from drawelo.models import (
     HOME_SCORE,
     OUTCOME_COLUMN,
+    Davidson,
     ModelFamily,
     ModelParams,
     OutcomeProbs,
+    Threshold,
     apply_home_advantage,
-    davidson_logp,
     davidson_triple,
     expected_score,
-    outcome_logp,
     predict_probs,
-    threshold_triple,
 )
 import oracles
 
@@ -171,17 +170,19 @@ def assert_columns_match(got, calls, shape):
 )
 def test_kernels_on_arrays_match_float_calls(v, sigma, kappa, v0):
     # one kernel for both engines, and exp10 takes 10^x from the C
-    # library's pow on floats and arrays alike
+    # library's pow on floats and arrays alike; a curve of arrays gives
+    # what the module functions give on each cell
     x = np.array(v)
-    scale = float(np.ravel(sigma)[0])  # threshold_triple takes a float scale
+    curve = Davidson(sigma, kappa)
+    band = Threshold(float(np.ravel(sigma)[0]), v0)  # a threshold takes a float scale
     with np.errstate(all="ignore"):
-        got = (*davidson_triple(x, sigma, kappa), expected_score(x, sigma, kappa))
-        band = threshold_triple(x, scale, v0)
+        got = (*curve.triple(x), curve.expected_score(x))
+        band_got = band.triple(x)
     cells = np.broadcast_arrays(x, sigma, kappa)
     calls = [(*davidson_triple(*c), expected_score(*c))
              for c in zip(*(a.ravel().tolist() for a in cells))]
     assert_columns_match(got, calls, cells[0].shape)
-    assert_columns_match(band, [threshold_triple(d, scale, v0) for d in v], x.shape)
+    assert_columns_match(band_got, [band.triple(d) for d in v], x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def test_threshold_matches_the_textbook_form_on_grid(v0):
 @pytest.mark.parametrize("v", [3000.0, -3000.0, 6000.0, -6000.0, 12000.0, -12000.0])
 def test_threshold_draw_probability_keeps_its_digits_in_the_tails(v):
     model = params(v0=150.0, family=ModelFamily.THRESHOLD)
-    logp = outcome_logp(np.array([v]), np.array([0.5]), model)[0][0]
+    logp = model.curve.logp(np.array([v]), np.array([0.5]))[0][0]
     assert predict_probs(v, model).p_draw == pytest.approx(math.exp(logp), rel=1e-12, abs=0)
 
 
@@ -442,7 +443,7 @@ def test_logp_kernel_slope_and_curvature_match_the_scalar_derivative(family, kw)
     for outcome, score in (("H", 1.0), ("D", 0.5), ("A", 0.0)):
         if family is ModelFamily.BINARY and outcome == "D":
             continue
-        logp, slope, curvature = outcome_logp(v, np.full(v.shape, score), p)
+        logp, slope, curvature = p.curve.logp(v, np.full(v.shape, score))
         for x, lp, d1, d2 in zip(v, logp, slope, curvature):
             # eta = 0, so v is also the shifted difference the kernel takes
             expected = math.log(predict_probs(x, p).prob_of(outcome))
@@ -463,7 +464,7 @@ def test_logp_kernel_stays_finite_and_exact_where_probabilities_underflow(family
     for outcome, score in (("H", 1.0), ("D", 0.5), ("A", 0.0)):
         if family is ModelFamily.BINARY and outcome == "D":
             continue
-        logp, slope, curvature = outcome_logp(v, np.full(v.shape, score), p)
+        logp, slope, curvature = p.curve.logp(v, np.full(v.shape, score))
         assert np.isfinite(logp).all() and np.isfinite(slope).all()
         assert np.isfinite(curvature).all()
         for x, lp in zip(TAIL_V, logp):
@@ -493,12 +494,13 @@ def test_binary_and_elo_implicit_are_exact_davidson_points(sigma):
     "family,kappa,scale",
     [(ModelFamily.BINARY, 0.0, 1.0), (ModelFamily.ELO_IMPLICIT, 2.0, 0.5)],
 )
-def test_outcome_logp_is_davidson_logp_at_the_mapped_point(family, kappa, scale):
+def test_binary_and_elo_implicit_curves_are_davidson_at_their_points(family, kappa, scale):
     v = np.repeat(np.array(IDENTITY_GRID_V), 3)
     s = np.tile([1.0, 0.5, 0.0], len(IDENTITY_GRID_V))
     model = params(family=family, kappa=0.7)
+    assert type(model.curve) is Davidson and model.curve == (scale * model.sigma, kappa)
     with np.errstate(divide="ignore"):
-        got = outcome_logp(v, s, model)
-        want = davidson_logp(v, s, scale * model.sigma, kappa)
+        got = model.curve.logp(v, s)
+        want = Davidson(scale * model.sigma, kappa).logp(v, s)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

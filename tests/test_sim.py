@@ -61,6 +61,10 @@ def test_schedule_rejects_bad_args():
         generate_schedule(1)
     with pytest.raises(ValueError):
         generate_schedule(4, rounds=0)
+    # a non-integer count is a ValueError naming its argument, not a TypeError
+    for args, name in (((4, 1.5), "rounds"), ((4, "2"), "rounds"), ((4.0, 1), "n_teams")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            generate_schedule(*args)
 
 
 # ---------------------------------------------------------------------------
