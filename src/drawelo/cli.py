@@ -462,7 +462,7 @@ def cmd_fit(cfg: RunConfig, max_iters, tol, ridge):
         raise ConvergenceError(
             f"fit did not converge ({payload['stop_reason']}; "
             f"gradient max-norm {payload['grad_max_norm']:.3g} "
-            f"after {payload['iterations']} iterations)"
+            f"after {payload['iterations']} iteration{'s' * (payload['iterations'] != 1)})"
         )
 
 

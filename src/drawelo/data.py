@@ -17,9 +17,9 @@ import csv
 import datetime as dt
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from operator import attrgetter
-from pathlib import Path
 
 from .errors import RowError, SchemaError
 from .models import HOME_SCORE, OutcomeProbs
@@ -178,13 +178,14 @@ def parse_matches(text: str) -> Dataset:
     return Dataset(games=games)
 
 
-def load_matches(path: str | Path) -> Dataset:
+def load_matches(path: str | os.PathLike) -> Dataset:
     """Read and parse a UTF-8 football-data CSV file.
 
     Undecodable bytes are a RowError naming their line, never replaced:
     replacement would merge distinct team names into one.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -405,12 +405,16 @@ def nll_gradient(
 class FitResult(Record):
     """``batch_ml_fit``'s ratings, its likelihood term and how its descent stopped.
 
-    ``stop_reason`` is ``"gradient"`` (converged), ``"max-iters"`` or ``"stalled"``.
+    ``grad_max_norm`` and ``converged`` describe ``theta``, reached in ``iterations`` steps.
     """
 
     def __init__(self, theta: dict[str, float], nll: float, grad_max_norm: float,
-                 iterations: int, converged: bool, stop_reason: str):
-        self._set(theta, nll, grad_max_norm, iterations, converged, stop_reason)
+                 iterations: int, stop_reason: str):
+        self._set(theta, nll, grad_max_norm, iterations, stop_reason)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gradient"
 
 
 def _closure(adjacency: np.ndarray) -> np.ndarray:
@@ -485,14 +489,14 @@ def batch_ml_fit(
     near 0 stops where ``tol`` says, not at the penalized optimum: the
     likelihood's slope falls below tol/sigma' far short of it.
 
-    Convergence means the objective's gradient, projected onto the pinned
-    plane, has max-norm (``grad_max_norm``) below tol/sigma'; ``nll`` is the
-    likelihood's term alone.  Steps are taken in y = theta / sigma' under the
-    model at unit sigma', so no curvature overflows or underflows at any
-    scale.  ``iterations`` counts Newton steps taken.  The fit stops
-    unconverged with ``"max-iters"`` after max_iters steps, or with
-    ``"stalled"`` when 60 halvings find no acceptable step.  A singular
-    Newton system raises ``ConvergenceError``.
+    Convergence means the objective's gradient at the returned ratings,
+    projected onto the pinned plane, has max-norm (``grad_max_norm``) below
+    tol/sigma'; ``nll`` is the likelihood's term alone.  Steps are taken in
+    y = theta / sigma' under the model at unit sigma', so no curvature
+    overflows or underflows at any scale.  ``iterations`` counts the steps
+    accepted.  The fit stops with ``"max-iters"`` after max_iters of them,
+    unless the last one met tol, or with ``"stalled"`` when 60 halvings find
+    no acceptable step.  A singular Newton system raises ``ConvergenceError``.
     """
     import numpy as np
     check_fit_options(model, max_iters, tol, ridge)
@@ -524,19 +528,12 @@ def batch_ml_fit(
     current, slope, curvature = objective(x)
     if ridge == 0.0:
         _check_separable(players, beats, linked)
-    g_max = math.inf
-    converged = False
-    stop_reason = "max-iters"
-    iterations = 0
 
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(max_iters + 1):  # the steps accepted so far
         grad = np.bincount(away, slope, n) - np.bincount(home, slope, n) + 2.0 * ridge * x
         grad -= pin @ grad
         g_max = float(np.abs(grad).max())
-        if g_max < tol:
-            converged = True
-            stop_reason = "gradient"
-            iterations -= 1
+        if g_max < tol or iterations == max_iters:
             break
 
         pair = np.bincount(pair_index, -curvature, n * n).reshape(n, n)
@@ -559,8 +556,7 @@ def batch_ml_fit(
                 break
             alpha *= 0.5
         else:
-            stop_reason = "stalled"
-            break
+            break  # stalled
         x, current, slope, curvature = trial, trial_value, trial_slope, trial_curvature
 
     return FitResult(
@@ -568,6 +564,6 @@ def batch_ml_fit(
         nll=current - ridge * float(x @ x),
         grad_max_norm=g_max / sp,
         iterations=iterations,
-        converged=converged,
-        stop_reason=stop_reason,
+        stop_reason=("gradient" if g_max < tol
+                     else "max-iters" if iterations == max_iters else "stalled"),
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .data import GameRecord, odds_to_probs
@@ -59,7 +60,7 @@ def log_score(prediction: OutcomeProbs, outcome: str) -> float:
     p = prediction.prob_of(outcome)
     if p <= 0.0:
         raise zero_probability(outcome)
-    return -math.log(p)
+    return 0.0 - math.log(p)  # +0.0, not -0.0, at p = 1
 
 
 def score_games(
@@ -75,7 +76,7 @@ def score_games(
         )
     realized = [row[OUTCOME_COLUMN[g.outcome]] for row, g in zip(predictions, games)]
     try:
-        return [-x for x in map(math.log, realized)]
+        return [0.0 - x for x in map(math.log, realized)]
     except ValueError:  # math.log of a probability <= 0
         first = next(i for i, p in enumerate(realized) if p <= 0.0)
         raise zero_probability(games[first].outcome, games, first) from None
@@ -133,7 +134,8 @@ def cell_report(column: np.ndarray, diffs: np.ndarray, forecast: Davidson,
         realized = np.choose(column, forecast.triple(diffs))
     if not (realized > 0.0).all():
         return None
-    scored = array("d", map(operator.neg, map(math.log, realized[slice(*window)].tolist())))
+    logs = map(math.log, realized[slice(*window)].tolist())
+    scored = array("d", map(operator.sub, repeat(0.0), logs))  # 0.0 - log p, as score_games
     return _report(scored, np.sort(scored), window)
 
 

@@ -187,7 +187,7 @@ def test_ratings_that_print_alike_are_listed_by_team(monkeypatch, toy_file):
     low = -430.5133669052602
     ratings = {"B": math.nextafter(low, 0.0), "A": low, "C": 1.0}
     fitted = FitResult(theta=ratings, nll=0.0, grad_max_norm=0.0, iterations=1,
-                       converged=True, stop_reason="gradient")
+                       stop_reason="gradient")
     monkeypatch.setattr(cli, "batch_ml_fit", lambda *args, **kwargs: fitted)
     monkeypatch.setattr(cli, "run_season",
                         lambda *args, **kwargs: SimpleNamespace(state=RatingState(ratings)))
@@ -242,6 +242,23 @@ def test_evaluate_zero_probability_is_a_numeric_error(draws_file):
     result = invoke(["evaluate", str(draws_file), "--kappa", "0"])
     assert result.exit_code == 4
     assert "probability 0" in result.stderr
+
+
+def test_a_sure_outcome_scores_positive_zero_on_both_paths(tmp_path):
+    # eta = 1000 at sigma = 0.001 gives each home win probability 1: -ln 1
+    # is -0.0, which would print as "-0"
+    path = tmp_path / "sure.csv"
+    path.write_text(HEADER + "\n" + "".join(f"0{day}/08/2021,A,B,H\n" for day in range(1, 9)))
+    args = ["--sigma", "0.001", "-f", "csv"]
+    one = invoke(["evaluate", str(path), "--eta", "1000", "--eval-window", "full", *args])
+    grid = invoke(["sweep", str(path), "--eta-grid", "1000,0.3", *args])
+    assert one.exit_code == grid.exit_code == 0, one.output + grid.output
+    assert one.stdout.splitlines()[1].endswith(",kappa-elo,0.7,1000,0,0,0,")
+    assert grid.stdout.splitlines()[1].endswith(",kappa-elo,0.7,1000,0,0,0,")
+    payload = json.loads(invoke(["evaluate", str(path), "--sigma", "0.001", "--eta", "1000",
+                                 "--eval-window", "full"]).stdout)
+    scores = (payload["mean_ls"], payload["interval_low"], payload["interval_high"])
+    assert [math.copysign(1.0, s) for s in scores] == [1.0, 1.0, 1.0]
 
 
 def test_evaluate_baseline_from_odds(tmp_path):
@@ -503,6 +520,14 @@ def test_fit_non_convergence_exits_4(season_file):
     assert "did not converge" in result.stderr
 
 
+def test_fit_that_converges_on_its_last_allowed_step_has_converged():
+    # the golden season converges in 3 steps, so a cap of 3 changes no byte
+    season = str(Path(__file__).resolve().parent / "golden" / "season.csv")
+    capped, free = invoke(["fit", season, "--max-iters", "3"]), invoke(["fit", season])
+    assert (capped.exit_code, capped.stdout, capped.stderr) == (0, free.stdout, "")
+    assert json.loads(capped.stdout)["iterations"] == 3
+
+
 def test_fit_has_no_step_option(toy_file):
     result = invoke(["fit", str(toy_file), "--step", "1"])
     assert result.exit_code == 2
@@ -545,7 +570,7 @@ def test_fit_singular_newton_system_is_a_numeric_error(tmp_path):
 
 
 def test_fit_stalled_descent_is_a_numeric_error(tmp_path):
-    # under a band of v0 = 5000, after two steps no halving of the third
+    # under a band of v0 = 5000, after one step no halving of the second
     # lowers the objective; a ridge lets the fit converge
     path = tmp_path / "stall.csv"
     results = ["T1,T0,D"] + ["T0,T1,A"] * 4
@@ -557,7 +582,7 @@ def test_fit_stalled_descent_is_a_numeric_error(tmp_path):
     payload = json.loads(result.stdout)
     assert payload["stop_reason"] == "stalled" and payload["converged"] is False
     assert result.stderr == ("error: fit did not converge "
-                             "(stalled; gradient max-norm 0.00384 after 2 iterations)\n")
+                             "(stalled; gradient max-norm 0.00384 after 1 iteration)\n")
     ridged = invoke(args + ["--ridge", "1e-9"])
     assert ridged.exit_code == 0
     assert json.loads(ridged.stdout)["converged"] is True

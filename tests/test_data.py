@@ -6,13 +6,15 @@ import io
 import math
 import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import game
+from conftest import child_env, game, invoke
 from drawelo.data import (
     Dataset,
     GameRecord,
@@ -265,6 +267,23 @@ def test_load_undecodable_byte_is_row_error_with_line(tmp_path):
     with pytest.raises(RowError, match="line 3") as exc_info:
         load_matches(path)
     assert exc_info.value.line == 3
+
+
+def test_load_missing_file_names_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError) as exc_info:
+        load_matches("missing.csv")
+    assert str(exc_info.value) == "[Errno 2] No such file or directory: 'missing.csv'"
+    assert invoke(["stats", "missing.csv"]).stderr == (
+        "error: [Errno 2] No such file or directory: 'missing.csv'\n")
+
+
+def test_the_cli_loads_no_pathlib():
+    # without -S, site's start-up files may import pathlib before drawelo does
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, drawelo.cli; print('pathlib' in sys.modules)"],
+        env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_parse_bad_date_is_row_error():

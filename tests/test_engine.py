@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import BOTH_PATHS, KAPPAS, check_report, game, online_cases, random_games
 from drawelo import engine
+from drawelo.data import load_matches
 from drawelo.engine import (
     EngineConfig,
     RatingState,
@@ -32,6 +34,7 @@ from drawelo.sim import SimSpec, generate_season, true_ratings
 from oracles import finite_diff_gradient
 
 SIGMA = 600.0
+GOLDEN_SEASON = Path(__file__).resolve().parent / "golden" / "season.csv"
 
 
 def config(mode=UpdateMode.KAPPA_ELO, kappa=0.7, eta=0.0, sigma=SIGMA, k_tilde=0.125, **kw):
@@ -982,6 +985,28 @@ def test_nll_gradient_zero_probability_message_is_nll_s():
     assert str(from_gradient.value) == str(from_nll.value)
     assert str(from_gradient.value) == (
         "game 1 (A vs B, 2021-08-01): model assigns probability 0 to observed outcome 'D'")
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_batch_fit_reports_the_gradient_of_the_ratings_it_returns(max_iters):
+    # the golden season is one connected group, so the projection removes the mean
+    games = load_matches(GOLDEN_SEASON).games
+    model = fit_model(eta=0.3)
+    result = batch_ml_fit(games, model, max_iters=max_iters)
+    assert result.iterations == max_iters
+    assert (result.stop_reason, result.converged) == (
+        ("gradient", True) if max_iters == 3 else ("max-iters", False))
+    grad = list(nll_gradient(result.theta, games, model).values())
+    mean = sum(grad) / len(grad)
+    assert result.grad_max_norm == pytest.approx(max(abs(g - mean) for g in grad), rel=1e-6)
+
+
+def test_fit_result_converged_is_read_off_its_stop_reason():
+    stalled = engine.FitResult(theta={"A": 0.0}, nll=1.0, grad_max_norm=0.5, iterations=1,
+                               stop_reason="stalled")
+    assert not stalled.converged and stalled.replace(stop_reason="gradient").converged
+    with pytest.raises(AttributeError):
+        stalled.converged = True
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,20 @@ def test_zero_probability_names_the_first_game():
         assert cells[1] == evaluate_configs(games, [EngineConfig()], window)[0]
 
 
+def test_a_sure_outcome_scores_positive_zero():
+    # -ln 1 is -0.0; every scorer gives +0.0 there, and the same bits elsewhere
+    sure = OutcomeProbs(p_home=1.0, p_away=0.0, p_draw=0.0)
+    assert math.copysign(1.0, log_score(sure, "H")) == 1.0
+    games = [game("A", "B", "H", 0), game("A", "B", "D", 1)]
+    config = EngineConfig(ModelParams(sigma=600.0, kappa=0.7))
+    diffs = [60000.0, 0.0]  # p_home rounds to 1 at 100 sigma
+    assert forecasts(diffs, config)[0].p_home == 1.0
+    for scores in (score_games(forecasts(diffs, config), games),
+                   list(one_cell(games, diffs, config).per_game_ls)):
+        assert [math.copysign(1.0, s) for s in scores] == [1.0, 1.0]
+        assert scores[1].hex() == (-math.log(forecasts(diffs, config)[1].p_draw)).hex()
+
+
 def test_cell_log_scores_use_the_same_log_as_score_games():
     # numpy's vectorised log differs from math.log in the last bit on some
     # CPUs, e.g. -0.0026422158305394673 against -0.0026422158305394678 at

@@ -27,6 +27,7 @@ CASES = {
               "--modes", "elo,elo-check"],
     "fit-davidson": ["fit", "season.csv", "--family", "davidson"],
     "fit-threshold": ["fit", "season.csv", "--family", "threshold", "--v0", "100"],
+    "fit-max-iters": ["fit", "season.csv", "--max-iters", "2"],
 }
 
 

@@ -97,7 +97,7 @@ RECORDS = [
      True, None, None),
     (engine.OnlineRun, dict(diffs=((0.0,),), ratings=((1.0, -1.0),)), True, None, None),
     (engine.FitResult, dict(theta={"A": 0.0}, nll=1.0, grad_max_norm=0.0, iterations=3,
-                            converged=True, stop_reason="gradient"),
+                            stop_reason="gradient"),
      False, None, None),
     (evaluation.EmpiricalStats, dict(p_home_bar=0.5, p_away_bar=0.3, p_draw_bar=0.2,
                                      delta_bar=0.2, kappa_bar=0.5, n_games=10),
