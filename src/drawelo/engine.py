@@ -18,8 +18,8 @@ A season is compiled once into index lists.  Each entry point has one
 path: ``run_season``, the rating update, steps one configuration game by
 game on floats without numpy; ``run_online`` advances a grid of them on
 numpy arrays, one vector step per run of games in which no team appears
-twice.  Both paths keep each game's difference, stepped by the one
-``expected_score`` of ``models``, and a forecast is the forecast curve's
+twice.  Both paths keep each game's difference, stepped by the update curve's
+``Davidson.expected_score``, and a forecast is the forecast curve's
 ``triple`` of a difference.  Every player starts at rating 0.  ``predict``
 forecasts a fixture from a ``RatingState``; ``run_season``'s forecasts are
 built when read, and its trajectory is iterated, not indexed.
@@ -50,9 +50,7 @@ from .models import (
     Record,
     UpdateMode,
     apply_home_advantage,
-    davidson_triple,
     enum_field,
-    expected_score,
 )
 
 if TYPE_CHECKING:
@@ -178,9 +176,8 @@ class Forecasts(Sequence):
         return OutcomeProbs(*self._curve.triple(self._diffs[i]))
 
     def __iter__(self) -> Iterator[OutcomeProbs]:
-        # the Davidson's triple and OutcomeProbs(*triple) without a Python frame of their own
-        triples = map(davidson_triple, self._diffs, *map(repeat, self._curve))
-        return map(tuple.__new__, repeat(OutcomeProbs), triples)
+        # OutcomeProbs(*triple) without a Python frame of its own
+        return map(tuple.__new__, repeat(OutcomeProbs), map(self._curve.triple, self._diffs))
 
     def __eq__(self, other) -> bool:
         return list(self) == (list(other) if isinstance(other, Forecasts) else other)
@@ -284,12 +281,13 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
     the same run writes.  Consecutive configurations whose update curves
     are one kind step as one table of shifts, steps and curve fields; every
     online mode steps on a ``Davidson``, so a grid is one table.  The
-    update calls ``run_season``'s own ``expected_score`` on arrays, so each
-    cell's differences match a ``run_season`` of its configuration bit for
-    bit, and a forecast is the forecast curve's ``triple`` of a difference,
-    as ``Forecasts`` builds it.  A configuration whose ratings stop being
-    finite is not raised here: its ``diffs`` row or its final ``ratings``
-    show it, and ``run_season`` of that configuration names the fault.
+    update is ``run_season``'s, the curve's ``expected_score``, on arrays,
+    so each cell's differences match a ``run_season`` of its configuration
+    bit for bit, and a forecast is the forecast curve's ``triple`` of a
+    difference, as ``Forecasts`` builds it.  A configuration whose ratings
+    stop being finite is not raised here: its ``diffs`` row or its final
+    ``ratings`` show it, and ``run_season`` of that configuration names the
+    fault.
     """
     import numpy as np
     home_index, away_index, score = season.arrays()
@@ -327,14 +325,15 @@ def run_season(
     a configuration's fault, and ``evaluate_configs`` runs a grid cell at fault through it.
     """
     season = compile_season(games, players)
-    shift, step, (sigma, kappa) = config.update
+    shift, step, curve = config.update
+    expected_score = curve.expected_score
     ratings = [0.0] * len(season.players)
     diffs, deltas = [], []
     for h, a, s in zip(season.home, season.away, season.score):
         v = (ratings[h] - ratings[a]) + shift
         if not math.isfinite(v):
             raise non_finite_difference(v, games, len(diffs))
-        delta = step * (s - expected_score(v, sigma, kappa))
+        delta = step * (s - expected_score(v))
         ratings[h] += delta
         ratings[a] -= delta
         diffs.append(v)
@@ -495,8 +494,9 @@ def batch_ml_fit(
     y = theta / sigma' under the model at unit sigma', so no curvature
     overflows or underflows at any scale.  ``iterations`` counts the steps
     accepted.  The fit stops with ``"max-iters"`` after max_iters of them,
-    unless the last one met tol, or with ``"stalled"`` when 60 halvings find
-    no acceptable step.  A singular Newton system raises ``ConvergenceError``.
+    unless the last one met tol, or with ``"stalled"`` when the step is halved
+    until it changes no rating and none was acceptable.  A singular Newton
+    system raises ``ConvergenceError``.
     """
     import numpy as np
     check_fit_options(model, max_iters, tol, ridge)
@@ -546,17 +546,17 @@ def batch_ml_fit(
             raise ConvergenceError(
                 "the Newton system became singular - enable ridge regularization") from None
         decrease = 1e-4 * float(grad @ step)  # Armijo fraction of the predicted change
-        alpha = 1.0
-        for _ in range(60):
-            trial = x + alpha * step
+        alpha, trial = 1.0, x + step
+        while not (trial == x).all():  # alpha reaches 0 if nothing else stops it
             trial_value, trial_slope, trial_curvature = objective(trial)
             if not math.isfinite(trial_value):
                 raise ConvergenceError("objective became non-finite during descent")
             if trial_value <= current + alpha * decrease + 1e-12 * max(1.0, abs(current)):
                 break
             alpha *= 0.5
+            trial = x + alpha * step
         else:
-            break  # stalled
+            break  # stalled: no halving that still moves a rating is acceptable
         x, current, slope, curvature = trial, trial_value, trial_slope, trial_curvature
 
     return FitResult(

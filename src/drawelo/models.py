@@ -18,10 +18,10 @@ any thread.  A family is one curve, ``ModelParams.curve``: a frozen
 ``Davidson(sigma, kappa)`` or ``Threshold(sigma, v0)`` tuple with
 ``triple``, the batch fit's ``logp`` and, for davidson, the online update's
 ``expected_score``.  They take a float or a numpy array, so the float and
-the grid engines call the same code.  ``davidson_triple`` and
-``expected_score`` stay module functions for the online loops, which call
-them per game; only ``logp`` imports numpy.  ``predict_probs`` is the
-entry point for a single difference.
+the grid engines call the same code: the online loops call
+``Davidson.expected_score`` and ``triple`` per game, bound once per season,
+and only ``logp`` imports numpy.  ``predict_probs`` is the entry point for
+a single difference.
 """
 
 from __future__ import annotations
@@ -190,56 +190,49 @@ def exp10(x: float | np.ndarray) -> float | np.ndarray:
     return sys.modules["numpy"].float_power(10.0, x)
 
 
-def davidson_triple(v: float | np.ndarray, sigma, kappa) -> tuple:
-    """Davidson (p_home, p_away, p_draw) at difference v, scale sigma, draw parameter kappa.
-
-    p_draw = kappa * sqrt(p_home * p_away).  All three terms are scaled by
-    10^(-|v|/2sigma) relative to the textbook form, so nothing overflows and
-    the unlikely side keeps its digits far out in the tail.  v is a float
-    or a numpy array, and sigma and kappa broadcast against it, so one call
-    serves a whole grid of configurations.  v is not checked: a non-finite
-    v gives nan or a limit.
-    """
-    z = 0.5 * v / sigma
-    u = exp10(-abs(z))
-    uu = u * u
-    den = 1.0 + uu + kappa * u
-    # the favourite's side, selected by exact arithmetic: 0.0 * uu adds no bit
-    home = 1.0 * (z >= 0)
-    away = 1.0 - home
-    return (home + away * uu) / den, (away + home * uu) / den, (kappa * u) / den
-
-
-def expected_score(v: float | np.ndarray, sigma, kappa) -> float | np.ndarray:
-    """Davidson's expected home score f_kappa = p_home + p_draw / 2 at v.
-
-    f_kappa(v) = (10^(v/2s) + k/2) / (10^(v/2s) + 10^(-v/2s) + k) is
-    antisymmetric around one half, and kappa = 0 gives the logistic cdf at
-    scale sigma.  sigma and kappa broadcast as in ``davidson_triple``, and a
-    non-finite v gives nan or a limit.
-    """
-    z = 0.5 * v / sigma
-    u = exp10(-abs(z))
-    uu = u * u
-    # each side's numerator directly, as in davidson_triple: the underdog's
-    # 1 - fav would cancel and lose up to a digit near v = 0
-    home = 1.0 * (z >= 0)
-    return (home + (1.0 - home) * uu + 0.5 * kappa * u) / (1.0 + uu + kappa * u)
-
-
 class Davidson(NamedTuple):
-    """The davidson curve; ``triple`` and ``expected_score`` broadcast array fields against v."""
+    """The davidson curve at scale sigma and draw parameter kappa.
+
+    ``triple`` and ``expected_score`` take v as a float or a numpy array,
+    and array fields broadcast against it, so one call serves a whole grid
+    of configurations.  v is not checked: a non-finite v gives nan or a limit.
+    """
 
     sigma: float
     kappa: float
 
     def triple(self, v: float | np.ndarray) -> tuple:
-        """``davidson_triple`` at v."""
-        return davidson_triple(v, self.sigma, self.kappa)
+        """(p_home, p_away, p_draw) at difference v, with p_draw = kappa * sqrt(p_home * p_away).
+
+        All three terms are scaled by 10^(-|v|/2sigma) relative to the
+        textbook form, so nothing overflows and the unlikely side keeps its
+        digits far out in the tail.
+        """
+        sigma, kappa = self
+        z = 0.5 * v / sigma
+        u = exp10(-abs(z))
+        uu = u * u
+        den = 1.0 + uu + kappa * u
+        # the favourite's side, selected by exact arithmetic: 0.0 * uu adds no bit
+        home = 1.0 * (z >= 0)
+        away = 1.0 - home
+        return (home + away * uu) / den, (away + home * uu) / den, (kappa * u) / den
 
     def expected_score(self, v: float | np.ndarray) -> float | np.ndarray:
-        """``expected_score`` at v, the online update's expected home score."""
-        return expected_score(v, self.sigma, self.kappa)
+        """The expected home score f_kappa = p_home + p_draw / 2 at v, the online update's.
+
+        f_kappa(v) = (10^(v/2s) + k/2) / (10^(v/2s) + 10^(-v/2s) + k) is
+        antisymmetric around one half, and kappa = 0 gives the logistic cdf
+        at scale sigma.
+        """
+        sigma, kappa = self
+        z = 0.5 * v / sigma
+        u = exp10(-abs(z))
+        uu = u * u
+        # each side's numerator directly, as in triple: the underdog's
+        # 1 - fav would cancel and lose up to a digit near v = 0
+        home = 1.0 * (z >= 0)
+        return (home + (1.0 - home) * uu + 0.5 * kappa * u) / (1.0 + uu + kappa * u)
 
     def logp(self, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log P(outcome | v) at shifted differences v and home scores s, and its v-derivatives.
@@ -264,7 +257,7 @@ class Davidson(NamedTuple):
         log_kappa = math.log(kappa) if kappa > 0 else -math.inf
         logp = ((s - 0.5) * t - half - np.log1p(u * u + kappa * u)
                 + np.where(s == 0.5, log_kappa, 0.0))
-        home, away, draw = davidson_triple(v, sigma, kappa)
+        home, away, draw = self.triple(v)
         slope = (s - (home + 0.5 * draw)) / sigma_prime
         curvature = -(home * away + 0.25 * draw * (home + away)) / sigma_prime**2
         return logp, slope, curvature
@@ -282,17 +275,22 @@ class Threshold(NamedTuple):
     sigma: float
     v0: float
 
-    def triple(self, v: float | np.ndarray) -> tuple:
-        """(p_home, p_away, p_draw) at v; v is not checked, as in ``davidson_triple``.
+    @property
+    def band(self) -> float:
+        """1 - 10^(-2 v0 / sigma), the band factor of the draw's product form."""
+        return -math.expm1(-2.0 * self.v0 / (self.sigma * LOG10_E))
 
-        The draw takes the product form (1 - 10^(-2 v0 / sigma)) F(v + v0)
-        F(v0 - v), which keeps its digits far from v = 0.
+    def triple(self, v: float | np.ndarray) -> tuple:
+        """(p_home, p_away, p_draw) at v; v is not checked, as in ``Davidson.triple``.
+
+        The draw takes the product form ``band`` * F(v + v0) F(v0 - v),
+        which keeps its digits far from v = 0.
         """
         sigma, v0 = self
-        home, band_low, _ = davidson_triple(v - v0, sigma, 0.0)
-        band_high, away, _ = davidson_triple(v + v0, sigma, 0.0)
-        band = -math.expm1(-2.0 * v0 / (sigma * LOG10_E))
-        return home, away, band * band_high * band_low
+        cdf = Davidson(sigma, 0.0).triple
+        home, band_low, _ = cdf(v - v0)
+        band_high, away, _ = cdf(v + v0)
+        return home, away, self.band * band_high * band_low
 
     def logp(self, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log P(outcome | v) and its v-derivatives, as in ``Davidson.logp``.
@@ -300,19 +298,19 @@ class Threshold(NamedTuple):
         The two cdfs of ``triple`` as binary terms of ``Davidson.logp`` at
         kappa = 0: a home win is the win term at v - v0, an away win the loss
         term at v + v0, and a draw the loss term at v - v0 plus the win term
-        at v + v0 plus log(1 - 10^(-2 v0 / sigma)), the product form of the
-        draw.  log p, slope and curvature are each the sum of the outcome's
-        terms.
+        at v + v0 plus log ``band``, the product form of the draw.  log p,
+        slope and curvature are each the sum of the outcome's terms.
         """
         import numpy as np
         sigma, v0 = self
+        binary = Davidson(sigma, 0.0).logp
         is_home, is_away = s == 1.0, s == 0.0
         # at v - v0 a home win wins and a draw loses; at v + v0 a draw wins and an away win loses
-        below = Davidson(sigma, 0.0).logp(v - v0, 1.0 * is_home)
-        above = Davidson(sigma, 0.0).logp(v + v0, 1.0 * ~is_away)
+        below = binary(v - v0, 1.0 * is_home)
+        above = binary(v + v0, 1.0 * ~is_away)
         logp, slope, curvature = (np.where(is_away, 0.0, low) + np.where(is_home, 0.0, high)
                                   for low, high in zip(below, above))
-        band = -math.expm1(-2.0 * v0 / (sigma * LOG10_E))
+        band = self.band
         log_band = math.log(band) if band > 0 else -math.inf
         return logp + np.where(is_home | is_away, 0.0, log_band), slope, curvature
 

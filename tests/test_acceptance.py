@@ -29,7 +29,7 @@ from drawelo.evaluation import (
     log_score,
     score_games,
 )
-from drawelo.models import ModelFamily, ModelParams, expected_score, predict_probs
+from drawelo.models import Davidson, ModelFamily, ModelParams, predict_probs
 from drawelo.sim import SimSpec, generate_season, recovery_metrics
 from oracles import elo_implicit, finite_diff_gradient, logistic
 
@@ -67,7 +67,8 @@ def test_acceptance_1_model_identities():
         assert abs(dav.p_away - elo_away) < TOL
         assert abs(dav.p_draw - elo_draw) < TOL
         for kappa in KAPPAS:
-            assert abs(expected_score(v, SIGMA, kappa) + expected_score(-v, SIGMA, kappa) - 1.0) < TOL
+            f_kappa = Davidson(SIGMA, kappa).expected_score
+            assert abs(f_kappa(v) + f_kappa(-v) - 1.0) < TOL
     for kappa in (1.0, 2.0):
         probs = predict_probs(0.0, ModelParams(sigma=SIGMA, kappa=kappa))
         assert probs.p_draw >= probs.p_home

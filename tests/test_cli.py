@@ -569,20 +569,22 @@ def test_fit_singular_newton_system_is_a_numeric_error(tmp_path):
     assert invoke(args + ["--ridge", "1e-9"]).exit_code == 0
 
 
-def test_fit_stalled_descent_is_a_numeric_error(tmp_path):
-    # under a band of v0 = 5000, after one step no halving of the second
-    # lowers the objective; a ridge lets the fit converge
+def test_fit_converges_under_a_band_far_wider_than_the_scale(tmp_path):
+    # under a band of v0 = 5000 the second full Newton step overshoots to
+    # ratings near 1e20 sigma', and only its 64th halving is acceptable; the
+    # line search halves until one is, and a ridge converges too
     path = tmp_path / "stall.csv"
     results = ["T1,T0,D"] + ["T0,T1,A"] * 4
     path.write_text(HEADER + "\n" + "".join(f"0{day + 1}/08/2021,{r}\n"
                                              for day, r in enumerate(results)))
     args = ["fit", str(path), "--family", "threshold", "--v0", "5000", "--eta", "0"]
     result = invoke(args)
-    assert result.exit_code == 4
+    assert result.exit_code == 0, result.stderr
     payload = json.loads(result.stdout)
-    assert payload["stop_reason"] == "stalled" and payload["converged"] is False
-    assert result.stderr == ("error: fit did not converge "
-                             "(stalled; gradient max-norm 0.00384 after 1 iteration)\n")
+    assert payload["stop_reason"] == "gradient" and payload["converged"] is True
+    assert payload["iterations"] == 8
+    assert payload["ratings"] == [{"team": "T1", "rating": 2680.62},
+                                  {"team": "T0", "rating": -2680.62}]
     ridged = invoke(args + ["--ridge", "1e-9"])
     assert ridged.exit_code == 0
     assert json.loads(ridged.stdout)["converged"] is True

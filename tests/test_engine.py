@@ -15,6 +15,7 @@ from drawelo import engine
 from drawelo.data import load_matches
 from drawelo.engine import (
     EngineConfig,
+    Forecasts,
     RatingState,
     SeasonResult,
     UpdateMode,
@@ -28,7 +29,7 @@ from drawelo.engine import (
 )
 from drawelo.evaluation import evaluate_configs, evaluate_scores, score_games
 from drawelo.errors import ConvergenceError, ZeroProbabilityError
-from drawelo.models import (Davidson, ModelFamily, ModelParams, OutcomeProbs, davidson_triple,
+from drawelo.models import (Davidson, ModelFamily, ModelParams, OutcomeProbs, Threshold,
                             predict_probs)
 from drawelo.sim import SimSpec, generate_season, true_ratings
 from oracles import finite_diff_gradient
@@ -264,9 +265,9 @@ def test_compile_season_empty():
 
 
 def vector_forecasts(diffs, config) -> list[OutcomeProbs]:
-    """``davidson_triple`` of a row of ``run_online`` differences, taken on the array."""
+    """The forecast curve's ``triple`` of a ``run_online`` row of differences, on the array."""
     return [OutcomeProbs(*p) for p in zip(*(
-        column.tolist() for column in davidson_triple(diffs, *config.forecast)))]
+        column.tolist() for column in config.forecast.triple(diffs)))]
 
 
 def one_cell_run(games, config, players=None) -> SeasonResult:
@@ -348,21 +349,32 @@ def test_forecasts_read_like_the_list_they_stand_for(mode, case):
         assert got != eager[:-1] and got != eager[:-1] + [OutcomeProbs(0.0, 0.0, 1.0)]
 
 
+def test_forecasts_over_a_threshold_curve_iterate_to_what_they_index():
+    # iterating and indexing both apply the curve's own triple, not a
+    # davidson triple of its fields
+    curve, diffs = Threshold(600.0, 150.0), [0.0, 300.0, -450.0]
+    got = Forecasts(diffs, curve)
+    want = [OutcomeProbs(*curve.triple(v)) for v in diffs]
+    assert list(got) == [got[i] for i in range(len(diffs))] == want
+    assert got == want and got == got[:]
+    assert want[0].p_draw == pytest.approx(0.2801, abs=1e-4)
+
+
 def test_rate_builds_no_forecast(tmp_path, monkeypatch):
     from drawelo.cli import RunConfig, run_rate
     from drawelo.data import serialize_matches
     from drawelo.sim import SimSpec, generate_season
-    calls = []
+    calls, triple = [], Davidson.triple
 
-    def counted(*args):
-        calls.append(args)
-        return davidson_triple(*args)
+    def counted(curve, v):
+        calls.append(v)
+        return triple(curve, v)
 
-    monkeypatch.setattr(engine, "davidson_triple", counted)
     season = generate_season(SimSpec({f"T{i}": 60.0 * i for i in range(6)}, seed=2))
     path = tmp_path / "season.csv"
     path.write_text(serialize_matches(season))
     cfg = RunConfig(command="rate", input_path=str(path))
+    monkeypatch.setattr(Davidson, "triple", counted)  # after the simulator's draws
     run_rate(cfg, str(tmp_path / "trajectory.csv"))
     assert calls == []
     # reading the forecasts, as evaluate does, calls it once per game

@@ -23,7 +23,7 @@ from drawelo.evaluation import (
     log_score,
     score_games,
 )
-from drawelo.models import OUTCOME_COLUMN, ModelParams, OutcomeProbs, davidson_triple, predict_probs
+from drawelo.models import OUTCOME_COLUMN, Davidson, ModelParams, OutcomeProbs, predict_probs
 from drawelo.sim import SimSpec, generate_season, true_ratings
 from oracles import brute_min_interval
 
@@ -66,14 +66,14 @@ def one_cell(games, diffs, config, window="full"):
 
 def forecasts(diffs, config):
     """The float path's forecasts of a row of differences, as ``Forecasts`` builds them."""
-    return [OutcomeProbs(*davidson_triple(v, *config.forecast)) for v in diffs]
+    return [OutcomeProbs(*config.forecast.triple(v)) for v in diffs]
 
 
 def test_cell_log_scores_pick_the_realized_column():
     # at v = 2 sigma, 10^(v/2sigma) = 10, so each outcome has its own probability
     games = [game("A", "B", "H", 0), game("C", "D", "A", 1), game("A", "B", "D", 2)]
     kappa_one = EngineConfig(ModelParams(sigma=600.0, kappa=1.0))
-    p_home, p_away, p_draw = davidson_triple(1200.0, 600.0, 1.0)
+    p_home, p_away, p_draw = Davidson(600.0, 1.0).triple(1200.0)
     assert (p_home, p_away, p_draw) == pytest.approx((1 / 1.11, 0.01 / 1.11, 0.1 / 1.11), rel=1e-15)
     report = one_cell(games, [1200.0] * 3, kappa_one)
     assert list(report.per_game_ls) == [-math.log(p_home), -math.log(p_away), -math.log(p_draw)]

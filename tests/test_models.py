@@ -16,8 +16,6 @@ from drawelo.models import (
     OutcomeProbs,
     Threshold,
     apply_home_advantage,
-    davidson_triple,
-    expected_score,
     predict_probs,
 )
 import oracles
@@ -95,10 +93,10 @@ def test_logistic_rejects_non_finite_v(bad_v):
 
 @pytest.mark.parametrize("bad_v", [math.nan, math.inf, -math.inf])
 def test_public_functions_reject_what_the_kernel_carries(bad_v):
-    # davidson_triple gives on a float what it gives on an array; the entry points raise
+    # Davidson.triple gives on a float what it gives on an array; the entry points raise
     with np.errstate(invalid="ignore"):
-        table = [float(p[0]) for p in davidson_triple(np.array([bad_v]), SIGMA, 0.7)]
-    got = davidson_triple(bad_v, SIGMA, 0.7)
+        table = [float(p[0]) for p in Davidson(SIGMA, 0.7).triple(np.array([bad_v]))]
+    got = Davidson(SIGMA, 0.7).triple(bad_v)
     assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, table))
     message = f"rating difference must be finite, got {bad_v}"
     for family in ModelFamily:
@@ -113,21 +111,21 @@ def test_public_functions_reject_what_the_kernel_carries(bad_v):
 
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_f_kappa_half_at_zero(kappa):
-    assert expected_score(0.0, SIGMA, kappa) == 0.5
+    assert Davidson(SIGMA, kappa).expected_score(0.0) == 0.5
 
 
 def test_f_kappa_zero_reduces_to_logistic():
     for v in GRID_V:
-        assert expected_score(v, SIGMA, 0.0) == pytest.approx(
+        assert Davidson(SIGMA, 0.0).expected_score(v) == pytest.approx(
             oracles.logistic(v, SIGMA), rel=1e-12, abs=1e-15)
 
 
 def test_f_kappa_two_is_logistic_at_double_scale():
     # F_2(v; s) = logistic(v; 2s); at v = sigma both sides are 1/(1+10^-0.5)
+    f_two = Davidson(SIGMA, 2.0).expected_score
     for v in GRID_V:
-        assert expected_score(v, SIGMA, 2.0) == pytest.approx(
-            oracles.logistic(v, 2 * SIGMA), abs=1e-15)
-    assert expected_score(600.0, SIGMA, 2.0) == pytest.approx(0.7597469266479578, abs=1e-12)
+        assert f_two(v) == pytest.approx(oracles.logistic(v, 2 * SIGMA), abs=1e-15)
+    assert f_two(600.0) == pytest.approx(0.7597469266479578, abs=1e-12)
 
 
 @given(
@@ -136,11 +134,12 @@ def test_f_kappa_two_is_logistic_at_double_scale():
     sigma=st.floats(1, 2000),
 )
 def test_f_kappa_antisymmetry(v, kappa, sigma):
-    assert abs(expected_score(v, sigma, kappa) + expected_score(-v, sigma, kappa) - 1.0) < 1e-15
+    f_kappa = Davidson(sigma, kappa).expected_score
+    assert abs(f_kappa(v) + f_kappa(-v) - 1.0) < 1e-15
 
 
 def test_f_kappa_monotone():
-    values = [expected_score(v, SIGMA, 0.7) for v in GRID_V]
+    values = [Davidson(SIGMA, 0.7).expected_score(v) for v in GRID_V]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -171,7 +170,7 @@ def assert_columns_match(got, calls, shape):
 def test_kernels_on_arrays_match_float_calls(v, sigma, kappa, v0):
     # one kernel for both engines, and exp10 takes 10^x from the C
     # library's pow on floats and arrays alike; a curve of arrays gives
-    # what the module functions give on each cell
+    # what a curve of floats gives on each cell
     x = np.array(v)
     curve = Davidson(sigma, kappa)
     band = Threshold(float(np.ravel(sigma)[0]), v0)  # a threshold takes a float scale
@@ -179,8 +178,8 @@ def test_kernels_on_arrays_match_float_calls(v, sigma, kappa, v0):
         got = (*curve.triple(x), curve.expected_score(x))
         band_got = band.triple(x)
     cells = np.broadcast_arrays(x, sigma, kappa)
-    calls = [(*davidson_triple(*c), expected_score(*c))
-             for c in zip(*(a.ravel().tolist() for a in cells))]
+    calls = [(*Davidson(s, k).triple(d), Davidson(s, k).expected_score(d))
+             for d, s, k in zip(*(a.ravel().tolist() for a in cells))]
     assert_columns_match(got, calls, cells[0].shape)
     assert_columns_match(band_got, [band.triple(d) for d in v], x.shape)
 
