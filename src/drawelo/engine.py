@@ -220,8 +220,9 @@ class CompiledSeason(Record, frozen=True):
     hold each game's rating indices and ``score`` its home score, in stdlib
     arrays; ``arrays()`` reads them as numpy arrays.  ``runs``, computed on
     first read, holds the first game of each maximal run of consecutive games
-    in which no player appears twice, then the game count.  ``given``
-    counts the players given up front.
+    in which no player appears twice, then the game count; one pass finds
+    them, keeping each player's latest game.  ``given`` counts the players
+    given up front.
     """
 
     def __init__(self, players: list[str], home: array, away: array, score: array, given: int):
@@ -229,12 +230,12 @@ class CompiledSeason(Record, frozen=True):
 
     @cached_property
     def runs(self) -> list[int]:
-        runs, in_run = [], set()
+        runs = [0] if self.home else []
+        last = [-1] * len(self.players)  # each player's latest game so far
         for i, (h, a) in enumerate(zip(self.home, self.away)):
-            if not runs or h in in_run or a in in_run:
+            if last[h] >= runs[-1] or last[a] >= runs[-1]:  # played in this run already
                 runs.append(i)
-                in_run = set()
-            in_run.update((h, a))
+            last[h] = last[a] = i
         runs.append(len(self.home))
         return runs
 
@@ -265,7 +266,9 @@ class OnlineRun(Record, frozen=True):
     """``run_online`` output for C configurations, G games and T players, as numpy arrays.
 
     ``diffs`` (C, G) holds the shifted rating difference before each game
-    and ``ratings`` (C, T) the final ratings.
+    and ``ratings`` (C, T) the final ratings.  ``run_online`` hands them
+    over as transposed views of its (G, C) and (T, C) arrays, so a row is
+    strided.
     """
 
     def __init__(self, diffs: np.ndarray, ratings: np.ndarray):
@@ -275,39 +278,46 @@ class OnlineRun(Record, frozen=True):
 def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> OnlineRun:
     """Every configuration's sequential ratings and differences in one pass, on numpy.
 
-    Ratings are held as a (configs, players) array, and each run of
-    disjoint games advances in one vector step for every configuration;
-    that is exact, because no game of a run reads a rating another game of
-    the same run writes.  Consecutive configurations whose update curves
+    Ratings are held as a (players, configs) array and differences as a
+    (games, configs) one, so a run of disjoint games gathers whole
+    contiguous rows and advances in one in-place vector step for every
+    configuration; that is exact, because no game of a run reads a rating
+    another game of the same run writes.  ``OnlineRun`` gets both
+    transposed, as views.  Consecutive configurations whose update curves
     are one kind step as one table of shifts, steps and curve fields; every
     online mode steps on a ``Davidson``, so a grid is one table.  The
-    update is ``run_season``'s, the curve's ``expected_score``, on arrays,
-    so each cell's differences match a ``run_season`` of its configuration
-    bit for bit, and a forecast is the forecast curve's ``triple`` of a
-    difference, as ``Forecasts`` builds it.  A configuration whose ratings
-    stop being finite is not raised here: its ``diffs`` row or its final
-    ``ratings`` show it, and ``run_season`` of that configuration names the
-    fault.
+    update is ``run_season``'s, the curve's ``expected_score``, on arrays
+    with the same operations in the same order, so each cell's differences
+    match a ``run_season`` of its configuration bit for bit, and a forecast
+    is the forecast curve's ``triple`` of a difference, as ``Forecasts``
+    builds it.  A configuration whose ratings stop being finite is not
+    raised here: its ``diffs`` row or its final ``ratings`` show it, and
+    ``run_season`` of that configuration names the fault.
     """
     import numpy as np
     home_index, away_index, score = season.arrays()
-    ratings = np.zeros((len(configs), len(season.players)))
-    diffs = np.empty((len(configs), len(score)))
+    score = score[:, None]
+    ratings = np.zeros((len(season.players), len(configs)))
+    diffs = np.empty((len(score), len(configs)))
     runs, first = season.runs, 0
     for kind, group in groupby((c.update for c in configs), key=lambda update: type(update[2])):
         table = np.array([(shift, step, *curve) for shift, step, curve in group], dtype=float)
-        shift, step, *fields = table.T[:, :, None]
+        shift, step, *fields = table.T
         curve, rows = kind(*fields), slice(first, first + len(table))
         first = rows.stop
+        r = ratings[:, rows]
         with np.errstate(invalid="ignore", over="ignore"):
             for start, end in zip(runs[:-1], runs[1:]):
                 home, away = home_index[start:end], away_index[start:end]
-                v = (ratings[rows, home] - ratings[rows, away]) + shift
-                delta = step * (score[start:end] - curve.expected_score(v))
-                ratings[rows, home] += delta
-                ratings[rows, away] -= delta
-                diffs[rows, start:end] = v
-    return OnlineRun(diffs, ratings)
+                v = r[home]
+                v -= r[away]
+                v += shift
+                delta = score[start:end] - curve.expected_score(v)
+                delta *= step
+                r[home] += delta
+                r[away] -= delta
+                diffs[start:end, rows] = v
+    return OnlineRun(diffs.T, ratings.T)
 
 
 def run_season(

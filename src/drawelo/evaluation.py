@@ -7,11 +7,13 @@ minimum-length interval containing at least 95% of the per-game scores.
 ``EvalReport.per_game_ls`` holds the window's scores as an ``array("d")``,
 8 bytes a game, on both paths; ``list()`` or ``numpy.frombuffer`` converts
 it.  A grid cell is scored from its row of rating differences by
-``cell_report``, with ``math.log`` as ``score_games`` takes it.  Both find
-the interval by one scan: the first shortest window of order statistics,
-where a window whose ends are equal (inf included) has length 0; a grid
-cell only sorts its scores with numpy.  numpy is imported only by the
-grid functions.  ``evaluate_configs`` scores the online forecasts of a list of
+``cell_report``: numpy picks each game's realized probability and
+subtracts, and the window's logs are ``math.log``'s, as ``score_games``
+takes them, in one C-level ``map``.  Both find the interval by one scan:
+the first shortest window of order statistics, where a window whose ends
+are equal (inf included) has length 0; a grid cell only sorts its scores
+with numpy.  numpy is imported only by the grid functions.
+``evaluate_configs`` scores the online forecasts of a list of
 configurations; it is the one place that picks between the float and the
 vector online path, and the vector path runs one kernel row per distinct
 update.  Only the float path names a fault; a grid cell at fault runs on it.
@@ -20,14 +22,12 @@ update.  Only the float path names a fault; a grid cell at fault runs on it.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
-from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .data import GameRecord, odds_to_probs
 from .errors import game_label, zero_probability
-from .models import OUTCOME_COLUMN, Davidson, OutcomeProbs, Record
+from .models import HOME_SCORE, OUTCOME_COLUMN, Davidson, OutcomeProbs, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,10 +85,11 @@ def score_games(
 def _shortest_window(ordered: Sequence[float]) -> tuple[float, float]:
     """Minimum-length interval covering at least 95% of ascending values, as floats.
 
-    ``ordered`` is a non-empty list or numpy array.  Scans windows of k =
-    ceil(0.95*n) consecutive order statistics; a window whose ends are
-    equal, inf included, has length 0.  Ties in length are broken toward
-    the smallest lower bound, so the result is deterministic.
+    ``ordered`` is a non-empty list, numpy array or memoryview of one.
+    Scans windows of k = ceil(0.95*n) consecutive order statistics; a
+    window whose ends are equal, inf included, has length 0.  Ties in
+    length are broken toward the smallest lower bound, so the result is
+    deterministic.
     """
     k = math.ceil(0.95 * len(ordered))
     widths = [0.0 if high == low else high - low for low, high in zip(ordered, ordered[k - 1:])]
@@ -124,8 +125,13 @@ def cell_report(column: np.ndarray, diffs: np.ndarray, forecast: Davidson,
     """A grid cell's report over ``window``, a [start, end), from its ``run_online`` differences.
 
     ``column`` holds each game's ``OUTCOME_COLUMN`` and ``forecast`` the
-    cell's ``EngineConfig.forecast``.  A cell at fault, with a non-finite
-    difference or a realized outcome of probability 0, takes no log: None.
+    cell's ``EngineConfig.forecast``; ``diffs`` may be strided, a column of
+    a (games, configs) array.  The window's logs are ``math.log``'s, whose
+    bits numpy's own ``log`` does not always give, and each score is the
+    exact ``0.0 - log p`` of ``score_games``, so the report is the one
+    ``evaluate_scores`` gives on that function's scores.  A cell at fault,
+    with a non-finite difference or a realized outcome of probability 0,
+    takes no log: None.
     """
     import numpy as np
     if not np.isfinite(diffs).all():
@@ -134,9 +140,12 @@ def cell_report(column: np.ndarray, diffs: np.ndarray, forecast: Davidson,
         realized = np.choose(column, forecast.triple(diffs))
     if not (realized > 0.0).all():
         return None
-    logs = map(math.log, realized[slice(*window)].tolist())
-    scored = array("d", map(operator.sub, repeat(0.0), logs))  # 0.0 - log p, as score_games
-    return _report(scored, np.sort(scored), window)
+    start, end = window
+    # a memoryview hands out floats without a list of them or numpy scalars
+    scores = np.fromiter(map(math.log, memoryview(realized[start:end])), float,
+                         count=end - start)
+    np.subtract(0.0, scores, out=scores)  # 0.0 - log p, as score_games
+    return _report(array("d", scores.tobytes()), memoryview(np.sort(scores)), window)
 
 
 def evaluate_configs(
@@ -150,9 +159,10 @@ def evaluate_configs(
     differences (``cell_report``).  Configurations with the same
     ``update`` step alike, whatever they forecast with, so the kernel runs
     one row for each such group and every cell of the group reads that
-    row.  A cell at fault, and every cell if the window is bad or empty, is
-    run alone on the float path, so its error is the one its configuration
-    alone raises; the other cells are still scored.
+    row; the cells' outcome column is read off the compiled season's home
+    scores.  A cell at fault, and every cell if the window is bad or empty,
+    is run alone on the float path, so its error is the one its
+    configuration alone raises; the other cells are still scored.
     """
     from .engine import compile_season, run_online, run_season
 
@@ -172,10 +182,14 @@ def evaluate_configs(
     import numpy as np
     groups = {c.update: c for c in configs}  # any configuration of a group steps as the group
     row = {update: i for i, update in enumerate(groups)}
-    run = run_online(compile_season(games), list(groups.values()))
+    season = compile_season(games)
+    run = run_online(season, list(groups.values()))
     finite = np.isfinite(run.ratings).all(axis=1)  # else one overflowed on its last game
-    column = np.fromiter((OUTCOME_COLUMN[g.outcome] for g in games), dtype=np.intp,
-                         count=len(games))
+    score = np.asarray(season.score)
+    column = np.empty(len(score), dtype=np.intp)
+    for outcome, home_score in HOME_SCORE.items():
+        column[score == home_score] = OUTCOME_COLUMN[outcome]
+    del season, score  # the cells read only the run and the column, so the rest is freed
     return [(finite[row[c.update]] and cell_report(column, run.diffs[row[c.update]], c.forecast,
                                                    bounds)) or alone(c) for c in configs]
 

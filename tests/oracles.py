@@ -262,6 +262,20 @@ def run_season(games, config, players=None):
     return ratings, predictions, trajectory
 
 
+def runs(home, away):
+    """The first game of each run of consecutive disjoint games, then the game count.
+
+    A run ends before a game whose home or away side has already played in it.
+    """
+    starts, in_run = [], set()
+    for i, (h, a) in enumerate(zip(home, away)):
+        if not starts or h in in_run or a in in_run:
+            starts.append(i)
+            in_run = set()
+        in_run.update((h, a))
+    return starts + [len(home)]
+
+
 def log_scores(predictions, games):
     """-ln p(realized outcome) per game; None when some game got probability 0."""
     probs = [pred.prob_of(game.outcome) for pred, game in zip(predictions, games)]

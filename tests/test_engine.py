@@ -264,6 +264,22 @@ def test_compile_season_empty():
     assert [len(s) for s in run_season([], EngineConfig(), players=["A"]).trajectory] == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5)).map(
+           lambda p: (p[0], (p[0] + p[1]) % 6)), max_size=30),
+       given_players=st.lists(st.integers(0, 7), max_size=4))
+@example(pairs=[], given_players=[])
+@example(pairs=[], given_players=[6])
+@example(pairs=[(0, 1)], given_players=[])
+@example(pairs=[(0, 1)], given_players=[1, 7])
+def test_compile_season_runs_match_the_set_based_oracle(pairs, given_players):
+    # few teams, so most schedules repeat one; given players may never play
+    games = [game(f"T{h}", f"T{a}", "H", i) for i, (h, a) in enumerate(pairs)]
+    season = compile_season(games, players=[f"T{p}" for p in given_players])
+    home, away = [g.home_id for g in games], [g.away_id for g in games]
+    assert season.runs == oracles.runs(home, away)
+
+
 def vector_forecasts(diffs, config) -> list[OutcomeProbs]:
     """The forecast curve's ``triple`` of a ``run_online`` row of differences, on the array."""
     return [OutcomeProbs(*p) for p in zip(*(
@@ -437,6 +453,22 @@ def test_run_online_steps_each_kind_of_update_curve_as_its_own_table():
         one = run_online(season, [cell])
         for field in ("diffs", "ratings"):
             assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
+
+
+def test_run_online_returns_rows_by_configuration():
+    # (configurations, games) differences and (configurations, players) ratings,
+    # with a player given up front who never plays
+    games = random_games(np.random.default_rng(5), list("ABCDEF"), 40)
+    configs = [config(kappa=k, eta=0.1 * k) for k in (0.4, 1.0, 2.0)]
+    run = run_online(compile_season(games, players=["Idle"]), configs)
+    assert run.diffs.shape == (3, 40) and run.ratings.shape == (3, 7)
+    assert (run.ratings[:, 0] == 0.0).all()
+    for c, cell in enumerate(configs):
+        one = run_online(compile_season(games, players=["Idle"]), [cell])
+        assert one.diffs.shape == (1, 40) and one.ratings.shape == (1, 7)
+        assert run.diffs[c].tobytes() == one.diffs[0].tobytes()
+    empty = run_online(compile_season([], players=["Idle"]), configs)
+    assert empty.diffs.shape == (3, 0) and empty.ratings.shape == (3, 1)
 
 
 @BOTH_PATHS

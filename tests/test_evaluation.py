@@ -132,6 +132,33 @@ def test_cell_log_scores_use_the_same_log_as_score_games():
     assert list(report.per_game_ls) == [-math.log(p) for p in realized]
 
 
+def report_bits(report):
+    """A report as bits: mean and interval by ``float.hex``, then the scores' bytes and window."""
+    return (report.mean_ls.hex(), report.interval_low.hex(), report.interval_high.hex(),
+            report.per_game_ls.tobytes(), report.window)
+
+
+def test_a_strided_row_reports_as_its_contiguous_copy():
+    # a grid's row of differences is a column of a (games, configurations)
+    # array; cell_report must read it as it reads a contiguous copy
+    diffs = np.linspace(-3000.0, 3000.0, 601).tolist() * 3
+    games = [game("A", "B", outcome, i) for i, outcome in enumerate("HAD" * 601)]
+    column = np.array([OUTCOME_COLUMN[g.outcome] for g in games], dtype=np.intp)
+    table = np.zeros((len(diffs), 3))
+    table[:, 1] = diffs
+    strided = table[:, 1]
+    assert not strided.flags.c_contiguous
+    for forecast in (Davidson(600.0, 0.7), Davidson(300.0, 2.0), Davidson(600.0, 0.0)):
+        for window in ("second-half", "full"):
+            bounds = _window_bounds(len(games), window)
+            got = cell_report(column, strided, forecast, bounds)
+            want = cell_report(column, np.ascontiguousarray(strided), forecast, bounds)
+            if forecast.kappa == 0.0:  # a draw has probability 0: no report
+                assert got is None and want is None
+                continue
+            assert report_bits(got) == report_bits(want)
+
+
 # differences with ties, an outcome underflowing to probability 0, and non-finite values
 DIFFS = (st.sampled_from([0.0, 300.0, -300.0, 1e6, -1e6, math.inf, -math.inf, math.nan])
          | st.floats(-5000.0, 5000.0))
@@ -252,10 +279,12 @@ TIED_SCORES = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.0, 1
 @settings(max_examples=100, deadline=None)
 @given(st.lists(TIED_SCORES, min_size=1, max_size=80))
 def test_shortest_window_of_a_numpy_sort_matches_exhaustive_scan(values):
-    # ties and infinite ends included, the scan picks one window on a numpy
-    # sort, as a grid cell passes it, and on a list, as a season does
-    window = _shortest_window(np.sort(values))
-    assert window == _shortest_window(sorted(values)) == brute_min_interval(values)
+    # ties and infinite ends included, the scan picks one window on a
+    # memoryview of a numpy sort, as a grid cell passes it, on the sort
+    # itself, and on a list, as a season does
+    window = _shortest_window(memoryview(np.sort(values)))
+    assert window == _shortest_window(np.sort(values)) == _shortest_window(sorted(values))
+    assert window == brute_min_interval(values)
     assert all(type(end) is float for end in window)
 
 
@@ -343,6 +372,18 @@ def sweep_grid():
                          check_kappa=kappa)
             for mode in (UpdateMode.KAPPA_ELO, UpdateMode.ELO_CHECK_KAPPA)
             for kappa in (0.4, 0.7, 1.0, 2.0) for eta in (0.0, 0.15, 0.3, 0.45)]
+
+
+def test_a_benchmark_scale_grid_matches_each_configuration_alone_bit_for_bit():
+    # 20 teams over 5 rounds, 1,900 games and 950 scored a cell: many more
+    # last-bit cases of the kernel and the log than a 6-team season has
+    games = generate_season(SimSpec(theta_true=true_ratings(20, 0.1, 600.0),
+                                    model=ModelParams(kappa=0.7, eta=0.3), rounds=5, seed=2)).games
+    assert len(games) == 1900
+    configs = sweep_grid()
+    for config, cell in zip(configs, evaluate_configs(games, configs)):
+        alone, = evaluate_configs(games, [config])
+        assert report_bits(cell) == report_bits(alone)
 
 
 def test_a_grids_reports_hold_eight_bytes_a_scored_game():
