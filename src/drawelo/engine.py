@@ -16,10 +16,10 @@ update is the binary ``Davidson`` and its implicit draw model the
 elo-implicit one.
 A season is compiled once into index lists.  Each entry point has one
 path: ``run_season``, the rating update, steps one configuration game by
-game on floats without numpy; ``run_online`` advances a grid of them on
-numpy arrays, one vector step per run of games in which no team appears
-twice.  Both paths keep each game's difference, stepped by the update curve's
-``Davidson.expected_score``, and a forecast is the forecast curve's
+game on floats without numpy; ``run_online`` advances a grid of updates
+on numpy arrays, one vector step per run of games in which no team appears
+twice.  Both paths keep each game's difference, stepped by the update
+curve's ``Davidson.expected_score``, and a forecast is the forecast curve's
 ``triple`` of a difference.  Every player starts at rating 0.  ``predict``
 forecasts a fixture from a ``RatingState``; ``run_season``'s forecasts are
 built when read, and its trajectory is iterated, not indexed.
@@ -262,45 +262,33 @@ def compile_season(
     return CompiledSeason(list(index), home, away, score, given)
 
 
-class OnlineRun(Record, frozen=True):
-    """``run_online`` output for C configurations, G games and T players, as numpy arrays.
+def run_online(season: CompiledSeason, updates: Sequence[tuple[float, float, Davidson]]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Each update's sequential differences and final ratings in one pass, on numpy.
 
-    ``diffs`` (C, G) holds the shifted rating difference before each game
-    and ``ratings`` (C, T) the final ratings.  ``run_online`` hands them
-    over as transposed views of its (G, C) and (T, C) arrays, so a row is
-    strided.
-    """
-
-    def __init__(self, diffs: np.ndarray, ratings: np.ndarray):
-        self._set(diffs, ratings)
-
-
-def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> OnlineRun:
-    """Every configuration's sequential ratings and differences in one pass, on numpy.
-
-    Ratings are held as a (players, configs) array and differences as a
-    (games, configs) one, so a run of disjoint games gathers whole
-    contiguous rows and advances in one in-place vector step for every
-    configuration; that is exact, because no game of a run reads a rating
-    another game of the same run writes.  ``OnlineRun`` gets both
-    transposed, as views.  Consecutive configurations whose update curves
-    are one kind step as one table of shifts, steps and curve fields; every
-    online mode steps on a ``Davidson``, so a grid is one table.  The
-    update is ``run_season``'s, the curve's ``expected_score``, on arrays
-    with the same operations in the same order, so each cell's differences
-    match a ``run_season`` of its configuration bit for bit, and a forecast
-    is the forecast curve's ``triple`` of a difference, as ``Forecasts``
-    builds it.  A configuration whose ratings stop being finite is not
-    raised here: its ``diffs`` row or its final ``ratings`` show it, and
-    ``run_season`` of that configuration names the fault.
+    An update is a (shift, step, curve) tuple, as ``EngineConfig.update``
+    gives it.  For U updates, G games and T players this returns ``diffs``
+    (U, G), the shifted rating difference before each game, and ``ratings``
+    (U, T), as transposed views of (G, U) and (T, U) arrays, so a row is
+    strided.  A run of disjoint games gathers whole contiguous rows and
+    advances in one in-place vector step for every update; that is exact,
+    because no game of a run reads a rating another game of the same run
+    writes.  Consecutive updates whose curves are one kind step as one
+    table of shifts, steps and curve fields; every online mode steps on a
+    ``Davidson``, so a grid is one table.  The step is ``run_season``'s,
+    the curve's ``expected_score``, on arrays with the same operations in
+    the same order, so each row's differences match, bit for bit, those of
+    ``run_season`` on a configuration with that update.  An update whose
+    ratings stop being finite is not raised here: its ``diffs`` row or its
+    final ``ratings`` show it, and ``run_season`` names the fault.
     """
     import numpy as np
     home_index, away_index, score = season.arrays()
     score = score[:, None]
-    ratings = np.zeros((len(season.players), len(configs)))
-    diffs = np.empty((len(score), len(configs)))
+    ratings = np.zeros((len(season.players), len(updates)))
+    diffs = np.empty((len(score), len(updates)))
     runs, first = season.runs, 0
-    for kind, group in groupby((c.update for c in configs), key=lambda update: type(update[2])):
+    for kind, group in groupby(updates, key=lambda update: type(update[2])):
         table = np.array([(shift, step, *curve) for shift, step, curve in group], dtype=float)
         shift, step, *fields = table.T
         curve, rows = kind(*fields), slice(first, first + len(table))
@@ -317,7 +305,7 @@ def run_online(season: CompiledSeason, configs: Sequence[EngineConfig]) -> Onlin
                 r[home] += delta
                 r[away] -= delta
                 diffs[start:end, rows] = v
-    return OnlineRun(diffs.T, ratings.T)
+    return diffs.T, ratings.T
 
 
 def run_season(

@@ -156,13 +156,14 @@ def evaluate_configs(
     One configuration steps on plain floats (``run_season``) and is scored
     in plain Python, without numpy; two or more run in one pass of the
     vector kernel (``run_online``), and each cell is scored from its own
-    differences (``cell_report``).  Configurations with the same
-    ``update`` step alike, whatever they forecast with, so the kernel runs
-    one row for each such group and every cell of the group reads that
-    row; the cells' outcome column is read off the compiled season's home
-    scores.  A cell at fault, and every cell if the window is bad or empty,
-    is run alone on the float path, so its error is the one its
-    configuration alone raises; the other cells are still scored.
+    differences (``cell_report``).  This is the one place that maps
+    configurations to kernel rows: the kernel steps each distinct
+    ``update`` once, in order of first appearance, and every cell reads its
+    update's row, whatever it forecasts with; the cells' outcome column is
+    read off the compiled season's home scores.  A cell at fault, and every
+    cell if the window is bad or empty, is run alone on the float path, so
+    its error is the one its configuration alone raises; the other cells
+    are still scored.
     """
     from .engine import compile_season, run_online, run_season
 
@@ -180,17 +181,16 @@ def evaluate_configs(
     if bounds is None or len(configs) < 2:
         return [alone(c) for c in configs]
     import numpy as np
-    groups = {c.update: c for c in configs}  # any configuration of a group steps as the group
-    row = {update: i for i, update in enumerate(groups)}
+    row = {u: i for i, u in enumerate(dict.fromkeys(c.update for c in configs))}
     season = compile_season(games)
-    run = run_online(season, list(groups.values()))
-    finite = np.isfinite(run.ratings).all(axis=1)  # else one overflowed on its last game
+    diffs, ratings = run_online(season, list(row))
+    finite = np.isfinite(ratings).all(axis=1)  # else one overflowed on its last game
     score = np.asarray(season.score)
     column = np.empty(len(score), dtype=np.intp)
     for outcome, home_score in HOME_SCORE.items():
         column[score == home_score] = OUTCOME_COLUMN[outcome]
-    del season, score  # the cells read only the run and the column, so the rest is freed
-    return [(finite[row[c.update]] and cell_report(column, run.diffs[row[c.update]], c.forecast,
+    del season, score, ratings  # the cells read only diffs and the column, so the rest is freed
+    return [(finite[row[c.update]] and cell_report(column, diffs[row[c.update]], c.forecast,
                                                    bounds)) or alone(c) for c in configs]
 
 

@@ -100,8 +100,8 @@ KAPPAS = st.sampled_from([0.0, 2.0]) | st.floats(0.0, 5.0)
 
 
 # The online engine's two paths: floats game by game (run_season, or a
-# one-cell grid), or one vector step per run of games (run_online, or a
-# grid of two or more cells)
+# one-cell grid), or one vector step per run of games (run_online of the
+# configurations' updates, or a grid of two or more cells)
 BOTH_PATHS = pytest.mark.parametrize("vectorize", [False, True], ids=["floats", "vectors"])
 
 

@@ -2,7 +2,6 @@ import math
 import re
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -294,13 +293,13 @@ def one_cell_run(games, config, players=None) -> SeasonResult:
     and, as in a grid, ``run_season`` must raise its error.
     """
     season = compile_season(games, players)
-    run = run_online(season, [config])
-    if not (np.isfinite(run.diffs[0]).all() and np.isfinite(run.ratings[0]).all()):
+    (diffs,), (ratings,) = run_online(season, [config.update])
+    if not (np.isfinite(diffs).all() and np.isfinite(ratings).all()):
         run_season(games, config, players)
         raise AssertionError("run_season accepts a run the kernel leaves non-finite")
     return SeasonResult(
-        state=RatingState(ratings=dict(zip(season.players, run.ratings[0].tolist()))),
-        predictions=vector_forecasts(run.diffs[0], config),
+        state=RatingState(ratings=dict(zip(season.players, ratings.tolist()))),
+        predictions=vector_forecasts(diffs, config),
         trajectory=None,
     )
 
@@ -407,21 +406,20 @@ def test_run_online_cells_do_not_interact(vectorize, cases):
     games = cases[0][2]
     season = compile_season(games)
     configs = [config for config, _, _ in cases]
-    together = run_online(season, configs)
+    diffs, ratings = run_online(season, [config.update for config in configs])
     for c, config in enumerate(configs):
         if vectorize:
-            one = run_online(season, [config])
-            for field in ("diffs", "ratings"):
-                assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
+            (one_diffs,), (one_ratings,) = run_online(season, [config.update])
+            assert np.array_equal(diffs[c], one_diffs) and np.array_equal(ratings[c], one_ratings)
             continue
         alone = run_season(games, config)
-        ratings = together.ratings[c].tolist()
-        scale = max([config.model.sigma] + [abs(r) for r in ratings])
+        cell_ratings = ratings[c].tolist()
+        scale = max([config.model.sigma] + [abs(r) for r in cell_ratings])
         assert list(alone.state.ratings) == season.players
-        for got, want in zip(ratings, alone.state.ratings.values()):
+        for got, want in zip(cell_ratings, alone.state.ratings.values()):
             assert abs(got - want) <= 1e-12 * scale
         assert len(alone.predictions) == len(games)
-        for got, want in zip(vector_forecasts(together.diffs[c], config), alone.predictions):
+        for got, want in zip(vector_forecasts(diffs[c], config), alone.predictions):
             assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
 
 
@@ -431,11 +429,10 @@ def test_run_online_equal_configurations_match_alone():
     games = random_games(np.random.default_rng(3), list("ABCDEF"), 60)
     season = compile_season(games)
     cells = [config(mode=UpdateMode.ELO, kappa=k) for k in (0.4, 1.0, 2.0)] + [config()]
-    together = run_online(season, cells)
+    diffs, ratings = run_online(season, [cell.update for cell in cells])
     for c, cell in enumerate(cells):
-        one = run_online(season, [cell])
-        for field in ("diffs", "ratings"):
-            assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
+        (one_diffs,), (one_ratings,) = run_online(season, [cell.update])
+        assert np.array_equal(diffs[c], one_diffs) and np.array_equal(ratings[c], one_ratings)
 
 
 def test_run_online_steps_each_kind_of_update_curve_as_its_own_table():
@@ -446,29 +443,28 @@ def test_run_online_steps_each_kind_of_update_curve_as_its_own_table():
 
     games = random_games(np.random.default_rng(4), list("ABCDEF"), 60)
     season = compile_season(games)
-    cells = [config(kappa=k, eta=0.1 * k) for k in (0.4, 1.0, 2.0, 0.7)]
-    cells[1:3] = [SimpleNamespace(update=(*c.update[:2], Other(*c.update[2]))) for c in cells[1:3]]
-    together = run_online(season, cells)
-    for c, cell in enumerate(cells):
-        one = run_online(season, [cell])
-        for field in ("diffs", "ratings"):
-            assert np.array_equal(getattr(together, field)[c], getattr(one, field)[0])
+    updates = [config(kappa=k, eta=0.1 * k).update for k in (0.4, 1.0, 2.0, 0.7)]
+    updates[1:3] = [(shift, step, Other(*curve)) for shift, step, curve in updates[1:3]]
+    diffs, ratings = run_online(season, updates)
+    for c, update in enumerate(updates):
+        (one_diffs,), (one_ratings,) = run_online(season, [update])
+        assert np.array_equal(diffs[c], one_diffs) and np.array_equal(ratings[c], one_ratings)
 
 
 def test_run_online_returns_rows_by_configuration():
-    # (configurations, games) differences and (configurations, players) ratings,
-    # with a player given up front who never plays
+    # (updates, games) differences and (updates, players) ratings, one row
+    # per configuration's update, with a player given up front who never plays
     games = random_games(np.random.default_rng(5), list("ABCDEF"), 40)
-    configs = [config(kappa=k, eta=0.1 * k) for k in (0.4, 1.0, 2.0)]
-    run = run_online(compile_season(games, players=["Idle"]), configs)
-    assert run.diffs.shape == (3, 40) and run.ratings.shape == (3, 7)
-    assert (run.ratings[:, 0] == 0.0).all()
-    for c, cell in enumerate(configs):
-        one = run_online(compile_season(games, players=["Idle"]), [cell])
-        assert one.diffs.shape == (1, 40) and one.ratings.shape == (1, 7)
-        assert run.diffs[c].tobytes() == one.diffs[0].tobytes()
-    empty = run_online(compile_season([], players=["Idle"]), configs)
-    assert empty.diffs.shape == (3, 0) and empty.ratings.shape == (3, 1)
+    updates = [config(kappa=k, eta=0.1 * k).update for k in (0.4, 1.0, 2.0)]
+    diffs, ratings = run_online(compile_season(games, players=["Idle"]), updates)
+    assert diffs.shape == (3, 40) and ratings.shape == (3, 7)
+    assert (ratings[:, 0] == 0.0).all()
+    for c, update in enumerate(updates):
+        one_diffs, one_ratings = run_online(compile_season(games, players=["Idle"]), [update])
+        assert one_diffs.shape == (1, 40) and one_ratings.shape == (1, 7)
+        assert diffs[c].tobytes() == one_diffs[0].tobytes()
+    diffs, ratings = run_online(compile_season([], players=["Idle"]), updates)
+    assert diffs.shape == (3, 0) and ratings.shape == (3, 1)
 
 
 @BOTH_PATHS
@@ -486,7 +482,8 @@ def test_run_season_non_finite_difference_is_an_error(vectorize):
     # on the vector side only the failing cell of a grid reports it, naming the same game
     cells = evaluate_configs(games, [huge, config()], window="full")
     assert str(cells[0]) == message and not isinstance(cells[1], ValueError)
-    assert np.isinf(run_online(compile_season(games), [huge]).diffs[0, 1])
+    diffs, _ = run_online(compile_season(games), [huge.update])
+    assert np.isinf(diffs[0, 1])
 
 
 def test_predict_rejects_a_non_finite_difference():

@@ -25,6 +25,8 @@ CASES = {
     "rate-trajectory": ["rate", "season.csv", "--trajectory", "trajectory.csv"],
     "sweep": ["sweep", "season.csv", "--kappa-grid", "0.4,1", "--eta-grid", "0,0.3",
               "--modes", "elo,elo-check"],
+    "sweep-faults": ["sweep", "season.csv", "--modes", "kappa-elo,elo-check",
+                     "--kappa-grid", "0,0.7", "--eta-grid", "0,0.3", "-f", "csv"],
     "fit-davidson": ["fit", "season.csv", "--family", "davidson"],
     "fit-threshold": ["fit", "season.csv", "--family", "threshold", "--v0", "100"],
     "fit-max-iters": ["fit", "season.csv", "--max-iters", "2"],

@@ -95,7 +95,6 @@ RECORDS = [
      False, None, None),
     (engine.CompiledSeason, dict(players=("A", "B"), home=(0,), away=(1,), score=(1.0,), given=0),
      True, None, None),
-    (engine.OnlineRun, dict(diffs=((0.0,),), ratings=((1.0, -1.0),)), True, None, None),
     (engine.FitResult, dict(theta={"A": 0.0}, nll=1.0, grad_max_norm=0.0, iterations=3,
                             stop_reason="gradient"),
      False, None, None),
