@@ -96,7 +96,7 @@ def _round6(value):
     inf and -inf become 'inf' and '-inf', and NaN becomes None (JSON null),
     so the output stays valid JSON.
     """
-    if isinstance(value, bool) or not isinstance(value, float):
+    if not isinstance(value, float):
         if isinstance(value, dict):
             return {k: _round6(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):
@@ -112,8 +112,6 @@ def _round6(value):
 def _csv_cell(value) -> str:
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return f"{value:.6g}"  # inf and -inf as 'inf' and '-inf'
     return str(value)

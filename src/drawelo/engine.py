@@ -36,7 +36,7 @@ import operator
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .data import GameRecord
@@ -273,38 +273,33 @@ def run_online(season: CompiledSeason, updates: Sequence[tuple[float, float, Dav
     strided.  A run of disjoint games gathers whole contiguous rows and
     advances in one in-place vector step for every update; that is exact,
     because no game of a run reads a rating another game of the same run
-    writes.  Consecutive updates whose curves are one kind step as one
-    table of shifts, steps and curve fields; every online mode steps on a
-    ``Davidson``, so a grid is one table.  The step is ``run_season``'s,
-    the curve's ``expected_score``, on arrays with the same operations in
-    the same order, so each row's differences match, bit for bit, those of
-    ``run_season`` on a configuration with that update.  An update whose
-    ratings stop being finite is not raised here: its ``diffs`` row or its
-    final ``ratings`` show it, and ``run_season`` names the fault.
+    writes.  Every update curve an ``EngineConfig`` builds is a ``Davidson``,
+    so the updates step as one ``Davidson`` with array fields.  The step is
+    ``run_season``'s, the curve's ``expected_score``, on arrays with the same
+    operations in the same order, so each row's differences match, bit for
+    bit, those of ``run_season`` on a configuration with that update.  An
+    update whose ratings stop being finite is not raised here: its ``diffs``
+    row or its final ``ratings`` show it, and ``run_season`` names the fault.
     """
     import numpy as np
     home_index, away_index, score = season.arrays()
     score = score[:, None]
-    ratings = np.zeros((len(season.players), len(updates)))
-    diffs = np.empty((len(score), len(updates)))
-    runs, first = season.runs, 0
-    for kind, group in groupby(updates, key=lambda update: type(update[2])):
-        table = np.array([(shift, step, *curve) for shift, step, curve in group], dtype=float)
-        shift, step, *fields = table.T
-        curve, rows = kind(*fields), slice(first, first + len(table))
-        first = rows.stop
-        r = ratings[:, rows]
-        with np.errstate(invalid="ignore", over="ignore"):
-            for start, end in zip(runs[:-1], runs[1:]):
-                home, away = home_index[start:end], away_index[start:end]
-                v = r[home]
-                v -= r[away]
-                v += shift
-                delta = score[start:end] - curve.expected_score(v)
-                delta *= step
-                r[home] += delta
-                r[away] -= delta
-                diffs[start:end, rows] = v
+    table = [(shift, step, curve.sigma, curve.kappa) for shift, step, curve in updates]
+    shift, step, sigma, kappa = np.array(table, dtype=float).reshape(-1, 4).T
+    curve = Davidson(sigma, kappa)
+    ratings = np.zeros((len(season.players), len(table)))
+    diffs = np.empty((len(score), len(table)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start, end in zip(season.runs[:-1], season.runs[1:]):
+            home, away = home_index[start:end], away_index[start:end]
+            v = ratings[home]
+            v -= ratings[away]
+            v += shift
+            delta = score[start:end] - curve.expected_score(v)
+            delta *= step
+            ratings[home] += delta
+            ratings[away] -= delta
+            diffs[start:end] = v
     return diffs.T, ratings.T
 
 

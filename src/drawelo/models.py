@@ -213,10 +213,9 @@ class Davidson(NamedTuple):
         u = exp10(-abs(z))
         uu = u * u
         den = 1.0 + uu + kappa * u
-        # the favourite's side, selected by exact arithmetic: 0.0 * uu adds no bit
-        home = 1.0 * (z >= 0)
-        away = 1.0 - home
-        return (home + away * uu) / den, (away + home * uu) / den, (kappa * u) / den
+        # the favourite's numerator is 1 and the underdog's uu: x ** True is x
+        # and x ** False is 1.0 exactly, on a float and on each array element
+        return uu ** (z < 0) / den, uu ** (z >= 0) / den, (kappa * u) / den
 
     def expected_score(self, v: float | np.ndarray) -> float | np.ndarray:
         """The expected home score f_kappa = p_home + p_draw / 2 at v, the online update's.
@@ -229,10 +228,9 @@ class Davidson(NamedTuple):
         z = 0.5 * v / sigma
         u = exp10(-abs(z))
         uu = u * u
-        # each side's numerator directly, as in triple: the underdog's
+        # the home numerator is 1 or uu, as in triple; the underdog's as
         # 1 - fav would cancel and lose up to a digit near v = 0
-        home = 1.0 * (z >= 0)
-        return (home + (1.0 - home) * uu + 0.5 * kappa * u) / (1.0 + uu + kappa * u)
+        return (uu ** (z < 0) + 0.5 * kappa * u) / (1.0 + uu + kappa * u)
 
     def logp(self, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log P(outcome | v) at shifted differences v and home scores s, and its v-derivatives.

@@ -435,22 +435,6 @@ def test_run_online_equal_configurations_match_alone():
         assert np.array_equal(diffs[c], one_diffs) and np.array_equal(ratings[c], one_ratings)
 
 
-def test_run_online_steps_each_kind_of_update_curve_as_its_own_table():
-    # cells whose update curves are of another kind (here a Davidson
-    # subclass), between davidson cells, each come back as they do alone
-    class Other(Davidson):
-        pass
-
-    games = random_games(np.random.default_rng(4), list("ABCDEF"), 60)
-    season = compile_season(games)
-    updates = [config(kappa=k, eta=0.1 * k).update for k in (0.4, 1.0, 2.0, 0.7)]
-    updates[1:3] = [(shift, step, Other(*curve)) for shift, step, curve in updates[1:3]]
-    diffs, ratings = run_online(season, updates)
-    for c, update in enumerate(updates):
-        (one_diffs,), (one_ratings,) = run_online(season, [update])
-        assert np.array_equal(diffs[c], one_diffs) and np.array_equal(ratings[c], one_ratings)
-
-
 def test_run_online_returns_rows_by_configuration():
     # (updates, games) differences and (updates, players) ratings, one row
     # per configuration's update, with a player given up front who never plays
@@ -465,6 +449,8 @@ def test_run_online_returns_rows_by_configuration():
         assert diffs[c].tobytes() == one_diffs[0].tobytes()
     diffs, ratings = run_online(compile_season([], players=["Idle"]), updates)
     assert diffs.shape == (3, 0) and ratings.shape == (3, 1)
+    diffs, ratings = run_online(compile_season(games, players=["Idle"]), [])  # no rows at all
+    assert diffs.shape == (0, 40) and ratings.shape == (0, 7)
 
 
 @BOTH_PATHS

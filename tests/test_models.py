@@ -281,6 +281,26 @@ def test_symmetry_on_grid(name, model, func):
         assert here.p_draw == pytest.approx(mirror.p_draw, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("curve", [Davidson(600.0, 0.0), Davidson(600.0, 0.7),
+                                   Davidson(300.0, 2.0)])
+def test_davidson_triple_mirrors_bit_for_bit(curve):
+    # triple(-v) is triple(v) with home and away swapped, to the last bit,
+    # at signed zeros, the smallest subnormal, ordinary differences and tails
+    # where 10^(-|v|/2sigma) underflows to 0, on floats and on an array
+    vs = [0.0, -0.0, 5e-324, 1.0, 37.5, 250.0, 600.0, 1234.5, 4000.0, 5e5, 1e6, 1e300]
+    for v in vs:
+        home, away, draw = curve.triple(v)
+        m_home, m_away, m_draw = curve.triple(-v)
+        assert [home.hex(), away.hex(), draw.hex()] == [m_away.hex(), m_home.hex(), m_draw.hex()]
+    assert curve.triple(1e6)[1] == curve.triple(1e6)[2] == 0.0
+    home, away, draw = curve.triple(np.array(vs))
+    m_home, m_away, m_draw = curve.triple(-np.array(vs))
+    assert [home.tobytes(), away.tobytes(), draw.tobytes()] == [
+        m_away.tobytes(), m_home.tobytes(), m_draw.tobytes()]
+    for i, v in enumerate(vs):  # and each element is the float's
+        assert [home[i].hex(), away[i].hex(), draw[i].hex()] == [x.hex() for x in curve.triple(v)]
+
+
 @pytest.mark.parametrize("name,model,func", ALL_FAMILIES)
 def test_p_home_strictly_increasing(name, model, func):
     values = [func(v, model).p_home for v in GRID_V]
